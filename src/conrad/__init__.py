@@ -33,7 +33,6 @@ from .structures import (
     path_graph,
     space,
     subspace,
-    validate_space,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,7 +8,6 @@ byte-identical for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -31,6 +30,7 @@ from .structures import (
     LOOPS,
     NOLOOPS,
     Partition,
+    _env_bound,
     graph,
     space,
 )
@@ -145,11 +145,8 @@ def parse_congruence(text: str, carrier):
             else:
                 raise InputSyntaxError(no2, "expected: block <ids> or edge <a> <b>")
         part = Partition.from_blocks(carrier.n, blocks)
-        if carrier.policy == LOOPS:
-            theta = gcm.GraphCongruence(part, frozenset(edges))
-            return gcm.validate_gc(carrier, theta)
-        theta = lcm.LooplessCongruence(part, frozenset(edges))
-        return lcm.validate_lc(carrier, theta)
+        theta = gcm.GraphCongruence(part, frozenset(edges))
+        return eng.KIND_OPS[eng.kind_of(carrier)].validate(carrier, theta)
     raise InputSyntaxError(no, f"unknown congruence kind {head!r}")
 
 
@@ -182,7 +179,7 @@ def serialize_congruence(cong) -> str:
         opens = sorted(cong.ctop, key=lambda u: (len(u), sorted(u)))
         out.extend(f"open {_fmt_set(u)}" for u in opens)
         return "\n".join(out) + "\n"
-    if isinstance(cong, (gcm.GraphCongruence, lcm.LooplessCongruence)):
+    if isinstance(cong, gcm.GraphCongruence):
         out = ["gcong"]
         out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
         out.extend(f"edge {a} {b}" for a, b in sorted(cong.cedges))
@@ -261,14 +258,13 @@ def _load_structure_arg(args) -> tuple:
         structure = parse_structure(_read(args.space))
         if not isinstance(structure, FiniteSpace):
             raise UsageError(f"{args.space} does not contain a space")
-        return structure, eng.KIND_TOPO
-    if getattr(args, "graph", None):
+    elif getattr(args, "graph", None):
         structure = parse_structure(_read(args.graph))
         if not isinstance(structure, FiniteGraph):
             raise UsageError(f"{args.graph} does not contain a graph")
-        kind = eng.KIND_GRAPH if structure.policy == LOOPS else eng.KIND_LOOPLESS
-        return structure, kind
-    raise UsageError("one of --space or --graph is required")
+    else:
+        raise UsageError("one of --space or --graph is required")
+    return structure, eng.kind_of(structure)
 
 
 def _cmd_congruences(args, report: Report) -> None:
@@ -302,7 +298,7 @@ def _cmd_decompose(args, report: Report) -> None:
         rows = [tuple(c.part.class_id[v] for c in factors) for v in range(g.n)]
         for v, row in enumerate(rows):
             report.info(f"embed {v} -> ({','.join(str(b) for b in row)})")
-        report.check("meet-is-identity", lcm.meet_lc(g, factors) == lcm.identity_lc(g))
+        report.check("meet-is-identity", gcm.meet_gc(g, factors) == gcm.identity_gc(g))
         return
     if args.sierpinski:
         x = parse_structure(_read(args.sierpinski))
@@ -361,6 +357,8 @@ def _sigmas_for(kind: str, args) -> list:
 
 
 def _cmd_universe(args, report: Report) -> None:
+    if args.max_n is None:
+        args.max_n = _env_bound(3)
     kind = args.kind
     if kind not in eng.KINDS:
         raise UsageError(f"unknown kind {kind!r}")
@@ -509,9 +507,6 @@ def run_command(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "max_n", None) is None and args.command == "universe":
-        env = os.environ.get("CONRAD_MAX_N")
-        args.max_n = int(env) if env else 3
     report = Report(command=" ".join(argv))
     try:
         _HANDLERS[args.command](args, report)

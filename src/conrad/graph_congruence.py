@@ -1,15 +1,20 @@
-"""Congruence calculus for graphs that admit loops.
+"""Congruence calculus for graphs, shared by both loop policies.
 
 A congruence pairs an equivalence relation on the vertices with a congruence
-edge-set sandwiched between the edges and all possible pairs, closed under
+edge-set sandwiched between the edges and all admissible pairs, closed under
 substitution: once a pair of blocks touches the edge-set, every pair between
 those blocks belongs to it.  The substitution property makes block-pair
 orbits atomic, which is what the enumeration exploits.
+
+A loopless congruence is such a congruence whose blocks are also
+independent, so everything here that does not validate serves both
+policies; `loopless_congruence` holds only what independence changes.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -30,11 +35,11 @@ from .structures import (
     _norm_pair,
     all_partitions,
     graph,
+    is_surjective,
     join_partitions,
     meet_partitions,
+    random_partition,
 )
-
-Map = tuple
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,12 @@ def validate_gc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
 # Maps
 # ---------------------------------------------------------------------------
 
-def is_homomorphism(g: FiniteGraph, h: FiniteGraph, f: Map) -> bool:
+def is_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> bool:
+    # a loopless h admits no loop image, so edges never land inside a fibre
     return all(_norm_pair(f[a], f[b]) in h.edges for a, b in g.edges)
 
 
-def is_surjective(f: Map, m: int) -> bool:
-    return set(f) == set(range(m))
-
-
-def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: Map) -> GraphCongruence:
+def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     if not is_homomorphism(g, h, f):
         raise NotHomomorphism("kernel needs an edge-preserving map")
     part = Partition.from_map(tuple(f))
@@ -127,7 +129,7 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: Map) -> GraphCongruence:
     return GraphCongruence(part, cedges)
 
 
-def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: Map) -> GraphCongruence:
+def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     if not is_homomorphism(g, h, f):
         raise NotHomomorphism("strong kernel needs an edge-preserving map")
     return strongify_gc(g, Partition.from_map(tuple(f)))
@@ -137,11 +139,16 @@ def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: Map) -> GraphCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
-def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, Map]:
-    validate_gc(g, theta)
+def _quotient_graph(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
+    """Quotient by a validated congruence, under the carrier's loop policy."""
     cid = theta.part.class_id
     edges = {(min(cid[a], cid[b]), max(cid[a], cid[b])) for a, b in theta.cedges}
-    return graph(theta.part.num_blocks, LOOPS, edges), cid
+    return graph(theta.part.num_blocks, g.policy, edges), cid
+
+
+def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
+    validate_gc(g, theta)
+    return _quotient_graph(g, theta)
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
@@ -191,7 +198,7 @@ def join_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> GraphCongruence:
 # Images along surjective homomorphisms
 # ---------------------------------------------------------------------------
 
-def image_gc(g: FiniteGraph, h: FiniteGraph, f: Map, theta: GraphCongruence) -> GraphCongruence:
+def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
     """Push theta forward: (theta + ker f)/ker f carried to h along the fibres."""
     if not is_surjective(f, h.n):
         raise NotSurjective("image congruence needs a surjective map")
@@ -207,7 +214,7 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: Map, theta: GraphCongruence) -> 
     return GraphCongruence(part, cedges)
 
 
-def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: Map, theta: GraphCongruence) -> GraphCongruence:
+def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
     """Image by chain closure on the codomain; independent oracle."""
     if not is_surjective(f, h.n):
         raise NotSurjective("image congruence needs a surjective map")
@@ -229,16 +236,20 @@ def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: Map, theta: GraphCongruen
 
 
 # ---------------------------------------------------------------------------
-# Enumeration, products, subdirect irreducibility
+# Enumeration, random congruences, products
 # ---------------------------------------------------------------------------
 
-def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
-    """Every congruence: per partition, the edge-set is a union of orbits."""
+def _congruences_over(g: FiniteGraph, parts, include_diagonal: bool) -> list[GraphCongruence]:
+    """Per partition, every edge-set that is E's orbits plus a union of free orbits.
+
+    Loopless graphs pass independent partitions only and leave out the
+    diagonal orbits, whose pairs join related vertices.
+    """
     out = []
-    for part in all_partitions(g.n):
+    for part in parts:
         required: set[tuple[int, int]] = set()
         free = []
-        for orbit in _orbits(part):
+        for orbit in _orbits(part, include_diagonal):
             if orbit & g.edges:
                 required.update(orbit)
             else:
@@ -254,6 +265,25 @@ def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
         found.sort(key=lambda c: c.encoding())
         out.extend(found)
     return out
+
+
+def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
+    """Every congruence: per partition, the edge-set is a union of orbits."""
+    return _congruences_over(g, all_partitions(g.n), include_diagonal=True)
+
+
+def _random_over(rng: random.Random, g: FiniteGraph, part: Partition,
+                 include_diagonal: bool) -> GraphCongruence:
+    """The strong edge-set of the partition plus each free orbit with odds 1/2."""
+    cedges = set(saturation_gc(g, part))
+    for orbit in _orbits(part, include_diagonal):
+        if not orbit & cedges and rng.random() < 0.5:
+            cedges.update(orbit)
+    return GraphCongruence(part, frozenset(cedges))
+
+
+def random_gcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
+    return _random_over(rng, g, random_partition(rng, g.n), include_diagonal=True)
 
 
 def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
@@ -275,31 +305,3 @@ def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
             ):
                 edges.add((pos[u], pos[v]))
     return graph(len(verts), LOOPS, edges)
-
-
-@dataclass(frozen=True)
-class SubdirectResultGC:
-    ok: bool
-    factors: tuple
-    embedding: tuple[tuple[int, ...], ...]
-
-
-def check_subdirect_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> SubdirectResultGC:
-    if not thetas:
-        raise EmptyList("subdirect check needs at least one congruence")
-    for t in thetas:
-        validate_gc(g, t)
-    met = meet_gc(g, thetas)
-    ok = met == identity_gc(g)
-    factors = tuple(quotient_gc(g, t)[0] for t in thetas)
-    embedding = tuple(
-        tuple(t.part.class_id[v] for t in thetas) for v in range(g.n)
-    )
-    return SubdirectResultGC(ok, factors, embedding)
-
-
-def is_subdirectly_irreducible_gc(g: FiniteGraph) -> bool:
-    """No family of proper congruences can meet to the identity."""
-    iota = identity_gc(g)
-    others = [t for t in enumerate_congruences_gc(g) if t != iota]
-    return not others or meet_gc(g, others) != iota

@@ -1,25 +1,38 @@
-"""Congruence calculus for graphs with no loops.
+"""What block independence adds to the graph congruence calculus.
 
-On top of the loop-admitting conditions, a loopless congruence keeps its
-blocks independent: related vertices never carry a congruence edge.  The
+A loopless congruence is a `GraphCongruence` on a loopless carrier whose
+blocks are independent: related vertices never carry a congruence edge.
+On independent partitions the substitution orbits and the saturation are
+those of `graph_congruence`, so this module keeps only validation, strong
+congruences, enumeration and the pointwise image comparison.  The
 congruences form a complete meet-semilattice only; no join is provided
 because closing a union can break independence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
 
 from .errors import (
     EdgeSetOutOfRange,
-    EmptyList,
-    EmptySubset,
     IndependenceViolated,
     InvalidCongruence,
-    NotContained,
     NotHomomorphism,
     SearchExhausted,
     SubstitutionViolated,
+)
+from .graph_congruence import (
+    GraphCongruence,
+    _congruences_over,
+    _orbits,
+    _quotient_graph,
+    _random_over,
+    block_orbit,
+    identity_gc,
+    is_homomorphism,
+    is_strong_gc,
+    meet_gc,
+    saturation_gc,
 )
 from .structures import (
     FiniteGraph,
@@ -27,63 +40,25 @@ from .structures import (
     Partition,
     _norm_pair,
     all_partitions,
-    graph,
-    meet_partitions,
 )
-
-Map = tuple
-
-
-@dataclass(frozen=True)
-class LooplessCongruence:
-    part: Partition
-    cedges: frozenset[tuple[int, int]]
-
-    def encoding(self) -> tuple:
-        return (self.part.class_id, tuple(sorted(self.cedges)))
-
-
-def identity_lc(g: FiniteGraph) -> LooplessCongruence:
-    return LooplessCongruence(Partition.identity(g.n), g.edges)
-
-
-def le_lc(a: LooplessCongruence, b: LooplessCongruence) -> bool:
-    return a.part.refines(b.part) and a.cedges <= b.cedges
-
-
-def _cross_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:
-    return frozenset(
-        _norm_pair(u, v)
-        for u in part.blocks[part.class_id[a]]
-        for v in part.blocks[part.class_id[b]]
-        if u != v
-    )
 
 
 def _blocks_independent(g: FiniteGraph, part: Partition) -> bool:
     return all(not part.same(a, b) for a, b in g.edges)
 
 
-def saturation_lc(g: FiniteGraph, part: Partition) -> frozenset[tuple[int, int]]:
-    """Pairs joined by an edge between their blocks."""
-    out: set[tuple[int, int]] = set()
-    for a, b in g.edges:
-        out.update(_cross_orbit(part, a, b))
-    return frozenset(out)
-
-
 def strongify_lc(g: FiniteGraph, part: Partition):
     """Strong congruence for the partition, or None when a block has an edge."""
     if not _blocks_independent(g, part):
         return None
-    return LooplessCongruence(part, saturation_lc(g, part))
+    return GraphCongruence(part, saturation_gc(g, part))
 
 
-def is_strong_lc(g: FiniteGraph, theta: LooplessCongruence) -> bool:
-    return _blocks_independent(g, theta.part) and theta.cedges == saturation_lc(g, theta.part)
+def is_strong_lc(g: FiniteGraph, theta: GraphCongruence) -> bool:
+    return _blocks_independent(g, theta.part) and is_strong_gc(g, theta)
 
 
-def validate_lc(g: FiniteGraph, theta: LooplessCongruence) -> LooplessCongruence:
+def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     if g.policy != NOLOOPS:
         raise InvalidCongruence("loopless congruences need a loopless carrier")
     if theta.part.n != g.n:
@@ -94,7 +69,7 @@ def validate_lc(g: FiniteGraph, theta: LooplessCongruence) -> LooplessCongruence
         if theta.part.same(a, b):
             raise IndependenceViolated(f"{a}-{b} joins related vertices")
     for a, b in theta.cedges:
-        if not _cross_orbit(theta.part, a, b) <= theta.cedges:
+        if not block_orbit(theta.part, a, b) <= theta.cedges:
             raise SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
     return theta
 
@@ -103,26 +78,7 @@ def validate_lc(g: FiniteGraph, theta: LooplessCongruence) -> LooplessCongruence
 # Maps, quotients
 # ---------------------------------------------------------------------------
 
-def is_homomorphism(g: FiniteGraph, h: FiniteGraph, f: Map) -> bool:
-    # h is loopless, so an edge image in E_H forces distinct endpoints
-    return all(_norm_pair(f[a], f[b]) in h.edges for a, b in g.edges)
-
-
-def is_surjective(f: Map, m: int) -> bool:
-    return set(f) == set(range(m))
-
-
-def kernel_lc(g: FiniteGraph, h: FiniteGraph, f: Map) -> LooplessCongruence:
-    if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("kernel needs an edge-preserving map")
-    part = Partition.from_map(tuple(f))
-    cedges = frozenset(
-        p for p in g.all_pairs if _norm_pair(f[p[0]], f[p[1]]) in h.edges
-    )
-    return LooplessCongruence(part, cedges)
-
-
-def strong_kernel_lc(g: FiniteGraph, h: FiniteGraph, f: Map) -> LooplessCongruence:
+def strong_kernel_lc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     if not is_homomorphism(g, h, f):
         raise NotHomomorphism("strong kernel needs an edge-preserving map")
     strong = strongify_lc(g, Partition.from_map(tuple(f)))
@@ -131,7 +87,7 @@ def strong_kernel_lc(g: FiniteGraph, h: FiniteGraph, f: Map) -> LooplessCongruen
     return strong
 
 
-def pointwise_image_lc(f: Map, theta: LooplessCongruence):
+def pointwise_image_lc(f: tuple, theta: GraphCongruence):
     """The raw pair (f(~), f(E)); need not be a congruence on the codomain."""
     rel = frozenset(
         _norm_pair(f[a], f[b])
@@ -143,121 +99,52 @@ def pointwise_image_lc(f: Map, theta: LooplessCongruence):
     return rel, pairs
 
 
-def pointwise_le_lc(image, beta: LooplessCongruence) -> bool:
+def pointwise_le_lc(image, beta: GraphCongruence) -> bool:
     rel, pairs = image
     return all(beta.part.same(a, b) for a, b in rel) and pairs <= beta.cedges
 
 
-def quotient_lc(g: FiniteGraph, theta: LooplessCongruence) -> tuple[FiniteGraph, Map]:
+def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
     validate_lc(g, theta)
-    cid = theta.part.class_id
-    edges = {(min(cid[a], cid[b]), max(cid[a], cid[b])) for a, b in theta.cedges}
-    return graph(theta.part.num_blocks, NOLOOPS, edges), cid
-
-
-def restrict_lc(g: FiniteGraph, theta: LooplessCongruence, subset) -> LooplessCongruence:
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("restriction to the empty set")
-    pos = {v: i for i, v in enumerate(sub)}
-    part = theta.part.restrict(sub)
-    cedges = frozenset(
-        (pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos
-    )
-    return LooplessCongruence(part, cedges)
-
-
-def quotient_cong_lc(g: FiniteGraph, t1: LooplessCongruence, t2: LooplessCongruence) -> LooplessCongruence:
-    if not le_lc(t1, t2):
-        raise NotContained("the second congruence must contain the first")
-    cid = t1.part.class_id
-    part = Partition.from_map(tuple(t2.part.class_id[b[0]] for b in t1.part.blocks))
-    cedges = frozenset(_norm_pair(cid[a], cid[b]) for a, b in t2.cedges)
-    return LooplessCongruence(part, cedges)
-
-
-def meet_lc(g: FiniteGraph, thetas: list[LooplessCongruence]) -> LooplessCongruence:
-    if not thetas:
-        raise EmptyList("meet of no congruences")
-    part = meet_partitions([t.part for t in thetas])
-    cedges = frozenset.intersection(*(t.cedges for t in thetas))
-    return LooplessCongruence(part, cedges)
+    return _quotient_graph(g, theta)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and Birkhoff decomposition
+# Enumeration, random congruences and Birkhoff decomposition
 # ---------------------------------------------------------------------------
 
-def enumerate_congruences_lc(g: FiniteGraph) -> list[LooplessCongruence]:
+def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: independent-block partitions, off-diagonal orbits."""
-    out = []
-    for part in all_partitions(g.n):
-        if not _blocks_independent(g, part):
-            continue
-        required = saturation_lc(g, part)
-        free = []
-        for i in range(part.num_blocks):
-            for j in range(i + 1, part.num_blocks):
-                orbit = frozenset(
-                    _norm_pair(u, v)
-                    for u in part.blocks[i]
-                    for v in part.blocks[j]
-                )
-                if not orbit & required:
-                    free.append(sorted(orbit))
-        free.sort()
-        found = []
-        for k in range(2 ** len(free)):
-            cedges = set(required)
-            for i in range(len(free)):
-                if k >> i & 1:
-                    cedges.update(free[i])
-            found.append(LooplessCongruence(part, frozenset(cedges)))
-        found.sort(key=lambda c: c.encoding())
-        out.extend(found)
-    return out
+    parts = (p for p in all_partitions(g.n) if _blocks_independent(g, p))
+    return _congruences_over(g, parts, include_diagonal=False)
 
 
-@dataclass(frozen=True)
-class SubdirectResultLC:
-    ok: bool
-    factors: tuple
-    embedding: tuple[tuple[int, ...], ...]
+def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
+    # build a proper partition greedily over a shuffled vertex order
+    order = list(range(g.n))
+    rng.shuffle(order)
+    blocks: list[list[int]] = []
+    for v in order:
+        options = [
+            i for i, b in enumerate(blocks)
+            if all(_norm_pair(v, u) not in g.edges for u in b)
+        ]
+        options.append(-1)
+        pick = rng.choice(options)
+        if pick == -1:
+            blocks.append([v])
+        else:
+            blocks[pick].append(v)
+    part = Partition.from_blocks(g.n, blocks)
+    return _random_over(rng, g, part, include_diagonal=False)
 
 
-def check_subdirect_lc(g: FiniteGraph, thetas: list[LooplessCongruence]) -> SubdirectResultLC:
-    if not thetas:
-        raise EmptyList("subdirect check needs at least one congruence")
-    for t in thetas:
-        validate_lc(g, t)
-    ok = meet_lc(g, thetas) == identity_lc(g)
-    factors = tuple(quotient_lc(g, t)[0] for t in thetas)
-    embedding = tuple(
-        tuple(t.part.class_id[v] for t in thetas) for v in range(g.n)
-    )
-    return SubdirectResultLC(ok, factors, embedding)
-
-
-def is_subdirectly_irreducible_lc(g: FiniteGraph) -> bool:
-    iota = identity_lc(g)
-    others = [t for t in enumerate_congruences_lc(g) if t != iota]
-    return not others or meet_lc(g, others) != iota
-
-
-def _coloring_congruence(g: FiniteGraph, part: Partition) -> LooplessCongruence:
+def _coloring_congruence(g: FiniteGraph, part: Partition) -> GraphCongruence:
     """Proper-coloring partition with every cross-block pair present."""
-    cedges = set()
-    for i in range(part.num_blocks):
-        for j in range(i + 1, part.num_blocks):
-            cedges.update(
-                _norm_pair(u, v)
-                for u in part.blocks[i]
-                for v in part.blocks[j]
-            )
-    return LooplessCongruence(part, frozenset(cedges))
+    return GraphCongruence(part, frozenset().union(*_orbits(part, include_diagonal=False)))
 
 
-def birkhoff_complete_decomposition(g: FiniteGraph) -> list[LooplessCongruence]:
+def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
     """Congruences with complete quotients whose meet is the identity.
 
     The all-singletons factor fixes the relation; greedy set cover by proper
@@ -267,7 +154,7 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[LooplessCongruence]:
     """
     base = _coloring_congruence(g, Partition.identity(g.n))
     uncovered = set(g.all_pairs - g.edges)
-    chosen: list[LooplessCongruence] = []
+    chosen: list[GraphCongruence] = []
     colorings = [
         part for part in all_partitions(g.n)
         if part.num_blocks < g.n and _blocks_independent(g, part)
@@ -298,7 +185,7 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[LooplessCongruence]:
         uncovered -= inside
     factors = [base] + chosen
     factors.sort(key=lambda c: c.encoding())
-    met = meet_lc(g, factors)
-    if met != identity_lc(g):
+    met = meet_gc(g, factors)
+    if met != identity_gc(g):
         raise SearchExhausted("decomposition meet is not the identity")
     return factors

@@ -23,6 +23,7 @@ from .errors import (
     BadCatalogId,
     CheckDefect,
     ConradError,
+    EmptyList,
     InvalidCongruence,
     KindMismatch,
     KindUnsupported,
@@ -40,12 +41,17 @@ from .structures import (
     T0,
     T_SPACE,
     _norm_pair,
+    all_partitions,
     complete_graph,
     enumerate_graphs,
     enumerate_spaces,
     homeo_spaces,
     induced,
+    is_surjective,
     iso_graphs,
+    random_graph,
+    relabel_graph,
+    relabel_space,
     subspace,
 )
 
@@ -67,7 +73,10 @@ def kind_of(structure) -> str:
 class _KindOps:
     enum_structures: Callable
     enum_congruences: Callable
+    validate: Callable
     quotient: Callable
+    kernel: Callable
+    quotient_cong: Callable
     meet: Callable
     join: Callable | None
     identity: Callable
@@ -79,23 +88,20 @@ class _KindOps:
     le: Callable
     is_morphism: Callable
     image_le: Callable
+    trivial: FiniteSpace | FiniteGraph
+    random_structure: Callable
+    random_congruence: Callable
+    relabel: Callable
 
 
-def _strong_all_tc(x):
-    return [tc.strongify_tc(x, p) for p in tc.all_partitions(x.n)]
+def _strong_all(strongify: Callable) -> Callable:
+    """All strong congruences of a structure, from partitions admitting one."""
 
+    def strong_all(x):
+        strong = (strongify(x, p) for p in all_partitions(x.n))
+        return [theta for theta in strong if theta is not None]
 
-def _strong_all_gc(g):
-    return [gc.strongify_gc(g, p) for p in gc.all_partitions(g.n)]
-
-
-def _strong_all_lc(g):
-    out = []
-    for p in lc.all_partitions(g.n):
-        strong = lc.strongify_lc(g, p)
-        if strong is not None:
-            out.append(strong)
-    return out
+    return strong_all
 
 
 def _image_le_tc(x, y, f, theta, target):
@@ -114,11 +120,14 @@ KIND_OPS: dict[str, _KindOps] = {
     KIND_TOPO: _KindOps(
         enum_structures=lambda n: enumerate_spaces(n),
         enum_congruences=tc.enumerate_congruences_tc,
+        validate=tc.validate_tc,
         quotient=tc.quotient_tc,
+        kernel=tc.kernel_tc,
+        quotient_cong=tc.quotient_cong_tc,
         meet=tc.meet_tc,
         join=tc.join_tc,
         identity=tc.identity_tc,
-        strong_all=_strong_all_tc,
+        strong_all=_strong_all(tc.strongify_tc),
         is_strong=tc.is_strong_tc,
         restrict=tc.restrict_tc,
         substructure=subspace,
@@ -126,15 +135,22 @@ KIND_OPS: dict[str, _KindOps] = {
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
         image_le=_image_le_tc,
+        trivial=T_SPACE,
+        random_structure=tc.random_space,
+        random_congruence=tc.random_tcong,
+        relabel=relabel_space,
     ),
     KIND_GRAPH: _KindOps(
         enum_structures=lambda n: enumerate_graphs(n, LOOPS),
         enum_congruences=gc.enumerate_congruences_gc,
+        validate=gc.validate_gc,
         quotient=gc.quotient_gc,
+        kernel=gc.kernel_gc,
+        quotient_cong=gc.quotient_cong_gc,
         meet=gc.meet_gc,
         join=gc.join_gc,
         identity=gc.identity_gc,
-        strong_all=_strong_all_gc,
+        strong_all=_strong_all(gc.strongify_gc),
         is_strong=gc.is_strong_gc,
         restrict=gc.restrict_gc,
         substructure=induced,
@@ -142,34 +158,35 @@ KIND_OPS: dict[str, _KindOps] = {
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
         image_le=_image_le_gc,
+        trivial=T0,
+        random_structure=lambda rng, n: random_graph(rng, n, LOOPS),
+        random_congruence=gc.random_gcong,
+        relabel=relabel_graph,
     ),
     KIND_LOOPLESS: _KindOps(
         enum_structures=lambda n: enumerate_graphs(n, NOLOOPS),
         enum_congruences=lc.enumerate_congruences_lc,
+        validate=lc.validate_lc,
         quotient=lc.quotient_lc,
-        meet=lc.meet_lc,
+        kernel=gc.kernel_gc,
+        quotient_cong=gc.quotient_cong_gc,
+        meet=gc.meet_gc,
         join=None,
-        identity=lc.identity_lc,
-        strong_all=_strong_all_lc,
+        identity=gc.identity_gc,
+        strong_all=_strong_all(lc.strongify_lc),
         is_strong=lc.is_strong_lc,
-        restrict=lc.restrict_lc,
+        restrict=gc.restrict_gc,
         substructure=induced,
         iso=iso_graphs,
-        le=lc.le_lc,
-        is_morphism=lc.is_homomorphism,
+        le=gc.le_gc,
+        is_morphism=gc.is_homomorphism,
         image_le=_image_le_lc,
+        trivial=complete_graph(1),
+        random_structure=lambda rng, n: random_graph(rng, n, NOLOOPS),
+        random_congruence=lc.random_lcong,
+        relabel=relabel_graph,
     ),
 }
-
-
-def trivial_structure(kind: str):
-    if kind == KIND_TOPO:
-        return T_SPACE
-    if kind == KIND_GRAPH:
-        return T0
-    if kind == KIND_LOOPLESS:
-        return complete_graph(1)
-    raise KindMismatch(f"unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +206,10 @@ class ClassPredicate:
 
 
 def class_predicate(name: str, kind: str, member: Callable) -> ClassPredicate:
+    if kind not in KIND_OPS:
+        raise KindMismatch(f"unknown kind {kind!r}")
     pred = ClassPredicate(name, kind, member)
-    if not pred(trivial_structure(kind)):
+    if not pred(KIND_OPS[kind].trivial):
         raise ConradError(f"class {name!r} must contain the trivial structure")
     return pred
 
@@ -289,13 +308,10 @@ def in_radical_class(sigma: RadicalAssignment, structure) -> bool:
     """Radical-class membership: quotient by the radical is trivial.
 
     For spaces this is equivalent to the radical being the universal
-    congruence; for graphs the two differ on edgeless graphs, so the
-    quotient form is the one used throughout.
+    congruence, the only one-block congruence on a space; for graphs the
+    two differ on edgeless graphs, so the quotient form is the one used.
     """
-    value = sigma(structure)
-    if sigma.kind == KIND_TOPO:
-        return value == tc.universal_tc(structure)
-    return value.part.num_blocks == 1
+    return sigma(structure).part.num_blocks == 1
 
 
 def semisimple_members(sigma: RadicalAssignment, uni: Universe) -> list:
@@ -318,7 +334,7 @@ def surjective_morphisms(kind: str, x, y) -> list[tuple]:
         return []
     out = []
     for f in itertools.product(range(y.n), repeat=x.n):
-        if set(f) == set(range(y.n)) and ops.is_morphism(x, y, f):
+        if is_surjective(f, y.n) and ops.is_morphism(x, y, f):
             out.append(f)
     return out
 
@@ -569,11 +585,11 @@ def c_congruence_p(cls: ClassPredicate, structure, theta) -> bool:
 def rho_sum(cls: ClassPredicate, structure):
     """Join of all C-congruences on the structure."""
     kind = kind_of(structure)
-    if kind == KIND_LOOPLESS:
+    ops = KIND_OPS[kind]
+    if ops.join is None:
         raise KindUnsupported("loopless congruences admit no join")
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} does not match the structure kind")
-    ops = KIND_OPS[kind]
     parts = [
         theta for theta in ops.strong_all(structure)
         if c_congruence_p(cls, structure, theta)
@@ -584,8 +600,37 @@ def rho_sum(cls: ClassPredicate, structure):
 
 
 # ---------------------------------------------------------------------------
-# Subdirect closure, complementary pairs, loopless degeneracy
+# Subdirect products, complementary pairs, loopless degeneracy
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class SubdirectResult:
+    ok: bool
+    factors: tuple
+    embedding: tuple[tuple[int, ...], ...]
+
+
+def check_subdirect(structure, thetas: list) -> SubdirectResult:
+    """Subdirect decomposition test: the congruences must meet to the identity."""
+    if not thetas:
+        raise EmptyList("subdirect check needs at least one congruence")
+    ops = KIND_OPS[kind_of(structure)]
+    # quotients validate, so they run before a meet that may not
+    factors = tuple(ops.quotient(structure, theta)[0] for theta in thetas)
+    ok = ops.meet(structure, thetas) == ops.identity(structure)
+    embedding = tuple(
+        tuple(theta.part.class_id[v] for theta in thetas) for v in range(structure.n)
+    )
+    return SubdirectResult(ok, factors, embedding)
+
+
+def is_subdirectly_irreducible(structure) -> bool:
+    """No family of proper congruences can meet to the identity."""
+    ops = KIND_OPS[kind_of(structure)]
+    iota = ops.identity(structure)
+    others = [t for t in ops.enum_congruences(structure) if t != iota]
+    return not others or ops.meet(structure, others) != iota
+
 
 def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:
     """Members decomposable with all factors in the class."""
@@ -632,7 +677,7 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
                 f"complete graph on {m} vertices is outside {cls.name!r}"
             )
     return all(
-        hoehnke_radical(x, cls) == lc.identity_lc(x) for x in uni.members
+        hoehnke_radical(x, cls) == gc.identity_gc(x) for x in uni.members
     )
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -18,6 +19,7 @@ from .errors import (
     NotClosedUnderUnion,
     PolicyMismatch,
     SemanticError,
+    UsageError,
 )
 
 LOOPS = "loops"
@@ -29,13 +31,14 @@ ISO_BOUND = 8
 
 
 def _env_bound(default: int) -> int:
+    """The CONRAD_MAX_N override of a size bound; unset or empty keeps the default."""
     raw = os.environ.get("CONRAD_MAX_N")
-    if raw is None:
+    if not raw:
         return default
     try:
         return int(raw)
     except ValueError:
-        return default
+        raise UsageError(f"CONRAD_MAX_N must be an integer, got {raw!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +165,19 @@ def meet_partitions(parts: list[Partition]) -> Partition:
     return Partition.from_map(tuple(tuple(p.class_id[x] for p in parts) for x in range(parts[0].n)))
 
 
+def random_partition(rng: random.Random, n: int) -> Partition:
+    raw = []
+    used = 0
+    for _ in range(n):
+        raw.append(rng.randrange(used + 1))
+        used = max(used, raw[-1] + 1)
+    return Partition.from_map(tuple(raw))
+
+
+def is_surjective(f: tuple, m: int) -> bool:
+    return set(f) == set(range(m))
+
+
 def all_partitions(n: int):
     """All partitions of 0..n-1 in lexicographic growth-string order."""
 
@@ -262,6 +278,14 @@ def induced(g: FiniteGraph, subset) -> FiniteGraph:
     return graph(len(sub), g.policy, keep)
 
 
+def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
+    return graph(g.n, g.policy, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def random_graph(rng: random.Random, n: int, policy: str) -> FiniteGraph:
+    return graph(n, policy, [p for p in _pair_slots(n, policy) if rng.random() < 0.5])
+
+
 # named two-vertex loop-admitting graphs and friends
 T = graph(1, LOOPS)
 T0 = graph(1, LOOPS, [(0, 0)])
@@ -346,11 +370,6 @@ def space(n: int, opens) -> FiniteSpace:
     return FiniteSpace(n, frozenset(frozenset(u) for u in opens))
 
 
-def validate_space(n: int, family) -> FiniteSpace:
-    """Return the space iff the family is a topology on 0..n-1."""
-    return space(n, family)
-
-
 def indiscrete_space(n: int) -> FiniteSpace:
     return space(n, [frozenset(), frozenset(range(n))])
 
@@ -370,6 +389,10 @@ def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     pos = {v: i for i, v in enumerate(sub)}
     opens = {frozenset(pos[p] for p in u if p in pos) for u in x.opens}
     return FiniteSpace(len(sub), frozenset(opens))
+
+
+def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
+    return space(x.n, [{perm[p] for p in u} for u in x.opens])
 
 
 T_SPACE = space(1, [[], [0]])

@@ -10,6 +10,7 @@ larger congruence topology is smaller in the order.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -33,11 +34,11 @@ from .structures import (
     _bitmask,
     all_partitions,
     homeo_spaces,
+    is_surjective,
     join_partitions,
     meet_partitions,
+    random_partition,
 )
-
-Map = tuple
 
 
 @dataclass(frozen=True)
@@ -111,15 +112,11 @@ def is_strong_tc(x: FiniteSpace, rho: TopoCongruence) -> bool:
 # Maps
 # ---------------------------------------------------------------------------
 
-def is_continuous(x: FiniteSpace, y: FiniteSpace, f: Map) -> bool:
+def is_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> bool:
     return all(frozenset(p for p in range(x.n) if f[p] in v) in x.opens for v in y.opens)
 
 
-def is_surjective(f: Map, m: int) -> bool:
-    return set(f) == set(range(m))
-
-
-def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: Map) -> TopoCongruence:
+def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     """Fibre partition plus the pulled-back topology."""
     if not is_continuous(x, y, f):
         raise NotContinuous("preimage of an open set is not open")
@@ -130,7 +127,7 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: Map) -> TopoCongruence:
     return TopoCongruence(part, ctop)
 
 
-def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: Map) -> TopoCongruence:
+def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     if not is_continuous(x, y, f):
         raise NotContinuous("preimage of an open set is not open")
     return strongify_tc(x, Partition.from_map(tuple(f)))
@@ -140,7 +137,7 @@ def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: Map) -> TopoCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
-def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, Map]:
+def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
     """Weak quotient space (points = blocks) and the canonical projection."""
     validate_tc(x, rho)
     proj = rho.part.class_id
@@ -226,7 +223,7 @@ def join_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
 # Images along surjective continuous maps
 # ---------------------------------------------------------------------------
 
-def image_tc(x: FiniteSpace, y: FiniteSpace, f: Map, rho: TopoCongruence) -> TopoCongruence:
+def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
     """Push rho forward: (rho + ker f)/ker f carried to y along the fibres."""
     if not is_surjective(f, y.n):
         raise NotSurjective("image congruence needs a surjective map")
@@ -243,7 +240,7 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: Map, rho: TopoCongruence) -> Top
     return TopoCongruence(part, ctop)
 
 
-def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: Map, rho: TopoCongruence) -> TopoCongruence:
+def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
     """Image by its pointwise description; kept as an independent oracle."""
     if not is_surjective(f, y.n):
         raise NotSurjective("image congruence needs a surjective map")
@@ -266,7 +263,7 @@ def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: Map, rho: TopoCongruence)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration, subdirect products, decomposition
+# Enumeration, random congruences, decomposition
 # ---------------------------------------------------------------------------
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
@@ -287,24 +284,16 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
     return out
 
 
-@dataclass(frozen=True)
-class SubdirectResult:
-    ok: bool
-    factors: tuple
-    embedding: tuple[tuple[int, ...], ...]
+def random_space(rng: random.Random, n: int) -> FiniteSpace:
+    fam = {frozenset(p for p in range(n) if rng.random() < 0.5)
+           for _ in range(rng.randrange(n + 2))}
+    return FiniteSpace(n, _close_topology(n, fam))
 
 
-def check_subdirect_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> SubdirectResult:
-    """Subdirect decomposition test: the congruences must meet to the identity."""
-    if not rhos:
-        raise EmptyList("subdirect check needs at least one congruence")
-    met = meet_tc(x, rhos)
-    ok = met == identity_tc(x)
-    factors = tuple(quotient_tc(x, r)[0] for r in rhos)
-    embedding = tuple(
-        tuple(r.part.class_id[p] for r in rhos) for p in range(x.n)
-    )
-    return SubdirectResult(ok, factors, embedding)
+def random_tcong(rng: random.Random, x: FiniteSpace) -> TopoCongruence:
+    part = random_partition(rng, x.n)
+    sat = sorted(saturated_opens(x, part), key=lambda u: sorted(u))
+    return TopoCongruence(part, _close_topology(x.n, [u for u in sat if rng.random() < 0.5]))
 
 
 def sierpinski_decomposition(x: FiniteSpace) -> list[TopoCongruence]:

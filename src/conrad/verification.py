@@ -1,4 +1,4 @@
-"""Isomorphism/homeomorphism theorem sweeps and seeded instance generators.
+"""Isomorphism/homeomorphism theorem sweeps over exhaustive and seeded instances.
 
 Each theorem is checked two ways: exhaustively over every structure,
 congruence and surjective morphism up to a size bound, and on seeded random
@@ -11,148 +11,21 @@ from __future__ import annotations
 import itertools
 import random
 
-from . import graph_congruence as gc
-from . import loopless_congruence as lc
-from . import topo_congruence as tc
-from .radical_engine import KIND_GRAPH, KIND_OPS, KIND_TOPO
-from .structures import (
-    FiniteGraph,
-    FiniteSpace,
-    LOOPS,
-    NOLOOPS,
-    Partition,
-    _norm_pair,
-    graph,
-    homeo_spaces,
-    induced,
-    iso_graphs,
-    space,
-    subspace,
-)
+from .graph_congruence import GraphCongruence, block_orbit
+from .radical_engine import KIND_OPS
+from .structures import FiniteGraph, Partition
 
 
 # ---------------------------------------------------------------------------
-# Relabelling (used to hide quotient structure behind a permutation)
+# Seeded instances (the generators live with their kinds in KIND_OPS)
 # ---------------------------------------------------------------------------
-
-def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
-    return graph(g.n, g.policy, [(perm[a], perm[b]) for a, b in g.edges])
-
-
-def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
-    return space(x.n, [{perm[p] for p in u} for u in x.opens])
-
-
-# ---------------------------------------------------------------------------
-# Random structures and congruences
-# ---------------------------------------------------------------------------
-
-def random_partition(rng: random.Random, n: int) -> Partition:
-    raw = []
-    used = 0
-    for _ in range(n):
-        raw.append(rng.randrange(used + 1))
-        used = max(used, raw[-1] + 1)
-    return Partition.from_map(tuple(raw))
-
-
-def random_space(rng: random.Random, n: int) -> FiniteSpace:
-    full = frozenset(range(n))
-    fam = {frozenset(), full}
-    for _ in range(rng.randrange(n + 2)):
-        fam.add(frozenset(p for p in range(n) if rng.random() < 0.5))
-    changed = True
-    while changed:
-        changed = False
-        for u, v in itertools.combinations(list(fam), 2):
-            for w in (u | v, u & v):
-                if w not in fam:
-                    fam.add(w)
-                    changed = True
-    return FiniteSpace(n, frozenset(fam))
-
-
-def random_graph(rng: random.Random, n: int, policy: str) -> FiniteGraph:
-    if policy == LOOPS:
-        slots = [(a, b) for a in range(n) for b in range(a, n)]
-    else:
-        slots = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    return graph(n, policy, [p for p in slots if rng.random() < 0.5])
-
-
-def random_tcong(rng: random.Random, x: FiniteSpace) -> tc.TopoCongruence:
-    part = random_partition(rng, x.n)
-    sat = sorted(tc.saturated_opens(x, part), key=lambda u: sorted(u))
-    fam = {frozenset(), x.full}
-    for u in sat:
-        if rng.random() < 0.5:
-            fam.add(u)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in itertools.combinations(list(fam), 2):
-            for w in (u | v, u & v):
-                if w not in fam:
-                    fam.add(w)
-                    changed = True
-    return tc.TopoCongruence(part, frozenset(fam))
-
-
-def random_gcong(rng: random.Random, g: FiniteGraph) -> gc.GraphCongruence:
-    part = random_partition(rng, g.n)
-    cedges = set(gc.saturation_gc(g, part))
-    for i in range(part.num_blocks):
-        for j in range(i, part.num_blocks):
-            orbit = frozenset(
-                _norm_pair(u, v) for u in part.blocks[i] for v in part.blocks[j]
-            )
-            if not orbit & cedges and rng.random() < 0.5:
-                cedges.update(orbit)
-    return gc.GraphCongruence(part, frozenset(cedges))
-
-
-def random_lcong(rng: random.Random, g: FiniteGraph) -> lc.LooplessCongruence:
-    # build a proper partition greedily over a shuffled vertex order
-    order = list(range(g.n))
-    rng.shuffle(order)
-    blocks: list[list[int]] = []
-    for v in order:
-        options = [
-            i for i, b in enumerate(blocks)
-            if all(_norm_pair(v, u) not in g.edges for u in b)
-        ]
-        options.append(-1)
-        pick = rng.choice(options)
-        if pick == -1:
-            blocks.append([v])
-        else:
-            blocks[pick].append(v)
-    part = Partition.from_blocks(g.n, blocks)
-    cedges = set(lc.saturation_lc(g, part))
-    for i in range(part.num_blocks):
-        for j in range(i + 1, part.num_blocks):
-            orbit = frozenset(
-                _norm_pair(u, v) for u in part.blocks[i] for v in part.blocks[j]
-            )
-            if not orbit & cedges and rng.random() < 0.5:
-                cedges.update(orbit)
-    return lc.LooplessCongruence(part, frozenset(cedges))
-
 
 def random_structure(rng: random.Random, kind: str, n: int):
-    if kind == KIND_TOPO:
-        return random_space(rng, n)
-    if kind == KIND_GRAPH:
-        return random_graph(rng, n, LOOPS)
-    return random_graph(rng, n, NOLOOPS)
+    return KIND_OPS[kind].random_structure(rng, n)
 
 
 def random_congruence(rng: random.Random, kind: str, structure):
-    if kind == KIND_TOPO:
-        return random_tcong(rng, structure)
-    if kind == KIND_GRAPH:
-        return random_gcong(rng, structure)
-    return random_lcong(rng, structure)
+    return KIND_OPS[kind].random_congruence(rng, structure)
 
 
 def random_surjection(rng: random.Random, kind: str, structure):
@@ -162,10 +35,7 @@ def random_surjection(rng: random.Random, kind: str, structure):
     quotient, proj = ops.quotient(structure, theta)
     perm = list(range(quotient.n))
     rng.shuffle(perm)
-    if kind == KIND_TOPO:
-        target = relabel_space(quotient, perm)
-    else:
-        target = relabel_graph(quotient, perm)
+    target = ops.relabel(quotient, perm)
     f = tuple(perm[proj[v]] for v in range(structure.n))
     return target, f
 
@@ -174,23 +44,11 @@ def random_surjection(rng: random.Random, kind: str, structure):
 # The three isomorphism theorems, per kind
 # ---------------------------------------------------------------------------
 
-def _iso(kind: str, a, b) -> bool:
-    if kind == KIND_TOPO:
-        return homeo_spaces(a, b) is not None
-    return iso_graphs(a, b) is not None
-
-
 def check_first_iso(kind: str, x, y, f) -> bool:
     """Quotient by the kernel of a surjection matches the codomain."""
     ops = KIND_OPS[kind]
-    if kind == KIND_TOPO:
-        ker = tc.kernel_tc(x, y, f)
-    elif kind == KIND_GRAPH:
-        ker = gc.kernel_gc(x, y, f)
-    else:
-        ker = lc.kernel_lc(x, y, f)
-    quotient, _ = ops.quotient(x, ker)
-    return _iso(kind, quotient, y)
+    quotient, _ = ops.quotient(x, ops.kernel(x, y, f))
+    return ops.iso(quotient, y) is not None
 
 
 def check_second_iso(kind: str, x, theta, sub) -> bool:
@@ -200,27 +58,18 @@ def check_second_iso(kind: str, x, theta, sub) -> bool:
     small = ops.substructure(x, sub)
     left, _ = ops.quotient(small, restricted)
     quotient, proj = ops.quotient(x, theta)
-    hit = sorted({proj[v] for v in sub})
-    if kind == KIND_TOPO:
-        right = subspace(quotient, hit)
-    else:
-        right = induced(quotient, hit)
-    return _iso(kind, left, right)
+    right = ops.substructure(quotient, sorted({proj[v] for v in sub}))
+    return ops.iso(left, right) is not None
 
 
 def check_third_iso(kind: str, x, alpha, beta) -> bool:
     """(X/a)/(b/a) matches X/b when a is contained in b."""
     ops = KIND_OPS[kind]
-    if kind == KIND_TOPO:
-        qc = tc.quotient_cong_tc(x, alpha, beta)
-    elif kind == KIND_GRAPH:
-        qc = gc.quotient_cong_gc(x, alpha, beta)
-    else:
-        qc = lc.quotient_cong_lc(x, alpha, beta)
+    qc = ops.quotient_cong(x, alpha, beta)
     stage, _ = ops.quotient(x, alpha)
     left, _ = ops.quotient(stage, qc)
     right, _ = ops.quotient(x, beta)
-    return _iso(kind, left, right)
+    return ops.iso(left, right) is not None
 
 
 THEOREMS = ("first", "second", "third")
@@ -289,18 +138,14 @@ def random_iso_theorems(kind: str, samples: int, seed: int,
     return failures
 
 
-def _coarsen_lc(rng: random.Random, g: FiniteGraph, alpha: lc.LooplessCongruence):
+def _coarsen_lc(rng: random.Random, g: FiniteGraph, alpha: GraphCongruence):
     """A loopless congruence above alpha: merge two cedge-free blocks."""
     blocks = alpha.part.blocks
     mergeable = [
         (i, j)
         for i in range(len(blocks))
         for j in range(i + 1, len(blocks))
-        if all(
-            _norm_pair(u, v) not in alpha.cedges
-            for u in blocks[i]
-            for v in blocks[j]
-        )
+        if not block_orbit(alpha.part, blocks[i][0], blocks[j][0]) & alpha.cedges
     ]
     if not mergeable:
         return alpha
@@ -309,11 +154,5 @@ def _coarsen_lc(rng: random.Random, g: FiniteGraph, alpha: lc.LooplessCongruence
     for v in blocks[j]:
         raw[v] = alpha.part.class_id[blocks[i][0]]
     part = Partition.from_map(tuple(raw))
-    cedges: set = set()
-    for pair in alpha.cedges:
-        cedges.update(
-            _norm_pair(u, v)
-            for u in part.blocks[part.class_id[pair[0]]]
-            for v in part.blocks[part.class_id[pair[1]]]
-        )
-    return lc.LooplessCongruence(part, frozenset(cedges))
+    cedges = frozenset().union(*(block_orbit(part, *pair) for pair in alpha.cedges))
+    return GraphCongruence(part, cedges)

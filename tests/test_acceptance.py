@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
 from conrad import topo_congruence as tc
 from conrad.errors import LemmaConditionFailed
@@ -21,6 +22,7 @@ from conrad.radical_engine import (
     builtin_class,
     catalog_graph_radical,
     catalog_topological_radical,
+    check_subdirect,
     complementary_pair_check,
     h1_failures,
     h2_failures,
@@ -170,7 +172,7 @@ def test_criterion_07_birkhoff_decomposition():
                 if n == 5:
                     count_at_5 += 1
                 factors = lc.birkhoff_complete_decomposition(g)
-                result = lc.check_subdirect_lc(g, factors)
+                result = check_subdirect(g, factors)
                 assert result.ok
                 assert all(f.is_complete() for f in result.factors)
         assert count_at_5 == 34
@@ -182,7 +184,7 @@ def test_criterion_08_degeneracy():
         complete_cls = builtin_class(KIND_LOOPLESS, "complete")
         assert loopless_degeneracy_check(uni, complete_cls)
         for g in uni.members:
-            assert hoehnke_radical(g, complete_cls) == lc.identity_lc(g)
+            assert hoehnke_radical(g, complete_cls) == gc.identity_gc(g)
         with pytest.raises(LemmaConditionFailed):
             loopless_degeneracy_check(uni, builtin_class(KIND_LOOPLESS, "edgeless"))
 
@@ -213,7 +215,7 @@ def test_criterion_11_sierpinski_decomposition():
         for n in (2, 3):
             for x in enumerate_spaces(n):
                 factors = tc.sierpinski_decomposition(x)
-                assert tc.check_subdirect_tc(x, factors).ok
+                assert check_subdirect(x, factors).ok
                 for cong in factors:
                     quotient, _ = tc.quotient_tc(x, cong)
                     assert (

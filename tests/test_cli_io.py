@@ -257,3 +257,20 @@ def test_cli_verify_seed_determinism(files, capsys):
     _, first = run(argv, capsys)
     _, second = run(argv, capsys)
     assert first == second
+
+
+def test_cli_malformed_max_n_env_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CONRAD_MAX_N", "abc")
+    status = run_command(["universe", "--kind", "graph", "--check", "ka"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: CONRAD_MAX_N must be an integer, got 'abc'\n"
+    assert captured.out == "command: universe --kind graph --check ka\n"
+
+
+def test_enumerate_graphs_malformed_max_n_env(monkeypatch):
+    from conrad.errors import UsageError
+
+    monkeypatch.setenv("CONRAD_MAX_N", "abc")
+    with pytest.raises(UsageError, match="CONRAD_MAX_N must be an integer, got 'abc'"):
+        enumerate_graphs(2, LOOPS)

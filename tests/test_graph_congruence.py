@@ -14,13 +14,11 @@ from conrad.errors import (
 )
 from conrad.graph_congruence import (
     GraphCongruence,
-    check_subdirect_gc,
     enumerate_congruences_gc,
     identity_gc,
     image_gc,
     image_gc_direct,
     is_strong_gc,
-    is_subdirectly_irreducible_gc,
     join_gc,
     kernel_gc,
     le_gc,
@@ -34,6 +32,11 @@ from conrad.graph_congruence import (
     universal_gc,
     validate_gc,
 )
+from conrad.loopless_congruence import enumerate_congruences_lc
+from conrad.radical_engine import (
+    check_subdirect as check_subdirect_gc,
+    is_subdirectly_irreducible as is_subdirectly_irreducible_gc,
+)
 from conrad.structures import (
     A3,
     B1,
@@ -43,11 +46,13 @@ from conrad.structures import (
     B5,
     B6,
     LOOPS,
+    NOLOOPS,
     Partition,
     T,
     T0,
     edgeless_graph,
     enumerate_graphs,
+    graph,
     induced,
     iso_graphs,
 )
@@ -335,3 +340,42 @@ def test_every_graph_subdirect_product_of_irreducibles():
             if is_subdirectly_irreducible_gc(quotient_gc(g, theta)[0])
         ]
         assert check_subdirect_gc(g, factors).ok, g
+
+
+def _congruences_by_definition(g, independent):
+    """Encodings of every (partition, S) with E <= S <= all pairs such that
+    a pair in S puts every pair between the blocks of its ends in S, and,
+    when independent, no pair of S joins two related vertices."""
+    parts = {Partition.from_map(raw) for raw in itertools.product(range(g.n), repeat=g.n)}
+    free = sorted(g.all_pairs - g.edges)
+    found = []
+    for part in parts:
+        for k in range(2 ** len(free)):
+            s = set(g.edges) | {free[i] for i in range(len(free)) if k >> i & 1}
+            if independent and any(part.same(a, b) for a, b in s):
+                continue
+            if all(
+                (min(u, v), max(u, v)) in s
+                for a, b in s
+                for u in range(g.n) if part.same(u, a)
+                for v in range(g.n) if part.same(v, b)
+            ):
+                found.append((part.class_id, tuple(sorted(s))))
+    return sorted(found)
+
+
+def _labelled_graphs(n, policy):
+    slots = sorted(graph(n, policy).all_pairs)
+    for k in range(2 ** len(slots)):
+        yield graph(n, policy, [slots[i] for i in range(len(slots)) if k >> i & 1])
+
+
+def test_enumerators_match_definition_oracle():
+    for n in (1, 2, 3):
+        for g in _labelled_graphs(n, LOOPS):
+            got = [c.encoding() for c in enumerate_congruences_gc(g)]
+            assert sorted(got) == _congruences_by_definition(g, False), g
+    for n in (1, 2, 3, 4):
+        for g in _labelled_graphs(n, NOLOOPS):
+            got = [c.encoding() for c in enumerate_congruences_lc(g)]
+            assert sorted(got) == _congruences_by_definition(g, True), g

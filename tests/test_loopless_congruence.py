@@ -11,22 +11,26 @@ from conrad.errors import (
     NotHomomorphism,
     SubstitutionViolated,
 )
+from conrad.graph_congruence import (
+    GraphCongruence as LooplessCongruence,
+    identity_gc as identity_lc,
+    kernel_gc as kernel_lc,
+    le_gc as le_lc,
+    meet_gc as meet_lc,
+    quotient_cong_gc as quotient_cong_lc,
+    restrict_gc as restrict_lc,
+)
 from conrad.loopless_congruence import (
-    LooplessCongruence,
     birkhoff_complete_decomposition,
     enumerate_congruences_lc,
-    identity_lc,
-    is_subdirectly_irreducible_lc,
-    kernel_lc,
-    le_lc,
-    meet_lc,
     pointwise_image_lc,
     pointwise_le_lc,
-    quotient_cong_lc,
     quotient_lc,
-    restrict_lc,
     strongify_lc,
     validate_lc,
+)
+from conrad.radical_engine import (
+    is_subdirectly_irreducible as is_subdirectly_irreducible_lc,
 )
 from conrad.structures import (
     NOLOOPS,
@@ -186,7 +190,7 @@ def test_birkhoff_surjective_projections():
 
 
 def test_check_subdirect_lc():
-    from conrad.loopless_congruence import check_subdirect_lc
+    from conrad.radical_engine import check_subdirect as check_subdirect_lc
 
     factors = birkhoff_complete_decomposition(P3)
     result = check_subdirect_lc(P3, factors)

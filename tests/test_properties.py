@@ -9,14 +9,10 @@ from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
 from conrad import topo_congruence as tc
 from conrad.cli_io import parse_congruence, parse_structure, serialize_congruence, serialize_structure
-from conrad.structures import LOOPS, NOLOOPS
-from conrad.verification import (
-    random_gcong,
-    random_graph,
-    random_lcong,
-    random_space,
-    random_tcong,
-)
+from conrad.graph_congruence import random_gcong
+from conrad.loopless_congruence import random_lcong
+from conrad.structures import LOOPS, NOLOOPS, random_graph
+from conrad.topo_congruence import random_space, random_tcong
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
 sizes = st.integers(min_value=1, max_value=4)
@@ -91,11 +87,11 @@ def test_loopless_meet_laws(seed, n):
     rng = random.Random(seed)
     g = random_graph(rng, n, NOLOOPS)
     a, b = random_lcong(rng, g), random_lcong(rng, g)
-    m = lc.meet_lc(g, [a, b])
+    m = gc.meet_gc(g, [a, b])
     lc.validate_lc(g, m)
-    assert lc.le_lc(m, a) and lc.le_lc(m, b)
-    assert lc.meet_lc(g, [a, a]) == a
-    assert lc.meet_lc(g, [a, lc.identity_lc(g)]) == lc.identity_lc(g)
+    assert gc.le_gc(m, a) and gc.le_gc(m, b)
+    assert gc.meet_gc(g, [a, a]) == a
+    assert gc.meet_gc(g, [a, gc.identity_gc(g)]) == gc.identity_gc(g)
 
 
 @given(seeds, sizes)

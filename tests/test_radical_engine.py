@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from conrad import graph_congruence as gc
-from conrad import loopless_congruence as lc
 from conrad import topo_congruence as tc
 from conrad.errors import (
     BadCatalogId,
@@ -97,7 +96,7 @@ def test_hoehnke_radical_examples():
     )
     complete_cls = builtin_class("loopless", "complete")
     for g in UNI_LL4.members:
-        assert hoehnke_radical(g, complete_cls) == lc.identity_lc(g)
+        assert hoehnke_radical(g, complete_cls) == gc.identity_gc(g)
 
 
 def test_hoehnke_radical_kind_mismatch():

@@ -41,8 +41,8 @@ from conrad.structures import (
     path_graph,
     space,
     subspace,
-    validate_space,
 )
+from conrad.structures import space as validate_space
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_homeo_spaces_examples():
 
 
 def test_iso_is_equivalence_on_small_lists():
-    from conrad.verification import relabel_graph, relabel_space
+    from conrad.structures import relabel_graph, relabel_space
 
     graphs = [g for n in (1, 2, 3) for g in enumerate_graphs(n, LOOPS)]
     for g in graphs:

@@ -24,9 +24,9 @@ from conrad.structures import (
     homeo_spaces,
     space,
 )
+from conrad.radical_engine import check_subdirect as check_subdirect_tc
 from conrad.topo_congruence import (
     TopoCongruence,
-    check_subdirect_tc,
     enumerate_congruences_tc,
     identity_tc,
     image_tc,
