@@ -342,10 +342,6 @@ def _cmd_catalog(args, report: Report) -> None:
     report.info("quotient: " + describe_structure(quotient))
 
 
-def _universe_for(kind: str, max_n: int) -> eng.Universe:
-    return eng.build_universe(kind, max_n)
-
-
 def _sigmas_for(kind: str, args) -> list:
     if args.cls:
         return [eng.radical_from_class(eng.builtin_class(kind, args.cls))]
@@ -362,7 +358,7 @@ def _cmd_universe(args, report: Report) -> None:
     kind = args.kind
     if kind not in eng.KINDS:
         raise UsageError(f"unknown kind {kind!r}")
-    uni = _universe_for(kind, args.max_n)
+    uni = eng.build_universe(kind, args.max_n)
     report.info(f"universe: {kind} n<={args.max_n} ({len(uni.members)} members)")
     if args.check == "h1h2":
         for sigma in _sigmas_for(kind, args):

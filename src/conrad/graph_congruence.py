@@ -7,8 +7,12 @@ those blocks belongs to it.  The substitution property makes block-pair
 orbits atomic, which is what the enumeration exploits.
 
 A loopless congruence is such a congruence whose blocks are also
-independent, so everything here that does not validate serves both
-policies; `loopless_congruence` holds only what independence changes.
+independent, so the calculus here serves both policies; validation,
+enumeration, `strongify_gc` and `random_gcong` take loop graphs only, and
+`loopless_congruence` holds only what independence changes.
+
+Functions here take valid congruences; `validate_gc` is the check for one
+built outside the library.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
     NotContained,
     NotHomomorphism,
     NotSurjective,
+    PolicyMismatch,
     SubstitutionViolated,
 )
 from .structures import (
@@ -72,9 +77,11 @@ def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:
     )
 
 
-def _orbits(part: Partition, include_diagonal: bool = True):
+def _orbits(g: FiniteGraph, part: Partition):
+    """Block-pair orbits; a loopless carrier has no diagonal ones."""
+    diagonal = g.policy == LOOPS
     for i in range(part.num_blocks):
-        for j in range(i if include_diagonal else i + 1, part.num_blocks):
+        for j in range(i if diagonal else i + 1, part.num_blocks):
             yield frozenset(
                 _norm_pair(u, v) for u in part.blocks[i] for v in part.blocks[j]
             )
@@ -83,13 +90,15 @@ def _orbits(part: Partition, include_diagonal: bool = True):
 def saturation_gc(g: FiniteGraph, part: Partition) -> frozenset[tuple[int, int]]:
     """Pairs whose block orbit touches an edge of g."""
     out: set[tuple[int, int]] = set()
-    for orbit in _orbits(part):
+    for orbit in _orbits(g, part):
         if orbit & g.edges:
             out.update(orbit)
     return frozenset(out)
 
 
 def strongify_gc(g: FiniteGraph, part: Partition) -> GraphCongruence:
+    if g.policy != LOOPS:
+        raise PolicyMismatch("strongify_gc needs a loops-allowed carrier")
     return GraphCongruence(part, saturation_gc(g, part))
 
 
@@ -139,16 +148,11 @@ def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruenc
 # Quotients
 # ---------------------------------------------------------------------------
 
-def _quotient_graph(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    """Quotient by a validated congruence, under the carrier's loop policy."""
+def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
+    """Quotient graph under the carrier's loop policy, and the projection."""
     cid = theta.part.class_id
     edges = {(min(cid[a], cid[b]), max(cid[a], cid[b])) for a, b in theta.cedges}
     return graph(theta.part.num_blocks, g.policy, edges), cid
-
-
-def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    validate_gc(g, theta)
-    return _quotient_graph(g, theta)
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
@@ -239,17 +243,17 @@ def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongru
 # Enumeration, random congruences, products
 # ---------------------------------------------------------------------------
 
-def _congruences_over(g: FiniteGraph, parts, include_diagonal: bool) -> list[GraphCongruence]:
+def _congruences_over(g: FiniteGraph, parts) -> list[GraphCongruence]:
     """Per partition, every edge-set that is E's orbits plus a union of free orbits.
 
-    Loopless graphs pass independent partitions only and leave out the
-    diagonal orbits, whose pairs join related vertices.
+    Loopless graphs pass independent partitions only; their orbits leave
+    out the diagonal ones, whose pairs join related vertices.
     """
     out = []
     for part in parts:
         required: set[tuple[int, int]] = set()
         free = []
-        for orbit in _orbits(part, include_diagonal):
+        for orbit in _orbits(g, part):
             if orbit & g.edges:
                 required.update(orbit)
             else:
@@ -269,21 +273,24 @@ def _congruences_over(g: FiniteGraph, parts, include_diagonal: bool) -> list[Gra
 
 def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: per partition, the edge-set is a union of orbits."""
-    return _congruences_over(g, all_partitions(g.n), include_diagonal=True)
+    if g.policy != LOOPS:
+        raise PolicyMismatch("enumerate_congruences_gc needs a loops-allowed carrier")
+    return _congruences_over(g, all_partitions(g.n))
 
 
-def _random_over(rng: random.Random, g: FiniteGraph, part: Partition,
-                 include_diagonal: bool) -> GraphCongruence:
+def _random_over(rng: random.Random, g: FiniteGraph, part: Partition) -> GraphCongruence:
     """The strong edge-set of the partition plus each free orbit with odds 1/2."""
     cedges = set(saturation_gc(g, part))
-    for orbit in _orbits(part, include_diagonal):
+    for orbit in _orbits(g, part):
         if not orbit & cedges and rng.random() < 0.5:
             cedges.update(orbit)
     return GraphCongruence(part, frozenset(cedges))
 
 
 def random_gcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
-    return _random_over(rng, g, random_partition(rng, g.n), include_diagonal=True)
+    if g.policy != LOOPS:
+        raise PolicyMismatch("random_gcong needs a loops-allowed carrier")
+    return _random_over(rng, g, random_partition(rng, g.n))
 
 
 def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:

@@ -7,6 +7,9 @@ those of `graph_congruence`, so this module keeps only validation, strong
 congruences, enumeration and the pointwise image comparison.  The
 congruences form a complete meet-semilattice only; no join is provided
 because closing a union can break independence.
+
+Functions here take valid congruences; `validate_lc` is the check for one
+built outside the library.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from .errors import (
     EdgeSetOutOfRange,
     IndependenceViolated,
     InvalidCongruence,
-    NotHomomorphism,
     SearchExhausted,
     SubstitutionViolated,
 )
@@ -25,13 +27,12 @@ from .graph_congruence import (
     GraphCongruence,
     _congruences_over,
     _orbits,
-    _quotient_graph,
     _random_over,
     block_orbit,
     identity_gc,
-    is_homomorphism,
     is_strong_gc,
     meet_gc,
+    quotient_gc,
     saturation_gc,
 )
 from .structures import (
@@ -78,15 +79,6 @@ def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
 # Maps, quotients
 # ---------------------------------------------------------------------------
 
-def strong_kernel_lc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
-    if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("strong kernel needs an edge-preserving map")
-    strong = strongify_lc(g, Partition.from_map(tuple(f)))
-    if strong is None:
-        raise InvalidCongruence("fibres of the map are not independent")
-    return strong
-
-
 def pointwise_image_lc(f: tuple, theta: GraphCongruence):
     """The raw pair (f(~), f(E)); need not be a congruence on the codomain."""
     rel = frozenset(
@@ -105,8 +97,8 @@ def pointwise_le_lc(image, beta: GraphCongruence) -> bool:
 
 
 def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    validate_lc(g, theta)
-    return _quotient_graph(g, theta)
+    # its own function, not an alias, so traced runs count loopless quotients apart
+    return quotient_gc(g, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +108,7 @@ def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: independent-block partitions, off-diagonal orbits."""
     parts = (p for p in all_partitions(g.n) if _blocks_independent(g, p))
-    return _congruences_over(g, parts, include_diagonal=False)
+    return _congruences_over(g, parts)
 
 
 def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
@@ -136,12 +128,12 @@ def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
         else:
             blocks[pick].append(v)
     part = Partition.from_blocks(g.n, blocks)
-    return _random_over(rng, g, part, include_diagonal=False)
+    return _random_over(rng, g, part)
 
 
 def _coloring_congruence(g: FiniteGraph, part: Partition) -> GraphCongruence:
     """Proper-coloring partition with every cross-block pair present."""
-    return GraphCongruence(part, frozenset().union(*_orbits(part, include_diagonal=False)))
+    return GraphCongruence(part, frozenset().union(*_orbits(g, part)))
 
 
 def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:

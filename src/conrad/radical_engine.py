@@ -13,7 +13,7 @@ first failure in canonical enumeration order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from . import graph_congruence as gc
@@ -231,15 +231,22 @@ def class_from_members(kind: str, name: str, members) -> ClassPredicate:
 
 @dataclass(frozen=True)
 class RadicalAssignment:
-    """Rule assigning a congruence to every structure of its kind."""
+    """Rule assigning a congruence to every structure of its kind.
+
+    Each structure's value is computed once per assignment and memoised.
+    """
 
     name: str
     kind: str
     rule: Callable
     provenance: str
+    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, structure):
-        return self.rule(structure)
+        value = self._values.get(structure)
+        if value is None:
+            value = self._values[structure] = self.rule(structure)
+        return value
 
 
 @dataclass(frozen=True)
@@ -288,18 +295,10 @@ def hoehnke_radical(structure, cls: ClassPredicate):
 
 
 def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
-    cache: dict = {}
-
-    def rule(structure):
-        value = cache.get(structure)
-        if value is None:
-            value = cache[structure] = hoehnke_radical(structure, cls)
-        return value
-
     return RadicalAssignment(
         name=f"radical-of-{cls.name}",
         kind=cls.kind,
-        rule=rule,
+        rule=lambda structure: hoehnke_radical(structure, cls),
         provenance=f"class:{cls.name}",
     )
 
@@ -615,7 +614,8 @@ def check_subdirect(structure, thetas: list) -> SubdirectResult:
     if not thetas:
         raise EmptyList("subdirect check needs at least one congruence")
     ops = KIND_OPS[kind_of(structure)]
-    # quotients validate, so they run before a meet that may not
+    for theta in thetas:
+        ops.validate(structure, theta)
     factors = tuple(ops.quotient(structure, theta)[0] for theta in thetas)
     ok = ops.meet(structure, thetas) == ops.identity(structure)
     embedding = tuple(

@@ -107,14 +107,8 @@ class Partition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, x: int) -> int:
-        return self.class_id[x]
-
     def same(self, a: int, b: int) -> bool:
         return self.class_id[a] == self.class_id[b]
-
-    def is_identity(self) -> bool:
-        return self.num_blocks == self.n
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
@@ -230,9 +224,6 @@ class FiniteGraph:
     @property
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(a for a, b in self.edges if a == b)
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return _norm_pair(a, b) in self.edges
 
     def is_complete(self) -> bool:
         return self.edges == self.all_pairs
@@ -357,6 +348,18 @@ class FiniteSpace:
 
     def encoding(self) -> tuple:
         return (self.n, tuple(sorted(_bitmask(u) for u in self.opens)))
+
+
+def _is_topology_on(n: int, family) -> bool:
+    """True when the family of subsets of 0..n-1 is a topology."""
+    full = frozenset(range(n))
+    if frozenset() not in family or full not in family:
+        return False
+    for u in family:
+        for v in family:
+            if u | v not in family or u & v not in family:
+                return False
+    return True
 
 
 def _bitmask(s) -> int:
@@ -517,15 +520,7 @@ def _all_topologies(n: int):
     for k in range(2 ** len(proper)):
         fam = {empty, full}
         fam.update(proper[i] for i in range(len(proper)) if k >> i & 1)
-        ok = True
-        for u in fam:
-            if not ok:
-                break
-            for v in fam:
-                if u | v not in fam or u & v not in fam:
-                    ok = False
-                    break
-        if ok:
+        if _is_topology_on(n, fam):
             yield frozenset(fam)
 
 

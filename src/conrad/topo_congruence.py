@@ -5,6 +5,9 @@ whose opens are unions of blocks.  The ordering puts the identity congruence
 (diagonal, full topology) at the bottom and the universal congruence
 (one block, indiscrete) at the top: a smaller relation together with a
 larger congruence topology is smaller in the order.
+
+Functions here take valid congruences; `validate_tc` is the check for one
+built outside the library.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .structures import (
     Partition,
     S2,
     _bitmask,
+    _is_topology_on,
     all_partitions,
     homeo_spaces,
     is_surjective,
@@ -61,17 +65,6 @@ def universal_tc(x: FiniteSpace) -> TopoCongruence:
 def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
     """Congruence ordering: relation grows, topology shrinks."""
     return a.part.refines(b.part) and b.ctop <= a.ctop
-
-
-def _is_topology_on(n: int, family: frozenset[frozenset[int]]) -> bool:
-    full = frozenset(range(n))
-    if frozenset() not in family or full not in family:
-        return False
-    for u in family:
-        for v in family:
-            if u | v not in family or u & v not in family:
-                return False
-    return True
 
 
 def _saturated(part: Partition, u: frozenset[int]) -> bool:
@@ -139,7 +132,6 @@ def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence
 
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
     """Weak quotient space (points = blocks) and the canonical projection."""
-    validate_tc(x, rho)
     proj = rho.part.class_id
     opens = frozenset(frozenset(proj[p] for p in u) for u in rho.ctop)
     return FiniteSpace(rho.part.num_blocks, opens), proj
@@ -201,8 +193,6 @@ def meet_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
     """Greatest lower bound: refine the relations, generate from all opens."""
     if not rhos:
         raise EmptyList("meet of no congruences")
-    for rho in rhos:
-        validate_tc(x, rho)
     part = meet_partitions([r.part for r in rhos])
     ctop = _close_topology(x.n, frozenset().union(*(r.ctop for r in rhos)))
     return TopoCongruence(part, ctop)
@@ -212,8 +202,6 @@ def join_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
     """Least upper bound: transitive closure of relations, intersect topologies."""
     if not rhos:
         raise EmptyList("join of no congruences")
-    for rho in rhos:
-        validate_tc(x, rho)
     part = join_partitions([r.part for r in rhos])
     ctop = frozenset.intersection(*(r.ctop for r in rhos))
     return TopoCongruence(part, ctop)

@@ -12,7 +12,7 @@ import itertools
 import random
 
 from .graph_congruence import GraphCongruence, block_orbit
-from .radical_engine import KIND_OPS
+from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
 from .structures import FiniteGraph, Partition
 
 
@@ -78,13 +78,8 @@ THEOREMS = ("first", "second", "third")
 def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     """Failure counts per theorem over the whole universe up to max_n."""
     ops = KIND_OPS[kind]
-    members = []
-    for n in range(1, max_n + 1):
-        members.extend(ops.enum_structures(n))
+    members = build_universe(kind, max_n).members
     failures = {name: 0 for name in THEOREMS}
-
-    from .radical_engine import surjective_morphisms
-
     for x in members:
         for y in members:
             for f in surjective_morphisms(kind, x, y):

@@ -1,6 +1,7 @@
 """Loop-admitting graph congruences: calculus, lattice, subdirect structure."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from conrad.errors import (
     NotContained,
     NotHomomorphism,
     NotSurjective,
+    PolicyMismatch,
     SubstitutionViolated,
 )
 from conrad.graph_congruence import (
@@ -26,6 +28,7 @@ from conrad.graph_congruence import (
     product_graph,
     quotient_cong_gc,
     quotient_gc,
+    random_gcong,
     restrict_gc,
     strong_kernel_gc,
     strongify_gc,
@@ -55,6 +58,7 @@ from conrad.structures import (
     graph,
     induced,
     iso_graphs,
+    path_graph,
 )
 
 GRAPHS_3 = [g for n in (1, 2, 3) for g in enumerate_graphs(n, LOOPS)]
@@ -379,3 +383,13 @@ def test_enumerators_match_definition_oracle():
         for g in _labelled_graphs(n, NOLOOPS):
             got = [c.encoding() for c in enumerate_congruences_lc(g)]
             assert sorted(got) == _congruences_by_definition(g, True), g
+
+
+def test_loop_only_entry_points_reject_loopless_carriers():
+    p2 = path_graph(2)
+    with pytest.raises(PolicyMismatch):
+        enumerate_congruences_gc(p2)
+    with pytest.raises(PolicyMismatch):
+        strongify_gc(p2, Partition.universal(2))
+    with pytest.raises(PolicyMismatch):
+        random_gcong(random.Random(0), p2)

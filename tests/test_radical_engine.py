@@ -12,6 +12,8 @@ from conrad.errors import (
     KindUnsupported,
     LemmaConditionFailed,
     NoQualifyingCongruence,
+    NotSaturated,
+    SubstitutionViolated,
 )
 from conrad.radical_engine import (
     GRAPH_CATALOG_IDS,
@@ -26,6 +28,7 @@ from conrad.radical_engine import (
     build_universe,
     builtin_class,
     c_congruence_p,
+    check_subdirect,
     catalog_graph,
     catalog_graph_radical,
     catalog_topological,
@@ -608,3 +611,55 @@ def test_loopless_radicals_degenerate():
     assert len(semisimple_members(sigma, UNI_LL3)) == len(UNI_LL3.members)
     assert not h1_failures(sigma, UNI_LL3)
     assert not h2_failures(sigma, UNI_LL3)
+
+
+# ---------------------------------------------------------------------------
+# Validation at the boundary
+# ---------------------------------------------------------------------------
+
+def test_every_congruence_the_library_builds_is_valid():
+    # quotients, meets and joins take their congruences as valid, so every
+    # producer of congruences inside the library must build valid ones
+    cases = ((UNI_TOPO, catalog_topological, TOPO_CATALOG_IDS),
+             (UNI_GRAPH, catalog_graph, GRAPH_CATALOG_IDS),
+             (UNI_LL4, None, ()))
+    for uni, catalog, ids in cases:
+        ops = KIND_OPS[uni.kind]
+        for x in uni.members:
+            congs = ops.enum_congruences(x)
+            built = congs + ops.strong_all(x) + [catalog(x, cid) for cid in ids]
+            for y in uni.members:
+                built += [ops.kernel(x, y, f) for f in surjective_morphisms(uni.kind, x, y)]
+            for theta in built:
+                ops.validate(x, theta)
+            for sub in itertools.chain.from_iterable(
+                itertools.combinations(range(x.n), k) for k in range(1, x.n + 1)
+            ):
+                small = ops.substructure(x, sub)
+                for theta in congs:
+                    ops.validate(small, ops.restrict(x, theta, sub))
+            for alpha in congs:
+                stage, _ = ops.quotient(x, alpha)
+                for beta in congs:
+                    if ops.le(alpha, beta):
+                        ops.validate(stage, ops.quotient_cong(x, alpha, beta))
+
+
+def test_check_subdirect_validates_its_members():
+    with pytest.raises(NotSaturated):
+        check_subdirect(S2, [tc.identity_tc(S2), tc.TopoCongruence(Partition.universal(2), S2.opens)])
+    with pytest.raises(SubstitutionViolated):
+        check_subdirect(B1, [gc.GraphCongruence(Partition.universal(2), frozenset({(0, 0)}))])
+
+
+def test_radical_assignment_computes_each_value_once():
+    calls = []
+
+    def rule(x):
+        calls.append(x)
+        return tc.identity_tc(x)
+
+    sigma = RadicalAssignment("counted", KIND_TOPO, rule, "custom")
+    for x in UNI_TOPO.members + UNI_TOPO.members:
+        assert sigma(x) == tc.identity_tc(x)
+    assert calls == list(UNI_TOPO.members)
