@@ -17,6 +17,7 @@ from . import radical_engine as eng
 from . import topo_congruence as tcm
 from . import verification as ver
 from .errors import (
+    BoundExceeded,
     CheckDefect,
     ConradError,
     InputSyntaxError,
@@ -30,8 +31,10 @@ from .structures import (
     LOOPS,
     NOLOOPS,
     Partition,
+    S2,
     _env_bound,
     graph,
+    homeo_spaces,
     space,
 )
 
@@ -106,48 +109,33 @@ def parse_congruence(text: str, carrier):
     if not rows:
         raise InputSyntaxError(1, "empty input")
     no, head = rows[0]
-    blocks: list[list[int]] = []
-    if head == "tcong":
-        if not isinstance(carrier, FiniteSpace):
-            raise UsageError("tcong congruences need a space carrier")
-        opens = []
-        for no2, line in rows[1:]:
-            toks = line.split()
-            if toks[0] == "block":
-                try:
-                    blocks.append([int(t) for t in toks[1:]])
-                except ValueError:
-                    raise InputSyntaxError(no2, "block members must be integers")
-            elif toks[0] == "open" and len(toks) == 2:
-                opens.append(_ids(toks[1], no2))
-            else:
-                raise InputSyntaxError(no2, "expected: block <ids> or open <ids>|-")
-        part = Partition.from_blocks(carrier.n, blocks)
-        rho = tcm.TopoCongruence(part, frozenset(frozenset(u) for u in opens))
-        return tcm.validate_tc(carrier, rho)
-    if head == "gcong":
-        if not isinstance(carrier, FiniteGraph):
-            raise UsageError("gcong congruences need a graph carrier")
-        edges = []
-        for no2, line in rows[1:]:
-            toks = line.split()
-            if toks[0] == "block":
-                try:
-                    blocks.append([int(t) for t in toks[1:]])
-                except ValueError:
-                    raise InputSyntaxError(no2, "block members must be integers")
-            elif toks[0] == "edge" and len(toks) == 3:
-                try:
-                    a, b = int(toks[1]), int(toks[2])
-                except ValueError:
-                    raise InputSyntaxError(no2, "edge endpoints must be integers")
-                edges.append((min(a, b), max(a, b)))
-            else:
-                raise InputSyntaxError(no2, "expected: block <ids> or edge <a> <b>")
-        part = Partition.from_blocks(carrier.n, blocks)
-        theta = gcm.GraphCongruence(part, frozenset(edges))
-        return eng.KIND_OPS[eng.kind_of(carrier)].validate(carrier, theta)
-    raise InputSyntaxError(no, f"unknown congruence kind {head!r}")
+    if head not in ("tcong", "gcong"):
+        raise InputSyntaxError(no, f"unknown congruence kind {head!r}")
+    topo = head == "tcong"
+    if not isinstance(carrier, FiniteSpace if topo else FiniteGraph):
+        raise UsageError(f"{head} congruences need a {'space' if topo else 'graph'} carrier")
+    blocks, members = [], []
+    for no2, line in rows[1:]:
+        toks = line.split()
+        if toks[0] == "block":
+            try:
+                blocks.append([int(t) for t in toks[1:]])
+            except ValueError:
+                raise InputSyntaxError(no2, "block members must be integers")
+        elif topo and toks[0] == "open" and len(toks) == 2:
+            members.append(frozenset(_ids(toks[1], no2)))
+        elif not topo and toks[0] == "edge" and len(toks) == 3:
+            try:
+                a, b = int(toks[1]), int(toks[2])
+            except ValueError:
+                raise InputSyntaxError(no2, "edge endpoints must be integers")
+            members.append((min(a, b), max(a, b)))
+        else:
+            other = "open <ids>|-" if topo else "edge <a> <b>"
+            raise InputSyntaxError(no2, f"expected: block <ids> or {other}")
+    part = Partition.from_blocks(carrier.n, blocks)
+    cong = (tcm.TopoCongruence if topo else gcm.GraphCongruence)(part, frozenset(members))
+    return eng.KIND_OPS[eng.kind_of(carrier)].validate(carrier, cong)
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +242,14 @@ def _read(path: str) -> str:
 
 
 def _load_structure_arg(args) -> tuple:
-    if getattr(args, "space", None):
-        structure = parse_structure(_read(args.space))
-        if not isinstance(structure, FiniteSpace):
-            raise UsageError(f"{args.space} does not contain a space")
-    elif getattr(args, "graph", None):
-        structure = parse_structure(_read(args.graph))
-        if not isinstance(structure, FiniteGraph):
-            raise UsageError(f"{args.graph} does not contain a graph")
-    else:
-        raise UsageError("one of --space or --graph is required")
-    return structure, eng.kind_of(structure)
+    for flag, structure_type in (("space", FiniteSpace), ("graph", FiniteGraph)):
+        path = getattr(args, flag, None)
+        if path:
+            structure = parse_structure(_read(path))
+            if not isinstance(structure, structure_type):
+                raise UsageError(f"{path} does not contain a {flag}")
+            return structure, eng.kind_of(structure)
+    raise UsageError("one of --space or --graph is required")
 
 
 def _cmd_congruences(args, report: Report) -> None:
@@ -305,8 +290,6 @@ def _cmd_decompose(args, report: Report) -> None:
         if not isinstance(x, FiniteSpace):
             raise UsageError("sierpinski decomposition needs a space")
         factors = tcm.sierpinski_decomposition(x)
-        from .structures import S2, homeo_spaces
-
         for i, cong in enumerate(factors):
             quotient, _ = tcm.quotient_tc(x, cong)
             label = "S2" if homeo_spaces(quotient, S2) is not None else "I2"
@@ -328,16 +311,12 @@ def _cmd_radical(args, report: Report) -> None:
 
 def _cmd_catalog(args, report: Report) -> None:
     structure = parse_structure(_read(args.file))
-    if args.kind == "topo":
-        if not isinstance(structure, FiniteSpace):
-            raise UsageError("catalog --kind topo needs a space file")
-        value = eng.catalog_topological(structure, args.id)
-        quotient, _ = tcm.quotient_tc(structure, value)
-    else:
-        if not isinstance(structure, FiniteGraph) or structure.policy != LOOPS:
-            raise UsageError("catalog --kind graph needs a loops graph file")
-        value = eng.catalog_graph(structure, args.id)
-        quotient, _ = gcm.quotient_gc(structure, value)
+    kind = eng.kind_of(structure)
+    if kind != args.kind:
+        raise UsageError(f"catalog --kind {args.kind} needs a {args.kind} file, not a {kind} one")
+    ops = eng.KIND_OPS[kind]
+    value = ops.catalog(structure, args.id)
+    quotient, _ = ops.quotient(structure, value)
     report.info(serialize_congruence(value).rstrip("\n"))
     report.info("quotient: " + describe_structure(quotient))
 
@@ -345,11 +324,10 @@ def _cmd_catalog(args, report: Report) -> None:
 def _sigmas_for(kind: str, args) -> list:
     if args.cls:
         return [eng.radical_from_class(eng.builtin_class(kind, args.cls))]
-    if kind == eng.KIND_TOPO:
-        return [eng.catalog_topological_radical(c) for c in eng.TOPO_CATALOG_IDS]
-    if kind == eng.KIND_GRAPH:
-        return [eng.catalog_graph_radical(c) for c in eng.GRAPH_CATALOG_IDS]
-    raise UsageError("--class is required for the loopless kind")
+    ids = eng.KIND_OPS[kind].catalog_ids
+    if not ids:
+        raise UsageError(f"--class is required for the {kind} kind")
+    return [eng.catalog_radical(kind, cid) for cid in ids]
 
 
 def _cmd_universe(args, report: Report) -> None:
@@ -462,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
 
     p = sub.add_parser("catalog", help="explicit ideal-hereditary radical values")
-    p.add_argument("--kind", choices=["topo", "graph"], required=True)
+    p.add_argument("--kind", choices=[k for k in eng.KINDS if eng.KIND_OPS[k].catalog], required=True)
     p.add_argument("--id", required=True)
     p.add_argument("file")
 
@@ -496,6 +474,10 @@ _HANDLERS = {
 }
 
 
+# errors in the request or its input files; every other ConradError exits 1
+_EXIT_2 = (UsageError, InputSyntaxError, SemanticError, InvalidCongruence, BoundExceeded)
+
+
 def run_command(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit status."""
     parser = build_parser()
@@ -506,18 +488,10 @@ def run_command(argv: list[str]) -> int:
     report = Report(command=" ".join(argv))
     try:
         _HANDLERS[args.command](args, report)
-    except (UsageError, InputSyntaxError, SemanticError, InvalidCongruence) as exc:
-        sys.stdout.write(report.render())
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except CheckDefect as exc:
-        sys.stdout.write(report.render())
-        sys.stderr.write(f"defect: {exc}\n")
-        return 1
     except ConradError as exc:
         sys.stdout.write(report.render())
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        sys.stderr.write(f"{'defect' if isinstance(exc, CheckDefect) else 'error'}: {exc}\n")
+        return 2 if isinstance(exc, _EXIT_2) else 1
     sys.stdout.write(report.render())
     return 1 if report.failed else 0
 

@@ -25,7 +25,6 @@ from .errors import (
     BoundExceeded,
     EdgeSetOutOfRange,
     EmptyList,
-    EmptySubset,
     InvalidCongruence,
     NotContained,
     NotHomomorphism,
@@ -37,7 +36,9 @@ from .structures import (
     FiniteGraph,
     LOOPS,
     Partition,
+    _maps_blocks_into,
     _norm_pair,
+    _positions,
     all_partitions,
     graph,
     is_surjective,
@@ -156,10 +157,7 @@ def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("restriction to the empty set")
-    pos = {v: i for i, v in enumerate(sub)}
+    sub, pos = _positions(subset)
     part = theta.part.restrict(sub)
     cedges = frozenset(
         (pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos
@@ -216,6 +214,22 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -
     part = Partition.from_map(tuple(raw))
     cedges = frozenset(_norm_pair(to_h[a], to_h[b]) for a, b in qc.cedges)
     return GraphCongruence(part, cedges)
+
+
+def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,
+                beta: GraphCongruence) -> bool:
+    """Whether theta's image along f lies below a valid beta, decided pointwise.
+
+    On a loop carrier this equals le_gc(image_gc(...), beta), because beta
+    holds E_h and is closed under substitution.  On a loopless carrier the
+    image need not be a congruence, and this comparison is the definition."""
+    if not is_surjective(f, h.n):
+        raise NotSurjective("image congruence needs a surjective map")
+    if not is_homomorphism(g, h, f):
+        raise NotHomomorphism("kernel needs an edge-preserving map")
+    return _maps_blocks_into(f, theta.part, beta.part) and all(
+        _norm_pair(f[a], f[b]) in beta.cedges for a, b in theta.cedges
+    )
 
 
 def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:

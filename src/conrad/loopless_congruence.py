@@ -4,7 +4,7 @@ A loopless congruence is a `GraphCongruence` on a loopless carrier whose
 blocks are independent: related vertices never carry a congruence edge.
 On independent partitions the substitution orbits and the saturation are
 those of `graph_congruence`, so this module keeps only validation, strong
-congruences, enumeration and the pointwise image comparison.  The
+congruences, enumeration and Birkhoff decomposition.  The
 congruences form a complete meet-semilattice only; no join is provided
 because closing a union can break independence.
 
@@ -76,34 +76,13 @@ def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
 
 
 # ---------------------------------------------------------------------------
-# Maps, quotients
+# Quotients, enumeration, random congruences and Birkhoff decomposition
 # ---------------------------------------------------------------------------
-
-def pointwise_image_lc(f: tuple, theta: GraphCongruence):
-    """The raw pair (f(~), f(E)); need not be a congruence on the codomain."""
-    rel = frozenset(
-        _norm_pair(f[a], f[b])
-        for block in theta.part.blocks
-        for a in block
-        for b in block
-    )
-    pairs = frozenset(_norm_pair(f[a], f[b]) for a, b in theta.cedges)
-    return rel, pairs
-
-
-def pointwise_le_lc(image, beta: GraphCongruence) -> bool:
-    rel, pairs = image
-    return all(beta.part.same(a, b) for a, b in rel) and pairs <= beta.cedges
-
 
 def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
     # its own function, not an alias, so traced runs count loopless quotients apart
     return quotient_gc(g, theta)
 
-
-# ---------------------------------------------------------------------------
-# Enumeration, random congruences and Birkhoff decomposition
-# ---------------------------------------------------------------------------
 
 def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: independent-block partitions, off-diagonal orbits."""

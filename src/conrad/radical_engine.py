@@ -69,6 +69,81 @@ def kind_of(structure) -> str:
     raise KindMismatch(f"unsupported structure {structure!r}")
 
 
+# ---------------------------------------------------------------------------
+# The two catalogs of ideal-hereditary radicals
+# ---------------------------------------------------------------------------
+
+TOPO_CATALOG_IDS = ("a", "b", "c", "d", "e")
+GRAPH_CATALOG_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
+def indistinguishability_partition(x: FiniteSpace) -> Partition:
+    """Points sharing every open set fall into one block."""
+    return Partition.from_map(
+        tuple(
+            min(q for q in range(x.n) if x.min_open(q) == x.min_open(p))
+            for p in range(x.n)
+        )
+    )
+
+
+def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
+    """The five ideal-hereditary radicals on spaces.
+
+    On finite carriers the last entry coincides with (d): a separation-axiom
+    case split cannot commute with subspaces at finite scale, so the
+    indiscrete congruence topology is the only non-strong assignment that
+    stays hereditary; (e) is kept as its own id for reporting.
+    """
+    indiscrete = frozenset({frozenset(), x.full})
+    if cid == "a":
+        return tc.universal_tc(x)
+    if cid == "b":
+        return tc.TopoCongruence(indistinguishability_partition(x), x.opens)
+    if cid == "c":
+        return tc.identity_tc(x)
+    if cid in ("d", "e"):
+        return tc.TopoCongruence(Partition.identity(x.n), indiscrete)
+    raise BadCatalogId(f"topological catalog has entries a-e, not {cid!r}")
+
+
+def _loop_block_partition(g: FiniteGraph) -> Partition:
+    loops = g.loop_vertices
+    if not loops:
+        return Partition.identity(g.n)
+    anchor = min(loops)
+    return Partition.from_map(
+        tuple(anchor if v in loops else v for v in range(g.n))
+    )
+
+
+def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
+    if g.policy != LOOPS:
+        raise KindMismatch("the graph catalog lives in the loop-admitting kind")
+    loops = g.loop_vertices
+    ident = Partition.identity(g.n)
+    if cid == "a":
+        return gc.strongify_gc(g, Partition.universal(g.n))
+    if cid == "b":
+        return gc.universal_gc(g)
+    if cid == "c":
+        return gc.strongify_gc(g, _loop_block_partition(g))
+    if cid == "d":
+        extra = {(v, v) for v in range(g.n) if v not in loops}
+        return gc.GraphCongruence(ident, g.edges | extra)
+    if cid == "e":
+        return gc.GraphCongruence(ident, g.all_pairs)
+    if cid == "f":
+        return gc.identity_gc(g)
+    if cid == "g":
+        extra = {_norm_pair(a, b) for a in loops for b in loops}
+        return gc.GraphCongruence(ident, g.edges | extra)
+    if cid == "h":
+        extra = {_norm_pair(a, b) for a in loops for b in range(g.n)}
+        return gc.GraphCongruence(ident, g.edges | extra)
+    raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
+
+
 @dataclass(frozen=True)
 class _KindOps:
     enum_structures: Callable
@@ -88,6 +163,8 @@ class _KindOps:
     le: Callable
     is_morphism: Callable
     image_le: Callable
+    catalog: Callable | None
+    catalog_ids: tuple[str, ...]
     trivial: FiniteSpace | FiniteGraph
     random_structure: Callable
     random_congruence: Callable
@@ -102,18 +179,6 @@ def _strong_all(strongify: Callable) -> Callable:
         return [theta for theta in strong if theta is not None]
 
     return strong_all
-
-
-def _image_le_tc(x, y, f, theta, target):
-    return tc.le_tc(tc.image_tc(x, y, f, theta), target)
-
-
-def _image_le_gc(g, h, f, theta, target):
-    return gc.le_gc(gc.image_gc(g, h, f, theta), target)
-
-
-def _image_le_lc(g, h, f, theta, target):
-    return lc.pointwise_le_lc(lc.pointwise_image_lc(f, theta), target)
 
 
 KIND_OPS: dict[str, _KindOps] = {
@@ -134,7 +199,9 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=homeo_spaces,
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
-        image_le=_image_le_tc,
+        image_le=tc.image_le_tc,
+        catalog=catalog_topological,
+        catalog_ids=TOPO_CATALOG_IDS,
         trivial=T_SPACE,
         random_structure=tc.random_space,
         random_congruence=tc.random_tcong,
@@ -157,7 +224,9 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=iso_graphs,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
-        image_le=_image_le_gc,
+        image_le=gc.image_le_gc,
+        catalog=catalog_graph,
+        catalog_ids=GRAPH_CATALOG_IDS,
         trivial=T0,
         random_structure=lambda rng, n: random_graph(rng, n, LOOPS),
         random_congruence=gc.random_gcong,
@@ -180,7 +249,9 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=iso_graphs,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
-        image_le=_image_le_lc,
+        image_le=gc.image_le_gc,
+        catalog=None,
+        catalog_ids=(),
         trivial=complete_graph(1),
         random_structure=lambda rng, n: random_graph(rng, n, NOLOOPS),
         random_congruence=lc.random_lcong,
@@ -300,6 +371,16 @@ def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
         kind=cls.kind,
         rule=lambda structure: hoehnke_radical(structure, cls),
         provenance=f"class:{cls.name}",
+    )
+
+
+def catalog_radical(kind: str, cid: str) -> RadicalAssignment:
+    """Entry cid of the kind's catalog, looked up (and cid checked) when applied."""
+    return RadicalAssignment(
+        name=f"{kind}-catalog-{cid}",
+        kind=kind,
+        rule=lambda structure: KIND_OPS[kind].catalog(structure, cid),
+        provenance=f"catalog:{cid}",
     )
 
 
@@ -678,103 +759,6 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
             )
     return all(
         hoehnke_radical(x, cls) == gc.identity_gc(x) for x in uni.members
-    )
-
-
-# ---------------------------------------------------------------------------
-# The two catalogs of ideal-hereditary radicals
-# ---------------------------------------------------------------------------
-
-TOPO_CATALOG_IDS = ("a", "b", "c", "d", "e")
-GRAPH_CATALOG_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
-
-
-def indistinguishability_partition(x: FiniteSpace) -> Partition:
-    """Points sharing every open set fall into one block."""
-    return Partition.from_map(
-        tuple(
-            min(q for q in range(x.n) if x.min_open(q) == x.min_open(p))
-            for p in range(x.n)
-        )
-    )
-
-
-def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
-    """The five ideal-hereditary radicals on spaces.
-
-    On finite carriers the last entry coincides with (d): a separation-axiom
-    case split cannot commute with subspaces at finite scale, so the
-    indiscrete congruence topology is the only non-strong assignment that
-    stays hereditary; (e) is kept as its own id for reporting.
-    """
-    indiscrete = frozenset({frozenset(), x.full})
-    if cid == "a":
-        return tc.universal_tc(x)
-    if cid == "b":
-        return tc.TopoCongruence(indistinguishability_partition(x), x.opens)
-    if cid == "c":
-        return tc.identity_tc(x)
-    if cid in ("d", "e"):
-        return tc.TopoCongruence(Partition.identity(x.n), indiscrete)
-    raise BadCatalogId(f"topological catalog has entries a-e, not {cid!r}")
-
-
-def _loop_block_partition(g: FiniteGraph) -> Partition:
-    loops = g.loop_vertices
-    if not loops:
-        return Partition.identity(g.n)
-    anchor = min(loops)
-    return Partition.from_map(
-        tuple(anchor if v in loops else v for v in range(g.n))
-    )
-
-
-def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
-    if g.policy != LOOPS:
-        raise KindMismatch("the graph catalog lives in the loop-admitting kind")
-    loops = g.loop_vertices
-    ident = Partition.identity(g.n)
-    if cid == "a":
-        return gc.strongify_gc(g, Partition.universal(g.n))
-    if cid == "b":
-        return gc.universal_gc(g)
-    if cid == "c":
-        return gc.strongify_gc(g, _loop_block_partition(g))
-    if cid == "d":
-        extra = {(v, v) for v in range(g.n) if v not in loops}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    if cid == "e":
-        return gc.GraphCongruence(ident, g.all_pairs)
-    if cid == "f":
-        return gc.identity_gc(g)
-    if cid == "g":
-        extra = {_norm_pair(a, b) for a in loops for b in loops}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    if cid == "h":
-        extra = {_norm_pair(a, b) for a in loops for b in range(g.n)}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
-
-
-def catalog_topological_radical(cid: str) -> RadicalAssignment:
-    if cid not in TOPO_CATALOG_IDS:
-        raise BadCatalogId(f"topological catalog has entries a-e, not {cid!r}")
-    return RadicalAssignment(
-        name=f"topo-catalog-{cid}",
-        kind=KIND_TOPO,
-        rule=lambda x: catalog_topological(x, cid),
-        provenance=f"catalog:{cid}",
-    )
-
-
-def catalog_graph_radical(cid: str) -> RadicalAssignment:
-    if cid not in GRAPH_CATALOG_IDS:
-        raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
-    return RadicalAssignment(
-        name=f"graph-catalog-{cid}",
-        kind=KIND_GRAPH,
-        rule=lambda g: catalog_graph(g, cid),
-        provenance=f"catalog:{cid}",
     )
 
 

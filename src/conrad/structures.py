@@ -172,6 +172,12 @@ def is_surjective(f: tuple, m: int) -> bool:
     return set(f) == set(range(m))
 
 
+def _maps_blocks_into(f: tuple, part: Partition, target: Partition) -> bool:
+    """Whether f sends every block of part into a single block of target."""
+    cid = target.class_id
+    return all(len({cid[f[v]] for v in block}) == 1 for block in part.blocks)
+
+
 def all_partitions(n: int):
     """All partitions of 0..n-1 in lexicographic growth-string order."""
 
@@ -190,6 +196,14 @@ def all_partitions(n: int):
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
+
+def _positions(subset) -> tuple[list[int], dict[int, int]]:
+    """sorted(set(subset)) and each member's index in it, for relabelling."""
+    sub = sorted(set(subset))
+    if not sub:
+        raise EmptySubset("restriction to the empty set")
+    return sub, {v: i for i, v in enumerate(sub)}
+
 
 def _norm_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
@@ -261,10 +275,7 @@ def completion(g: FiniteGraph) -> FiniteGraph:
 
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("induced subgraph on the empty set")
-    pos = {v: i for i, v in enumerate(sub)}
+    sub, pos = _positions(subset)
     keep = [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos]
     return graph(len(sub), g.policy, keep)
 
@@ -386,10 +397,7 @@ def discrete_space(n: int) -> FiniteSpace:
 
 def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     """Relative topology on sorted(subset), relabelled to 0..|S|-1."""
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("subspace on the empty set")
-    pos = {v: i for i, v in enumerate(sub)}
+    sub, pos = _positions(subset)
     opens = {frozenset(pos[p] for p in u if p in pos) for u in x.opens}
     return FiniteSpace(len(sub), frozenset(opens))
 

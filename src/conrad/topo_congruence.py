@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .errors import (
     EmptyList,
-    EmptySubset,
     InvalidCongruence,
     NotATopology,
     NotContained,
@@ -36,6 +35,8 @@ from .structures import (
     S2,
     _bitmask,
     _is_topology_on,
+    _maps_blocks_into,
+    _positions,
     all_partitions,
     homeo_spaces,
     is_surjective,
@@ -139,10 +140,7 @@ def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     """Congruence induced on the subspace of sorted(subset)."""
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("restriction to the empty set")
-    pos = {p: i for i, p in enumerate(sub)}
+    sub, pos = _positions(subset)
     part = rho.part.restrict(sub)
     ctop = frozenset(frozenset(pos[p] for p in u if p in pos) for u in rho.ctop)
     return TopoCongruence(part, ctop)
@@ -226,6 +224,19 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> T
     part = Partition.from_map(tuple(raw))
     ctop = frozenset(frozenset(to_y[b] for b in w) for w in qc.ctop)
     return TopoCongruence(part, ctop)
+
+
+def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
+                beta: TopoCongruence) -> bool:
+    """Whether image_tc(x, y, f, rho) lies below a valid beta, decided pointwise:
+    f maps rho's blocks into beta's, and beta's opens pull back into rho's."""
+    if not is_surjective(f, y.n):
+        raise NotSurjective("image congruence needs a surjective map")
+    if not is_continuous(x, y, f):
+        raise NotContinuous("preimage of an open set is not open")
+    return _maps_blocks_into(f, rho.part, beta.part) and all(
+        frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop for v in beta.ctop
+    )
 
 
 def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:

@@ -20,8 +20,7 @@ from conrad.radical_engine import (
     TOPO_CATALOG_IDS,
     build_universe,
     builtin_class,
-    catalog_graph_radical,
-    catalog_topological_radical,
+    catalog_radical,
     check_subdirect,
     complementary_pair_check,
     h1_failures,
@@ -105,7 +104,7 @@ def test_criterion_03_semisimple_traces():
     with Budget(3, "semisimple-traces", 1.0):
         uni_b = universe_from_members(KIND_GRAPH, B_SET)
         for cid in GRAPH_CATALOG_IDS:
-            sigma = catalog_graph_radical(cid)
+            sigma = catalog_radical(KIND_GRAPH, cid)
             got = {B_SET.index(g) for g in semisimple_members(sigma, uni_b)}
             assert got == expected[cid], cid
 
@@ -114,7 +113,7 @@ def test_criterion_04_topological_catalog_behavior():
     with Budget(4, "topo-catalog-behavior", 60.0):
         uni = build_universe(KIND_TOPO, 3)
         for cid in TOPO_CATALOG_IDS:
-            sigma = catalog_topological_radical(cid)
+            sigma = catalog_radical(KIND_TOPO, cid)
             assert ideal_hereditary(sigma, uni)[0], cid
             assert not h1_failures(sigma, uni), cid
             assert not h2_failures(sigma, uni), cid
@@ -139,7 +138,7 @@ def test_criterion_05_graph_catalog_behavior():
     with Budget(5, "graph-catalog-behavior", 120.0):
         uni = build_universe(KIND_GRAPH, 3)
         for cid in GRAPH_CATALOG_IDS:
-            sigma = catalog_graph_radical(cid)
+            sigma = catalog_radical(KIND_GRAPH, cid)
             assert hereditary_torsion_theory(sigma, uni)[0], cid
             strict_ok, witness = ideal_hereditary(sigma, uni)
             assert strict_ok == (cid not in strict_witnesses), cid

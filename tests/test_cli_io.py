@@ -274,3 +274,13 @@ def test_enumerate_graphs_malformed_max_n_env(monkeypatch):
     monkeypatch.setenv("CONRAD_MAX_N", "abc")
     with pytest.raises(UsageError, match="CONRAD_MAX_N must be an integer, got 'abc'"):
         enumerate_graphs(2, LOOPS)
+
+
+def test_cli_bound_exceeded_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    argv = ["universe", "--kind", "topo", "--max-n", "5", "--check", "h1h2"]
+    status = run_command(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: space enumeration capped at n <= 4\n"
+    assert captured.out == "command: " + " ".join(argv) + "\n"

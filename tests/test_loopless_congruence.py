@@ -14,6 +14,7 @@ from conrad.errors import (
 from conrad.graph_congruence import (
     GraphCongruence as LooplessCongruence,
     identity_gc as identity_lc,
+    image_le_gc,
     kernel_gc as kernel_lc,
     le_gc as le_lc,
     meet_gc as meet_lc,
@@ -23,8 +24,6 @@ from conrad.graph_congruence import (
 from conrad.loopless_congruence import (
     birkhoff_complete_decomposition,
     enumerate_congruences_lc,
-    pointwise_image_lc,
-    pointwise_le_lc,
     quotient_lc,
     strongify_lc,
     validate_lc,
@@ -124,9 +123,8 @@ def test_meet_is_glb():
 def test_pointwise_image_comparison():
     # the raw pair image of the identity congruence sits below any target
     f = (0, 1, 0)
-    img = pointwise_image_lc(f, identity_lc(P3))
     target = identity_lc(K2)
-    assert pointwise_le_lc(img, target)
+    assert image_le_gc(P3, K2, f, identity_lc(P3), target)
 
 
 def test_si_iff_complete_with_oracle():

@@ -12,7 +12,10 @@ from conrad.errors import (
     KindUnsupported,
     LemmaConditionFailed,
     NoQualifyingCongruence,
+    NotContinuous,
+    NotHomomorphism,
     NotSaturated,
+    NotSurjective,
     SubstitutionViolated,
 )
 from conrad.radical_engine import (
@@ -30,9 +33,8 @@ from conrad.radical_engine import (
     c_congruence_p,
     check_subdirect,
     catalog_graph,
-    catalog_graph_radical,
+    catalog_radical,
     catalog_topological,
-    catalog_topological_radical,
     class_from_members,
     complementary_pair_check,
     h1_failures,
@@ -61,17 +63,22 @@ from conrad.radical_engine import (
 )
 from conrad.structures import (
     B1,
+    B2,
     B3,
     B4,
     B6,
     B_SET,
     D2,
     I2,
+    LOOPS,
     Partition,
     S2,
     T0,
+    T,
     T_SPACE,
     complete_graph,
+    edgeless_graph,
+    indiscrete_space,
     path_graph,
     space,
 )
@@ -189,7 +196,7 @@ def test_from_class_radical_quotient_in_closure_all_kinds():
 
 def test_in_radical_class_edgeless_subtlety():
     # for graphs the radical-class test is quotient-is-trivial, not value==universal
-    sigma = catalog_graph_radical("a")
+    sigma = catalog_radical(KIND_GRAPH, "a")
     assert in_radical_class(sigma, B1)
     assert sigma(B1) != gc.universal_gc(B1)
     assert sigma(B1) == gc.GraphCongruence(Partition.universal(2), frozenset())
@@ -200,7 +207,7 @@ def test_in_radical_class_edgeless_subtlety():
 # ---------------------------------------------------------------------------
 
 def test_verify_h1_h2_identity_rule():
-    sigma = catalog_topological_radical("c")
+    sigma = catalog_radical(KIND_TOPO, "c")
     for x in UNI_TOPO.members:
         assert verify_H2(sigma, x)
         for y in UNI_TOPO.members:
@@ -211,7 +218,7 @@ def test_verify_h1_h2_identity_rule():
 def test_universal_rule_is_h_radical_on_graphs():
     # the quotient by the universal congruence is T0, whose only congruence
     # is its identity, so H2 holds for the universal rule everywhere
-    sigma = catalog_graph_radical("b")
+    sigma = catalog_radical(KIND_GRAPH, "b")
     assert verify_H2(sigma, B1)
     q, _ = gc.quotient_gc(B1, gc.universal_gc(B1))
     assert q == T0
@@ -229,6 +236,71 @@ def test_verify_h2_detects_broken_rule():
     sigma = RadicalAssignment("merge-first-two", KIND_TOPO, broken, "custom")
     chain3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
     assert not verify_H2(sigma, chain3)
+
+
+def _universal_on_three(kind):
+    """A rule that breaks H1: a top congruence on 3-element carriers and the
+    identity elsewhere.  Loopless blocks must be independent, so the loopless
+    top keeps the identity partition and takes every pair as an edge."""
+    top = {
+        KIND_TOPO: tc.universal_tc,
+        KIND_GRAPH: gc.universal_gc,
+        KIND_LOOPLESS: lambda g: gc.GraphCongruence(Partition.identity(g.n), g.all_pairs),
+    }[kind]
+    identity = KIND_OPS[kind].identity
+    return RadicalAssignment(
+        "top-on-three", kind, lambda x: top(x) if x.n == 3 else identity(x), "custom"
+    )
+
+
+@pytest.mark.parametrize("kind, count, witness", [
+    (KIND_TOPO, 86, (indiscrete_space(3), I2, (0, 0, 1))),
+    (KIND_GRAPH, 227, (edgeless_graph(3, LOOPS), T, (0, 0, 0))),
+    (KIND_LOOPLESS, 19, (edgeless_graph(3), complete_graph(1), (0, 0, 0))),
+])
+def test_h1_failures_detect_broken_rule(kind, count, witness):
+    failures = h1_failures(_universal_on_three(kind), build_universe(kind, 3))
+    assert len(failures) == count
+    assert failures[0] == witness
+
+
+def test_h1_comparison_matches_image_oracle():
+    # the pointwise comparison agrees with both image constructions for
+    # every surjective morphism and every pair of congruences
+    compared = 0
+    for kind, max_n, image, image_direct in (
+        (KIND_TOPO, 3, tc.image_tc, tc.image_tc_direct),
+        (KIND_GRAPH, 2, gc.image_gc, gc.image_gc_direct),
+    ):
+        ops = KIND_OPS[kind]
+        uni = build_universe(kind, max_n)
+        congruences = {x: ops.enum_congruences(x) for x in uni}
+        for x in uni:
+            for y in uni:
+                for f in surjective_morphisms(kind, x, y):
+                    for theta in congruences[x]:
+                        composed = image(x, y, f, theta)
+                        direct = image_direct(x, y, f, theta)
+                        for beta in congruences[y]:
+                            expected = ops.le(composed, beta)
+                            assert ops.le(direct, beta) == expected
+                            assert ops.image_le(x, y, f, theta, beta) == expected, (x, y, f)
+                            compared += 1
+    assert compared == 48_928
+
+
+def test_verify_h1_rejects_maps_that_are_not_surjective_morphisms():
+    cases = (
+        (catalog_radical(KIND_TOPO, "c"), S2, S2, (1, 0), NotContinuous),
+        (catalog_radical(KIND_GRAPH, "f"), B2, B1, (0, 1), NotHomomorphism),
+        (radical_from_class(builtin_class(KIND_LOOPLESS, "all")),
+         path_graph(2), edgeless_graph(2), (0, 1), NotHomomorphism),
+    )
+    for sigma, x, y, bad_map, error in cases:
+        with pytest.raises(NotSurjective):
+            verify_H1(sigma, x, y, (0, 0))
+        with pytest.raises(error):
+            verify_H1(sigma, x, y, bad_map)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +368,7 @@ def test_semisimple_traces_over_b_set():
         "h": {"B1", "B2", "B5", "B6"},
     }
     for cid in GRAPH_CATALOG_IDS:
-        sigma = catalog_graph_radical(cid)
+        sigma = catalog_radical(KIND_GRAPH, cid)
         got = {names[g] for g in semisimple_members(sigma, uni_b)}
         assert got == expected[cid], cid
 
@@ -320,7 +392,7 @@ def test_catalog_classes_match_descriptions():
         "g": "trivial", "h": "trivial",
     }
     for cid in GRAPH_CATALOG_IDS:
-        sigma = catalog_graph_radical(cid)
+        sigma = catalog_radical(KIND_GRAPH, cid)
         semis = {g.encoding() for g in semisimple_members(sigma, UNI_GRAPH)}
         cls = builtin_class(KIND_GRAPH, semis_expected[cid])
         assert semis == {g.encoding() for g in UNI_GRAPH.members if cls(g)}, cid
@@ -335,7 +407,7 @@ def test_topo_catalog_classes_match_descriptions():
     rads_expected = {"a": "all", "b": "indiscrete", "c": "trivial",
                      "d": "trivial", "e": "trivial"}
     for cid in TOPO_CATALOG_IDS:
-        sigma = catalog_topological_radical(cid)
+        sigma = catalog_radical(KIND_TOPO, cid)
         semis = {x.encoding() for x in semisimple_members(sigma, UNI_TOPO)}
         cls = builtin_class(KIND_TOPO, semis_expected[cid])
         assert semis == {x.encoding() for x in UNI_TOPO.members if cls(x)}, cid
@@ -373,11 +445,11 @@ def test_class_predicate_factory_enforces_trivial_membership():
 
 
 def test_radical_members_examples():
-    sigma = catalog_graph_radical("c")
+    sigma = catalog_radical(KIND_GRAPH, "c")
     rads = radical_members(sigma, UNI_GRAPH)
     for g in rads:
         assert g.n == 1 or g.loop_vertices == frozenset(range(g.n))
-    sigma = catalog_topological_radical("b")
+    sigma = catalog_radical(KIND_TOPO, "b")
     rads = radical_members(sigma, UNI_TOPO)
     assert all(x.is_indiscrete() for x in rads)
     semis = semisimple_members(sigma, UNI_TOPO)
@@ -390,7 +462,7 @@ def test_radical_members_examples():
 
 def test_ka_triple_topo():
     for cid in TOPO_CATALOG_IDS:
-        verdict = ka_triple(catalog_topological_radical(cid), UNI_TOPO)
+        verdict = ka_triple(catalog_radical(KIND_TOPO, cid), UNI_TOPO)
         assert verdict["ka"] == (cid in ("a", "b", "c")), cid
         if cid in ("d", "e"):
             assert verdict["complete"][0] and verdict["idempotent"][0]
@@ -400,7 +472,7 @@ def test_ka_triple_topo():
 
 def test_ka_triple_graph():
     for cid in GRAPH_CATALOG_IDS:
-        verdict = ka_triple(catalog_graph_radical(cid), UNI_GRAPH)
+        verdict = ka_triple(catalog_radical(KIND_GRAPH, cid), UNI_GRAPH)
         assert verdict["ka"] == (cid in ("a", "c", "f")), cid
         if cid not in ("a", "c", "f"):
             assert not verdict["strong"][0]
@@ -410,7 +482,7 @@ def test_ka_triple_graph():
 def test_strong_everywhere_witness_example():
     # on the two-point universe the first non-strong carrier for entry (d) is S2
     uni2 = build_universe(KIND_TOPO, 2)
-    ok, witness = is_strong_everywhere(catalog_topological_radical("d"), uni2)
+    ok, witness = is_strong_everywhere(catalog_radical(KIND_TOPO, "d"), uni2)
     assert not ok and witness == S2
 
 
@@ -420,14 +492,14 @@ def test_strong_everywhere_witness_example():
 
 def test_topo_catalog_ideal_hereditary():
     for cid in TOPO_CATALOG_IDS:
-        sigma = catalog_topological_radical(cid)
+        sigma = catalog_radical(KIND_TOPO, cid)
         assert ideal_hereditary(sigma, UNI_TOPO)[0], cid
         assert hereditary_torsion_theory(sigma, UNI_TOPO)[0], cid
 
 
 def test_graph_catalog_class_level_hereditary():
     for cid in GRAPH_CATALOG_IDS:
-        sigma = catalog_graph_radical(cid)
+        sigma = catalog_radical(KIND_GRAPH, cid)
         assert hereditary_torsion_theory(sigma, UNI_GRAPH)[0], cid
 
 
@@ -436,18 +508,18 @@ def test_graph_catalog_congruence_level_split():
     # saturation picks up loop slots from outside the subset for (a) and (c)
     strict_pass = [
         cid for cid in GRAPH_CATALOG_IDS
-        if ideal_hereditary(catalog_graph_radical(cid), UNI_GRAPH)[0]
+        if ideal_hereditary(catalog_radical(KIND_GRAPH, cid), UNI_GRAPH)[0]
     ]
     assert strict_pass == ["b", "d", "e", "f", "g", "h"]
-    ok, (g, sub) = r_hereditary(catalog_graph_radical("a"), UNI_GRAPH)
+    ok, (g, sub) = r_hereditary(catalog_radical(KIND_GRAPH, "a"), UNI_GRAPH)
     assert not ok and g == B3 and sub == (1,)
-    assert s_hereditary(catalog_graph_radical("a"), UNI_GRAPH)[0]
-    assert s_hereditary(catalog_graph_radical("c"), UNI_GRAPH)[0]
+    assert s_hereditary(catalog_radical(KIND_GRAPH, "a"), UNI_GRAPH)[0]
+    assert s_hereditary(catalog_radical(KIND_GRAPH, "c"), UNI_GRAPH)[0]
 
 
 def test_universal_rule_hereditary_example():
     # restrict(univ_X, S) = univ_S for spaces
-    sigma = catalog_topological_radical("a")
+    sigma = catalog_radical(KIND_TOPO, "a")
     for x in UNI_TOPO.members:
         for size in range(1, x.n + 1):
             for sub in itertools.combinations(range(x.n), size):
