@@ -39,7 +39,8 @@ from .structures import (
     _maps_blocks_into,
     _norm_pair,
     _positions,
-    all_partitions,
+    bounded_partitions,
+    count_scanned,
     graph,
     is_surjective,
     join_partitions,
@@ -257,14 +258,20 @@ def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongru
 # Enumeration, random congruences, products
 # ---------------------------------------------------------------------------
 
-def _congruences_over(g: FiniteGraph, parts) -> list[GraphCongruence]:
-    """Per partition, every edge-set that is E's orbits plus a union of free orbits.
+def _congruences_over(g: FiniteGraph, admits) -> list[GraphCongruence]:
+    """Per admitted partition, every edge-set that is E's orbits plus a union of free orbits.
 
-    Loopless graphs pass independent partitions only; their orbits leave
-    out the diagonal ones, whose pairs join related vertices.
+    Loopless graphs admit independent partitions only; their orbits leave
+    out the diagonal ones, whose pairs join related vertices.  Every
+    partition's candidates are counted before any is built: one for a
+    refused partition, 2^(free orbits) for an admitted one.
     """
-    out = []
-    for part in parts:
+    plans = []
+    scanned = 0
+    for part in bounded_partitions(g.n):
+        if not admits(part):
+            scanned = count_scanned(scanned, 1)
+            continue
         required: set[tuple[int, int]] = set()
         free = []
         for orbit in _orbits(g, part):
@@ -273,6 +280,10 @@ def _congruences_over(g: FiniteGraph, parts) -> list[GraphCongruence]:
             else:
                 free.append(sorted(orbit))
         free.sort()
+        scanned = count_scanned(scanned, 2 ** len(free))
+        plans.append((part, required, free))
+    out = []
+    for part, required, free in plans:
         found = []
         for k in range(2 ** len(free)):
             cedges = set(required)
@@ -289,7 +300,7 @@ def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: per partition, the edge-set is a union of orbits."""
     if g.policy != LOOPS:
         raise PolicyMismatch("enumerate_congruences_gc needs a loops-allowed carrier")
-    return _congruences_over(g, all_partitions(g.n))
+    return _congruences_over(g, lambda part: True)
 
 
 def _random_over(rng: random.Random, g: FiniteGraph, part: Partition) -> GraphCongruence:

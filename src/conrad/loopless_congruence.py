@@ -86,8 +86,7 @@ def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 
 def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
     """Every congruence: independent-block partitions, off-diagonal orbits."""
-    parts = (p for p in all_partitions(g.n) if _blocks_independent(g, p))
-    return _congruences_over(g, parts)
+    return _congruences_over(g, lambda part: _blocks_independent(g, part))
 
 
 def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:

@@ -47,7 +47,6 @@ from .structures import (
     enumerate_spaces,
     homeo_spaces,
     induced,
-    is_surjective,
     iso_graphs,
     random_graph,
     relabel_graph,
@@ -162,6 +161,7 @@ class _KindOps:
     iso: Callable
     le: Callable
     is_morphism: Callable
+    relation: Callable
     image_le: Callable
     catalog: Callable | None
     catalog_ids: tuple[str, ...]
@@ -179,6 +179,20 @@ def _strong_all(strongify: Callable) -> Callable:
         return [theta for theta in strong if theta is not None]
 
     return strong_all
+
+
+def _specialization(x: FiniteSpace) -> frozenset[tuple[int, int]]:
+    """The specialization preorder: p below q when q lies in every open around p.
+
+    A map of finite spaces is continuous iff it is monotone for this preorder
+    (Alexandroff 1937; Stong, Trans. AMS 123, 1966).
+    """
+    return frozenset((p, q) for p in range(x.n) for q in x.min_open(p))
+
+
+def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
+    """The edges read in both directions; a loopless graph has no pair (v, v)."""
+    return g.edges | {(b, a) for a, b in g.edges}
 
 
 KIND_OPS: dict[str, _KindOps] = {
@@ -199,6 +213,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=homeo_spaces,
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
+        relation=_specialization,
         image_le=tc.image_le_tc,
         catalog=catalog_topological,
         catalog_ids=TOPO_CATALOG_IDS,
@@ -224,6 +239,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=iso_graphs,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
+        relation=_adjacency,
         image_le=gc.image_le_gc,
         catalog=catalog_graph,
         catalog_ids=GRAPH_CATALOG_IDS,
@@ -249,6 +265,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iso=iso_graphs,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
+        relation=_adjacency,
         image_le=gc.image_le_gc,
         catalog=None,
         catalog_ids=(),
@@ -322,12 +339,21 @@ class RadicalAssignment:
 
 @dataclass(frozen=True)
 class Universe:
+    """The members of a kind up to a size; surjections are searched once per pair."""
+
     kind: str
     max_n: int
     members: tuple
+    _maps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.members)
+
+    def surjections(self, x, y) -> list[tuple]:
+        maps = self._maps.get((x, y))
+        if maps is None:
+            maps = self._maps[x, y] = surjective_morphisms(self.kind, x, y)
+        return maps
 
 
 def build_universe(kind: str, max_n: int) -> Universe:
@@ -408,14 +434,39 @@ def radical_members(sigma: RadicalAssignment, uni: Universe) -> list:
 # ---------------------------------------------------------------------------
 
 def surjective_morphisms(kind: str, x, y) -> list[tuple]:
-    """All surjective continuous maps / homomorphisms x -> y."""
-    ops = KIND_OPS[kind]
-    if y.n > x.n:
-        return []
+    """All surjective continuous maps / homomorphisms x -> y, in lexicographic order.
+
+    A map is a morphism iff it carries the kind's relation on x into the one
+    on y.  The search assigns vertices 0, 1, ... in turn, tries targets in
+    ascending order, checks each new vertex against the relation pairs it
+    forms with the vertices already assigned, and cuts a branch once too few
+    vertices remain to hit every target not yet hit.
+    """
+    n, m = x.n, y.n
+    relation = KIND_OPS[kind].relation
+    target = relation(y)
+    # pairs to check once vertex i is assigned: those whose larger end is i
+    checks = [[] for _ in range(n)]
+    for a, b in relation(x):
+        checks[max(a, b)].append((a, b))
+    f = [0] * n
+    hits = [0] * m
     out = []
-    for f in itertools.product(range(y.n), repeat=x.n):
-        if is_surjective(f, y.n) and ops.is_morphism(x, y, f):
-            out.append(f)
+
+    def extend(i: int, missing: int) -> None:
+        if n - i < missing:
+            return
+        if i == n:
+            out.append(tuple(f))
+            return
+        for v in range(m):
+            f[i] = v
+            if all((f[a], f[b]) in target for a, b in checks[i]):
+                hits[v] += 1
+                extend(i + 1, missing - (hits[v] == 1))
+                hits[v] -= 1
+
+    extend(0, m)
     return out
 
 
@@ -434,7 +485,7 @@ def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
     failures = []
     for x in uni.members:
         for y in uni.members:
-            for f in surjective_morphisms(uni.kind, x, y):
+            for f in uni.surjections(x, y):
                 if not verify_H1(sigma, x, y, f):
                     failures.append((x, y, f))
     return failures

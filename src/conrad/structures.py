@@ -28,6 +28,9 @@ NOLOOPS = "noloops"
 GRAPH_ENUM_BOUND = 6
 SPACE_ENUM_BOUND = 4
 ISO_BOUND = 8
+# candidates one congruence enumeration may scan: edge-sets or families of
+# saturated opens, summed over the partitions of the carrier
+CONGRUENCE_SCAN_BOUND = 100_000
 
 
 def _env_bound(default: int) -> int:
@@ -191,6 +194,40 @@ def all_partitions(n: int):
             prefix.pop()
 
     yield from rec([], 0)
+
+
+def bell_number(n: int) -> int:
+    """The number of partitions of n points, by the Bell triangle."""
+    row = [1]
+    for _ in range(n - 1):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[-1]
+
+
+def _scan_refused() -> BoundExceeded:
+    return BoundExceeded(f"congruence enumeration capped at {CONGRUENCE_SCAN_BOUND} candidates")
+
+
+def bounded_partitions(n: int):
+    """all_partitions(n) for a congruence enumeration.
+
+    Every partition counts as at least one candidate, so a carrier with more
+    partitions than the scan bound is refused before the first.
+    """
+    if bell_number(n) > CONGRUENCE_SCAN_BOUND:
+        raise _scan_refused()
+    return all_partitions(n)
+
+
+def count_scanned(scanned: int, more: int) -> int:
+    """A congruence enumeration's running candidate count; raises past the bound."""
+    scanned += more
+    if scanned > CONGRUENCE_SCAN_BOUND:
+        raise _scan_refused()
+    return scanned
 
 
 # ---------------------------------------------------------------------------

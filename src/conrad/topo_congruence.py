@@ -37,7 +37,8 @@ from .structures import (
     _is_topology_on,
     _maps_blocks_into,
     _positions,
-    all_partitions,
+    bounded_partitions,
+    count_scanned,
     homeo_spaces,
     is_surjective,
     join_partitions,
@@ -266,12 +267,21 @@ def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruenc
 # ---------------------------------------------------------------------------
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
-    """Every congruence on x: per partition, every sub-topology of saturated opens."""
-    out = []
+    """Every congruence on x: per partition, every sub-topology of saturated opens.
+
+    Every partition's 2^(saturated opens) candidate families are counted
+    before any is built.
+    """
     full = x.full
     empty = frozenset()
-    for part in all_partitions(x.n):
+    plans = []
+    scanned = 0
+    for part in bounded_partitions(x.n):
         sat = sorted(saturated_opens(x, part) - {empty, full}, key=_bitmask)
+        scanned = count_scanned(scanned, 2 ** len(sat))
+        plans.append((part, sat))
+    out = []
+    for part, sat in plans:
         found = []
         for k in range(2 ** len(sat)):
             fam = {empty, full}

@@ -1,5 +1,7 @@
 """Parsing, serialization, round trips, and the command line surface."""
 
+import time
+
 import pytest
 
 from conrad import graph_congruence as gc
@@ -284,3 +286,27 @@ def test_cli_bound_exceeded_is_a_usage_error(monkeypatch, capsys):
     assert status == 2
     assert captured.err == "error: space enumeration capped at n <= 4\n"
     assert captured.out == "command: " + " ".join(argv) + "\n"
+
+
+def _looped_path_text(n):
+    lines = [f"graph {n} loops"] + [f"e {v} {v}" for v in range(n)]
+    lines += [f"e {v} {v + 1}" for v in range(n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command, n", [
+    (["radical", "--class", "all-looped"], 9),
+    (["congruences", "--graph"], 40),
+])
+def test_cli_congruence_enumeration_is_bounded(tmp_path, capsys, command, n):
+    # Bell(9) partitions of a looped path hold millions of candidate
+    # edge-sets, and Bell(40) partitions are refused before the first
+    path = tmp_path / "path.txt"
+    path.write_text(_looped_path_text(n))
+    start = time.perf_counter()
+    status = run_command(command + [str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
+    assert elapsed < 1.0

@@ -6,6 +6,7 @@ import pytest
 
 from conrad import graph_congruence as gc
 from conrad import topo_congruence as tc
+from conrad import radical_engine
 from conrad.errors import (
     BadCatalogId,
     KindMismatch,
@@ -79,6 +80,7 @@ from conrad.structures import (
     complete_graph,
     edgeless_graph,
     indiscrete_space,
+    is_surjective,
     path_graph,
     space,
 )
@@ -287,6 +289,58 @@ def test_h1_comparison_matches_image_oracle():
                             assert ops.image_le(x, y, f, theta, beta) == expected, (x, y, f)
                             compared += 1
     assert compared == 48_928
+
+
+def _product_scan(kind, x, y):
+    """Every map x -> y in lexicographic order, kept if a surjective morphism."""
+    ops = KIND_OPS[kind]
+    return [
+        f for f in itertools.product(range(y.n), repeat=x.n)
+        if is_surjective(f, y.n) and ops.is_morphism(x, y, f)
+    ]
+
+
+def test_surjective_morphisms_match_product_scan():
+    # the backtracking search finds the same maps in the same order as
+    # filtering every map, on every pair of each universe
+    totals = {}
+    for kind, max_n in ((KIND_TOPO, 4), (KIND_GRAPH, 3), (KIND_LOOPLESS, 4)):
+        uni = build_universe(kind, max_n)
+        totals[kind] = 0
+        for x in uni:
+            for y in uni:
+                found = surjective_morphisms(kind, x, y)
+                assert found == _product_scan(kind, x, y), (x, y)
+                totals[kind] += len(found)
+    assert totals == {KIND_TOPO: 6_970, KIND_GRAPH: 851, KIND_LOOPLESS: 1_322}
+
+
+def test_universe_searches_each_pair_once(monkeypatch):
+    # h1_failures takes its maps from the universe's memo, which calls the
+    # module-level search once per pair, however many radicals are checked
+    calls = []
+    search = radical_engine.surjective_morphisms
+
+    def counted(kind, x, y):
+        calls.append((x, y))
+        return search(kind, x, y)
+
+    monkeypatch.setattr(radical_engine, "surjective_morphisms", counted)
+    uni = build_universe(KIND_GRAPH, 3)
+    sigmas = [catalog_radical(KIND_GRAPH, cid) for cid in GRAPH_CATALOG_IDS]
+    sigmas.append(_universal_on_three(KIND_GRAPH))
+    failures = [h1_failures(sigma, uni) for sigma in sigmas]
+    assert len(uni.members) == 28
+    assert len(calls) == len(set(calls)) == 28 * 28
+    expected = [
+        [(x, y, f) for x in uni for y in uni for f in _product_scan(KIND_GRAPH, x, y)
+         if not verify_H1(sigma, x, y, f)]
+        for sigma in sigmas
+    ]
+    assert failures == expected
+    assert [len(found) for found in failures] == [0] * 8 + [227]
+    assert uni == build_universe(KIND_GRAPH, 3)
+    assert hash(uni) == hash(build_universe(KIND_GRAPH, 3))
 
 
 def test_verify_h1_rejects_maps_that_are_not_surjective_morphisms():

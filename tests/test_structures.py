@@ -29,6 +29,7 @@ from conrad.structures import (
     T0,
     T_SPACE,
     all_partitions,
+    bell_number,
     complete_graph,
     completion,
     edgeless_graph,
@@ -98,7 +99,9 @@ def test_partition_ops():
 
 def test_partition_count():
     # Bell numbers
-    assert [sum(1 for _ in all_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 15, 52]
+    bell = [1, 2, 5, 15, 52, 203, 877, 4140]
+    assert [sum(1 for _ in all_partitions(n)) for n in range(1, 9)] == bell
+    assert [bell_number(n) for n in range(1, 9)] == bell
 
 
 def test_graph_invariants():
@@ -199,6 +202,14 @@ def test_enumerate_graphs_counts():
     assert len(enumerate_graphs(4, NOLOOPS)) == count_graph_classes_bruteforce(4, NOLOOPS) == 11
     assert len(enumerate_graphs(3, LOOPS)) == count_graph_classes_bruteforce(3, LOOPS) == 20
     assert len(enumerate_graphs(5, NOLOOPS)) == 34
+
+
+def test_enumeration_counts_match_oeis():
+    # unlabeled graphs with loops (A000666), simple graphs (A000088) and
+    # finite topologies up to homeomorphism (A001930)
+    assert [len(enumerate_graphs(n, LOOPS)) for n in range(1, 5)] == [2, 6, 20, 90]
+    assert [len(enumerate_graphs(n, NOLOOPS)) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+    assert [len(enumerate_spaces(n)) for n in range(1, 5)] == [1, 3, 9, 33]
 
 
 def test_enumerate_graphs_matches_b_set():
