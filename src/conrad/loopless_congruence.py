@@ -40,7 +40,7 @@ from .structures import (
     NOLOOPS,
     Partition,
     _norm_pair,
-    all_partitions,
+    bounded_partitions,
 )
 
 
@@ -126,7 +126,7 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
     uncovered = set(g.all_pairs - g.edges)
     chosen: list[GraphCongruence] = []
     colorings = [
-        part for part in all_partitions(g.n)
+        part for part in bounded_partitions(g.n)
         if part.num_blocks < g.n and _blocks_independent(g, part)
     ]
     covers = []

@@ -40,8 +40,10 @@ from .structures import (
     S2,
     T0,
     T_SPACE,
+    _apply_perm_graph,
+    _apply_perm_space,
     _norm_pair,
-    all_partitions,
+    bounded_partitions,
     complete_graph,
     enumerate_graphs,
     enumerate_spaces,
@@ -159,6 +161,7 @@ class _KindOps:
     restrict: Callable
     substructure: Callable
     iso: Callable
+    carries: Callable
     le: Callable
     is_morphism: Callable
     relation: Callable
@@ -175,7 +178,7 @@ def _strong_all(strongify: Callable) -> Callable:
     """All strong congruences of a structure, from partitions admitting one."""
 
     def strong_all(x):
-        strong = (strongify(x, p) for p in all_partitions(x.n))
+        strong = (strongify(x, p) for p in bounded_partitions(x.n))
         return [theta for theta in strong if theta is not None]
 
     return strong_all
@@ -195,6 +198,16 @@ def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
     return g.edges | {(b, a) for a, b in g.edges}
 
 
+def _carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
+    """Whether the bijection perm sends the opens of x exactly onto those of y."""
+    return _apply_perm_space(x, perm) == y.opens
+
+
+def _carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
+    """Whether the bijection perm sends the edges of g exactly onto those of h."""
+    return _apply_perm_graph(g, perm) == h.edges
+
+
 KIND_OPS: dict[str, _KindOps] = {
     KIND_TOPO: _KindOps(
         enum_structures=lambda n: enumerate_spaces(n),
@@ -211,6 +224,7 @@ KIND_OPS: dict[str, _KindOps] = {
         restrict=tc.restrict_tc,
         substructure=subspace,
         iso=homeo_spaces,
+        carries=_carries_opens,
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
         relation=_specialization,
@@ -237,6 +251,7 @@ KIND_OPS: dict[str, _KindOps] = {
         restrict=gc.restrict_gc,
         substructure=induced,
         iso=iso_graphs,
+        carries=_carries_edges,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
         relation=_adjacency,
@@ -263,6 +278,7 @@ KIND_OPS: dict[str, _KindOps] = {
         restrict=gc.restrict_gc,
         substructure=induced,
         iso=iso_graphs,
+        carries=_carries_edges,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
         relation=_adjacency,

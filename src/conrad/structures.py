@@ -358,11 +358,14 @@ class FiniteSpace:
                 raise SemanticError(f"open set {sorted(u)} out of range")
         if frozenset() not in self.opens or full not in self.opens:
             raise MissingEmptyOrFull("a topology contains the empty and full sets")
-        for u in self.opens:
-            for v in self.opens:
-                if u | v not in self.opens:
+        # every ordered pair, tested on bitmasks
+        masked = [(u, _bitmask(u)) for u in self.opens]
+        masks = {m for _, m in masked}
+        for u, a in masked:
+            for v, b in masked:
+                if a | b not in masks:
                     raise NotClosedUnderUnion(f"{sorted(u)} | {sorted(v)} missing")
-                if u & v not in self.opens:
+                if a & b not in masks:
                     raise NotClosedUnderIntersection(f"{sorted(u)} & {sorted(v)} missing")
 
     @property

@@ -310,3 +310,19 @@ def test_cli_congruence_enumeration_is_bounded(tmp_path, capsys, command, n):
     assert status == 2
     assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n, status", [(12, 2), (9, 0)])
+def test_cli_birkhoff_is_bounded(tmp_path, capsys, n, status):
+    # Bell(12) partitions are refused before the first; Bell(9) still runs
+    path = tmp_path / "path.txt"
+    path.write_text(f"graph {n} noloops\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)))
+    start = time.perf_counter()
+    assert run_command(["decompose", "--birkhoff", str(path)]) == status
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    if status == 2:
+        assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
+    else:
+        assert captured.err == "" and "factor 0:" in captured.out
+    assert elapsed < 1.0

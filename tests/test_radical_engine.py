@@ -9,6 +9,7 @@ from conrad import topo_congruence as tc
 from conrad import radical_engine
 from conrad.errors import (
     BadCatalogId,
+    BoundExceeded,
     KindMismatch,
     KindUnsupported,
     LemmaConditionFailed,
@@ -769,6 +770,17 @@ def test_every_congruence_the_library_builds_is_valid():
                 for beta in congs:
                     if ops.le(alpha, beta):
                         ops.validate(stage, ops.quotient_cong(x, alpha, beta))
+
+
+@pytest.mark.parametrize("kind, carrier", [
+    (KIND_TOPO, indiscrete_space(10)),
+    (KIND_GRAPH, edgeless_graph(10, LOOPS)),
+    (KIND_LOOPLESS, path_graph(10)),
+])
+def test_strong_all_is_bounded(kind, carrier):
+    # Bell(10) = 115,975 partitions lie past the scan bound
+    with pytest.raises(BoundExceeded, match="congruence enumeration capped at 100000 candidates"):
+        KIND_OPS[kind].strong_all(carrier)
 
 
 def test_check_subdirect_validates_its_members():

@@ -4,10 +4,14 @@ import itertools
 
 import pytest
 
+from conrad.cli_io import parse_structure
 from conrad.errors import (
     BoundExceeded,
+    ConradError,
     EmptySubset,
     MissingEmptyOrFull,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
     PolicyMismatch,
     SemanticError,
 )
@@ -21,6 +25,7 @@ from conrad.structures import (
     B6,
     B_SET,
     D2,
+    FiniteSpace,
     I2,
     LOOPS,
     NOLOOPS,
@@ -78,6 +83,22 @@ def count_graph_classes_bruteforce(n, policy):
     return len({find(m) for m in range(2 ** len(slots))})
 
 
+def space_check_reference(n, opens):
+    """FiniteSpace's check of a family of point sets, written on frozensets."""
+    full = frozenset(range(n))
+    for u in opens:
+        if not u <= full:
+            raise SemanticError(f"open set {sorted(u)} out of range")
+    if frozenset() not in opens or full not in opens:
+        raise MissingEmptyOrFull("a topology contains the empty and full sets")
+    for u in opens:
+        for v in opens:
+            if u | v not in opens:
+                raise NotClosedUnderUnion(f"{sorted(u)} | {sorted(v)} missing")
+            if u & v not in opens:
+                raise NotClosedUnderIntersection(f"{sorted(u)} & {sorted(v)} missing")
+
+
 def test_partition_normalization():
     p = Partition.from_blocks(3, [[1], [0, 2]])
     assert p.class_id == (0, 1, 0)
@@ -132,6 +153,35 @@ def test_validate_space():
     assert validate_space(1, [[], [0]]) == T_SPACE
     with pytest.raises(MissingEmptyOrFull):
         validate_space(2, [[], [0], [1]])
+
+
+def _outcome(build):
+    """None when build() returns, else the class and message it raised."""
+    try:
+        build()
+    except ConradError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_space_check_matches_frozenset_reference():
+    # every family of subsets of 0..n-1, n <= 3: the same verdict, and on
+    # rejection the same class and message for the first failing pair
+    accepted = 0
+    for n in (1, 2, 3):
+        subsets = [frozenset(i for i in range(n) if m >> i & 1) for m in range(2 ** n)]
+        for k in range(2 ** len(subsets)):
+            family = [u for i, u in enumerate(subsets) if k >> i & 1]
+            opens = frozenset(family)
+            expected = _outcome(lambda: space_check_reference(n, opens))
+            assert _outcome(lambda: FiniteSpace(n, opens)) == expected
+            text = f"space {n}\n" + "".join(
+                f"open {','.join(map(str, sorted(u))) or '-'}\n" for u in family
+            )
+            assert _outcome(lambda: parse_structure(text)) == expected
+            accepted += expected is None
+    # labelled topologies on 1, 2 and 3 points (OEIS A000798)
+    assert accepted == 1 + 4 + 29
 
 
 def test_space_properties():

@@ -1,12 +1,27 @@
 """Theorem sweeps beyond the acceptance bound, and generator sanity."""
 
+import dataclasses
 import itertools
 import random
+from collections import Counter
+
+import pytest
 
 from conrad import graph_congruence as gc
-from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_TOPO
-from conrad.structures import LOOPS, NOLOOPS, enumerate_graphs
+from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO
+from conrad.structures import (
+    B3,
+    B4,
+    I2,
+    LOOPS,
+    NOLOOPS,
+    S2,
+    enumerate_graphs,
+    graph,
+    relabel_space,
+)
 from conrad.verification import (
+    _isomorphic,
     check_first_iso,
     check_second_iso,
     check_third_iso,
@@ -65,3 +80,60 @@ def test_random_surjection_is_morphism():
             assert set(f) == set(range(y.n))
             assert ops.is_morphism(x, y, f)
             assert check_first_iso(kind, x, y, f)
+
+
+NO_FAILURES = {"first": 0, "second": 0, "third": 0}
+SWEEPS = [(KIND_TOPO, 3), (KIND_GRAPH, 3), (KIND_LOOPLESS, 4)]
+
+
+def _no_search(left, right):
+    raise AssertionError("the theorem's own map should decide this instance")
+
+
+@pytest.mark.parametrize("kind, max_n", SWEEPS)
+def test_canonical_maps_decide_every_instance(monkeypatch, kind, max_n):
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(KIND_OPS[kind], iso=_no_search))
+    assert exhaustive_iso_theorems(kind, max_n) == NO_FAILURES
+    assert random_iso_theorems(kind, 200, seed=3) == NO_FAILURES
+
+
+def test_search_answers_when_the_map_is_wrong():
+    topo, graphs = KIND_OPS[KIND_TOPO], KIND_OPS[KIND_GRAPH]
+    swapped = relabel_space(S2, (1, 0))
+    assert swapped != S2
+    # a wrong or non-bijective map on isomorphic structures: the search finds one
+    assert _isomorphic(topo, S2, swapped, (0, 1))
+    assert _isomorphic(topo, S2, S2, (0, 0))
+    assert _isomorphic(graphs, B3, graph(2, LOOPS, [(1, 1)]), (0, 1))
+    # structures that are not isomorphic, whatever the map
+    assert not _isomorphic(topo, S2, I2, (0, 1))
+    assert not _isomorphic(graphs, B3, B4, (0, 1))
+
+
+@pytest.mark.parametrize("kind, max_n, expected", [
+    (KIND_TOPO, 3, (265, 948, 901)),
+    (KIND_GRAPH, 3, (851, 3034, 3818)),
+    (KIND_LOOPLESS, 4, (1322, 4628, 2634)),
+])
+def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expected):
+    # one kernel per surjective morphism (first theorem), one restriction per
+    # (congruence, subset) (second), one quotient congruence per comparable
+    # pair (third): zero failures cannot show an instance that was skipped
+    ops = KIND_OPS[kind]
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(ops, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = ("kernel", "restrict", "quotient_cong")
+    monkeypatch.setitem(
+        KIND_OPS, kind, dataclasses.replace(ops, **{name: counted(name) for name in names})
+    )
+    assert exhaustive_iso_theorems(kind, max_n) == NO_FAILURES
+    assert tuple(counts[name] for name in names) == expected
