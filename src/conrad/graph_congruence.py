@@ -28,7 +28,6 @@ from .errors import (
     InvalidCongruence,
     NotContained,
     NotHomomorphism,
-    NotSurjective,
     PolicyMismatch,
     SubstitutionViolated,
 )
@@ -36,16 +35,17 @@ from .structures import (
     FiniteGraph,
     LOOPS,
     Partition,
-    _maps_blocks_into,
     _norm_pair,
     _positions,
+    _refines,
     bounded_partitions,
     count_scanned,
     graph,
-    is_surjective,
+    image_partition,
     join_partitions,
     meet_partitions,
     random_partition,
+    require_surjective,
 )
 
 
@@ -84,9 +84,7 @@ def _orbits(g: FiniteGraph, part: Partition):
     diagonal = g.policy == LOOPS
     for i in range(part.num_blocks):
         for j in range(i if diagonal else i + 1, part.num_blocks):
-            yield frozenset(
-                _norm_pair(u, v) for u in part.blocks[i] for v in part.blocks[j]
-            )
+            yield block_orbit(part, part.blocks[i][0], part.blocks[j][0])
 
 
 def saturation_gc(g: FiniteGraph, part: Partition) -> frozenset[tuple[int, int]]:
@@ -130,9 +128,13 @@ def is_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> bool:
     return all(_norm_pair(f[a], f[b]) in h.edges for a, b in g.edges)
 
 
-def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
+def _require_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> None:
     if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("kernel needs an edge-preserving map")
+        raise NotHomomorphism("the map does not preserve edges")
+
+
+def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
+    _require_homomorphism(g, h, f)
     part = Partition.from_map(tuple(f))
     cedges = frozenset(
         p for p in g.all_pairs if _norm_pair(f[p[0]], f[p[1]]) in h.edges
@@ -141,8 +143,7 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 
 
 def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
-    if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("strong kernel needs an edge-preserving map")
+    _require_homomorphism(g, h, f)
     return strongify_gc(g, Partition.from_map(tuple(f)))
 
 
@@ -203,8 +204,7 @@ def join_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> GraphCongruence:
 
 def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
     """Push theta forward: (theta + ker f)/ker f carried to h along the fibres."""
-    if not is_surjective(f, h.n):
-        raise NotSurjective("image congruence needs a surjective map")
+    require_surjective(f, h.n)
     alpha = kernel_gc(g, h, f)
     total = join_gc(g, [theta, alpha])
     qc = quotient_cong_gc(g, alpha, total)
@@ -224,29 +224,18 @@ def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence
     On a loop carrier this equals le_gc(image_gc(...), beta), because beta
     holds E_h and is closed under substitution.  On a loopless carrier the
     image need not be a congruence, and this comparison is the definition."""
-    if not is_surjective(f, h.n):
-        raise NotSurjective("image congruence needs a surjective map")
-    if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("kernel needs an edge-preserving map")
-    return _maps_blocks_into(f, theta.part, beta.part) and all(
+    require_surjective(f, h.n)
+    _require_homomorphism(g, h, f)
+    return _refines(theta.part.class_id, [beta.part.class_id[v] for v in f]) and all(
         _norm_pair(f[a], f[b]) in beta.cedges for a, b in theta.cedges
     )
 
 
 def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
     """Image by chain closure on the codomain; independent oracle."""
-    if not is_surjective(f, h.n):
-        raise NotSurjective("image congruence needs a surjective map")
-    if not is_homomorphism(g, h, f):
-        raise NotHomomorphism("image congruence needs a homomorphism")
-    parts = [Partition.identity(h.n)]
-    for block in theta.part.blocks:
-        hit = sorted({f[v] for v in block})
-        raw = list(range(h.n))
-        for q in hit[1:]:
-            raw[q] = hit[0]
-        parts.append(Partition.from_map(tuple(raw)))
-    part = join_partitions(parts)
+    require_surjective(f, h.n)
+    _require_homomorphism(g, h, f)
+    part = image_partition(f, theta.part, h.n)
     seeds = {_norm_pair(f[a], f[b]) for a, b in theta.cedges} | h.edges
     cedges: set[tuple[int, int]] = set()
     for pair in seeds:

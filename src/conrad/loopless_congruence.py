@@ -122,12 +122,12 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
     single non-adjacent pair is always a proper coloring, so the cover
     always completes.
     """
+    partitions = bounded_partitions(g.n)  # refuses a large carrier before any per-pair work
     base = _coloring_congruence(g, Partition.identity(g.n))
     uncovered = set(g.all_pairs - g.edges)
     chosen: list[GraphCongruence] = []
     colorings = [
-        part for part in bounded_partitions(g.n)
-        if part.num_blocks < g.n and _blocks_independent(g, part)
+        part for part in partitions if part.num_blocks < g.n and _blocks_independent(g, part)
     ]
     covers = []
     for part in colorings:

@@ -12,6 +12,7 @@ first failure in canonical enumeration order.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -40,10 +41,10 @@ from .structures import (
     S2,
     T0,
     T_SPACE,
-    _apply_perm_graph,
-    _apply_perm_space,
     _norm_pair,
     bounded_partitions,
+    carries_edges,
+    carries_opens,
     complete_graph,
     enumerate_graphs,
     enumerate_spaces,
@@ -198,16 +199,6 @@ def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
     return g.edges | {(b, a) for a, b in g.edges}
 
 
-def _carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
-    """Whether the bijection perm sends the opens of x exactly onto those of y."""
-    return _apply_perm_space(x, perm) == y.opens
-
-
-def _carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
-    """Whether the bijection perm sends the edges of g exactly onto those of h."""
-    return _apply_perm_graph(g, perm) == h.edges
-
-
 KIND_OPS: dict[str, _KindOps] = {
     KIND_TOPO: _KindOps(
         enum_structures=lambda n: enumerate_spaces(n),
@@ -224,7 +215,7 @@ KIND_OPS: dict[str, _KindOps] = {
         restrict=tc.restrict_tc,
         substructure=subspace,
         iso=homeo_spaces,
-        carries=_carries_opens,
+        carries=carries_opens,
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
         relation=_specialization,
@@ -251,7 +242,7 @@ KIND_OPS: dict[str, _KindOps] = {
         restrict=gc.restrict_gc,
         substructure=induced,
         iso=iso_graphs,
-        carries=_carries_edges,
+        carries=carries_edges,
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
         relation=_adjacency,
@@ -263,34 +254,23 @@ KIND_OPS: dict[str, _KindOps] = {
         random_congruence=gc.random_gcong,
         relabel=relabel_graph,
     ),
-    KIND_LOOPLESS: _KindOps(
-        enum_structures=lambda n: enumerate_graphs(n, NOLOOPS),
-        enum_congruences=lc.enumerate_congruences_lc,
-        validate=lc.validate_lc,
-        quotient=lc.quotient_lc,
-        kernel=gc.kernel_gc,
-        quotient_cong=gc.quotient_cong_gc,
-        meet=gc.meet_gc,
-        join=None,
-        identity=gc.identity_gc,
-        strong_all=_strong_all(lc.strongify_lc),
-        is_strong=lc.is_strong_lc,
-        restrict=gc.restrict_gc,
-        substructure=induced,
-        iso=iso_graphs,
-        carries=_carries_edges,
-        le=gc.le_gc,
-        is_morphism=gc.is_homomorphism,
-        relation=_adjacency,
-        image_le=gc.image_le_gc,
-        catalog=None,
-        catalog_ids=(),
-        trivial=complete_graph(1),
-        random_structure=lambda rng, n: random_graph(rng, n, NOLOOPS),
-        random_congruence=lc.random_lcong,
-        relabel=relabel_graph,
-    ),
 }
+# the loop-free graphs share the graph entry except where independence counts
+KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
+    KIND_OPS[KIND_GRAPH],
+    enum_structures=lambda n: enumerate_graphs(n, NOLOOPS),
+    enum_congruences=lc.enumerate_congruences_lc,
+    validate=lc.validate_lc,
+    quotient=lc.quotient_lc,
+    join=None,
+    strong_all=_strong_all(lc.strongify_lc),
+    is_strong=lc.is_strong_lc,
+    catalog=None,
+    catalog_ids=(),
+    trivial=complete_graph(1),
+    random_structure=lambda rng, n: random_graph(rng, n, NOLOOPS),
+    random_congruence=lc.random_lcong,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -389,17 +369,21 @@ def universe_from_members(kind: str, members) -> Universe:
 # The Hoehnke radical of a class
 # ---------------------------------------------------------------------------
 
+def _qualifying(ops: _KindOps, structure, cls: ClassPredicate) -> list:
+    """The congruences on the structure whose quotient lies in the class."""
+    return [
+        theta for theta in ops.enum_congruences(structure)
+        if cls(ops.quotient(structure, theta)[0])
+    ]
+
+
 def hoehnke_radical(structure, cls: ClassPredicate):
     """Meet of all congruences whose quotient lies in the class."""
     kind = kind_of(structure)
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, got a {kind} structure")
     ops = KIND_OPS[kind]
-    qualifying = [
-        theta
-        for theta in ops.enum_congruences(structure)
-        if cls(ops.quotient(structure, theta)[0])
-    ]
+    qualifying = _qualifying(ops, structure, cls)
     if not qualifying:
         raise NoQualifyingCongruence(
             f"no congruence quotient of the structure lies in {cls.name!r}"
@@ -647,24 +631,24 @@ def _nontrivial_substructures(kind: str, x):
             yield ops.substructure(x, sub)
 
 
-def U_operator(cls: ClassPredicate, uni: Universe) -> list:
-    """Members with no non-trivial image inside the class."""
+def _members_avoiding(cls: ClassPredicate, uni: Universe, candidates: Callable) -> list:
+    """Members none of whose candidates(kind, x) lies in the class."""
     if cls.kind != uni.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, universe is {uni.kind}")
     return [
         x for x in uni.members
-        if not any(cls(y) for y in _nontrivial_images(uni.kind, x))
+        if not any(cls(y) for y in candidates(uni.kind, x))
     ]
+
+
+def U_operator(cls: ClassPredicate, uni: Universe) -> list:
+    """Members with no non-trivial image inside the class."""
+    return _members_avoiding(cls, uni, _nontrivial_images)
 
 
 def S_operator(cls: ClassPredicate, uni: Universe) -> list:
     """Members with no non-trivial substructure inside the class."""
-    if cls.kind != uni.kind:
-        raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, universe is {uni.kind}")
-    return [
-        x for x in uni.members
-        if not any(cls(y) for y in _nontrivial_substructures(uni.kind, x))
-    ]
+    return _members_avoiding(cls, uni, _nontrivial_substructures)
 
 
 def _encodings(structures) -> set:
@@ -787,10 +771,7 @@ def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:
     ops = KIND_OPS[uni.kind]
     out = []
     for x in uni.members:
-        qualifying = [
-            theta for theta in ops.enum_congruences(x)
-            if cls(ops.quotient(x, theta)[0])
-        ]
+        qualifying = _qualifying(ops, x, cls)
         if qualifying and ops.meet(x, qualifying) == ops.identity(x):
             out.append(x)
     return out

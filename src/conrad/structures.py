@@ -17,6 +17,7 @@ from .errors import (
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
+    NotSurjective,
     PolicyMismatch,
     SemanticError,
     UsageError,
@@ -115,21 +116,7 @@ class Partition:
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
-        rep = {}
-        for x, b in enumerate(self.class_id):
-            o = other.class_id[x]
-            if b in rep:
-                if rep[b] != o:
-                    return False
-            else:
-                rep[b] = o
-        return True
-
-    def meet(self, other: "Partition") -> "Partition":
-        return Partition.from_map(tuple(zip(self.class_id, other.class_id)))
-
-    def join(self, other: "Partition") -> "Partition":
-        return join_partitions([self, other])
+        return _refines(self.class_id, other.class_id)
 
     def restrict(self, subset) -> "Partition":
         """Partition induced on sorted(subset), relabelled to 0..|S|-1."""
@@ -158,6 +145,18 @@ def join_partitions(parts: list[Partition]) -> Partition:
     return Partition.from_map(tuple(find(x) for x in range(n)))
 
 
+def image_partition(f: tuple, part: Partition, m: int) -> Partition:
+    """The finest partition of 0..m-1 in which f sends each block of part into one block."""
+    parts = [Partition.identity(m)]
+    for block in part.blocks:
+        hit = sorted({f[v] for v in block})
+        raw = list(range(m))
+        for q in hit[1:]:
+            raw[q] = hit[0]
+        parts.append(Partition.from_map(tuple(raw)))
+    return join_partitions(parts)
+
+
 def meet_partitions(parts: list[Partition]) -> Partition:
     return Partition.from_map(tuple(tuple(p.class_id[x] for p in parts) for x in range(parts[0].n)))
 
@@ -175,10 +174,18 @@ def is_surjective(f: tuple, m: int) -> bool:
     return set(f) == set(range(m))
 
 
-def _maps_blocks_into(f: tuple, part: Partition, target: Partition) -> bool:
-    """Whether f sends every block of part into a single block of target."""
-    cid = target.class_id
-    return all(len({cid[f[v]] for v in block}) == 1 for block in part.blocks)
+def require_surjective(f: tuple, m: int) -> None:
+    if not is_surjective(f, m):
+        raise NotSurjective("image congruence needs a surjective map")
+
+
+def _refines(labels, coarser) -> bool:
+    """Whether positions with equal labels always have equal coarser labels."""
+    rep = {}
+    for b, o in zip(labels, coarser):
+        if rep.setdefault(b, o) != o:
+            return False
+    return True
 
 
 def all_partitions(n: int):
@@ -207,6 +214,10 @@ def bell_number(n: int) -> int:
     return row[-1]
 
 
+# the least carrier with more partitions than the scan bound: Bell(10) = 115,975
+_LEAST_REFUSED_N = next(n for n in itertools.count(1) if bell_number(n) > CONGRUENCE_SCAN_BOUND)
+
+
 def _scan_refused() -> BoundExceeded:
     return BoundExceeded(f"congruence enumeration capped at {CONGRUENCE_SCAN_BOUND} candidates")
 
@@ -215,9 +226,9 @@ def bounded_partitions(n: int):
     """all_partitions(n) for a congruence enumeration.
 
     Every partition counts as at least one candidate, so a carrier with more
-    partitions than the scan bound is refused before the first.
+    partitions than the scan bound is refused before the first, whatever its size.
     """
-    if bell_number(n) > CONGRUENCE_SCAN_BOUND:
+    if n >= _LEAST_REFUSED_N:
         raise _scan_refused()
     return all_partitions(n)
 
@@ -268,9 +279,7 @@ class FiniteGraph:
     @property
     def all_pairs(self) -> frozenset[tuple[int, int]]:
         """Every admissible pair: C_G under loops, K_G under noloops."""
-        if self.policy == LOOPS:
-            return frozenset((a, b) for a in range(self.n) for b in range(a, self.n))
-        return frozenset((a, b) for a in range(self.n) for b in range(a + 1, self.n))
+        return frozenset(_pair_slots(self.n, self.policy))
 
     @property
     def loop_vertices(self) -> frozenset[int]:
@@ -358,15 +367,12 @@ class FiniteSpace:
                 raise SemanticError(f"open set {sorted(u)} out of range")
         if frozenset() not in self.opens or full not in self.opens:
             raise MissingEmptyOrFull("a topology contains the empty and full sets")
-        # every ordered pair, tested on bitmasks
-        masked = [(u, _bitmask(u)) for u in self.opens]
-        masks = {m for _, m in masked}
-        for u, a in masked:
-            for v, b in masked:
-                if a | b not in masks:
-                    raise NotClosedUnderUnion(f"{sorted(u)} | {sorted(v)} missing")
-                if a & b not in masks:
-                    raise NotClosedUnderIntersection(f"{sorted(u)} & {sorted(v)} missing")
+        masked = {_bitmask(u): u for u in self.opens}
+        gap = _closure_gap(list(masked))
+        if gap is not None:
+            a, op, b = gap
+            error = NotClosedUnderUnion if op == "|" else NotClosedUnderIntersection
+            raise error(f"{sorted(masked[a])} {op} {sorted(masked[b])} missing")
 
     @property
     def full(self) -> frozenset[int]:
@@ -401,16 +407,24 @@ class FiniteSpace:
         return (self.n, tuple(sorted(_bitmask(u) for u in self.opens)))
 
 
+def _closure_gap(masks: list[int]):
+    """The first ordered pair (a, op, b) of the subsets, as bitmasks, whose
+    union (op "|") or intersection (op "&") is missing; None when closed."""
+    present = set(masks)
+    for a in masks:
+        for b in masks:
+            if a | b not in present:
+                return a, "|", b
+            if a & b not in present:
+                return a, "&", b
+    return None
+
+
 def _is_topology_on(n: int, family) -> bool:
     """True when the family of subsets of 0..n-1 is a topology."""
-    full = frozenset(range(n))
-    if frozenset() not in family or full not in family:
+    if frozenset() not in family or frozenset(range(n)) not in family:
         return False
-    for u in family:
-        for v in family:
-            if u | v not in family or u & v not in family:
-                return False
-    return True
+    return _closure_gap([_bitmask(u) for u in family]) is None
 
 
 def _bitmask(s) -> int:
@@ -461,8 +475,26 @@ def _graph_degree_key(g: FiniteGraph, v: int) -> tuple[int, int]:
     return (deg, 1 if (v, v) in g.edges else 0)
 
 
-def _apply_perm_graph(g: FiniteGraph, perm) -> frozenset[tuple[int, int]]:
-    return frozenset(_norm_pair(perm[a], perm[b]) for a, b in g.edges)
+def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
+    """Whether the bijection perm sends the edges of g exactly onto those of h."""
+    return frozenset(_norm_pair(perm[a], perm[b]) for a, b in g.edges) == h.edges
+
+
+def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
+    """Whether the bijection perm sends the opens of x exactly onto those of y."""
+    return frozenset(frozenset(perm[p] for p in u) for u in x.opens) == y.opens
+
+
+def _least_carrying(x, y, xkeys: list, ykeys: list, carries):
+    """The least permutation keeping the point keys that carries x onto y, or None."""
+    if sorted(xkeys) != sorted(ykeys):
+        return None
+    for perm in itertools.permutations(range(x.n)):
+        if any(xkeys[p] != ykeys[perm[p]] for p in range(x.n)):
+            continue
+        if carries(x, y, perm):
+            return perm
+    return None
 
 
 def iso_graphs(g: FiniteGraph, h: FiniteGraph):
@@ -476,22 +508,9 @@ def iso_graphs(g: FiniteGraph, h: FiniteGraph):
         return None
     if g.n > ISO_BOUND:
         raise BoundExceeded(f"isomorphism testing capped at n <= {ISO_BOUND}")
-    if sorted(_graph_degree_key(g, v) for v in range(g.n)) != sorted(
-        _graph_degree_key(h, v) for v in range(h.n)
-    ):
-        return None
-    hkeys = [_graph_degree_key(h, v) for v in range(h.n)]
     gkeys = [_graph_degree_key(g, v) for v in range(g.n)]
-    for perm in itertools.permutations(range(g.n)):
-        if any(gkeys[v] != hkeys[perm[v]] for v in range(g.n)):
-            continue
-        if _apply_perm_graph(g, perm) == h.edges:
-            return perm
-    return None
-
-
-def _apply_perm_space(x: FiniteSpace, perm) -> frozenset[frozenset[int]]:
-    return frozenset(frozenset(perm[p] for p in u) for u in x.opens)
+    hkeys = [_graph_degree_key(h, v) for v in range(h.n)]
+    return _least_carrying(g, h, gkeys, hkeys, carries_edges)
 
 
 def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
@@ -500,19 +519,11 @@ def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
         return None
     if x.n > ISO_BOUND:
         raise BoundExceeded(f"homeomorphism testing capped at n <= {ISO_BOUND}")
-    xsizes = sorted(len(u) for u in x.opens)
-    if xsizes != sorted(len(u) for u in y.opens):
+    if sorted(len(u) for u in x.opens) != sorted(len(u) for u in y.opens):
         return None
-    xkey = [len(x.min_open(p)) for p in range(x.n)]
-    ykey = [len(y.min_open(p)) for p in range(y.n)]
-    if sorted(xkey) != sorted(ykey):
-        return None
-    for perm in itertools.permutations(range(x.n)):
-        if any(xkey[p] != ykey[perm[p]] for p in range(x.n)):
-            continue
-        if _apply_perm_space(x, perm) == y.opens:
-            return perm
-    return None
+    xkeys = [len(x.min_open(p)) for p in range(x.n)]
+    ykeys = [len(y.min_open(p)) for p in range(y.n)]
+    return _least_carrying(x, y, xkeys, ykeys, carries_opens)
 
 
 # ---------------------------------------------------------------------------

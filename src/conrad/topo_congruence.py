@@ -13,10 +13,12 @@ built outside the library.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
 from .errors import (
+    BoundExceeded,
     EmptyList,
     InvalidCongruence,
     NotATopology,
@@ -24,26 +26,25 @@ from .errors import (
     NotContinuous,
     NotSaturated,
     NotSubTopology,
-    NotSurjective,
     SearchExhausted,
     TrivialSpace,
 )
 from .structures import (
+    CONGRUENCE_SCAN_BOUND,
     FiniteSpace,
-    I2,
     Partition,
-    S2,
     _bitmask,
+    _closure_gap,
     _is_topology_on,
-    _maps_blocks_into,
     _positions,
+    _refines,
     bounded_partitions,
     count_scanned,
-    homeo_spaces,
-    is_surjective,
+    image_partition,
     join_partitions,
     meet_partitions,
     random_partition,
+    require_surjective,
 )
 
 
@@ -111,10 +112,14 @@ def is_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> bool:
     return all(frozenset(p for p in range(x.n) if f[p] in v) in x.opens for v in y.opens)
 
 
-def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
-    """Fibre partition plus the pulled-back topology."""
+def _require_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> None:
     if not is_continuous(x, y, f):
         raise NotContinuous("preimage of an open set is not open")
+
+
+def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
+    """Fibre partition plus the pulled-back topology."""
+    _require_continuous(x, y, f)
     part = Partition.from_map(tuple(f))
     ctop = frozenset(
         frozenset(p for p in range(x.n) if f[p] in v) for v in y.opens
@@ -123,8 +128,7 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 
 
 def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
-    if not is_continuous(x, y, f):
-        raise NotContinuous("preimage of an open set is not open")
+    _require_continuous(x, y, f)
     return strongify_tc(x, Partition.from_map(tuple(f)))
 
 
@@ -165,26 +169,16 @@ def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence
 
 def _close_topology(n: int, family) -> frozenset[frozenset[int]]:
     """Topology generated by the family (finite intersections, then unions)."""
-    base = set(family)
-    base.add(frozenset(range(n)))
-    base.add(frozenset())
-    changed = True
-    while changed:
-        changed = False
-        for u, v in itertools.combinations(list(base), 2):
-            w = u & v
-            if w not in base:
-                base.add(w)
-                changed = True
-    opens = set(base)
-    changed = True
-    while changed:
-        changed = False
-        for u, v in itertools.combinations(list(opens), 2):
-            w = u | v
-            if w not in opens:
-                opens.add(w)
-                changed = True
+    opens = set(family) | {frozenset(range(n)), frozenset()}
+    for op in (frozenset.intersection, frozenset.union):
+        changed = True
+        while changed:
+            changed = False
+            for u, v in itertools.combinations(list(opens), 2):
+                w = op(u, v)
+                if w not in opens:
+                    opens.add(w)
+                    changed = True
     return frozenset(opens)
 
 
@@ -212,8 +206,7 @@ def join_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
 
 def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
     """Push rho forward: (rho + ker f)/ker f carried to y along the fibres."""
-    if not is_surjective(f, y.n):
-        raise NotSurjective("image congruence needs a surjective map")
+    require_surjective(f, y.n)
     alpha = kernel_tc(x, y, f)
     total = join_tc(x, [rho, alpha])
     qc = quotient_cong_tc(x, alpha, total)
@@ -231,30 +224,18 @@ def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
                 beta: TopoCongruence) -> bool:
     """Whether image_tc(x, y, f, rho) lies below a valid beta, decided pointwise:
     f maps rho's blocks into beta's, and beta's opens pull back into rho's."""
-    if not is_surjective(f, y.n):
-        raise NotSurjective("image congruence needs a surjective map")
-    if not is_continuous(x, y, f):
-        raise NotContinuous("preimage of an open set is not open")
-    return _maps_blocks_into(f, rho.part, beta.part) and all(
+    require_surjective(f, y.n)
+    _require_continuous(x, y, f)
+    return _refines(rho.part.class_id, [beta.part.class_id[v] for v in f]) and all(
         frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop for v in beta.ctop
     )
 
 
 def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
     """Image by its pointwise description; kept as an independent oracle."""
-    if not is_surjective(f, y.n):
-        raise NotSurjective("image congruence needs a surjective map")
-    if not is_continuous(x, y, f):
-        raise NotContinuous("image congruence needs a continuous map")
-    # relation: transitive closure on y of the projected blocks of rho
-    parts = [Partition.identity(y.n)]
-    for block in rho.part.blocks:
-        hit = sorted({f[p] for p in block})
-        raw = list(range(y.n))
-        for q in hit[1:]:
-            raw[q] = hit[0]
-        parts.append(Partition.from_map(tuple(raw)))
-    part = join_partitions(parts)
+    require_surjective(f, y.n)
+    _require_continuous(x, y, f)
+    part = image_partition(f, rho.part, y.n)
     ctop = frozenset(
         v for v in y.opens
         if frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop
@@ -274,6 +255,7 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
     """
     full = x.full
     empty = frozenset()
+    fixed = [0, _bitmask(full)]
     plans = []
     scanned = 0
     for part in bounded_partitions(x.n):
@@ -282,12 +264,12 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
         plans.append((part, sat))
     out = []
     for part, sat in plans:
+        masks = [_bitmask(u) for u in sat]
         found = []
         for k in range(2 ** len(sat)):
-            fam = {empty, full}
-            fam.update(sat[i] for i in range(len(sat)) if k >> i & 1)
-            if _is_topology_on(x.n, frozenset(fam)):
-                found.append(TopoCongruence(part, frozenset(fam)))
+            keep = [i for i in range(len(sat)) if k >> i & 1]
+            if _closure_gap(fixed + [masks[i] for i in keep]) is None:
+                found.append(TopoCongruence(part, frozenset([empty, full] + [sat[i] for i in keep])))
         found.sort(key=lambda c: c.encoding())
         out.extend(found)
     return out
@@ -305,19 +287,38 @@ def random_tcong(rng: random.Random, x: FiniteSpace) -> TopoCongruence:
     return TopoCongruence(part, _close_topology(x.n, [u for u in sat if rng.random() < 0.5]))
 
 
+def sierpinski_candidates(x: FiniteSpace) -> list[TopoCongruence]:
+    """The two-block congruences with quotient S2 or I2, partitions in growth
+    order: per partition {A, B}, the topology {0, X} plus {0, A, X} when A is
+    open and {0, B, X} when B is, sorted by encoding."""
+    full = x.full
+    out = []
+    for tail in itertools.islice(itertools.product((0, 1), repeat=x.n - 1), 1, None):
+        part = Partition((0,) + tail)
+        found = [TopoCongruence(part, frozenset({frozenset(), full}))]
+        found += [TopoCongruence(part, frozenset({frozenset(), frozenset(b), full}))
+                  for b in part.blocks if frozenset(b) in x.opens]
+        out += sorted(found, key=lambda c: c.encoding())
+    return out
+
+
 def sierpinski_decomposition(x: FiniteSpace) -> list[TopoCongruence]:
     """Congruences with quotients copies of the Sierpinski or two-point
-    indiscrete space whose meet is the identity congruence."""
+    indiscrete space whose meet is the identity congruence, fewest first.
+
+    Before each size k the C(candidates, k) combinations are counted, and
+    the search is refused once the running count passes the scan bound."""
     if x.n == 1:
         raise TrivialSpace("one-point spaces admit no two-point factors")
-    candidates = []
-    for cong in enumerate_congruences_tc(x):
-        if cong.part.num_blocks != 2:
-            continue
-        q, _ = quotient_tc(x, cong)
-        if homeo_spaces(q, S2) is not None or homeo_spaces(q, I2) is not None:
-            candidates.append(cong)
+    refused = BoundExceeded(f"sierpinski search capped at {CONGRUENCE_SCAN_BOUND} combinations")
+    if 2 ** (x.n - 1) - 1 > CONGRUENCE_SCAN_BOUND:  # a candidate per two-block partition
+        raise refused
+    candidates = sierpinski_candidates(x)
+    scanned = 0
     for size in range(1, len(candidates) + 1):
+        scanned += math.comb(len(candidates), size)
+        if scanned > CONGRUENCE_SCAN_BOUND:
+            raise refused
         for combo in itertools.combinations(candidates, size):
             if meet_tc(x, list(combo)) == identity_tc(x):
                 return list(combo)

@@ -8,12 +8,13 @@ and the acceptance suite drive these sweeps.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from .graph_congruence import GraphCongruence, block_orbit
-from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
+from .radical_engine import KIND_OPS, _nonempty_subsets, build_universe, surjective_morphisms
 from .structures import FiniteGraph, Partition
+
+RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +124,7 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     for x in members:
         congs = ops.enum_congruences(x)
         quotients = [ops.quotient(x, theta) for theta in congs]
-        subsets = [
-            sub for size in range(1, x.n + 1)
-            for sub in itertools.combinations(range(x.n), size)
-        ]
+        subsets = list(_nonempty_subsets(x.n))
         for theta, quotient_proj in zip(congs, quotients):
             for sub in subsets:
                 if not _second_iso(ops, x, theta, quotient_proj, sub):
@@ -149,27 +147,26 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     return failures
 
 
-def random_iso_theorems(kind: str, samples: int, seed: int,
-                        min_n: int = 3, max_n: int = 5) -> dict[str, int]:
+def random_iso_theorems(kind: str, samples: int, seed: int) -> dict[str, int]:
     """Failure counts per theorem over seeded random instances."""
     rng = random.Random(seed)
     failures = {name: 0 for name in THEOREMS}
     join = KIND_OPS[kind].join
     for _ in range(samples):
-        n = rng.randint(min_n, max_n)
+        n = rng.randint(RANDOM_MIN_N, RANDOM_MAX_N)
         x = random_structure(rng, kind, n)
         y, f = random_surjection(rng, kind, x)
         if not check_first_iso(kind, x, y, f):
             failures["first"] += 1
 
-        x2 = random_structure(rng, kind, rng.randint(min_n, max_n))
+        x2 = random_structure(rng, kind, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
         theta = random_congruence(rng, kind, x2)
         size = rng.randint(1, x2.n)
         sub = tuple(sorted(rng.sample(range(x2.n), size)))
         if not check_second_iso(kind, x2, theta, sub):
             failures["second"] += 1
 
-        x3 = random_structure(rng, kind, rng.randint(min_n, max_n))
+        x3 = random_structure(rng, kind, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
         alpha = random_congruence(rng, kind, x3)
         if join is not None:
             beta = join(x3, [alpha, random_congruence(rng, kind, x3)])

@@ -326,3 +326,32 @@ def test_cli_birkhoff_is_bounded(tmp_path, capsys, n, status):
     else:
         assert captured.err == "" and "factor 0:" in captured.out
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command", [
+    ["congruences", "--graph"],
+    ["radical", "--class", "complete"],
+    ["decompose", "--birkhoff"],
+])
+def test_cli_refuses_a_huge_carrier_at_once(tmp_path, capsys, command):
+    # the refusal comes before any work that grows with the declared size
+    path = tmp_path / "huge.txt"
+    path.write_text("graph 1000000 noloops\n")
+    start = time.perf_counter()
+    status = run_command(command + [str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
+    assert elapsed < 1.0
+
+
+def test_cli_sierpinski_search_is_bounded(tmp_path, capsys):
+    # the discrete 5-point space has 45 candidates; sizes up to 4 count 164,220
+    opens = [",".join(str(p) for p in range(5) if m >> p & 1) or "-" for m in range(32)]
+    path = tmp_path / "d5.txt"
+    path.write_text("space 5\n" + "".join(f"open {u}\n" for u in opens))
+    status = run_command(["decompose", "--sierpinski", str(path)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: sierpinski search capped at 100000 combinations\n"

@@ -9,9 +9,10 @@ from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
 from conrad import topo_congruence as tc
 from conrad.cli_io import parse_congruence, parse_structure, serialize_congruence, serialize_structure
+from conrad.errors import InputSyntaxError, InvalidCongruence, SemanticError, UsageError
 from conrad.graph_congruence import random_gcong
 from conrad.loopless_congruence import random_lcong
-from conrad.structures import LOOPS, NOLOOPS, random_graph
+from conrad.structures import B5, LOOPS, NOLOOPS, S2, path_graph, random_graph
 from conrad.topo_congruence import random_space, random_tcong
 
 seeds = st.integers(min_value=0, max_value=10 ** 9)
@@ -121,3 +122,51 @@ def test_random_congruences_validate(seed, n):
     gc.validate_gc(g, random_gcong(rng, g))
     h = random_graph(rng, n, NOLOOPS)
     lc.validate_lc(h, random_lcong(rng, h))
+
+
+# Texts built from the file grammar's tokens; every number, and so every
+# declared size, is at most 12.
+_numbers = st.integers(min_value=-1, max_value=12).map(str)
+_tokens = st.sampled_from([
+    "graph", "space", "loops", "noloops", "e", "open", "block", "edge", "tcong",
+    "gcong", "-", "#", ",", "0,1", "2,1,0", "1,,2", "x", "1.5",
+]) | _numbers
+_ids = st.lists(_numbers, min_size=1, max_size=3).map(",".join)
+
+
+def _filled(templates):
+    return st.tuples(st.sampled_from(templates), _ids, _numbers, _numbers).map(
+        lambda t: t[0].format(*t[1:])
+    )
+
+
+_headers = _filled(["graph {1} loops", "graph {1} noloops", "space {1}", "tcong", "gcong"])
+_raw_lines = st.lists(_tokens, max_size=5).map(" ".join)
+_grammar_lines = _filled(["e {1} {2}", "edge {1} {2}", "open {0}", "open -", "block {1} {2}", "block {0}"])
+
+
+def _mostly(common, rare):
+    """common four times in five, so that some texts get past the first error."""
+    return st.integers(0, 4).flatmap(lambda k: rare if k == 0 else common)
+
+
+_lines = _mostly(_grammar_lines, _raw_lines)
+_texts = st.tuples(_mostly(_headers, _lines), st.lists(_lines, max_size=8)).map(
+    lambda t: "\n".join([t[0], *t[1]])
+)
+_EXIT_2_ERRORS = (InputSyntaxError, SemanticError, InvalidCongruence, UsageError)
+
+
+@given(_texts)
+@settings(max_examples=400, deadline=None)
+def test_parsers_return_a_value_or_an_exit_2_error(text):
+    for parse in (
+        parse_structure,
+        lambda t: parse_congruence(t, S2),
+        lambda t: parse_congruence(t, B5),
+        lambda t: parse_congruence(t, path_graph(3)),
+    ):
+        try:
+            parse(text)
+        except _EXIT_2_ERRORS:
+            pass

@@ -44,6 +44,8 @@ from conrad.structures import (
     homeo_spaces,
     induced,
     iso_graphs,
+    join_partitions,
+    meet_partitions,
     path_graph,
     space,
     subspace,
@@ -109,8 +111,8 @@ def test_partition_normalization():
 def test_partition_ops():
     p = Partition.from_blocks(4, [[0, 1], [2, 3]])
     q = Partition.from_blocks(4, [[0], [1, 2], [3]])
-    assert p.meet(q).blocks == ((0,), (1,), (2,), (3,))
-    assert p.join(q) == Partition.universal(4)
+    assert meet_partitions([p, q]).blocks == ((0,), (1,), (2,), (3,))
+    assert join_partitions([p, q]) == Partition.universal(4)
     assert Partition.identity(4).refines(p)
     assert not p.refines(q)
     assert p.restrict([1, 2, 3]).blocks == ((0,), (1, 2))

@@ -20,6 +20,7 @@ from conrad.structures import (
     Partition,
     S2,
     T_SPACE,
+    all_partitions,
     enumerate_spaces,
     homeo_spaces,
     space,
@@ -39,6 +40,7 @@ from conrad.topo_congruence import (
     quotient_cong_tc,
     quotient_tc,
     restrict_tc,
+    sierpinski_candidates,
     sierpinski_decomposition,
     strong_kernel_tc,
     strongify_tc,
@@ -336,3 +338,59 @@ def test_sierpinski_decomposition_all_small_spaces():
         for c in dec:
             q, _ = quotient_tc(x, c)
             assert homeo_spaces(q, S2) is not None or homeo_spaces(q, I2) is not None
+
+
+def _sierpinski_candidates_by_quotient(x):
+    """The two-block congruences whose quotient is homeomorphic to S2 or I2."""
+    return [
+        c for c in enumerate_congruences_tc(x)
+        if c.part.num_blocks == 2
+        and any(homeo_spaces(quotient_tc(x, c)[0], t) is not None for t in (S2, I2))
+    ]
+
+
+def test_sierpinski_candidates_match_the_quotient_route():
+    total = 0
+    for n in (1, 2, 3, 4):
+        for x in enumerate_spaces(n):
+            candidates = sierpinski_candidates(x)
+            assert candidates == _sierpinski_candidates_by_quotient(x), x
+            total += len(candidates)
+    assert total == 432
+
+
+def _closed(family):
+    return all(u | v in family and u & v in family for u in family for v in family)
+
+
+def _labelled_topologies(n):
+    """Every topology on 0..n-1, by scanning the families of subsets."""
+    full, empty = frozenset(range(n)), frozenset()
+    proper = [frozenset(c) for k in range(1, n) for c in itertools.combinations(range(n), k)]
+    for keep in itertools.product((False, True), repeat=len(proper)):
+        family = frozenset({empty, full, *(u for u, k in zip(proper, keep) if k)})
+        if _closed(family):
+            yield space(n, family)
+
+
+def _congruences_by_definition(x):
+    """Per partition in growth order, every family of saturated opens that holds
+    the empty and full sets and is closed under union and intersection."""
+    out = []
+    for part in all_partitions(x.n):
+        sat = [u for u in x.opens if all(set(b) <= u or not set(b) & u for b in part.blocks)]
+        found = [
+            TopoCongruence(part, frozenset(family))
+            for k in range(len(sat) + 1)
+            for family in itertools.combinations(sat, k)
+            if frozenset() in family and x.full in family and _closed(frozenset(family))
+        ]
+        out += sorted(found, key=lambda c: c.encoding())
+    return out
+
+
+def test_enumerator_matches_definition_oracle():
+    spaces = [x for n in (1, 2, 3) for x in _labelled_topologies(n)]
+    assert len(spaces) == 34
+    for x in spaces:
+        assert enumerate_congruences_tc(x) == _congruences_by_definition(x), x
