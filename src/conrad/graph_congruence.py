@@ -67,7 +67,7 @@ def universal_gc(g: FiniteGraph) -> GraphCongruence:
 
 
 def le_gc(a: GraphCongruence, b: GraphCongruence) -> bool:
-    return a.part.refines(b.part) and a.cedges <= b.cedges
+    return _refines(a.part.class_id, b.part.class_id) and a.cedges <= b.cedges
 
 
 def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:

@@ -41,6 +41,7 @@ from .structures import (
     S2,
     T0,
     T_SPACE,
+    _nonempty_subsets,
     _norm_pair,
     bounded_partitions,
     carries_edges,
@@ -543,11 +544,6 @@ def ka_triple(sigma: RadicalAssignment, uni: Universe) -> dict:
 # ---------------------------------------------------------------------------
 # Hereditariness
 # ---------------------------------------------------------------------------
-
-def _nonempty_subsets(n: int):
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(n), size)
-
 
 def r_hereditary(sigma: RadicalAssignment, uni: Universe):
     """restrict(radical of the whole) below the radical of the part."""

@@ -182,9 +182,13 @@ def require_surjective(f: tuple, m: int) -> None:
 def _refines(labels, coarser) -> bool:
     """Whether positions with equal labels always have equal coarser labels."""
     rep = {}
-    for b, o in zip(labels, coarser):
-        if rep.setdefault(b, o) != o:
-            return False
+    for x, b in enumerate(labels):
+        o = coarser[x]
+        if b in rep:
+            if rep[b] != o:
+                return False
+        else:
+            rep[b] = o
     return True
 
 
@@ -251,6 +255,11 @@ def _positions(subset) -> tuple[list[int], dict[int, int]]:
     if not sub:
         raise EmptySubset("restriction to the empty set")
     return sub, {v: i for i, v in enumerate(sub)}
+
+
+def _nonempty_subsets(n: int):
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(n), size)
 
 
 def _norm_pair(a: int, b: int) -> tuple[int, int]:
@@ -424,7 +433,9 @@ def _is_topology_on(n: int, family) -> bool:
     """True when the family of subsets of 0..n-1 is a topology."""
     if frozenset() not in family or frozenset(range(n)) not in family:
         return False
-    return _closure_gap([_bitmask(u) for u in family]) is None
+    # bits index the points held, so a stray id from a file gets a small bit
+    index = {p: i for i, p in enumerate(frozenset().union(*family))}
+    return _closure_gap([_bitmask(index[p] for p in u) for u in family]) is None
 
 
 def _bitmask(s) -> int:
@@ -485,8 +496,10 @@ def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
     return frozenset(frozenset(perm[p] for p in u) for u in x.opens) == y.opens
 
 
-def _least_carrying(x, y, xkeys: list, ykeys: list, carries):
-    """The least permutation keeping the point keys that carries x onto y, or None."""
+def _least_carrying(x, y, key, carries):
+    """The least permutation keeping key(structure, point) that carries x onto y, or None."""
+    xkeys = [key(x, p) for p in range(x.n)]
+    ykeys = [key(y, p) for p in range(y.n)]
     if sorted(xkeys) != sorted(ykeys):
         return None
     for perm in itertools.permutations(range(x.n)):
@@ -508,9 +521,7 @@ def iso_graphs(g: FiniteGraph, h: FiniteGraph):
         return None
     if g.n > ISO_BOUND:
         raise BoundExceeded(f"isomorphism testing capped at n <= {ISO_BOUND}")
-    gkeys = [_graph_degree_key(g, v) for v in range(g.n)]
-    hkeys = [_graph_degree_key(h, v) for v in range(h.n)]
-    return _least_carrying(g, h, gkeys, hkeys, carries_edges)
+    return _least_carrying(g, h, _graph_degree_key, carries_edges)
 
 
 def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
@@ -521,9 +532,7 @@ def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
         raise BoundExceeded(f"homeomorphism testing capped at n <= {ISO_BOUND}")
     if sorted(len(u) for u in x.opens) != sorted(len(u) for u in y.opens):
         return None
-    xkeys = [len(x.min_open(p)) for p in range(x.n)]
-    ykeys = [len(y.min_open(p)) for p in range(y.n)]
-    return _least_carrying(x, y, xkeys, ykeys, carries_opens)
+    return _least_carrying(x, y, lambda s, p: len(s.min_open(p)), carries_opens)
 
 
 # ---------------------------------------------------------------------------
@@ -569,18 +578,14 @@ def enumerate_graphs(n: int, policy: str, bound: int | None = None) -> list[Fini
     return reps
 
 
-def _all_topologies(n: int):
-    full = frozenset(range(n))
-    empty = frozenset()
-    proper = [
-        frozenset(i for i in range(n) if mask >> i & 1)
-        for mask in range(1, 2 ** n - 1)
-    ]
-    for k in range(2 ** len(proper)):
-        fam = {empty, full}
-        fam.update(proper[i] for i in range(len(proper)) if k >> i & 1)
-        if _is_topology_on(n, fam):
-            yield frozenset(fam)
+def _closed_families(n: int, masks):
+    """Index lists of the sub-lists of masks (subsets of 0..n-1 as bitmasks)
+    that form a topology with the empty and full sets, in counting order."""
+    fixed = [0, 2 ** n - 1]
+    for k in range(2 ** len(masks)):
+        keep = [i for i in range(len(masks)) if k >> i & 1]
+        if _closure_gap(fixed + [masks[i] for i in keep]) is None:
+            yield keep
 
 
 def enumerate_spaces(n: int, bound: int | None = None) -> list[FiniteSpace]:
@@ -591,12 +596,15 @@ def enumerate_spaces(n: int, bound: int | None = None) -> list[FiniteSpace]:
     perms = list(itertools.permutations(range(n)))
     reps = []
     seen: set[tuple[int, ...]] = set()
-    for fam in _all_topologies(n):
-        enc = tuple(sorted(_bitmask(u) for u in fam))
+    proper = range(1, 2 ** n - 1)
+    for keep in _closed_families(n, proper):
+        fam = [0, 2 ** n - 1] + [proper[i] for i in keep]
+        enc = tuple(sorted(fam))
         if enc in seen:
             continue
+        opens = [[q for q in range(n) if m >> q & 1] for m in fam]
         orbit = {
-            tuple(sorted(_bitmask(frozenset(p[q] for q in u)) for u in fam))
+            tuple(sorted(_bitmask(p[q] for q in u) for u in opens))
             for p in perms
         }
         seen.update(orbit)

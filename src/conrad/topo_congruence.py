@@ -34,7 +34,7 @@ from .structures import (
     FiniteSpace,
     Partition,
     _bitmask,
-    _closure_gap,
+    _closed_families,
     _is_topology_on,
     _positions,
     _refines,
@@ -67,7 +67,7 @@ def universal_tc(x: FiniteSpace) -> TopoCongruence:
 
 def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
     """Congruence ordering: relation grows, topology shrinks."""
-    return a.part.refines(b.part) and b.ctop <= a.ctop
+    return _refines(a.part.class_id, b.part.class_id) and b.ctop <= a.ctop
 
 
 def _saturated(part: Partition, u: frozenset[int]) -> bool:
@@ -255,7 +255,6 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
     """
     full = x.full
     empty = frozenset()
-    fixed = [0, _bitmask(full)]
     plans = []
     scanned = 0
     for part in bounded_partitions(x.n):
@@ -264,12 +263,9 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
         plans.append((part, sat))
     out = []
     for part, sat in plans:
-        masks = [_bitmask(u) for u in sat]
         found = []
-        for k in range(2 ** len(sat)):
-            keep = [i for i in range(len(sat)) if k >> i & 1]
-            if _closure_gap(fixed + [masks[i] for i in keep]) is None:
-                found.append(TopoCongruence(part, frozenset([empty, full] + [sat[i] for i in keep])))
+        for keep in _closed_families(x.n, [_bitmask(u) for u in sat]):
+            found.append(TopoCongruence(part, frozenset([empty, full] + [sat[i] for i in keep])))
         found.sort(key=lambda c: c.encoding())
         out.extend(found)
     return out

@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from .graph_congruence import GraphCongruence, block_orbit
-from .radical_engine import KIND_OPS, _nonempty_subsets, build_universe, surjective_morphisms
-from .structures import FiniteGraph, Partition
+from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
+from .structures import FiniteGraph, Partition, _nonempty_subsets, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -136,7 +136,7 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
             by_part.setdefault(theta.part, []).append((theta, quotient))
         for part_a, group_a in by_part.items():
             for part_b, group_b in by_part.items():
-                if not part_a.refines(part_b):
+                if not _refines(part_a.class_id, part_b.class_id):
                     continue
                 for alpha, stage in group_a:
                     for beta, right in group_b:

@@ -17,7 +17,9 @@ from conrad.cli_io import (
 from conrad.errors import (
     IndependenceViolated,
     InputSyntaxError,
+    NotATopology,
     NotSaturated,
+    NotSubTopology,
     SemanticError,
 )
 from conrad.structures import (
@@ -75,6 +77,23 @@ def test_parse_congruence_examples():
         parse_congruence("gcong\nblock 0 1\nedge 0 1\n", complete_graph(2))
     with pytest.raises(NotSaturated):
         parse_congruence("tcong\nblock 0 1\nopen -\nopen 0\nopen 0,1\n", S2)
+
+
+@pytest.mark.parametrize("stray", ["-1", "99999999999"])
+def test_parse_congruence_stray_point_ids(stray, tmp_path, capsys):
+    # a negative or huge point id in an open is refused like any other bad
+    # open: an open family that is not closed, or closed but not in the carrier
+    head = "tcong\nblock 0 1\nopen -\nopen 0,1\n"
+    with pytest.raises(NotATopology):
+        parse_congruence(f"{head}open {stray}\n", S2)
+    closed = f"{head}open {stray}\nopen 0,1,{stray}\n"
+    with pytest.raises(NotSubTopology):
+        parse_congruence(closed, S2)
+    (tmp_path / "s2.txt").write_text("space 2\nopen -\nopen 0\nopen 0,1\n")
+    (tmp_path / "c.txt").write_text(closed)
+    argv = ["quotient", "--space", str(tmp_path / "s2.txt"), "--cong", str(tmp_path / "c.txt")]
+    assert run_command(argv) == 2
+    assert "is not open in the carrier" in capsys.readouterr().err
 
 
 def test_round_trip_structures():
