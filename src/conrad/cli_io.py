@@ -17,11 +17,13 @@ from . import radical_engine as eng
 from . import topo_congruence as tcm
 from . import verification as ver
 from .errors import (
+    BadCatalogId,
     BoundExceeded,
     CheckDefect,
     ConradError,
     InputSyntaxError,
     InvalidCongruence,
+    KindMismatch,
     SemanticError,
     UsageError,
 )
@@ -472,7 +474,8 @@ _HANDLERS = {
 
 
 # errors in the request or its input files; every other ConradError exits 1
-_EXIT_2 = (UsageError, InputSyntaxError, SemanticError, InvalidCongruence, BoundExceeded)
+_EXIT_2 = (UsageError, InputSyntaxError, SemanticError, InvalidCongruence, BoundExceeded,
+           KindMismatch, BadCatalogId)
 
 
 def run_command(argv: list[str]) -> int:

@@ -22,6 +22,7 @@ from . import loopless_congruence as lc
 from . import topo_congruence as tc
 from .errors import (
     BadCatalogId,
+    BoundExceeded,
     CheckDefect,
     ConradError,
     EmptyList,
@@ -32,6 +33,7 @@ from .errors import (
     NoQualifyingCongruence,
 )
 from .structures import (
+    CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
     FiniteSpace,
     I2,
@@ -81,13 +83,8 @@ GRAPH_CATALOG_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 
 def indistinguishability_partition(x: FiniteSpace) -> Partition:
-    """Points sharing every open set fall into one block."""
-    return Partition.from_map(
-        tuple(
-            min(q for q in range(x.n) if x.min_open(q) == x.min_open(p))
-            for p in range(x.n)
-        )
-    )
+    """Points sharing every open set, hence their least open set, fall into one block."""
+    return Partition.from_map(x.min_opens)
 
 
 def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
@@ -123,6 +120,8 @@ def _loop_block_partition(g: FiniteGraph) -> Partition:
 def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
     if g.policy != LOOPS:
         raise KindMismatch("the graph catalog lives in the loop-admitting kind")
+    if g.n * (g.n + 1) // 2 > CONGRUENCE_SCAN_BOUND:  # the admissible pairs, before any is built
+        raise BoundExceeded(f"graph catalog capped at {CONGRUENCE_SCAN_BOUND} vertex pairs")
     loops = g.loop_vertices
     ident = Partition.identity(g.n)
     if cid == "a":
@@ -192,7 +191,9 @@ def _specialization(x: FiniteSpace) -> frozenset[tuple[int, int]]:
     A map of finite spaces is continuous iff it is monotone for this preorder
     (Alexandroff 1937; Stong, Trans. AMS 123, 1966).
     """
-    return frozenset((p, q) for p in range(x.n) for q in x.min_open(p))
+    return frozenset(
+        (p, q) for p, mask in enumerate(x.min_opens) for q in range(x.n) if mask >> q & 1
+    )
 
 
 def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
@@ -299,19 +300,18 @@ def class_predicate(name: str, kind: str, member: Callable) -> ClassPredicate:
     return pred
 
 
+def _iso_to_some(kind: str, structure, pool) -> bool:
+    """Whether the structure is isomorphic to a member of the pool."""
+    iso = KIND_OPS[kind].iso
+    return any(m.n == structure.n and iso(structure, m) is not None for m in pool)
+
+
 def class_from_members(kind: str, name: str, members) -> ClassPredicate:
     """Iso-closure of an explicit finite list plus the trivial structures."""
     pool = tuple(members)
-    iso = KIND_OPS[kind].iso
-
-    def member(structure):
-        if (structure.n if hasattr(structure, "n") else 0) == 1:
-            return True
-        return any(
-            m.n == structure.n and iso(structure, m) is not None for m in pool
-        )
-
-    return ClassPredicate(name, kind, member)
+    return ClassPredicate(
+        name, kind, lambda structure: structure.n == 1 or _iso_to_some(kind, structure, pool)
+    )
 
 
 @dataclass(frozen=True)
@@ -575,14 +575,11 @@ def ideal_hereditary(sigma: RadicalAssignment, uni: Universe):
 
 
 def _class_hereditary(kind: str, members_in_class) -> tuple[bool, tuple | None]:
-    ops = KIND_OPS[kind]
-
-    def contains(x) -> bool:
-        return any(x.n == m.n and ops.iso(x, m) is not None for m in members_in_class)
-
+    # no trivial shortcut: a semisimple class can lack a one-point structure
+    substructure = KIND_OPS[kind].substructure
     for x in members_in_class:
         for sub in _nonempty_subsets(x.n):
-            if not contains(ops.substructure(x, sub)):
+            if not _iso_to_some(kind, substructure(x, sub), members_in_class):
                 return False, (x, sub)
     return True, None
 
@@ -647,10 +644,6 @@ def S_operator(cls: ClassPredicate, uni: Universe) -> list:
     return _members_avoiding(cls, uni, _nontrivial_substructures)
 
 
-def _encodings(structures) -> set:
-    return {s.encoding() for s in structures}
-
-
 def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
     """Fixed point USC = C, cross-checked by the C-congruence characterization.
 
@@ -658,10 +651,10 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
     loopless blocks are independent sets, so that characterization has no
     loopless counterpart and the fixed point stands alone there.
     """
-    in_class = [x for x in uni.members if cls(x)]
+    in_class = {x for x in uni.members if cls(x)}
     sc = class_from_members(uni.kind, f"S-{cls.name}", S_operator(cls, uni))
     usc = U_operator(sc, uni)
-    fixed_verdict = _encodings(usc) == _encodings(in_class)
+    fixed_verdict = set(usc) == in_class
     if uni.kind == KIND_LOOPLESS:
         return fixed_verdict
 
@@ -675,8 +668,7 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
                 return False
         return True
 
-    cong_members = [x for x in uni.members if every_image_has_c_congruence(x)]
-    cong_verdict = _encodings(cong_members) == _encodings(in_class)
+    cong_verdict = {x for x in uni.members if every_image_has_c_congruence(x)} == in_class
     if fixed_verdict != cong_verdict:
         raise CheckDefect(
             f"fixed-point and congruence characterizations disagree for {cls.name!r}"
@@ -686,10 +678,9 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
 
 def is_disconnectedness(cls: ClassPredicate, uni: Universe) -> bool:
     """Fixed point SUD = D."""
-    in_class = [x for x in uni.members if cls(x)]
+    in_class = {x for x in uni.members if cls(x)}
     ud = class_from_members(uni.kind, f"U-{cls.name}", U_operator(cls, uni))
-    sud = S_operator(ud, uni)
-    return _encodings(sud) == _encodings(in_class)
+    return set(S_operator(ud, uni)) == in_class
 
 
 # ---------------------------------------------------------------------------
@@ -777,19 +768,14 @@ def complementary_pair_check(c_cls: ClassPredicate, d_cls: ClassPredicate, uni: 
     """Union covers the universe, intersection is trivial, D = SC and C = UD."""
     if c_cls.kind != d_cls.kind or c_cls.kind != uni.kind:
         raise KindMismatch("complementary pair needs matching kinds")
-    c_members = [x for x in uni.members if c_cls(x)]
-    d_members = [x for x in uni.members if d_cls(x)]
-    trivial = [x for x in uni.members if x.n == 1]
-    inter = _encodings(c_members) & _encodings(d_members)
-    if inter != _encodings(trivial):
-        return False
-    if _encodings(c_members) | _encodings(d_members) != _encodings(uni.members):
-        return False
-    if _encodings(S_operator(c_cls, uni)) != _encodings(d_members):
-        return False
-    if _encodings(U_operator(d_cls, uni)) != _encodings(c_members):
-        return False
-    return True
+    c_members = {x for x in uni.members if c_cls(x)}
+    d_members = {x for x in uni.members if d_cls(x)}
+    return (
+        c_members & d_members == {x for x in uni.members if x.n == 1}
+        and c_members | d_members == set(uni.members)
+        and set(S_operator(c_cls, uni)) == d_members
+        and set(U_operator(d_cls, uni)) == c_members
+    )
 
 
 def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:

@@ -6,6 +6,7 @@ collection is canonically normalized so that equality is structural.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -394,23 +395,27 @@ class FiniteSpace:
         return len(self.opens) == 2 ** self.n
 
     def is_t0(self) -> bool:
-        return all(
-            any((x in u) != (y in u) for u in self.opens)
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-        )
+        # two points are indistinguishable iff they share a least open set
+        return len(set(self.min_opens)) == self.n
 
     def is_t1(self) -> bool:
         # finite T1 = discrete
         return self.is_discrete()
 
-    def min_open(self, x: int) -> frozenset[int]:
-        """Smallest open set containing x (exists in a finite space)."""
-        out = self.full
+    @functools.cached_property
+    def min_opens(self) -> tuple[int, ...]:
+        """Each point's smallest open set as a bitmask; they determine the space
+        (Stong, Trans. AMS 123, 1966)."""
+        out = [2 ** self.n - 1] * self.n
         for u in self.opens:
-            if x in u:
-                out &= u
-        return out
+            mask = _bitmask(u)
+            for p in u:
+                out[p] &= mask
+        return tuple(out)
+
+    def min_open(self, x: int) -> frozenset[int]:
+        """Smallest open set containing x."""
+        return frozenset(p for p in range(self.n) if self.min_opens[x] >> p & 1)
 
     def encoding(self) -> tuple:
         return (self.n, tuple(sorted(_bitmask(u) for u in self.opens)))
@@ -532,7 +537,7 @@ def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
         raise BoundExceeded(f"homeomorphism testing capped at n <= {ISO_BOUND}")
     if sorted(len(u) for u in x.opens) != sorted(len(u) for u in y.opens):
         return None
-    return _least_carrying(x, y, lambda s, p: len(s.min_open(p)), carries_opens)
+    return _least_carrying(x, y, lambda s, p: s.min_opens[p].bit_count(), carries_opens)
 
 
 # ---------------------------------------------------------------------------

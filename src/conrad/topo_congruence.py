@@ -303,17 +303,21 @@ def sierpinski_decomposition(x: FiniteSpace) -> list[TopoCongruence]:
     indiscrete space whose meet is the identity congruence, fewest first.
 
     Before each size k the C(candidates, k) combinations are counted, and
-    the search is refused once the running count passes the scan bound."""
+    the search is refused once the running count passes the scan bound, or
+    before any candidate is built when it is sure to pass it."""
     if x.n == 1:
         raise TrivialSpace("one-point spaces admit no two-point factors")
-    refused = BoundExceeded(f"sierpinski search capped at {CONGRUENCE_SCAN_BOUND} combinations")
-    if 2 ** (x.n - 1) - 1 > CONGRUENCE_SCAN_BOUND:  # a candidate per two-block partition
+    bound = CONGRUENCE_SCAN_BOUND
+    refused = BoundExceeded(f"sierpinski search capped at {bound} combinations")
+    # a candidate per two-block partition; under ceil(log2 n) factors cannot separate n points
+    least = min(2 ** (x.n - 1) - 1, bound + 1)
+    if sum(math.comb(least, k) for k in range(1, (x.n - 1).bit_length() + 1)) > bound:
         raise refused
     candidates = sierpinski_candidates(x)
     scanned = 0
     for size in range(1, len(candidates) + 1):
         scanned += math.comb(len(candidates), size)
-        if scanned > CONGRUENCE_SCAN_BOUND:
+        if scanned > bound:
             raise refused
         for combo in itertools.combinations(candidates, size):
             if meet_tc(x, list(combo)) == identity_tc(x):

@@ -374,3 +374,98 @@ def test_cli_sierpinski_search_is_bounded(tmp_path, capsys):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err == "error: sierpinski search capped at 100000 combinations\n"
+
+
+@pytest.mark.parametrize("cid", "abcdefgh")
+def test_cli_graph_catalog_refuses_a_huge_carrier_at_once(tmp_path, capsys, cid):
+    # 10^6 looped vertices admit about 5 * 10^11 pairs; none is listed
+    path = tmp_path / "huge.txt"
+    path.write_text("graph 1000000 loops\n")
+    start = time.perf_counter()
+    status = run_command(["catalog", "--kind", "graph", "--id", cid, str(path)])
+    elapsed = time.perf_counter() - start
+    assert status == 2
+    assert capsys.readouterr().err == "error: graph catalog capped at 100000 vertex pairs\n"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n, status", [(446, 0), (447, 2)])
+def test_cli_graph_catalog_bound_is_the_pair_count(tmp_path, capsys, n, status):
+    # a looped graph on n vertices admits n(n+1)/2 pairs: 99,681 at 446, 100,128 at 447
+    path = tmp_path / "edgeless.txt"
+    path.write_text(f"graph {n} loops\n")
+    assert run_command(["catalog", "--kind", "graph", "--id", "f", str(path)]) == status
+    assert capsys.readouterr().err == ("" if status == 0 else
+                                       "error: graph catalog capped at 100000 vertex pairs\n")
+
+
+@pytest.mark.parametrize("n, masks", [(8, range(256)), (16, [0, 2 ** 16 - 1])],
+                         ids=["discrete-8", "indiscrete-16"])
+def test_cli_sierpinski_refuses_a_sure_refusal_at_once(tmp_path, capsys, n, masks):
+    # 2^(n-1) - 1 two-block candidates at least, and no fewer than ceil(log2 n)
+    # factors: 127 + C(127, 2) + C(127, 3) combinations already pass the bound at n = 8
+    opens = [",".join(str(p) for p in range(n) if m >> p & 1) or "-" for m in masks]
+    path = tmp_path / "x.txt"
+    path.write_text(f"space {n}\n" + "".join(f"open {u}\n" for u in opens))
+    start = time.perf_counter()
+    status = run_command(["decompose", "--sierpinski", str(path)])
+    elapsed = time.perf_counter() - start
+    assert status == 2
+    assert capsys.readouterr().err == "error: sierpinski search capped at 100000 combinations\n"
+    assert elapsed < 0.5
+
+
+def test_cli_indistinguishability_catalog_on_a_large_space(tmp_path, capsys):
+    # one block holds all 800 points of the indiscrete space
+    points = " ".join(str(p) for p in range(800))
+    path = tmp_path / "i800.txt"
+    path.write_text(f"space 800\nopen -\nopen {points.replace(' ', ',')}\n")
+    argv = ["catalog", "--kind", "topo", "--id", "b", str(path)]
+    start = time.perf_counter()
+    status = run_command(argv)
+    elapsed = time.perf_counter() - start
+    assert status == 0
+    assert capsys.readouterr().out == "\n".join([
+        "command: " + " ".join(argv),
+        "tcong",
+        f"block {points}",
+        "open -",
+        f"open {points.replace(' ', ',')}",
+        "quotient: space n=1 opens -;0",
+    ]) + "\n"
+    assert elapsed < 1.0
+
+
+_USAGE_ERRORS = [
+    ("universe --kind foo --check ka", "unknown kind 'foo'"),
+    ("verify --kind foo", "unknown kind 'foo'"),
+    ("universe --kind loopless --max-n 2 --check ka", "--class is required for the loopless kind"),
+    ("universe --kind topo --max-n 2 --check complementary",
+     "--check complementary needs --class"),
+    ("universe --kind graph --max-n 2 --check degeneracy --class all",
+     "--check degeneracy lives in the loopless kind"),
+    ("universe --kind loopless --max-n 2 --check degeneracy", "--check degeneracy needs --class"),
+    ("congruences", "one of --space or --graph is required"),
+    ("congruences --space {b4}", "{b4} does not contain a space"),
+    ("decompose", "one of --birkhoff or --sierpinski is required"),
+    ("decompose --birkhoff {b4}", "birkhoff decomposition needs a loopless graph"),
+    ("decompose --sierpinski {b4}", "sierpinski decomposition needs a space"),
+    ("catalog --kind topo --id a {b4}", "catalog --kind topo needs a topo file, not a graph one"),
+    ("quotient --space {d2} --cong {d2}.missing", "cannot read {d2}.missing: "),
+    ("radical --class nope {b4}", "no built-in graph class 'nope'; known: all, all-looped, "
+     "at-most-one-loop, complete-looped, loop-clique, loop-dominated, trivial, trivial-looped, "
+     "trivial-or-all-looped"),
+    ("catalog --kind graph --id z {b4}", "graph catalog has entries a-h, not 'z'"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _USAGE_ERRORS, ids=[argv for argv, _ in _USAGE_ERRORS])
+def test_cli_usage_errors_exit_2(files, monkeypatch, capsys, argv, err):
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    status = run_command(argv.format(**files).split())
+    captured = capsys.readouterr().err
+    assert status == 2
+    if err.endswith(": "):  # the operating system's wording follows
+        assert captured.startswith("error: " + err.format(**files)) and captured.count("\n") == 1
+    else:
+        assert captured == f"error: {err.format(**files)}\n"

@@ -56,6 +56,7 @@ from conrad.radical_engine import (
     radical_members,
     rho_sum,
     s_hereditary,
+    semisimple_class_hereditary,
     semisimple_members,
     subdirect_closure,
     surjective_morphisms,
@@ -801,3 +802,15 @@ def test_radical_assignment_computes_each_value_once():
     for x in UNI_TOPO.members + UNI_TOPO.members:
         assert sigma(x) == tc.identity_tc(x)
     assert calls == list(UNI_TOPO.members)
+
+
+def test_semisimple_class_heredity_counts_one_point_parts():
+    # identity on graphs with a loop, universal on the rest: T0 and B3 are
+    # semisimple, but B3's unlooped point T is not, so the class is not hereditary
+    sigma = RadicalAssignment(
+        "identity-if-looped", KIND_GRAPH,
+        lambda g: gc.identity_gc(g) if g.loop_vertices else gc.universal_gc(g), "custom",
+    )
+    uni = build_universe(KIND_GRAPH, 2)
+    assert T0 in semisimple_members(sigma, uni) and T not in semisimple_members(sigma, uni)
+    assert semisimple_class_hereditary(sigma, uni) == (False, (B3, (1,)))

@@ -1,6 +1,7 @@
 """Structures: partitions, graphs, spaces, iso/homeo, enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from conrad.errors import (
     PolicyMismatch,
     SemanticError,
 )
+from conrad.radical_engine import _specialization, indistinguishability_partition
 from conrad.structures import (
     A3,
     B1,
@@ -33,6 +35,7 @@ from conrad.structures import (
     S2,
     T0,
     T_SPACE,
+    _closed_families,
     all_partitions,
     bell_number,
     complete_graph,
@@ -51,6 +54,7 @@ from conrad.structures import (
     subspace,
 )
 from conrad.structures import space as validate_space
+from conrad.topo_congruence import random_space
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +197,40 @@ def test_space_properties():
     assert not I2.is_t0()
     assert S2.min_open(0) == frozenset({0})
     assert S2.min_open(1) == frozenset({0, 1})
+
+
+def _oracle_spaces():
+    """Every topology on at most 4 points, then seeded random spaces on 5 and 6."""
+    spaces = []
+    for n in range(1, 5):
+        proper = range(1, 2 ** n - 1)
+        for keep in _closed_families(n, proper):
+            masks = [0, 2 ** n - 1] + [proper[i] for i in keep]
+            spaces.append(space(n, [[p for p in range(n) if m >> p & 1] for m in masks]))
+    assert len(spaces) == 1 + 4 + 29 + 355  # labelled topologies, OEIS A000798
+    rng = random.Random(8)
+    return spaces + [random_space(rng, n) for n in (5, 6) for _ in range(40)]
+
+
+def test_neighbourhoods_match_pairwise_definitions():
+    # each answer read off the minimal opens against its definition on the opens
+    for x in _oracle_spaces():
+        points = range(x.n)
+        around = [[u for u in x.opens if p in u] for p in points]
+        least = [frozenset.intersection(*us) for us in around]
+        assert [x.min_open(p) for p in points] == least
+        assert x.min_opens == tuple(sum(1 << q for q in u) for u in least)
+        assert x.is_t0() == all(
+            any((p in u) != (q in u) for u in x.opens)
+            for p, q in itertools.combinations(points, 2)
+        )
+        part = indistinguishability_partition(x)
+        for p, q in itertools.product(points, repeat=2):
+            assert part.same(p, q) == all((p in u) == (q in u) for u in x.opens)
+        assert _specialization(x) == {
+            (p, q) for p, q in itertools.product(points, repeat=2)
+            if all(q in u for u in around[p])
+        }
 
 
 def test_iso_graphs_examples():
