@@ -34,6 +34,7 @@ from .structures import (
     NOLOOPS,
     Partition,
     _env_bound,
+    _norm_pair,
     graph,
     space,
 )
@@ -129,7 +130,7 @@ def parse_congruence(text: str, carrier):
                 a, b = int(toks[1]), int(toks[2])
             except ValueError:
                 raise InputSyntaxError(no2, "edge endpoints must be integers")
-            members.append((min(a, b), max(a, b)))
+            members.append(_norm_pair(a, b))
         else:
             other = "open <ids>|-" if topo else "edge <a> <b>"
             raise InputSyntaxError(no2, f"expected: block <ids> or {other}")
@@ -329,9 +330,17 @@ def _sigmas_for(kind: str, args) -> list:
     return [eng.catalog_radical(kind, cid) for cid in ids]
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    """Refuse a size below the least one; an empty universe passes every check vacuously."""
+    if value < least:
+        raise UsageError(f"{name} must be at least {least}, got {value}")
+
+
 def _cmd_universe(args, report: Report) -> None:
     if args.max_n is None:
         args.max_n = _env_bound(3)
+        _at_least("CONRAD_MAX_N", args.max_n, 1)
+    _at_least("--max-n", args.max_n, 1)
     kind = args.kind
     if kind not in eng.KINDS:
         raise UsageError(f"unknown kind {kind!r}")
@@ -398,6 +407,8 @@ def _cmd_universe(args, report: Report) -> None:
 
 
 def _cmd_verify(args, report: Report) -> None:
+    _at_least("--max-n", args.max_n, 1)
+    _at_least("--samples", args.samples, 0)
     kind = args.kind
     if kind not in eng.KINDS:
         raise UsageError(f"unknown kind {kind!r}")

@@ -40,7 +40,6 @@ from .structures import (
     _refines,
     bounded_partitions,
     count_scanned,
-    graph,
     image_partition,
     join_partitions,
     meet_partitions,
@@ -81,10 +80,11 @@ def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:
 
 def _orbits(g: FiniteGraph, part: Partition):
     """Block-pair orbits; a loopless carrier has no diagonal ones."""
+    blocks = part.blocks
     diagonal = g.policy == LOOPS
-    for i in range(part.num_blocks):
-        for j in range(i if diagonal else i + 1, part.num_blocks):
-            yield block_orbit(part, part.blocks[i][0], part.blocks[j][0])
+    for i in range(len(blocks)):
+        for j in range(i if diagonal else i + 1, len(blocks)):
+            yield block_orbit(part, blocks[i][0], blocks[j][0])
 
 
 def saturation_gc(g: FiniteGraph, part: Partition) -> frozenset[tuple[int, int]]:
@@ -135,7 +135,7 @@ def _require_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> None:
 
 def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     _require_homomorphism(g, h, f)
-    part = Partition.from_map(tuple(f))
+    part = Partition(f)
     cedges = frozenset(
         p for p in g.all_pairs if _norm_pair(f[p[0]], f[p[1]]) in h.edges
     )
@@ -144,7 +144,7 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 
 def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     _require_homomorphism(g, h, f)
-    return strongify_gc(g, Partition.from_map(tuple(f)))
+    return strongify_gc(g, Partition(f))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,8 @@ def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruenc
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
     """Quotient graph under the carrier's loop policy, and the projection."""
     cid = theta.part.class_id
-    edges = {(min(cid[a], cid[b]), max(cid[a], cid[b])) for a, b in theta.cedges}
-    return graph(theta.part.num_blocks, g.policy, edges), cid
+    edges = frozenset(_norm_pair(cid[a], cid[b]) for a, b in theta.cedges)
+    return FiniteGraph(theta.part.num_blocks, g.policy, edges), cid
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
@@ -171,7 +171,7 @@ def quotient_cong_gc(g: FiniteGraph, t1: GraphCongruence, t2: GraphCongruence) -
     if not le_gc(t1, t2):
         raise NotContained("the second congruence must contain the first")
     cid = t1.part.class_id
-    part = Partition.from_map(tuple(t2.part.class_id[b[0]] for b in t1.part.blocks))
+    part = Partition([t2.part.class_id[b[0]] for b in t1.part.blocks])
     cedges = frozenset(_norm_pair(cid[a], cid[b]) for a, b in t2.cedges)
     return GraphCongruence(part, cedges)
 
@@ -212,20 +212,22 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -
     raw = [0] * h.n
     for b, cls in enumerate(qc.part.class_id):
         raw[to_h[b]] = cls
-    part = Partition.from_map(tuple(raw))
+    part = Partition(raw)
     cedges = frozenset(_norm_pair(to_h[a], to_h[b]) for a, b in qc.cedges)
     return GraphCongruence(part, cedges)
 
 
 def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,
-                beta: GraphCongruence) -> bool:
+                beta: GraphCongruence, checked: bool = True) -> bool:
     """Whether theta's image along f lies below a valid beta, decided pointwise.
 
     On a loop carrier this equals le_gc(image_gc(...), beta), because beta
     holds E_h and is closed under substitution.  On a loopless carrier the
-    image need not be a congruence, and this comparison is the definition."""
-    require_surjective(f, h.n)
-    _require_homomorphism(g, h, f)
+    image need not be a congruence, and this comparison is the definition.
+    checked=False trusts f to be a surjective homomorphism."""
+    if checked:
+        require_surjective(f, h.n)
+        _require_homomorphism(g, h, f)
     return _refines(theta.part.class_id, [beta.part.class_id[v] for v in f]) and all(
         _norm_pair(f[a], f[b]) in beta.cedges for a, b in theta.cedges
     )
@@ -325,4 +327,4 @@ def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
                 _norm_pair(a, b) in fct.edges for a, b, fct in zip(u, v, factors)
             ):
                 edges.add((pos[u], pos[v]))
-    return graph(len(verts), LOOPS, edges)
+    return FiniteGraph(len(verts), LOOPS, frozenset(edges))

@@ -14,6 +14,7 @@ built outside the library.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import (
@@ -129,16 +130,10 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
     colorings = [
         part for part in partitions if part.num_blocks < g.n and _blocks_independent(g, part)
     ]
-    covers = []
-    for part in colorings:
-        inside = {
-            _norm_pair(a, b)
-            for block in part.blocks
-            for a in block
-            for b in block
-            if a < b
-        }
-        covers.append((part, inside))
+    covers = [
+        (part, {pair for block in part.blocks for pair in itertools.combinations(block, 2)})
+        for part in colorings
+    ]
     while uncovered:
         best = None
         for part, inside in covers:

@@ -84,7 +84,7 @@ GRAPH_CATALOG_IDS = ("a", "b", "c", "d", "e", "f", "g", "h")
 
 def indistinguishability_partition(x: FiniteSpace) -> Partition:
     """Points sharing every open set, hence their least open set, fall into one block."""
-    return Partition.from_map(x.min_opens)
+    return Partition(x.min_opens)
 
 
 def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
@@ -108,13 +108,9 @@ def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
 
 
 def _loop_block_partition(g: FiniteGraph) -> Partition:
+    """The looped vertices in one block, every other vertex alone."""
     loops = g.loop_vertices
-    if not loops:
-        return Partition.identity(g.n)
-    anchor = min(loops)
-    return Partition.from_map(
-        tuple(anchor if v in loops else v for v in range(g.n))
-    )
+    return Partition([-1 if v in loops else v for v in range(g.n)])
 
 
 def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
@@ -472,6 +468,7 @@ def surjective_morphisms(kind: str, x, y) -> list[tuple]:
 
 
 def verify_H1(sigma: RadicalAssignment, x, y, f) -> bool:
+    """H1 for one map, which is checked to be a surjective morphism first."""
     ops = KIND_OPS[sigma.kind]
     return ops.image_le(x, y, f, sigma(x), sigma(y))
 
@@ -483,11 +480,13 @@ def verify_H2(sigma: RadicalAssignment, x) -> bool:
 
 
 def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
+    """The (x, y, f) failing H1; the universe's maps are not checked again."""
+    image_le = KIND_OPS[sigma.kind].image_le
     failures = []
     for x in uni.members:
         for y in uni.members:
             for f in uni.surjections(x, y):
-                if not verify_H1(sigma, x, y, f):
+                if not image_le(x, y, f, sigma(x), sigma(y), checked=False):
                     failures.append((x, y, f))
     return failures
 

@@ -10,7 +10,7 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -54,24 +54,25 @@ def _env_bound(default: int) -> int:
 class Partition:
     """Equivalence relation on 0..n-1, stored as a restricted growth string.
 
-    ``class_id[x]`` is the block index of x; block indices appear in order of
-    least element, which makes the representation canonical.
+    The constructor takes any labelling of the points by hashable values and
+    relabels it in one pass, so that ``class_id[x]`` is the block index of x
+    and block indices appear in order of least element, which makes the
+    representation canonical.
     """
 
     class_id: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        seen: dict[int, int] = {}
-        blocks: list[list[int]] = []
+        relabel: dict = {}
+        cid = tuple([relabel.setdefault(b, len(relabel)) for b in self.class_id])
+        object.__setattr__(self, "class_id", cid)
+
+    @functools.cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        blocks: list[list[int]] = [[] for _ in range(self.num_blocks)]
         for x, b in enumerate(self.class_id):
-            if b not in seen:
-                if b != len(blocks):
-                    raise SemanticError(f"class ids are not a growth string: {self.class_id}")
-                seen[b] = len(blocks)
-                blocks.append([])
             blocks[b].append(x)
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in blocks))
+        return tuple(map(tuple, blocks))
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
@@ -83,18 +84,7 @@ class Partition:
                 cid[x] = i
         if -1 in cid:
             raise SemanticError(f"blocks do not partition 0..{n - 1}")
-        return Partition.from_map(tuple(cid))
-
-    @staticmethod
-    def from_map(raw: tuple[int, ...]) -> "Partition":
-        """Normalize an arbitrary block labelling into canonical form."""
-        relabel: dict[int, int] = {}
-        cid = []
-        for b in raw:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            cid.append(relabel[b])
-        return Partition(tuple(cid))
+        return Partition(cid)
 
     @staticmethod
     def identity(n: int) -> "Partition":
@@ -110,7 +100,7 @@ class Partition:
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return max(self.class_id) + 1 if self.class_id else 0
 
     def same(self, a: int, b: int) -> bool:
         return self.class_id[a] == self.class_id[b]
@@ -124,7 +114,7 @@ class Partition:
         sub = sorted(subset)
         if not sub:
             raise EmptySubset("restriction to the empty set")
-        return Partition.from_map(tuple(self.class_id[x] for x in sub))
+        return Partition([self.class_id[x] for x in sub])
 
 
 def join_partitions(parts: list[Partition]) -> Partition:
@@ -143,23 +133,17 @@ def join_partitions(parts: list[Partition]) -> Partition:
             r = find(block[0])
             for x in block[1:]:
                 parent[find(x)] = r
-    return Partition.from_map(tuple(find(x) for x in range(n)))
+    return Partition([find(x) for x in range(n)])
 
 
 def image_partition(f: tuple, part: Partition, m: int) -> Partition:
     """The finest partition of 0..m-1 in which f sends each block of part into one block."""
-    parts = [Partition.identity(m)]
-    for block in part.blocks:
-        hit = sorted({f[v] for v in block})
-        raw = list(range(m))
-        for q in hit[1:]:
-            raw[q] = hit[0]
-        parts.append(Partition.from_map(tuple(raw)))
-    return join_partitions(parts)
+    hits = [{f[v] for v in block} for block in part.blocks]
+    return join_partitions([Partition([-1 if q in hit else q for q in range(m)]) for hit in hits])
 
 
 def meet_partitions(parts: list[Partition]) -> Partition:
-    return Partition.from_map(tuple(tuple(p.class_id[x] for p in parts) for x in range(parts[0].n)))
+    return Partition(zip(*(p.class_id for p in parts)))
 
 
 def random_partition(rng: random.Random, n: int) -> Partition:
@@ -168,7 +152,7 @@ def random_partition(rng: random.Random, n: int) -> Partition:
     for _ in range(n):
         raw.append(rng.randrange(used + 1))
         used = max(used, raw[-1] + 1)
-    return Partition.from_map(tuple(raw))
+    return Partition(raw)
 
 
 def is_surjective(f: tuple, m: int) -> bool:
@@ -303,6 +287,7 @@ class FiniteGraph:
 
 
 def graph(n: int, policy: str, edges=()) -> FiniteGraph:
+    """The graph on raw vertex pairs, each put in (low, high) order."""
     return FiniteGraph(n, policy, frozenset(_norm_pair(a, b) for a, b in edges))
 
 
@@ -332,8 +317,9 @@ def completion(g: FiniteGraph) -> FiniteGraph:
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
     sub, pos = _positions(subset)
-    keep = [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos]
-    return graph(len(sub), g.policy, keep)
+    # pos keeps the order of the vertices, so the kept pairs stay normalised
+    keep = frozenset((pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos)
+    return FiniteGraph(len(sub), g.policy, keep)
 
 
 def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
@@ -577,8 +563,8 @@ def enumerate_graphs(n: int, policy: str, bound: int | None = None) -> list[Fini
                 if best < mask:
                     break
         if best == mask:
-            edges = [slots[i] for i in range(len(slots)) if mask >> i & 1]
-            reps.append(graph(n, policy, edges))
+            edges = frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1)
+            reps.append(FiniteGraph(n, policy, edges))
     reps.sort(key=lambda g: (len(g.edges), g.encoding()))
     return reps
 

@@ -120,7 +120,7 @@ def _require_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> None:
 def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     """Fibre partition plus the pulled-back topology."""
     _require_continuous(x, y, f)
-    part = Partition.from_map(tuple(f))
+    part = Partition(f)
     ctop = frozenset(
         frozenset(p for p in range(x.n) if f[p] in v) for v in y.opens
     )
@@ -129,7 +129,7 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 
 def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     _require_continuous(x, y, f)
-    return strongify_tc(x, Partition.from_map(tuple(f)))
+    return strongify_tc(x, Partition(f))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +156,7 @@ def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence
     if not le_tc(alpha, beta):
         raise NotContained("beta must contain alpha")
     proj = alpha.part.class_id
-    part = Partition.from_map(
-        tuple(beta.part.class_id[block[0]] for block in alpha.part.blocks)
-    )
+    part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
     ctop = frozenset(frozenset(proj[p] for p in u) for u in beta.ctop)
     return TopoCongruence(part, ctop)
 
@@ -215,17 +213,19 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> T
     raw = [0] * y.n
     for b, cls in enumerate(qc.part.class_id):
         raw[to_y[b]] = cls
-    part = Partition.from_map(tuple(raw))
+    part = Partition(raw)
     ctop = frozenset(frozenset(to_y[b] for b in w) for w in qc.ctop)
     return TopoCongruence(part, ctop)
 
 
 def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
-                beta: TopoCongruence) -> bool:
+                beta: TopoCongruence, checked: bool = True) -> bool:
     """Whether image_tc(x, y, f, rho) lies below a valid beta, decided pointwise:
-    f maps rho's blocks into beta's, and beta's opens pull back into rho's."""
-    require_surjective(f, y.n)
-    _require_continuous(x, y, f)
+    f maps rho's blocks into beta's, and beta's opens pull back into rho's.
+    checked=False trusts f to be a surjective continuous map."""
+    if checked:
+        require_surjective(f, y.n)
+        _require_continuous(x, y, f)
     return _refines(rho.part.class_id, [beta.part.class_id[v] for v in f]) and all(
         frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop for v in beta.ctop
     )
@@ -314,12 +314,20 @@ def sierpinski_decomposition(x: FiniteSpace) -> list[TopoCongruence]:
     if sum(math.comb(least, k) for k in range(1, (x.n - 1).bit_length() + 1)) > bound:
         raise refused
     candidates = sierpinski_candidates(x)
+    identity = identity_tc(x)
+    # the meet is the identity only when every pair of points is split by some
+    # factor's partition, so the meet is built only for such combinations
+    pairs = list(itertools.combinations(range(x.n), 2))
+    splits = [{pair for pair in pairs if not c.part.same(*pair)} for c in candidates]
     scanned = 0
     for size in range(1, len(candidates) + 1):
         scanned += math.comb(len(candidates), size)
         if scanned > bound:
             raise refused
-        for combo in itertools.combinations(candidates, size):
-            if meet_tc(x, list(combo)) == identity_tc(x):
-                return list(combo)
+        for combo in itertools.combinations(range(len(candidates)), size):
+            if len(set().union(*[splits[i] for i in combo])) < len(pairs):
+                continue
+            factors = [candidates[i] for i in combo]
+            if meet_tc(x, factors) == identity:
+                return factors
     raise SearchExhausted(f"no two-point decomposition found for n={x.n}")

@@ -189,9 +189,6 @@ def _coarsen_lc(rng: random.Random, g: FiniteGraph, alpha: GraphCongruence):
     if not mergeable:
         return alpha
     i, j = rng.choice(mergeable)
-    raw = list(alpha.part.class_id)
-    for v in blocks[j]:
-        raw[v] = alpha.part.class_id[blocks[i][0]]
-    part = Partition.from_map(tuple(raw))
+    part = Partition([i if b == j else b for b in alpha.part.class_id])
     cedges = frozenset().union(*(block_orbit(part, *pair) for pair in alpha.cedges))
     return GraphCongruence(part, cedges)

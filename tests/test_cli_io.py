@@ -289,6 +289,16 @@ def test_cli_malformed_max_n_env_is_a_usage_error(monkeypatch, capsys):
     assert captured.out == "command: universe --kind graph --check ka\n"
 
 
+def test_cli_max_n_env_below_one_is_a_usage_error(monkeypatch, capsys):
+    # an empty universe would pass every check vacuously
+    monkeypatch.setenv("CONRAD_MAX_N", "0")
+    status = run_command(["universe", "--kind", "topo", "--check", "ka"])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: CONRAD_MAX_N must be at least 1, got 0\n"
+    assert captured.out == "command: universe --kind topo --check ka\n"
+
+
 def test_enumerate_graphs_malformed_max_n_env(monkeypatch):
     from conrad.errors import UsageError
 
@@ -456,6 +466,9 @@ _USAGE_ERRORS = [
      "at-most-one-loop, complete-looped, loop-clique, loop-dominated, trivial, trivial-looped, "
      "trivial-or-all-looped"),
     ("catalog --kind graph --id z {b4}", "graph catalog has entries a-h, not 'z'"),
+    ("universe --kind topo --max-n 0 --check h1h2", "--max-n must be at least 1, got 0"),
+    ("verify --kind graph --max-n -2", "--max-n must be at least 1, got -2"),
+    ("verify --kind topo --samples -5", "--samples must be at least 0, got -5"),
 ]
 
 

@@ -350,7 +350,7 @@ def _congruences_by_definition(g, independent):
     """Encodings of every (partition, S) with E <= S <= all pairs such that
     a pair in S puts every pair between the blocks of its ends in S, and,
     when independent, no pair of S joins two related vertices."""
-    parts = {Partition.from_map(raw) for raw in itertools.product(range(g.n), repeat=g.n)}
+    parts = {Partition(raw) for raw in itertools.product(range(g.n), repeat=g.n)}
     free = sorted(g.all_pairs - g.edges)
     found = []
     for part in parts:

@@ -6,7 +6,7 @@ import pytest
 
 from conrad import graph_congruence as gc
 from conrad import topo_congruence as tc
-from conrad import radical_engine
+from conrad import radical_engine, structures
 from conrad.errors import (
     BadCatalogId,
     BoundExceeded,
@@ -234,7 +234,7 @@ def test_verify_h2_detects_broken_rule():
     # carrier whose radical quotient keeps at least two points
     def broken(x):
         if x.n >= 2:
-            return tc.strongify_tc(x, Partition.from_map((0, 0) + tuple(range(1, x.n - 1))))
+            return tc.strongify_tc(x, Partition((0, 0) + tuple(range(1, x.n - 1))))
         return tc.identity_tc(x)
 
     sigma = RadicalAssignment("merge-first-two", KIND_TOPO, broken, "custom")
@@ -357,6 +357,32 @@ def test_verify_h1_rejects_maps_that_are_not_surjective_morphisms():
             verify_H1(sigma, x, y, (0, 0))
         with pytest.raises(error):
             verify_H1(sigma, x, y, bad_map)
+
+
+@pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
+def test_h1_failures_do_not_recheck_the_universe_maps(monkeypatch, kind):
+    # the universe's search produced every map, so the sweep makes no
+    # surjectivity or morphism check; verify_H1 still checks a caller's map
+    checks = []
+
+    def counted(module, name):
+        check = getattr(module, name)
+
+        def wrapper(*args):
+            checks.append(name)
+            return check(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(structures, "is_surjective")
+    counted(tc, "is_continuous")
+    counted(gc, "is_homomorphism")
+    sigma = _universal_on_three(kind)
+    failures = h1_failures(sigma, build_universe(kind, 3))
+    assert len(failures) == {KIND_TOPO: 86, KIND_GRAPH: 227, KIND_LOOPLESS: 19}[kind]
+    assert checks == []
+    assert not verify_H1(sigma, *failures[0])
+    assert checks == ["is_surjective", "is_continuous" if kind == KIND_TOPO else "is_homomorphism"]
 
 
 # ---------------------------------------------------------------------------

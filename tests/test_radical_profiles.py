@@ -25,7 +25,7 @@ def _transport(cong, perm, n):
     raw = [0] * n
     for p in range(n):
         raw[perm[p]] = cong.part.class_id[p]
-    part = Partition.from_map(tuple(raw))
+    part = Partition(tuple(raw))
     ctop = frozenset(frozenset(perm[q] for q in u) for u in cong.ctop)
     return tc.TopoCongruence(part, ctop)
 

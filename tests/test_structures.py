@@ -105,11 +105,29 @@ def space_check_reference(n, opens):
                 raise NotClosedUnderIntersection(f"{sorted(u)} & {sorted(v)} missing")
 
 
+def _is_growth_string(cid) -> bool:
+    return all(b <= max(cid[:x], default=-1) + 1 for x, b in enumerate(cid))
+
+
 def test_partition_normalization():
     p = Partition.from_blocks(3, [[1], [0, 2]])
     assert p.class_id == (0, 1, 0)
     assert p.blocks == ((0, 2), (1,))
-    assert Partition.from_map((5, 9, 5)) == p
+    assert Partition((5, 9, 5)) == p
+    # the constructor relabels any labelling by hashable values
+    labellings = [raw for n in range(1, 6) for raw in itertools.product(range(n), repeat=n)]
+    labellings += [("b", "a", "b", "c"), ((1, 2), (0,), (1, 2), ()), ("x",)]
+    for raw in labellings:
+        grouping = {}
+        for x, label in enumerate(raw):
+            grouping.setdefault(label, []).append(x)
+        part = Partition(raw)
+        assert part == Partition.from_blocks(len(raw), grouping.values()), raw
+        assert _is_growth_string(part.class_id), raw
+        assert sorted(part.blocks) == sorted(map(tuple, grouping.values())), raw
+        assert [b[0] for b in part.blocks] == sorted(b[0] for b in part.blocks), raw
+        assert part.num_blocks == len(set(raw)), raw
+    assert len(labellings) == 1 + 4 + 27 + 256 + 3125 + 3
 
 
 def test_partition_ops():

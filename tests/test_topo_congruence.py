@@ -1,10 +1,14 @@
 """Topological congruences: validation, calculus, lattice laws, theorems."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 
+from conrad import topo_congruence
 from conrad.errors import (
+    BoundExceeded,
     EmptyList,
     EmptySubset,
     NotContained,
@@ -21,8 +25,10 @@ from conrad.structures import (
     S2,
     T_SPACE,
     all_partitions,
+    discrete_space,
     enumerate_spaces,
     homeo_spaces,
+    meet_partitions,
     space,
 )
 from conrad.radical_engine import check_subdirect as check_subdirect_tc
@@ -338,6 +344,33 @@ def test_sierpinski_decomposition_all_small_spaces():
         for c in dec:
             q, _ = quotient_tc(x, c)
             assert homeo_spaces(q, S2) is not None or homeo_spaces(q, I2) is not None
+
+
+def test_sierpinski_search_meets_only_separating_combinations(monkeypatch):
+    # a combination whose partitions leave two points together cannot meet to
+    # the identity, so the search builds the meet of separating ones only; the
+    # answers and refusals on these 7-point spaces (7 answered, 34 refused)
+    # hash as they did when every combination was met
+    met = []
+
+    def spy(x, rhos):
+        met.append([r.part for r in rhos])
+        return meet_tc(x, rhos)
+
+    monkeypatch.setattr(topo_congruence, "meet_tc", spy)
+    rng = random.Random(5)
+    spaces = [topo_congruence.random_space(rng, 7) for _ in range(40)] + [discrete_space(7)]
+    outcomes = []
+    for x in spaces:
+        try:
+            outcomes.append([c.encoding() for c in sierpinski_decomposition(x)])
+        except BoundExceeded as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    assert sum(isinstance(o, list) for o in outcomes) == 7
+    assert met and all(meet_partitions(parts) == Partition.identity(7) for parts in met)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+        "1774c939cace80a921cf484fd595773dc76fbb9874765be961dafe3aad891fb7"
+    )
 
 
 def _sierpinski_candidates_by_quotient(x):
