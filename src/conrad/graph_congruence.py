@@ -134,12 +134,12 @@ def _require_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> None:
 
 
 def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
-    _require_homomorphism(g, h, f)
-    part = Partition(f)
     cedges = frozenset(
         p for p in g.all_pairs if _norm_pair(f[p[0]], f[p[1]]) in h.edges
     )
-    return GraphCongruence(part, cedges)
+    if not g.edges <= cedges:
+        raise NotHomomorphism("the map does not preserve edges")
+    return GraphCongruence(Partition(f), cedges)
 
 
 def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:

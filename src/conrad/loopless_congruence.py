@@ -31,7 +31,6 @@ from .graph_congruence import (
     _random_over,
     block_orbit,
     identity_gc,
-    is_strong_gc,
     meet_gc,
     quotient_gc,
     saturation_gc,
@@ -54,10 +53,6 @@ def strongify_lc(g: FiniteGraph, part: Partition):
     if not _blocks_independent(g, part):
         return None
     return GraphCongruence(part, saturation_gc(g, part))
-
-
-def is_strong_lc(g: FiniteGraph, theta: GraphCongruence) -> bool:
-    return _blocks_independent(g, theta.part) and is_strong_gc(g, theta)
 
 
 def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:

@@ -13,6 +13,7 @@ first failure in canonical enumeration order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable
@@ -153,8 +154,7 @@ class _KindOps:
     meet: Callable
     join: Callable | None
     identity: Callable
-    strong_all: Callable
-    is_strong: Callable
+    strongify: Callable
     restrict: Callable
     substructure: Callable
     iso: Callable
@@ -169,16 +169,6 @@ class _KindOps:
     random_structure: Callable
     random_congruence: Callable
     relabel: Callable
-
-
-def _strong_all(strongify: Callable) -> Callable:
-    """All strong congruences of a structure, from partitions admitting one."""
-
-    def strong_all(x):
-        strong = (strongify(x, p) for p in bounded_partitions(x.n))
-        return [theta for theta in strong if theta is not None]
-
-    return strong_all
 
 
 def _specialization(x: FiniteSpace) -> frozenset[tuple[int, int]]:
@@ -208,8 +198,7 @@ KIND_OPS: dict[str, _KindOps] = {
         meet=tc.meet_tc,
         join=tc.join_tc,
         identity=tc.identity_tc,
-        strong_all=_strong_all(tc.strongify_tc),
-        is_strong=tc.is_strong_tc,
+        strongify=tc.strongify_tc,
         restrict=tc.restrict_tc,
         substructure=subspace,
         iso=homeo_spaces,
@@ -235,8 +224,7 @@ KIND_OPS: dict[str, _KindOps] = {
         meet=gc.meet_gc,
         join=gc.join_gc,
         identity=gc.identity_gc,
-        strong_all=_strong_all(gc.strongify_gc),
-        is_strong=gc.is_strong_gc,
+        strongify=gc.strongify_gc,
         restrict=gc.restrict_gc,
         substructure=induced,
         iso=iso_graphs,
@@ -261,14 +249,25 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
     validate=lc.validate_lc,
     quotient=lc.quotient_lc,
     join=None,
-    strong_all=_strong_all(lc.strongify_lc),
-    is_strong=lc.is_strong_lc,
+    strongify=lc.strongify_lc,
     catalog=None,
     catalog_ids=(),
     trivial=complete_graph(1),
     random_structure=lambda rng, n: random_graph(rng, n, NOLOOPS),
     random_congruence=lc.random_lcong,
 )
+
+
+def strong_congruences(kind: str, x) -> list:
+    """All strong congruences of a structure, from partitions admitting one."""
+    strongify = KIND_OPS[kind].strongify
+    strong = (strongify(x, p) for p in bounded_partitions(x.n))
+    return [theta for theta in strong if theta is not None]
+
+
+def is_strong(kind: str, x, theta) -> bool:
+    """Whether theta is the strong congruence of its own partition."""
+    return KIND_OPS[kind].strongify(x, theta.part) == theta
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +497,12 @@ def h2_failures(sigma: RadicalAssignment, uni: Universe) -> list:
 def is_complete(sigma: RadicalAssignment, uni: Universe):
     """Strong congruences with radical-class blocks must sit below the radical."""
     ops = KIND_OPS[uni.kind]
+    in_class = functools.partial(in_radical_class, sigma)
     for x in uni.members:
         value = sigma(x)
-        for theta in ops.strong_all(x):
-            if all(
-                in_radical_class(sigma, ops.substructure(x, block))
-                for block in theta.part.blocks
-            ):
-                if not ops.le(theta, value):
-                    return False, (x, theta)
+        for theta in strong_congruences(uni.kind, x):
+            if _blocks_satisfy(ops, x, theta, in_class) and not ops.le(theta, value):
+                return False, (x, theta)
     return True, None
 
 
@@ -521,9 +517,8 @@ def is_idempotent(sigma: RadicalAssignment, uni: Universe):
 
 
 def is_strong_everywhere(sigma: RadicalAssignment, uni: Universe):
-    ops = KIND_OPS[uni.kind]
     for x in uni.members:
-        if not ops.is_strong(x, sigma(x)):
+        if not is_strong(uni.kind, x, sigma(x)):
             return False, x
     return True, None
 
@@ -661,8 +656,8 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
         ops = KIND_OPS[uni.kind]
         for y in _nontrivial_images(uni.kind, x):
             if not any(
-                theta.part.num_blocks < y.n and c_congruence_p(cls, y, theta)
-                for theta in ops.strong_all(y)
+                theta.part.num_blocks < y.n and _blocks_satisfy(ops, y, theta, cls)
+                for theta in strong_congruences(uni.kind, y)
             ):
                 return False
         return True
@@ -691,12 +686,14 @@ def c_congruence_p(cls: ClassPredicate, structure, theta) -> bool:
     kind = kind_of(structure)
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} does not match the structure kind")
-    ops = KIND_OPS[kind]
-    if not ops.is_strong(structure, theta):
-        return False
-    return all(
-        cls(ops.substructure(structure, block)) for block in theta.part.blocks
+    return is_strong(kind, structure, theta) and _blocks_satisfy(
+        KIND_OPS[kind], structure, theta, cls
     )
+
+
+def _blocks_satisfy(ops: _KindOps, x, theta, member: Callable) -> bool:
+    """Every block of theta induces a substructure satisfying member."""
+    return all(member(ops.substructure(x, block)) for block in theta.part.blocks)
 
 
 def rho_sum(cls: ClassPredicate, structure):
@@ -708,8 +705,8 @@ def rho_sum(cls: ClassPredicate, structure):
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} does not match the structure kind")
     parts = [
-        theta for theta in ops.strong_all(structure)
-        if c_congruence_p(cls, structure, theta)
+        theta for theta in strong_congruences(kind, structure)
+        if _blocks_satisfy(ops, structure, theta, cls)
     ]
     if not parts:
         raise InvalidCongruence(f"no C-congruence on the structure for {cls.name!r}")

@@ -10,7 +10,7 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     BoundExceeded,
@@ -57,22 +57,24 @@ class Partition:
     The constructor takes any labelling of the points by hashable values and
     relabels it in one pass, so that ``class_id[x]`` is the block index of x
     and block indices appear in order of least element, which makes the
-    representation canonical.
+    representation canonical.  The same pass lists the blocks.
     """
 
     class_id: tuple[int, ...]
+    blocks: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         relabel: dict = {}
-        cid = tuple([relabel.setdefault(b, len(relabel)) for b in self.class_id])
-        object.__setattr__(self, "class_id", cid)
-
-    @functools.cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        blocks: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for x, b in enumerate(self.class_id):
+        cid: list[int] = []
+        blocks: list[list[int]] = []
+        for x, label in enumerate(self.class_id):
+            b = relabel.setdefault(label, len(blocks))
+            if b == len(blocks):
+                blocks.append([])
             blocks[b].append(x)
-        return tuple(map(tuple, blocks))
+            cid.append(b)
+        object.__setattr__(self, "class_id", tuple(cid))
+        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
@@ -100,7 +102,7 @@ class Partition:
 
     @property
     def num_blocks(self) -> int:
-        return max(self.class_id) + 1 if self.class_id else 0
+        return len(self.blocks)
 
     def same(self, a: int, b: int) -> bool:
         return self.class_id[a] == self.class_id[b]

@@ -118,13 +118,13 @@ def _require_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> None:
 
 
 def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
-    """Fibre partition plus the pulled-back topology."""
-    _require_continuous(x, y, f)
-    part = Partition(f)
+    """Fibre partition plus the pulled-back topology, which must lie in x's."""
     ctop = frozenset(
         frozenset(p for p in range(x.n) if f[p] in v) for v in y.opens
     )
-    return TopoCongruence(part, ctop)
+    if not ctop <= x.opens:
+        raise NotContinuous("preimage of an open set is not open")
+    return TopoCongruence(Partition(f), ctop)
 
 
 def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:

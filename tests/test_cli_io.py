@@ -273,6 +273,14 @@ def test_cli_verify(files, capsys):
     assert "summary: 6/6 checks passed" in out
 
 
+def test_cli_verify_without_samples_reports_no_random_check(capsys):
+    # a random sweep over zero instances would pass vacuously
+    status, out = run(["verify", "--kind", "topo", "--max-n", "1", "--samples", "0"], capsys)
+    assert status == 0
+    assert "-random" not in out
+    assert out.endswith("summary: 3/3 checks passed\n")
+
+
 def test_cli_verify_seed_determinism(files, capsys):
     argv = ["verify", "--kind", "graph", "--max-n", "2", "--samples", "15", "--seed", "3"]
     _, first = run(argv, capsys)
@@ -326,10 +334,11 @@ def _looped_path_text(n):
 @pytest.mark.parametrize("command, n", [
     (["radical", "--class", "all-looped"], 9),
     (["congruences", "--graph"], 40),
+    (["congruences", "--strong-only", "--graph"], 10),
 ])
 def test_cli_congruence_enumeration_is_bounded(tmp_path, capsys, command, n):
     # Bell(9) partitions of a looped path hold millions of candidate
-    # edge-sets, and Bell(40) partitions are refused before the first
+    # edge-sets, and Bell(10) or Bell(40) partitions are refused before the first
     path = tmp_path / "path.txt"
     path.write_text(_looped_path_text(n))
     start = time.perf_counter()
@@ -338,6 +347,19 @@ def test_cli_congruence_enumeration_is_bounded(tmp_path, capsys, command, n):
     captured = capsys.readouterr()
     assert status == 2
     assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
+    assert elapsed < 1.0
+
+
+def test_cli_strong_only_is_bounded_by_the_partitions(tmp_path, capsys):
+    # the looped 8-vertex path has 2,977,260 candidate congruences but only
+    # Bell(8) = 4,140 partitions, each admitting one strong congruence
+    path = tmp_path / "path.txt"
+    path.write_text(_looped_path_text(8))
+    start = time.perf_counter()
+    assert run_command(["congruences", "--graph", str(path), "--strong-only"]) == 0
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("total 4140\n")
     assert elapsed < 1.0
 
 

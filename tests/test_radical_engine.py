@@ -47,6 +47,7 @@ from conrad.radical_engine import (
     in_radical_class,
     is_connectedness,
     is_disconnectedness,
+    is_strong,
     is_strong_everywhere,
     ka_triple,
     kind_of,
@@ -58,6 +59,7 @@ from conrad.radical_engine import (
     s_hereditary,
     semisimple_class_hereditary,
     semisimple_members,
+    strong_congruences,
     subdirect_closure,
     surjective_morphisms,
     universe_from_members,
@@ -701,15 +703,13 @@ def test_chain_join_of_c_congruences():
     # finite reading of the inductive property: joins along comparable chains
     ind = builtin_class("topo", "indiscrete")
     for x in UNI_TOPO.members:
-        ops = KIND_OPS[KIND_TOPO]
-        ccongs = [t for t in ops.strong_all(x) if c_congruence_p(ind, x, t)]
+        ccongs = [t for t in strong_congruences(KIND_TOPO, x) if c_congruence_p(ind, x, t)]
         for a, b in itertools.combinations(ccongs, 2):
             if tc.le_tc(a, b):
                 assert c_congruence_p(ind, x, tc.join_tc(x, [a, b]))
     loops_cls = builtin_class("graph", "trivial-or-all-looped")
     for g in UNI_GRAPH.members:
-        ops = KIND_OPS[KIND_GRAPH]
-        ccongs = [t for t in ops.strong_all(g) if c_congruence_p(loops_cls, g, t)]
+        ccongs = [t for t in strong_congruences(KIND_GRAPH, g) if c_congruence_p(loops_cls, g, t)]
         for a, b in itertools.combinations(ccongs, 2):
             if gc.le_gc(a, b):
                 assert c_congruence_p(loops_cls, g, gc.join_gc(g, [a, b]))
@@ -781,7 +781,7 @@ def test_every_congruence_the_library_builds_is_valid():
         ops = KIND_OPS[uni.kind]
         for x in uni.members:
             congs = ops.enum_congruences(x)
-            built = congs + ops.strong_all(x) + [catalog(x, cid) for cid in ids]
+            built = congs + strong_congruences(uni.kind, x) + [catalog(x, cid) for cid in ids]
             for y in uni.members:
                 built += [ops.kernel(x, y, f) for f in surjective_morphisms(uni.kind, x, y)]
             for theta in built:
@@ -807,7 +807,29 @@ def test_every_congruence_the_library_builds_is_valid():
 def test_strong_all_is_bounded(kind, carrier):
     # Bell(10) = 115,975 partitions lie past the scan bound
     with pytest.raises(BoundExceeded, match="congruence enumeration capped at 100000 candidates"):
-        KIND_OPS[kind].strong_all(carrier)
+        strong_congruences(kind, carrier)
+
+
+@pytest.mark.parametrize("kind, max_n, strong_p, counts", [
+    (KIND_TOPO, 4, tc.is_strong_tc, (547, 2681)),
+    (KIND_GRAPH, 4, gc.is_strong_gc, (1464, 12177)),
+    (KIND_LOOPLESS, 5, gc.is_strong_gc, (521, 6098)),
+])
+def test_strong_congruences_match_filtered_enumeration(kind, max_n, strong_p, counts):
+    # strongify over the partitions lists what filtering every congruence
+    # lists, in the same order; loopless congruences have independent blocks
+    ops = KIND_OPS[kind]
+    strong_total = total = 0
+    for n in range(1, max_n + 1):
+        for x in ops.enum_structures(n):
+            congs = ops.enum_congruences(x)
+            verdicts = [strong_p(x, theta) for theta in congs]
+            filtered = [theta for theta, ok in zip(congs, verdicts) if ok]
+            assert strong_congruences(kind, x) == filtered
+            assert [is_strong(kind, x, theta) for theta in congs] == verdicts
+            strong_total += len(filtered)
+            total += len(congs)
+    assert (strong_total, total) == counts
 
 
 def test_check_subdirect_validates_its_members():
