@@ -17,12 +17,10 @@ built outside the library.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 
 from .errors import (
-    BoundExceeded,
     EdgeSetOutOfRange,
     EmptyList,
     InvalidCongruence,
@@ -40,7 +38,6 @@ from .structures import (
     _refines,
     bounded_partitions,
     count_scanned,
-    image_partition,
     join_partitions,
     meet_partitions,
     random_partition,
@@ -102,10 +99,6 @@ def strongify_gc(g: FiniteGraph, part: Partition) -> GraphCongruence:
     return GraphCongruence(part, saturation_gc(g, part))
 
 
-def is_strong_gc(g: FiniteGraph, theta: GraphCongruence) -> bool:
-    return theta.cedges == saturation_gc(g, theta.part)
-
-
 def validate_gc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     if g.policy != LOOPS:
         raise InvalidCongruence("loop-graph congruences need a loops-allowed carrier")
@@ -142,11 +135,6 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     return GraphCongruence(Partition(f), cedges)
 
 
-def strong_kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
-    _require_homomorphism(g, h, f)
-    return strongify_gc(g, Partition(f))
-
-
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------
@@ -159,7 +147,7 @@ def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
-    sub, pos = _positions(subset)
+    sub, pos = _positions(subset, g.n)
     part = theta.part.restrict(sub)
     cedges = frozenset(
         (pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos
@@ -233,20 +221,8 @@ def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence
     )
 
 
-def image_gc_direct(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
-    """Image by chain closure on the codomain; independent oracle."""
-    require_surjective(f, h.n)
-    _require_homomorphism(g, h, f)
-    part = image_partition(f, theta.part, h.n)
-    seeds = {_norm_pair(f[a], f[b]) for a, b in theta.cedges} | h.edges
-    cedges: set[tuple[int, int]] = set()
-    for pair in seeds:
-        cedges.update(block_orbit(part, *pair))
-    return GraphCongruence(part, frozenset(cedges))
-
-
 # ---------------------------------------------------------------------------
-# Enumeration, random congruences, products
+# Enumeration and random congruences
 # ---------------------------------------------------------------------------
 
 def _congruences_over(g: FiniteGraph, admits) -> list[GraphCongruence]:
@@ -307,24 +283,3 @@ def random_gcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
     if g.policy != LOOPS:
         raise PolicyMismatch("random_gcong needs a loops-allowed carrier")
     return _random_over(rng, g, random_partition(rng, g.n))
-
-
-def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
-    """Categorical product; materialized only at desk scale."""
-    if len(factors) > 4:
-        raise BoundExceeded("products materialized for at most 4 factors")
-    size = 1
-    for fct in factors:
-        size *= fct.n
-    if size > 10 ** 5:
-        raise BoundExceeded("product too large to materialize")
-    verts = list(itertools.product(*(range(fct.n) for fct in factors)))
-    pos = {v: i for i, v in enumerate(verts)}
-    edges = set()
-    for u in verts:
-        for v in verts:
-            if pos[u] <= pos[v] and all(
-                _norm_pair(a, b) in fct.edges for a, b, fct in zip(u, v, factors)
-            ):
-                edges.add((pos[u], pos[v]))
-    return FiniteGraph(len(verts), LOOPS, frozenset(edges))

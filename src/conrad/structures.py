@@ -46,6 +46,18 @@ def _env_bound(default: int) -> int:
         raise UsageError(f"CONRAD_MAX_N must be an integer, got {raw!r}") from None
 
 
+def _positions(subset, n: int) -> tuple[list[int], dict[int, int]]:
+    """sorted(set(subset)) and each member's index in it, for relabelling a
+    substructure of an n-point carrier; refuses an empty subset and ids
+    outside 0..n-1."""
+    sub = sorted(set(subset))
+    if not sub:
+        raise EmptySubset("restriction to the empty set")
+    if sub[0] < 0 or sub[-1] >= n:
+        raise SemanticError(f"subset ids must lie in 0..{n - 1}")
+    return sub, {v: i for i, v in enumerate(sub)}
+
+
 # ---------------------------------------------------------------------------
 # Partitions
 # ---------------------------------------------------------------------------
@@ -112,10 +124,8 @@ class Partition:
         return _refines(self.class_id, other.class_id)
 
     def restrict(self, subset) -> "Partition":
-        """Partition induced on sorted(subset), relabelled to 0..|S|-1."""
-        sub = sorted(subset)
-        if not sub:
-            raise EmptySubset("restriction to the empty set")
+        """Partition induced on sorted(set(subset)), relabelled to 0..|S|-1."""
+        sub, _ = _positions(subset, self.n)
         return Partition([self.class_id[x] for x in sub])
 
 
@@ -136,12 +146,6 @@ def join_partitions(parts: list[Partition]) -> Partition:
             for x in block[1:]:
                 parent[find(x)] = r
     return Partition([find(x) for x in range(n)])
-
-
-def image_partition(f: tuple, part: Partition, m: int) -> Partition:
-    """The finest partition of 0..m-1 in which f sends each block of part into one block."""
-    hits = [{f[v] for v in block} for block in part.blocks]
-    return join_partitions([Partition([-1 if q in hit else q for q in range(m)]) for hit in hits])
 
 
 def meet_partitions(parts: list[Partition]) -> Partition:
@@ -236,14 +240,6 @@ def count_scanned(scanned: int, more: int) -> int:
 # Graphs
 # ---------------------------------------------------------------------------
 
-def _positions(subset) -> tuple[list[int], dict[int, int]]:
-    """sorted(set(subset)) and each member's index in it, for relabelling."""
-    sub = sorted(set(subset))
-    if not sub:
-        raise EmptySubset("restriction to the empty set")
-    return sub, {v: i for i, v in enumerate(sub)}
-
-
 def _nonempty_subsets(n: int):
     for size in range(1, n + 1):
         yield from itertools.combinations(range(n), size)
@@ -318,7 +314,7 @@ def completion(g: FiniteGraph) -> FiniteGraph:
 
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
-    sub, pos = _positions(subset)
+    sub, pos = _positions(subset, g.n)
     # pos keeps the order of the vertices, so the kept pairs stay normalised
     keep = frozenset((pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos)
     return FiniteGraph(len(sub), g.policy, keep)
@@ -351,36 +347,48 @@ A3 = graph(3, LOOPS, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """Finite topological space on points 0..n-1."""
+    """Finite topological space on points 0..n-1, stored as each point's least
+    open set as a bitmask; the opens are their unions (Stong, Trans. AMS 123,
+    1966).  The constructor checks only that the masks form a preorder: p lies
+    in its own, and q in p's puts q's inside p's.  `space` checks a family of opens.
+    """
 
     n: int
-    opens: frozenset[frozenset[int]]
+    min_opens: tuple[int, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise SemanticError("spaces have non-empty point sets")
-        full = frozenset(range(self.n))
-        for u in self.opens:
-            if not u <= full:
-                raise SemanticError(f"open set {sorted(u)} out of range")
-        if frozenset() not in self.opens or full not in self.opens:
-            raise MissingEmptyOrFull("a topology contains the empty and full sets")
-        masked = {_bitmask(u): u for u in self.opens}
-        gap = _closure_gap(list(masked))
-        if gap is not None:
-            a, op, b = gap
-            error = NotClosedUnderUnion if op == "|" else NotClosedUnderIntersection
-            raise error(f"{sorted(masked[a])} {op} {sorted(masked[b])} missing")
+        least = self.min_opens
+        if len(least) != self.n:
+            raise SemanticError(f"{len(least)} least open sets for {self.n} points")
+        for p, u in enumerate(least):
+            if u >> self.n or not u >> p & 1:
+                raise SemanticError(f"the least open set of {p} must hold it and lie in range")
+            outside = ~u
+            for q, v in enumerate(least):
+                if u >> q & 1 and v & outside:
+                    raise SemanticError(f"the least open set of {p} holds {q} but not its least open set")
+
+    @functools.cached_property
+    def _open_masks(self) -> tuple[int, ...]:
+        """Every open set as a bitmask, in increasing order."""
+        return tuple(sorted(_unions(self.min_opens)))
+
+    @functools.cached_property
+    def opens(self) -> frozenset[frozenset[int]]:
+        """Every open set: the unions of the least open sets."""
+        return frozenset(_members(m) for m in self._open_masks)
 
     @property
     def full(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
     def is_indiscrete(self) -> bool:
-        return len(self.opens) == 2 or self.n == 1
+        return all(u == 2 ** self.n - 1 for u in self.min_opens)
 
     def is_discrete(self) -> bool:
-        return len(self.opens) == 2 ** self.n
+        return all(u == 1 << p for p, u in enumerate(self.min_opens))
 
     def is_t0(self) -> bool:
         # two points are indistinguishable iff they share a least open set
@@ -390,45 +398,12 @@ class FiniteSpace:
         # finite T1 = discrete
         return self.is_discrete()
 
-    @functools.cached_property
-    def min_opens(self) -> tuple[int, ...]:
-        """Each point's smallest open set as a bitmask; they determine the space
-        (Stong, Trans. AMS 123, 1966)."""
-        out = [2 ** self.n - 1] * self.n
-        for u in self.opens:
-            mask = _bitmask(u)
-            for p in u:
-                out[p] &= mask
-        return tuple(out)
-
     def min_open(self, x: int) -> frozenset[int]:
         """Smallest open set containing x."""
-        return frozenset(p for p in range(self.n) if self.min_opens[x] >> p & 1)
+        return _members(self.min_opens[x])
 
     def encoding(self) -> tuple:
-        return (self.n, tuple(sorted(_bitmask(u) for u in self.opens)))
-
-
-def _closure_gap(masks: list[int]):
-    """The first ordered pair (a, op, b) of the subsets, as bitmasks, whose
-    union (op "|") or intersection (op "&") is missing; None when closed."""
-    present = set(masks)
-    for a in masks:
-        for b in masks:
-            if a | b not in present:
-                return a, "|", b
-            if a & b not in present:
-                return a, "&", b
-    return None
-
-
-def _is_topology_on(n: int, family) -> bool:
-    """True when the family of subsets of 0..n-1 is a topology."""
-    if frozenset() not in family or frozenset(range(n)) not in family:
-        return False
-    # bits index the points held, so a stray id from a file gets a small bit
-    index = {p: i for i, p in enumerate(frozenset().union(*family))}
-    return _closure_gap([_bitmask(index[p] for p in u) for u in family]) is None
+        return (self.n, self._open_masks)
 
 
 def _bitmask(s) -> int:
@@ -438,30 +413,91 @@ def _bitmask(s) -> int:
     return out
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The positions of the set bits of a bitmask."""
+    return frozenset(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+def _unions(masks) -> set[int]:
+    """Every union of the given bitmasks, the empty union included."""
+    out = {0}
+    for u in set(masks):
+        out |= {v | u for v in out}
+    return out
+
+
+def _least_opens(n: int, masks) -> tuple[int, ...]:
+    """Each point's least member of a family of subsets of 0..n-1 (bitmasks):
+    the AND of the members holding it, or all of 0..n-1 when none does.  The
+    topology the family generates is the unions of these."""
+    out = [2 ** n - 1] * n
+    for u in masks:
+        for p in range(n):
+            if u >> p & 1:
+                out[p] &= u
+    return tuple(out)
+
+
+def _relabelled(least: tuple[int, ...], perm) -> tuple[int, ...]:
+    """A least-open vector carried along the bijection perm."""
+    points = sorted(range(len(least)), key=perm.__getitem__)
+    return tuple(_bitmask(perm[q] for q in points if least[p] >> q & 1) for p in points)
+
+
+def _is_topology_on(n: int, family) -> bool:
+    """True when the family of subsets of 0..n-1 is a topology: it holds the
+    empty and full sets and each member's union with each point's least
+    member, so every union of least members, hence of members, and every
+    intersection of members (a union of least members) lies in it."""
+    if frozenset() not in family or frozenset(range(n)) not in family:
+        return False
+    points = frozenset().union(*family)
+    least = {frozenset.intersection(*(u for u in family if p in u)) for p in points}
+    return all(u | v in family for u in family for v in least)
+
+
 def space(n: int, opens) -> FiniteSpace:
-    return FiniteSpace(n, frozenset(frozenset(u) for u in opens))
+    """The space with the given open sets, after checking that they form a
+    topology on 0..n-1: every set in range, then the empty and full sets,
+    then the first ordered pair whose union or intersection is missing."""
+    if n < 1:
+        raise SemanticError("spaces have non-empty point sets")
+    family = frozenset(frozenset(u) for u in opens)
+    full = frozenset(range(n))
+    for u in family:
+        if not u <= full:
+            raise SemanticError(f"open set {sorted(u)} out of range")
+    if frozenset() not in family or full not in family:
+        raise MissingEmptyOrFull("a topology contains the empty and full sets")
+    masked = {_bitmask(u): u for u in family}
+    for a in masked:
+        for b in masked:
+            if a | b not in masked:
+                raise NotClosedUnderUnion(f"{sorted(masked[a])} | {sorted(masked[b])} missing")
+            if a & b not in masked:
+                raise NotClosedUnderIntersection(f"{sorted(masked[a])} & {sorted(masked[b])} missing")
+    return FiniteSpace(n, _least_opens(n, masked))
 
 
 def indiscrete_space(n: int) -> FiniteSpace:
-    return space(n, [frozenset(), frozenset(range(n))])
+    return FiniteSpace(n, (2 ** n - 1,) * n)
 
 
 def discrete_space(n: int) -> FiniteSpace:
-    subsets = []
-    for mask in range(2 ** n):
-        subsets.append(frozenset(i for i in range(n) if mask >> i & 1))
-    return space(n, subsets)
+    return FiniteSpace(n, tuple(1 << p for p in range(n)))
 
 
 def subspace(x: FiniteSpace, subset) -> FiniteSpace:
-    """Relative topology on sorted(subset), relabelled to 0..|S|-1."""
-    sub, pos = _positions(subset)
-    opens = {frozenset(pos[p] for p in u if p in pos) for u in x.opens}
-    return FiniteSpace(len(sub), frozenset(opens))
+    """Relative topology on sorted(set(subset)), relabelled to 0..|S|-1: each
+    point's least open set is its old one cut down to the subset."""
+    sub, pos = _positions(subset, x.n)
+    return FiniteSpace(len(sub), tuple(
+        _bitmask(pos[q] for q in sub if x.min_opens[p] >> q & 1) for p in sub
+    ))
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
-    return space(x.n, [{perm[p] for p in u} for u in x.opens])
+    return FiniteSpace(x.n, _relabelled(x.min_opens, perm))
 
 
 T_SPACE = space(1, [[], [0]])
@@ -485,8 +521,9 @@ def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
 
 
 def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
-    """Whether the bijection perm sends the opens of x exactly onto those of y."""
-    return frozenset(frozenset(perm[p] for p in u) for u in x.opens) == y.opens
+    """Whether the bijection perm sends the opens of x exactly onto those of y,
+    that is, each point's least open set onto its image's."""
+    return _relabelled(x.min_opens, perm) == y.min_opens
 
 
 def _least_carrying(x, y, key, carries):
@@ -519,13 +556,13 @@ def iso_graphs(g: FiniteGraph, h: FiniteGraph):
 
 def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
     """Open-to-open bijection x -> y, or None; least witness."""
-    if x.n != y.n or len(x.opens) != len(y.opens):
+    if x.n != y.n or len(x._open_masks) != len(y._open_masks):
         return None
     if x.n > ISO_BOUND:
         raise BoundExceeded(f"homeomorphism testing capped at n <= {ISO_BOUND}")
-    if sorted(len(u) for u in x.opens) != sorted(len(u) for u in y.opens):
-        return None
-    return _least_carrying(x, y, lambda s, p: s.min_opens[p].bit_count(), carries_opens)
+    # each point is keyed by how many points lie below and above it
+    return _least_carrying(x, y, lambda s, p: (
+        s.min_opens[p].bit_count(), sum(u >> p & 1 for u in s.min_opens)), carries_opens)
 
 
 # ---------------------------------------------------------------------------
@@ -571,39 +608,58 @@ def enumerate_graphs(n: int, policy: str, bound: int | None = None) -> list[Fini
     return reps
 
 
-def _closed_families(n: int, masks):
-    """Index lists of the sub-lists of masks (subsets of 0..n-1 as bitmasks)
-    that form a topology with the empty and full sets, in counting order."""
-    fixed = [0, 2 ** n - 1]
-    for k in range(2 ** len(masks)):
-        keep = [i for i in range(len(masks)) if k >> i & 1]
-        if _closure_gap(fixed + [masks[i] for i in keep]) is None:
-            yield keep
+def _preorders(k: int, floor):
+    """Every least-open vector on k points whose masks hold floor's: the
+    topologies on 0..k-1 coarser than the one floor generates.  Points take
+    masks in order; p's holds p and floor[p], it must hold each earlier q's
+    mask if it holds q, and lie inside it if q's holds p."""
+    vec: list[int] = []
+
+    def extend(p):
+        if p == k:
+            yield tuple(vec)
+            return
+        need, cap = floor[p] | 1 << p, 2 ** k - 1
+        for u in vec:
+            if u >> p & 1:
+                cap &= u
+        if need & ~cap:
+            return
+        free = extra = cap & ~need
+        while True:  # each submask of free, down to 0
+            u = need | extra
+            if all(not u >> q & 1 or not vec[q] & ~u for q in range(p)):
+                vec.append(u)
+                yield from extend(p + 1)
+                vec.pop()
+            if not extra:
+                return
+            extra = (extra - 1) & free
+
+    return extend(0)
 
 
 def enumerate_spaces(n: int, bound: int | None = None) -> list[FiniteSpace]:
-    """One canonical representative per homeomorphism class, sorted."""
+    """One canonical representative per homeomorphism class, sorted: of each
+    orbit of topologies under the permutations of the points, the one whose
+    sorted open masks are least."""
     limit = bound if bound is not None else _env_bound(SPACE_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"space enumeration capped at n <= {limit}")
-    perms = list(itertools.permutations(range(n)))
+    # per permutation: its inverse, and the image of every subset as a bitmask
+    actions = []
+    for perm in itertools.permutations(range(n)):
+        image = [_bitmask(perm[q] for q in range(n) if m >> q & 1) for m in range(2 ** n)]
+        actions.append((tuple(sorted(range(n), key=perm.__getitem__)), image))
     reps = []
     seen: set[tuple[int, ...]] = set()
-    proper = range(1, 2 ** n - 1)
-    for keep in _closed_families(n, proper):
-        fam = [0, 2 ** n - 1] + [proper[i] for i in keep]
-        enc = tuple(sorted(fam))
-        if enc in seen:
+    for least in _preorders(n, tuple(1 << p for p in range(n))):
+        if least in seen:
             continue
-        opens = [[q for q in range(n) if m >> q & 1] for m in fam]
-        orbit = {
-            tuple(sorted(_bitmask(p[q] for q in u) for u in opens))
-            for p in perms
-        }
+        # each relabelled vector, with the image table of a permutation giving it
+        orbit = {tuple(image[least[p]] for p in inverse): image for inverse, image in actions}
         seen.update(orbit)
-        canon = min(orbit)
-        reps.append(
-            space(n, [[i for i in range(n) if m >> i & 1] for m in canon])
-        )
+        opens = _unions(least)
+        reps.append(FiniteSpace(n, min(orbit, key=lambda v: sorted(orbit[v][u] for u in opens))))
     reps.sort(key=lambda x: (len(x.opens), x.encoding()))
     return reps

@@ -34,13 +34,15 @@ from .structures import (
     FiniteSpace,
     Partition,
     _bitmask,
-    _closed_families,
     _is_topology_on,
+    _least_opens,
+    _members,
     _positions,
+    _preorders,
     _refines,
+    _unions,
     bounded_partitions,
     count_scanned,
-    image_partition,
     join_partitions,
     meet_partitions,
     random_partition,
@@ -100,10 +102,6 @@ def strongify_tc(x: FiniteSpace, part: Partition) -> TopoCongruence:
     return TopoCongruence(part, saturated_opens(x, part))
 
 
-def is_strong_tc(x: FiniteSpace, rho: TopoCongruence) -> bool:
-    return rho.ctop == saturated_opens(x, rho.part)
-
-
 # ---------------------------------------------------------------------------
 # Maps
 # ---------------------------------------------------------------------------
@@ -127,11 +125,6 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     return TopoCongruence(Partition(f), ctop)
 
 
-def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
-    _require_continuous(x, y, f)
-    return strongify_tc(x, Partition(f))
-
-
 # ---------------------------------------------------------------------------
 # Quotients
 # ---------------------------------------------------------------------------
@@ -139,13 +132,13 @@ def strong_kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
     """Weak quotient space (points = blocks) and the canonical projection."""
     proj = rho.part.class_id
-    opens = frozenset(frozenset(proj[p] for p in u) for u in rho.ctop)
-    return FiniteSpace(rho.part.num_blocks, opens), proj
+    k = rho.part.num_blocks
+    return FiniteSpace(k, _least_opens(k, [_bitmask(proj[p] for p in u) for u in rho.ctop])), proj
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     """Congruence induced on the subspace of sorted(subset)."""
-    sub, pos = _positions(subset)
+    sub, pos = _positions(subset, x.n)
     part = rho.part.restrict(sub)
     ctop = frozenset(frozenset(pos[p] for p in u if p in pos) for u in rho.ctop)
     return TopoCongruence(part, ctop)
@@ -166,18 +159,8 @@ def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence
 # ---------------------------------------------------------------------------
 
 def _close_topology(n: int, family) -> frozenset[frozenset[int]]:
-    """Topology generated by the family (finite intersections, then unions)."""
-    opens = set(family) | {frozenset(range(n)), frozenset()}
-    for op in (frozenset.intersection, frozenset.union):
-        changed = True
-        while changed:
-            changed = False
-            for u, v in itertools.combinations(list(opens), 2):
-                w = op(u, v)
-                if w not in opens:
-                    opens.add(w)
-                    changed = True
-    return frozenset(opens)
+    """Topology generated by the family: the unions of its least members."""
+    return frozenset(map(_members, _unions(_least_opens(n, map(_bitmask, family)))))
 
 
 def meet_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
@@ -231,50 +214,50 @@ def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
     )
 
 
-def image_tc_direct(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
-    """Image by its pointwise description; kept as an independent oracle."""
-    require_surjective(f, y.n)
-    _require_continuous(x, y, f)
-    part = image_partition(f, rho.part, y.n)
-    ctop = frozenset(
-        v for v in y.opens
-        if frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop
-    )
-    return TopoCongruence(part, ctop)
-
-
 # ---------------------------------------------------------------------------
 # Enumeration, random congruences, decomposition
 # ---------------------------------------------------------------------------
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
-    """Every congruence on x: per partition, every sub-topology of saturated opens.
+    """Every congruence on x: per partition in growth order, every congruence
+    topology, sorted by encoding.
 
-    Every partition's 2^(saturated opens) candidate families are counted
-    before any is built.
+    The congruence topologies of a partition are the topologies on its blocks
+    that are coarser than the strong quotient's: the preorders on the blocks
+    that contain its specialization preorder, whose opens are then lifted to
+    unions of blocks.  Every partition's candidate vectors are counted against
+    the scan bound before any is lifted.
     """
-    full = x.full
-    empty = frozenset()
     plans = []
     scanned = 0
+    by_floor: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for part in bounded_partitions(x.n):
-        sat = sorted(saturated_opens(x, part) - {empty, full}, key=_bitmask)
-        scanned = count_scanned(scanned, 2 ** len(sat))
-        plans.append((part, sat))
+        # block c's floor holds block b when a point of b is below a point of c
+        points, reach = [0] * part.num_blocks, [0] * part.num_blocks
+        for p, (b, u) in enumerate(zip(part.class_id, x.min_opens)):
+            points[b] |= 1 << p
+            reach[b] |= u
+        floor = tuple(_bitmask(b for b, held in enumerate(points) if held & r) for r in reach)
+        if floor not in by_floor:
+            by_floor[floor] = list(itertools.islice(_preorders(len(points), floor), CONGRUENCE_SCAN_BOUND + 1))
+        scanned = count_scanned(scanned, len(by_floor[floor]))
+        plans.append((part, points, by_floor[floor]))
     out = []
-    for part, sat in plans:
-        found = []
-        for keep in _closed_families(x.n, [_bitmask(u) for u in sat]):
-            found.append(TopoCongruence(part, frozenset([empty, full] + [sat[i] for i in keep])))
-        found.sort(key=lambda c: c.encoding())
-        out.extend(found)
+    for part, points, vectors in plans:
+        unions = [_unions(vec) for vec in vectors]
+        # each union of blocks (a mask of blocks) lifted once to its points
+        lift = {m: sum(held for b, held in enumerate(points) if m >> b & 1) for m in set().union(*unions)}
+        opens = {mask: _members(mask) for mask in lift.values()}
+        # sorted point masks are the encoding within one partition
+        for masks in sorted(tuple(sorted(map(lift.__getitem__, u))) for u in unions):
+            out.append(TopoCongruence(part, frozenset(map(opens.__getitem__, masks))))
     return out
 
 
 def random_space(rng: random.Random, n: int) -> FiniteSpace:
     fam = {frozenset(p for p in range(n) if rng.random() < 0.5)
            for _ in range(rng.randrange(n + 2))}
-    return FiniteSpace(n, _close_topology(n, fam))
+    return FiniteSpace(n, _least_opens(n, map(_bitmask, fam)))
 
 
 def random_tcong(rng: random.Random, x: FiniteSpace) -> TopoCongruence:

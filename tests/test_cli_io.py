@@ -350,6 +350,31 @@ def test_cli_congruence_enumeration_is_bounded(tmp_path, capsys, command, n):
     assert elapsed < 1.0
 
 
+def _discrete_space_text(n):
+    opens = [",".join(str(p) for p in range(n) if m >> p & 1) or "-" for m in range(2 ** n)]
+    return f"space {n}\n" + "".join(f"open {u}\n" for u in opens)
+
+
+def test_cli_topo_congruence_enumeration_is_bounded(tmp_path, capsys):
+    # the discrete 5-point space (2^30 candidate families on its identity
+    # partition) lists its congruence topologies; the discrete 7-point space
+    # has over 6 million, and its candidate vectors pass the bound before any
+    # is lifted
+    path = tmp_path / "d5.txt"
+    path.write_text(_discrete_space_text(5))
+    assert run_command(["congruences", "--space", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("total 11278\n")
+    path.write_text(_discrete_space_text(7))
+    start = time.perf_counter()
+    status = run_command(["congruences", "--space", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
+    assert elapsed < 1.0
+
+
 def test_cli_strong_only_is_bounded_by_the_partitions(tmp_path, capsys):
     # the looped 8-vertex path has 2,977,260 candidate congruences but only
     # Bell(8) = 4,140 partitions, each admitting one strong congruence

@@ -19,18 +19,14 @@ from conrad.graph_congruence import (
     enumerate_congruences_gc,
     identity_gc,
     image_gc,
-    image_gc_direct,
-    is_strong_gc,
     join_gc,
     kernel_gc,
     le_gc,
     meet_gc,
-    product_graph,
     quotient_cong_gc,
     quotient_gc,
     random_gcong,
     restrict_gc,
-    strong_kernel_gc,
     strongify_gc,
     universal_gc,
     validate_gc,
@@ -60,6 +56,8 @@ from conrad.structures import (
     iso_graphs,
     path_graph,
 )
+
+from oracles import image_gc_direct, is_strong_gc, product_graph, strong_kernel_gc
 
 GRAPHS_3 = [g for n in (1, 2, 3) for g in enumerate_graphs(n, LOOPS)]
 

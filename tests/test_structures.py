@@ -16,6 +16,7 @@ from conrad.errors import (
     PolicyMismatch,
     SemanticError,
 )
+from conrad.graph_congruence import identity_gc, restrict_gc
 from conrad.radical_engine import _specialization, indistinguishability_partition
 from conrad.structures import (
     A3,
@@ -35,7 +36,7 @@ from conrad.structures import (
     S2,
     T0,
     T_SPACE,
-    _closed_families,
+    _preorders,
     all_partitions,
     bell_number,
     complete_graph,
@@ -54,7 +55,9 @@ from conrad.structures import (
     subspace,
 )
 from conrad.structures import space as validate_space
-from conrad.topo_congruence import random_space
+from conrad.topo_congruence import identity_tc, random_space, restrict_tc
+
+from oracles import closed_families
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +145,30 @@ def test_partition_ops():
         p.restrict([])
 
 
+def test_one_subset_normaliser():
+    # every restriction reads its subset as a set, and refuses an empty one and
+    # ids outside the carrier with the same class and message
+    ident = Partition.identity(3)
+    assert ident.restrict([0, 0]) == Partition.identity(1)
+    assert induced(path_graph(3), [2, 0, 2]) == edgeless_graph(2)
+    assert subspace(S2, [1, 1]) == T_SPACE
+    g, x = graph(3, LOOPS, [(0, 1)]), space(3, [[], [0], [0, 1, 2]])
+    restrictions = [
+        ident.restrict,
+        lambda sub: induced(path_graph(3), sub),
+        lambda sub: subspace(x, sub),
+        lambda sub: restrict_tc(x, identity_tc(x), sub),
+        lambda sub: restrict_gc(g, identity_gc(g), sub),
+    ]
+    for restrict in restrictions:
+        assert _outcome(lambda: restrict([5])) == (SemanticError, "subset ids must lie in 0..2")
+        assert _outcome(lambda: restrict([7, 0])) == (SemanticError, "subset ids must lie in 0..2")
+        assert _outcome(lambda: restrict([-1])) == (SemanticError, "subset ids must lie in 0..2")
+        assert _outcome(lambda: restrict([])) == (EmptySubset, "restriction to the empty set")
+    assert _outcome(lambda: subspace(S2, [7])) == (SemanticError, "subset ids must lie in 0..1")
+    assert restrict_tc(x, identity_tc(x), [2, 0, 2]) == identity_tc(subspace(x, [0, 2]))
+
+
 def test_partition_count():
     # Bell numbers
     bell = [1, 2, 5, 15, 52, 203, 877, 4140]
@@ -198,7 +225,7 @@ def test_space_check_matches_frozenset_reference():
             family = [u for i, u in enumerate(subsets) if k >> i & 1]
             opens = frozenset(family)
             expected = _outcome(lambda: space_check_reference(n, opens))
-            assert _outcome(lambda: FiniteSpace(n, opens)) == expected
+            assert _outcome(lambda: space(n, opens)) == expected
             text = f"space {n}\n" + "".join(
                 f"open {','.join(map(str, sorted(u))) or '-'}\n" for u in family
             )
@@ -206,6 +233,40 @@ def test_space_check_matches_frozenset_reference():
             accepted += expected is None
     # labelled topologies on 1, 2 and 3 points (OEIS A000798)
     assert accepted == 1 + 4 + 29
+
+
+def test_constructor_accepts_exactly_the_preorders():
+    # every vector of masks on up to 3 points: the constructor accepts those
+    # that are the least open sets of a topology, and its opens are their unions
+    topologies = {}
+    for x in _oracle_spaces():
+        if x.n <= 3:
+            topologies[x.min_opens] = x.opens
+    for n in (1, 2, 3):
+        for vec in itertools.product(range(2 ** n), repeat=n):
+            built = _outcome(lambda: FiniteSpace(n, vec))
+            assert (built is None) == (vec in topologies), vec
+            if built is None:
+                assert FiniteSpace(n, vec).opens == topologies[vec]
+                assert space(n, topologies[vec]) == FiniteSpace(n, vec)
+    assert len(topologies) == 1 + 4 + 29
+
+
+def test_preorders_are_the_labelled_topologies():
+    # with the identity as floor: every topology, each once (OEIS A000798)
+    identity = [tuple(1 << p for p in range(k)) for k in range(7)]
+    counts = [sum(1 for _ in _preorders(k, identity[k])) for k in range(1, 6)]
+    assert counts == [1, 4, 29, 355, 6942]
+    labelled = [x.min_opens for x in _oracle_spaces() if x.n <= 4]
+    assert sorted(labelled) == sorted(v for k in range(1, 5) for v in _preorders(k, identity[k]))
+    # with any relation as floor (not only a preorder): those holding it
+    rng = random.Random(4)
+    floors = [f for k in (1, 2, 3) for f in itertools.product(range(2 ** k), repeat=k)]
+    floors += [tuple(rng.randrange(16) for _ in range(4)) for _ in range(40)]
+    for floor in floors:
+        k = len(floor)
+        above = [v for v in _preorders(k, identity[k]) if all(f & ~u == 0 for f, u in zip(floor, v))]
+        assert sorted(_preorders(k, floor)) == sorted(above), floor
 
 
 def test_space_properties():
@@ -222,7 +283,7 @@ def _oracle_spaces():
     spaces = []
     for n in range(1, 5):
         proper = range(1, 2 ** n - 1)
-        for keep in _closed_families(n, proper):
+        for keep in closed_families(n, proper):
             masks = [0, 2 ** n - 1] + [proper[i] for i in keep]
             spaces.append(space(n, [[p for p in range(n) if m >> p & 1] for m in masks]))
     assert len(spaces) == 1 + 4 + 29 + 355  # labelled topologies, OEIS A000798
@@ -330,6 +391,16 @@ def test_enumerate_graphs_bound():
     with pytest.raises(BoundExceeded):
         enumerate_graphs(7, NOLOOPS)
     assert len(enumerate_graphs(6, NOLOOPS, bound=6)) == 156
+
+
+def test_enumerate_spaces_reaches_five_and_six_points():
+    # finite topologies up to homeomorphism (OEIS A001930), past the default cap
+    five = enumerate_spaces(5, bound=5)
+    assert len(five) == 139
+    assert len(enumerate_spaces(6, bound=6)) == 718
+    assert five == sorted(five, key=lambda x: (len(x.opens), x.encoding()))
+    for x, y in itertools.combinations(five, 2):
+        assert homeo_spaces(x, y) is None
 
 
 def test_enumerate_spaces_counts():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -37,8 +38,6 @@ from conrad.topo_congruence import (
     enumerate_congruences_tc,
     identity_tc,
     image_tc,
-    image_tc_direct,
-    is_strong_tc,
     join_tc,
     kernel_tc,
     le_tc,
@@ -48,10 +47,11 @@ from conrad.topo_congruence import (
     restrict_tc,
     sierpinski_candidates,
     sierpinski_decomposition,
-    strong_kernel_tc,
     strongify_tc,
     validate_tc,
 )
+
+from oracles import closed_families, image_tc_direct, is_strong_tc, strong_kernel_tc
 
 SPACES_3 = [x for n in (1, 2, 3) for x in enumerate_spaces(n)]
 INDISCRETE2 = frozenset({frozenset(), frozenset({0, 1})})
@@ -408,22 +408,39 @@ def _labelled_topologies(n):
 
 def _congruences_by_definition(x):
     """Per partition in growth order, every family of saturated opens that holds
-    the empty and full sets and is closed under union and intersection."""
+    the empty and full sets and is closed under union and intersection, found
+    by scanning the families of saturated proper opens."""
     out = []
     for part in all_partitions(x.n):
-        sat = [u for u in x.opens if all(set(b) <= u or not set(b) & u for b in part.blocks)]
+        sat = [u for u in x.opens if u and u != x.full
+               and all(set(b) <= u or not set(b) & u for b in part.blocks)]
         found = [
-            TopoCongruence(part, frozenset(family))
-            for k in range(len(sat) + 1)
-            for family in itertools.combinations(sat, k)
-            if frozenset() in family and x.full in family and _closed(frozenset(family))
+            TopoCongruence(part, frozenset([frozenset(), x.full] + [sat[i] for i in keep]))
+            for keep in closed_families(x.n, [sum(1 << p for p in u) for u in sat])
         ]
         out += sorted(found, key=lambda c: c.encoding())
     return out
 
 
 def test_enumerator_matches_definition_oracle():
-    spaces = [x for n in (1, 2, 3) for x in _labelled_topologies(n)]
-    assert len(spaces) == 34
-    for x in spaces:
-        assert enumerate_congruences_tc(x) == _congruences_by_definition(x), x
+    # every labelled topology on up to 3 points, then every class on up to 4
+    labelled = [x for n in (1, 2, 3) for x in _labelled_topologies(n)]
+    classes = [x for n in (1, 2, 3, 4) for x in enumerate_spaces(n)]
+    assert (len(labelled), len(classes)) == (34, 46)
+    listed = 0
+    for x in labelled + classes:
+        cons = enumerate_congruences_tc(x)
+        assert cons == _congruences_by_definition(x), x
+        listed += len(cons)
+    assert listed - sum(len(enumerate_congruences_tc(x)) for x in labelled) == 2681
+
+
+def test_enumerator_reaches_the_discrete_five_point_space():
+    # per partition, the congruence topologies are the topologies on its
+    # blocks: sum over k of S(5, k) times the labelled topologies on k points
+    # (OEIS A000798), where the family scan would face 2^30 candidates
+    blocks = Counter(part.num_blocks for part in all_partitions(5))
+    expected = sum(blocks[k] * count for k, count in zip(range(1, 6), (1, 4, 29, 355, 6942)))
+    cons = enumerate_congruences_tc(discrete_space(5))
+    assert len(cons) == expected == 11278
+    assert Counter(c.part.num_blocks for c in cons)[5] == 6942
