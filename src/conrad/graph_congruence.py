@@ -63,7 +63,7 @@ def universal_gc(g: FiniteGraph) -> GraphCongruence:
 
 
 def le_gc(a: GraphCongruence, b: GraphCongruence) -> bool:
-    return _refines(a.part.class_id, b.part.class_id) and a.cedges <= b.cedges
+    return a.cedges <= b.cedges and _refines(a.part.class_id, b.part.class_id)
 
 
 def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:

@@ -816,7 +816,7 @@ def _builtin_specs():
     yield KIND_GRAPH, "at-most-one-loop", lambda g: len(g.loop_vertices) <= 1
     yield KIND_GRAPH, "all-looped", lambda g: len(g.loop_vertices) == g.n
     yield KIND_GRAPH, "trivial-or-all-looped", lambda g: g.n == 1 or len(g.loop_vertices) == g.n
-    yield KIND_GRAPH, "complete-looped", lambda g: g.edges == g.all_pairs
+    yield KIND_GRAPH, "complete-looped", lambda g: g.is_complete()
     yield KIND_GRAPH, "loop-clique", lambda g: all(
         _norm_pair(a, b) in g.edges for a in g.loop_vertices for b in g.loop_vertices
     )

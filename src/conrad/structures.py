@@ -278,7 +278,9 @@ class FiniteGraph:
         return frozenset(a for a, b in self.edges if a == b)
 
     def is_complete(self) -> bool:
-        return self.edges == self.all_pairs
+        # every edge is an admissible pair, so holding as many means holding all
+        n = self.n
+        return len(self.edges) == (n * (n + 1) if self.policy == LOOPS else n * (n - 1)) // 2
 
     def encoding(self) -> tuple:
         return (self.n, self.policy, tuple(sorted(self.edges)))
@@ -575,9 +577,9 @@ def _pair_slots(n: int, policy: str) -> list[tuple[int, int]]:
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def enumerate_graphs(n: int, policy: str, bound: int | None = None) -> list[FiniteGraph]:
+def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
     """One canonical representative per isomorphism class, sorted."""
-    limit = bound if bound is not None else _env_bound(GRAPH_ENUM_BOUND)
+    limit = _env_bound(GRAPH_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"graph enumeration capped at n <= {limit}")
     slots = _pair_slots(n, policy)
@@ -639,11 +641,11 @@ def _preorders(k: int, floor):
     return extend(0)
 
 
-def enumerate_spaces(n: int, bound: int | None = None) -> list[FiniteSpace]:
+def enumerate_spaces(n: int) -> list[FiniteSpace]:
     """One canonical representative per homeomorphism class, sorted: of each
     orbit of topologies under the permutations of the points, the one whose
     sorted open masks are least."""
-    limit = bound if bound is not None else _env_bound(SPACE_ENUM_BOUND)
+    limit = _env_bound(SPACE_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"space enumeration capped at n <= {limit}")
     # per permutation: its inverse, and the image of every subset as a bitmask

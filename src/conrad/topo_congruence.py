@@ -69,7 +69,7 @@ def universal_tc(x: FiniteSpace) -> TopoCongruence:
 
 def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
     """Congruence ordering: relation grows, topology shrinks."""
-    return _refines(a.part.class_id, b.part.class_id) and b.ctop <= a.ctop
+    return b.ctop <= a.ctop and _refines(a.part.class_id, b.part.class_id)
 
 
 def _saturated(part: Partition, u: frozenset[int]) -> bool:

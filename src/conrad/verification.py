@@ -21,18 +21,10 @@ RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 # Seeded instances (the generators live with their kinds in KIND_OPS)
 # ---------------------------------------------------------------------------
 
-def random_structure(rng: random.Random, kind: str, n: int):
-    return KIND_OPS[kind].random_structure(rng, n)
-
-
-def random_congruence(rng: random.Random, kind: str, structure):
-    return KIND_OPS[kind].random_congruence(rng, structure)
-
-
 def random_surjection(rng: random.Random, kind: str, structure):
     """A surjective morphism built as projection-then-relabel."""
     ops = KIND_OPS[kind]
-    theta = random_congruence(rng, kind, structure)
+    theta = ops.random_congruence(rng, structure)
     quotient, proj = ops.quotient(structure, theta)
     perm = list(range(quotient.n))
     rng.shuffle(perm)
@@ -45,15 +37,12 @@ def random_surjection(rng: random.Random, kind: str, structure):
 # The three isomorphism theorems, per kind
 # ---------------------------------------------------------------------------
 #
-# Each theorem names its isomorphism, so that map is tested first; the
-# search for any isomorphism runs only when it fails.  The verdict is still
-# "some isomorphism exists".
+# Each theorem names its isomorphism, and an instance holds when that map is
+# one: no other map is searched for.
 
-def _isomorphic(ops, left, right, perm: tuple) -> bool:
-    """Whether left and right are isomorphic, trying the map perm first."""
-    if left.n == right.n == len(set(perm)) and ops.carries(left, right, perm):
-        return True
-    return ops.iso(left, right) is not None
+def _is_isomorphism(ops, left, right, perm: tuple) -> bool:
+    """Whether perm is a bijection from left onto right carrying its structure."""
+    return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
 
 
 def check_first_iso(kind: str, x, y, f) -> bool:
@@ -64,30 +53,31 @@ def check_first_iso(kind: str, x, y, f) -> bool:
     ops = KIND_OPS[kind]
     kernel = ops.kernel(x, y, f)
     quotient, _ = ops.quotient(x, kernel)
-    return _isomorphic(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
+    return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
 
 
 def check_second_iso(kind: str, x, theta, sub) -> bool:
     """Quotient of the restriction matches the image-side substructure."""
     ops = KIND_OPS[kind]
-    return _second_iso(ops, x, theta, ops.quotient(x, theta), sub)
+    return _second_iso(ops, x, theta, ops.quotient(x, theta), sub, ops.substructure(x, sub))
 
 
-def _second_iso(ops, x, theta, quotient_proj: tuple, sub) -> bool:
-    """check_second_iso given the quotient of x by theta and its projection.
+def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
+    """check_second_iso given the quotient of x by theta with its projection,
+    and the substructure x_sub of x on sub.
 
     The map sends the block of sub-point i to the position, among the blocks
     meeting sub, of the block of x holding sorted(sub)[i].
     """
     quotient, proj = quotient_proj
     restricted = ops.restrict(x, theta, sub)
-    left, _ = ops.quotient(ops.substructure(x, sub), restricted)
+    left, _ = ops.quotient(x_sub, restricted)
     points = sorted(set(sub))
     image = sorted({proj[v] for v in points})
     right = ops.substructure(quotient, image)
     position = {b: i for i, b in enumerate(image)}
     perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
-    return _isomorphic(ops, left, right, perm)
+    return _is_isomorphism(ops, left, right, perm)
 
 
 def check_third_iso(kind: str, x, alpha, beta) -> bool:
@@ -102,10 +92,10 @@ def _third_iso(ops, x, alpha, beta, stage, right) -> bool:
     """check_third_iso given X/alpha and X/beta.
 
     Both sides number their blocks by least element and alpha refines beta,
-    so the map is the identity.
+    so the map is the identity and the two sides must be equal.
     """
     left, _ = ops.quotient(stage, ops.quotient_cong(x, alpha, beta))
-    return _isomorphic(ops, left, right, tuple(range(right.n)))
+    return left == right
 
 
 THEOREMS = ("first", "second", "third")
@@ -124,10 +114,10 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     for x in members:
         congs = ops.enum_congruences(x)
         quotients = [ops.quotient(x, theta) for theta in congs]
-        subsets = list(_nonempty_subsets(x.n))
+        subsets = [(sub, ops.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
         for theta, quotient_proj in zip(congs, quotients):
-            for sub in subsets:
-                if not _second_iso(ops, x, theta, quotient_proj, sub):
+            for sub, x_sub in subsets:
+                if not _second_iso(ops, x, theta, quotient_proj, sub, x_sub):
                     failures["second"] += 1
         # alpha <= beta needs alpha's partition to refine beta's, so compare
         # congruences only within pairs of partitions that refine
@@ -151,25 +141,25 @@ def random_iso_theorems(kind: str, samples: int, seed: int) -> dict[str, int]:
     """Failure counts per theorem over seeded random instances."""
     rng = random.Random(seed)
     failures = {name: 0 for name in THEOREMS}
-    join = KIND_OPS[kind].join
+    ops = KIND_OPS[kind]
     for _ in range(samples):
         n = rng.randint(RANDOM_MIN_N, RANDOM_MAX_N)
-        x = random_structure(rng, kind, n)
+        x = ops.random_structure(rng, n)
         y, f = random_surjection(rng, kind, x)
         if not check_first_iso(kind, x, y, f):
             failures["first"] += 1
 
-        x2 = random_structure(rng, kind, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
-        theta = random_congruence(rng, kind, x2)
+        x2 = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
+        theta = ops.random_congruence(rng, x2)
         size = rng.randint(1, x2.n)
         sub = tuple(sorted(rng.sample(range(x2.n), size)))
         if not check_second_iso(kind, x2, theta, sub):
             failures["second"] += 1
 
-        x3 = random_structure(rng, kind, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
-        alpha = random_congruence(rng, kind, x3)
-        if join is not None:
-            beta = join(x3, [alpha, random_congruence(rng, kind, x3)])
+        x3 = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
+        alpha = ops.random_congruence(rng, x3)
+        if ops.join is not None:
+            beta = ops.join(x3, [alpha, ops.random_congruence(rng, x3)])
         else:
             beta = _coarsen_lc(rng, x3, alpha)
         if not check_third_iso(kind, x3, alpha, beta):

@@ -529,3 +529,24 @@ def test_cli_usage_errors_exit_2(files, monkeypatch, capsys, argv, err):
         assert captured.startswith("error: " + err.format(**files)) and captured.count("\n") == 1
     else:
         assert captured == f"error: {err.format(**files)}\n"
+
+
+_MALFORMED_FILES = [
+    ("congruences --space {f}", "space 2\nopen -\nopen 0,x\n",
+     "line 3: expected comma-separated ids, got '0,x'"),
+    ("congruences --graph {f}", "graph 2 loops\ne 0 x\n", "line 2: edge endpoints must be integers"),
+    ("congruences --space {f}", "space 2 3\n", "line 1: expected: space <n>"),
+    ("congruences --space {f}", "space two\n", "line 1: bad point count 'two'"),
+    ("quotient --graph {b4} --cong {f}", "gcong\nblock 0 1\nedge 0 y\n",
+     "line 3: edge endpoints must be integers"),
+]
+
+
+@pytest.mark.parametrize("argv, text, err", _MALFORMED_FILES,
+                         ids=["point-ids", "graph-edge", "space-header", "point-count", "cong-edge"])
+def test_cli_malformed_files_exit_2(files, tmp_path, capsys, argv, text, err):
+    path = tmp_path / "malformed.txt"
+    path.write_text(text)
+    status = run_command(argv.format(f=path, **files).split())
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {err}\n"

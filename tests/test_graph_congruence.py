@@ -8,6 +8,7 @@ import pytest
 from conrad.errors import (
     EdgeSetOutOfRange,
     EmptyList,
+    InvalidCongruence,
     NotContained,
     NotHomomorphism,
     NotSurjective,
@@ -81,6 +82,18 @@ def test_validate_examples():
     assert validate_gc(B6, identity_gc(B6))
     with pytest.raises(EdgeSetOutOfRange):
         validate_gc(B4, GraphCongruence(id2(), frozenset({(0, 0)})))
+
+
+@pytest.mark.parametrize("carrier, theta, message", [
+    (edgeless_graph(2), GraphCongruence(Partition.identity(2), frozenset()),
+     "loop-graph congruences need a loops-allowed carrier"),
+    (B1, GraphCongruence(Partition.identity(3), frozenset()),
+     "partition on 3 vertices, graph has 2"),
+], ids=["policy", "size"])
+def test_validate_refuses_a_foreign_carrier(carrier, theta, message):
+    with pytest.raises(InvalidCongruence) as err:
+        validate_gc(carrier, theta)
+    assert err.type is InvalidCongruence and str(err.value) == message
 
 
 def test_strongify_examples():

@@ -8,6 +8,7 @@ from conrad.errors import (
     EdgeSetOutOfRange,
     EmptyList,
     IndependenceViolated,
+    InvalidCongruence,
     NotHomomorphism,
     SubstitutionViolated,
 )
@@ -32,6 +33,7 @@ from conrad.radical_engine import (
     is_subdirectly_irreducible as is_subdirectly_irreducible_lc,
 )
 from conrad.structures import (
+    LOOPS,
     NOLOOPS,
     Partition,
     complete_graph,
@@ -63,6 +65,21 @@ def test_validate_examples():
             LooplessCongruence(Partition.from_blocks(3, [[0, 2], [1]]),
                                frozenset({(0, 1)})),
         )
+
+
+@pytest.mark.parametrize("carrier, theta, error, message", [
+    (edgeless_graph(2, LOOPS), LooplessCongruence(Partition.identity(2), frozenset()),
+     InvalidCongruence, "loopless congruences need a loopless carrier"),
+    (K2, LooplessCongruence(Partition.identity(3), frozenset({(0, 1)})),
+     InvalidCongruence, "partition on 3 vertices, graph has 2"),
+    # K2's edge is missing from the edge-set
+    (K2, LooplessCongruence(Partition.identity(2), frozenset()),
+     EdgeSetOutOfRange, "congruence edge-set must sit between E and K"),
+], ids=["policy", "size", "range"])
+def test_validate_refusals(carrier, theta, error, message):
+    with pytest.raises(InvalidCongruence) as err:
+        validate_lc(carrier, theta)
+    assert err.type is error and str(err.value) == message
 
 
 def test_strongify_examples():

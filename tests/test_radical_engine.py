@@ -45,8 +45,10 @@ from conrad.radical_engine import (
     hoehnke_radical,
     ideal_hereditary,
     in_radical_class,
+    is_complete,
     is_connectedness,
     is_disconnectedness,
+    is_idempotent,
     is_strong,
     is_strong_everywhere,
     ka_triple,
@@ -83,10 +85,12 @@ from conrad.structures import (
     T_SPACE,
     complete_graph,
     edgeless_graph,
+    homeo_spaces,
     indiscrete_space,
     is_surjective,
     path_graph,
     space,
+    subspace,
 )
 
 import oracles
@@ -572,6 +576,39 @@ def test_strong_everywhere_witness_example():
     assert not ok and witness == S2
 
 
+def _topo_rule(name, rule):
+    return RadicalAssignment(name, KIND_TOPO, rule, "custom")
+
+
+# universal on carriers of at most two points, identity on three
+UNIVERSAL_BELOW_THREE = _topo_rule(
+    "universal-below-three", lambda x: tc.universal_tc(x) if x.n <= 2 else tc.identity_tc(x)
+)
+
+
+def test_completeness_fails_with_a_strong_witness_above_the_radical():
+    ok, (x, theta) = is_complete(UNIVERSAL_BELOW_THREE, UNI_TOPO)
+    assert not ok and x == indiscrete_space(3) and theta.part == Partition((0, 0, 1))
+    # the definition: a strong congruence whose blocks lie in the radical
+    # class, yet not below the radical
+    assert is_strong(KIND_TOPO, x, theta)
+    assert all(
+        in_radical_class(UNIVERSAL_BELOW_THREE, subspace(x, block)) for block in theta.part.blocks
+    )
+    assert not tc.le_tc(theta, UNIVERSAL_BELOW_THREE(x))
+
+
+def test_idempotence_fails_on_a_block_outside_the_radical_class():
+    # merging the first two points of every three-point carrier, identity elsewhere
+    sigma = _topo_rule("merge-on-three", lambda x: (
+        tc.strongify_tc(x, Partition((0, 0, 1))) if x.n == 3 else tc.identity_tc(x)
+    ))
+    ok, (x, block) = is_idempotent(sigma, UNI_TOPO)
+    assert not ok and x == indiscrete_space(3) and block == (0, 1)
+    assert block in sigma(x).part.blocks
+    assert not in_radical_class(sigma, subspace(x, block))
+
+
 # ---------------------------------------------------------------------------
 # Hereditariness, both notions
 # ---------------------------------------------------------------------------
@@ -601,6 +638,25 @@ def test_graph_catalog_congruence_level_split():
     assert not ok and g == B3 and sub == (1,)
     assert s_hereditary(catalog_radical(KIND_GRAPH, "a"), UNI_GRAPH)[0]
     assert s_hereditary(catalog_radical(KIND_GRAPH, "c"), UNI_GRAPH)[0]
+
+
+def test_s_heredity_fails_where_the_part_has_a_larger_radical():
+    ok, (x, sub) = s_hereditary(UNIVERSAL_BELOW_THREE, UNI_TOPO)
+    assert not ok and x == indiscrete_space(3) and sub == (0, 1)
+    restricted = tc.restrict_tc(x, UNIVERSAL_BELOW_THREE(x), sub)
+    assert not tc.le_tc(UNIVERSAL_BELOW_THREE(subspace(x, sub)), restricted)
+
+
+def test_torsion_theory_fails_on_a_radical_class_that_is_not_hereditary():
+    # the radical class holds the one- and three-point spaces only
+    sigma = _universal_on_three(KIND_TOPO)
+    ok, (x, sub) = hereditary_torsion_theory(sigma, UNI_TOPO)
+    assert not ok and x == indiscrete_space(3) and sub == (0, 1)
+    assert in_radical_class(sigma, x)
+    part = subspace(x, sub)
+    assert not any(
+        homeo_spaces(part, y) is not None for y in radical_members(sigma, UNI_TOPO)
+    )
 
 
 def test_universal_rule_hereditary_example():

@@ -30,6 +30,7 @@ from conrad.structures import (
     D2,
     FiniteSpace,
     I2,
+    ISO_BOUND,
     LOOPS,
     NOLOOPS,
     Partition,
@@ -46,6 +47,7 @@ from conrad.structures import (
     enumerate_spaces,
     graph,
     homeo_spaces,
+    indiscrete_space,
     induced,
     iso_graphs,
     join_partitions,
@@ -326,6 +328,14 @@ def test_iso_graphs_examples():
         iso_graphs(B1, edgeless_graph(2))
 
 
+def test_iso_and_homeo_testing_refuse_past_the_bound():
+    # equal sizes and counts, so only the bound stands between them and a search
+    with pytest.raises(BoundExceeded, match=f"isomorphism testing capped at n <= {ISO_BOUND}"):
+        iso_graphs(path_graph(ISO_BOUND + 1), path_graph(ISO_BOUND + 1))
+    with pytest.raises(BoundExceeded, match=f"homeomorphism testing capped at n <= {ISO_BOUND}"):
+        homeo_spaces(indiscrete_space(ISO_BOUND + 1), indiscrete_space(ISO_BOUND + 1))
+
+
 def test_homeo_spaces_examples():
     flipped = space(2, [[], [1], [0, 1]])
     assert homeo_spaces(S2, flipped) == (1, 0)
@@ -387,17 +397,19 @@ def test_enumerate_graphs_matches_b_set():
         assert sum(1 for r in reps if iso_graphs(r, b) is not None) == 1
 
 
-def test_enumerate_graphs_bound():
+def test_enumerate_graphs_bound(monkeypatch):
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
     with pytest.raises(BoundExceeded):
         enumerate_graphs(7, NOLOOPS)
-    assert len(enumerate_graphs(6, NOLOOPS, bound=6)) == 156
+    assert len(enumerate_graphs(6, NOLOOPS)) == 156
 
 
-def test_enumerate_spaces_reaches_five_and_six_points():
+def test_enumerate_spaces_reaches_five_and_six_points(monkeypatch):
     # finite topologies up to homeomorphism (OEIS A001930), past the default cap
-    five = enumerate_spaces(5, bound=5)
+    monkeypatch.setenv("CONRAD_MAX_N", "6")
+    five = enumerate_spaces(5)
     assert len(five) == 139
-    assert len(enumerate_spaces(6, bound=6)) == 718
+    assert len(enumerate_spaces(6)) == 718
     assert five == sorted(five, key=lambda x: (len(x.opens), x.encoding()))
     for x, y in itertools.combinations(five, 2):
         assert homeo_spaces(x, y) is None

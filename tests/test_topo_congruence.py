@@ -12,6 +12,7 @@ from conrad.errors import (
     BoundExceeded,
     EmptyList,
     EmptySubset,
+    InvalidCongruence,
     NotContained,
     NotContinuous,
     NotSaturated,
@@ -86,6 +87,12 @@ def test_validate_not_saturated():
 def test_validate_not_subtopology():
     with pytest.raises(NotSubTopology):
         validate_tc(I2, TopoCongruence(id2(), D2.opens))
+
+
+def test_validate_refuses_a_partition_of_another_size():
+    with pytest.raises(InvalidCongruence) as err:
+        validate_tc(S2, TopoCongruence(Partition.identity(3), S2.opens))
+    assert err.type is InvalidCongruence and str(err.value) == "partition on 3 points, space has 2"
 
 
 def test_strongify_examples():

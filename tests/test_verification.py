@@ -21,14 +21,13 @@ from conrad.structures import (
     relabel_space,
 )
 from conrad.verification import (
-    _isomorphic,
+    _is_isomorphism,
     check_first_iso,
     check_second_iso,
     check_third_iso,
     exhaustive_iso_theorems,
     random_iso_theorems,
     random_surjection,
-    random_structure,
 )
 
 
@@ -75,7 +74,7 @@ def test_random_surjection_is_morphism():
     for kind in (KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS):
         ops = KIND_OPS[kind]
         for _ in range(40):
-            x = random_structure(rng, kind, rng.randint(2, 5))
+            x = ops.random_structure(rng, rng.randint(2, 5))
             y, f = random_surjection(rng, kind, x)
             assert set(f) == set(range(y.n))
             assert ops.is_morphism(x, y, f)
@@ -97,17 +96,20 @@ def test_canonical_maps_decide_every_instance(monkeypatch, kind, max_n):
     assert random_iso_theorems(kind, 200, seed=3) == NO_FAILURES
 
 
-def test_search_answers_when_the_map_is_wrong():
+def test_a_wrong_map_fails_even_between_isomorphic_structures():
     topo, graphs = KIND_OPS[KIND_TOPO], KIND_OPS[KIND_GRAPH]
     swapped = relabel_space(S2, (1, 0))
     assert swapped != S2
-    # a wrong or non-bijective map on isomorphic structures: the search finds one
-    assert _isomorphic(topo, S2, swapped, (0, 1))
-    assert _isomorphic(topo, S2, S2, (0, 0))
-    assert _isomorphic(graphs, B3, graph(2, LOOPS, [(1, 1)]), (0, 1))
+    # a wrong or non-bijective map on isomorphic structures: no search rescues it
+    assert not _is_isomorphism(topo, S2, swapped, (0, 1))
+    assert not _is_isomorphism(topo, S2, S2, (0, 0))
+    assert not _is_isomorphism(graphs, B3, graph(2, LOOPS, [(1, 1)]), (0, 1))
+    # the right maps
+    assert _is_isomorphism(topo, S2, swapped, (1, 0))
+    assert _is_isomorphism(graphs, B3, graph(2, LOOPS, [(1, 1)]), (1, 0))
     # structures that are not isomorphic, whatever the map
-    assert not _isomorphic(topo, S2, I2, (0, 1))
-    assert not _isomorphic(graphs, B3, B4, (0, 1))
+    assert not _is_isomorphism(topo, S2, I2, (0, 1))
+    assert not _is_isomorphism(graphs, B3, B4, (0, 1))
 
 
 @pytest.mark.parametrize("kind, max_n, expected", [
