@@ -225,49 +225,64 @@ def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence
 # Enumeration and random congruences
 # ---------------------------------------------------------------------------
 
-def _congruences_over(g: FiniteGraph, admits) -> list[GraphCongruence]:
-    """Per admitted partition, every edge-set that is E's orbits plus a union of free orbits.
+def _congruences_over(g: FiniteGraph, admits):
+    """Per admitted partition, every edge-set that is E's orbits plus a union
+    of free orbits, partitions in growth order and each one's sorted by
+    encoding; built lazily, one partition at a time.
 
     Loopless graphs admit independent partitions only; their orbits leave
     out the diagonal ones, whose pairs join related vertices.  Every
-    partition's candidates are counted before any is built: one for a
-    refused partition, 2^(free orbits) for an admitted one.
+    partition's candidates are counted, and the scan bound applied, when this
+    is called: one for a refused partition, 2^(free orbits) for an admitted
+    one, where an orbit is free when no edge of g joins its two blocks.
     """
-    plans = []
+    diagonal = g.policy == LOOPS
+    admitted = []
     scanned = 0
     for part in bounded_partitions(g.n):
         if not admits(part):
             scanned = count_scanned(scanned, 1)
             continue
-        required: set[tuple[int, int]] = set()
-        free = []
-        for orbit in _orbits(g, part):
-            if orbit & g.edges:
-                required.update(orbit)
-            else:
-                free.append(sorted(orbit))
-        free.sort()
-        scanned = count_scanned(scanned, 2 ** len(free))
-        plans.append((part, required, free))
-    out = []
-    for part, required, free in plans:
-        found = []
-        for k in range(2 ** len(free)):
-            cedges = set(required)
-            for i in range(len(free)):
-                if k >> i & 1:
-                    cedges.update(free[i])
-            found.append(GraphCongruence(part, frozenset(cedges)))
-        found.sort(key=lambda c: c.encoding())
-        out.extend(found)
-    return out
+        k = part.num_blocks
+        cid = part.class_id
+        touched = {_norm_pair(cid[a], cid[b]) for a, b in g.edges}
+        free = (k * (k + 1) if diagonal else k * (k - 1)) // 2 - len(touched)
+        scanned = count_scanned(scanned, 2 ** free)
+        admitted.append(part)
+    return (theta for part in admitted for theta in _congruences_of(g, part))
 
 
-def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
-    """Every congruence: per partition, the edge-set is a union of orbits."""
+def _congruences_of(g: FiniteGraph, part: Partition) -> list[GraphCongruence]:
+    """The congruences on one partition, sorted by encoding."""
+    required: set[tuple[int, int]] = set()
+    free = []
+    for orbit in _orbits(g, part):
+        if orbit & g.edges:
+            required.update(orbit)
+        else:
+            free.append(orbit)
+    found = []
+    for k in range(2 ** len(free)):
+        cedges = set(required)
+        for i in range(len(free)):
+            if k >> i & 1:
+                cedges.update(free[i])
+        found.append(GraphCongruence(part, frozenset(cedges)))
+    found.sort(key=lambda c: c.encoding())
+    return found
+
+
+def iter_congruences_gc(g: FiniteGraph):
+    """Every congruence, lazily: per partition, the edge-set is a union of orbits.
+    Raises BoundExceeded at call time, before any congruence is built."""
     if g.policy != LOOPS:
         raise PolicyMismatch("enumerate_congruences_gc needs a loops-allowed carrier")
     return _congruences_over(g, lambda part: True)
+
+
+def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
+    """Every congruence, in the order of `iter_congruences_gc`."""
+    return list(iter_congruences_gc(g))
 
 
 def _random_over(rng: random.Random, g: FiniteGraph, part: Partition) -> GraphCongruence:

@@ -80,9 +80,15 @@ def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
     return quotient_gc(g, theta)
 
 
-def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
-    """Every congruence: independent-block partitions, off-diagonal orbits."""
+def iter_congruences_lc(g: FiniteGraph):
+    """Every congruence, lazily: independent-block partitions, off-diagonal
+    orbits.  Raises BoundExceeded at call time, before any congruence is built."""
     return _congruences_over(g, lambda part: _blocks_independent(g, part))
+
+
+def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
+    """Every congruence, in the order of `iter_congruences_lc`."""
+    return list(iter_congruences_lc(g))
 
 
 def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:

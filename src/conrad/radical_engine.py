@@ -147,6 +147,7 @@ def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
 class _KindOps:
     enum_structures: Callable
     enum_congruences: Callable
+    iter_congruences: Callable
     validate: Callable
     quotient: Callable
     kernel: Callable
@@ -191,6 +192,7 @@ KIND_OPS: dict[str, _KindOps] = {
     KIND_TOPO: _KindOps(
         enum_structures=lambda n: enumerate_spaces(n),
         enum_congruences=tc.enumerate_congruences_tc,
+        iter_congruences=tc.iter_congruences_tc,
         validate=tc.validate_tc,
         quotient=tc.quotient_tc,
         kernel=tc.kernel_tc,
@@ -217,6 +219,7 @@ KIND_OPS: dict[str, _KindOps] = {
     KIND_GRAPH: _KindOps(
         enum_structures=lambda n: enumerate_graphs(n, LOOPS),
         enum_congruences=gc.enumerate_congruences_gc,
+        iter_congruences=gc.iter_congruences_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
         kernel=gc.kernel_gc,
@@ -246,6 +249,7 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
     KIND_OPS[KIND_GRAPH],
     enum_structures=lambda n: enumerate_graphs(n, NOLOOPS),
     enum_congruences=lc.enumerate_congruences_lc,
+    iter_congruences=lc.iter_congruences_lc,
     validate=lc.validate_lc,
     quotient=lc.quotient_lc,
     join=None,
@@ -295,18 +299,31 @@ def class_predicate(name: str, kind: str, member: Callable) -> ClassPredicate:
     return pred
 
 
-def _iso_to_some(kind: str, structure, pool) -> bool:
-    """Whether the structure is isomorphic to a member of the pool."""
+def _iso_index(kind: str, pool) -> Callable:
+    """Membership in the iso-closure of the pool.  The pool is bucketed by
+    `iso_key`, so a structure is tested with `iso` only against the members
+    sharing its key, and each structure's answer is memoised."""
     iso = KIND_OPS[kind].iso
-    return any(m.n == structure.n and iso(structure, m) is not None for m in pool)
+    buckets: dict[tuple, list] = {}
+    for m in pool:
+        buckets.setdefault(m.iso_key(), []).append(m)
+    answers: dict = {}
+
+    def member(structure) -> bool:
+        answer = answers.get(structure)
+        if answer is None:
+            answer = answers[structure] = any(
+                iso(structure, m) is not None for m in buckets.get(structure.iso_key(), ())
+            )
+        return answer
+
+    return member
 
 
 def class_from_members(kind: str, name: str, members) -> ClassPredicate:
     """Iso-closure of an explicit finite list plus the trivial structures."""
-    pool = tuple(members)
-    return ClassPredicate(
-        name, kind, lambda structure: structure.n == 1 or _iso_to_some(kind, structure, pool)
-    )
+    member = _iso_index(kind, members)
+    return ClassPredicate(name, kind, lambda structure: structure.n == 1 or member(structure))
 
 
 @dataclass(frozen=True)
@@ -365,12 +382,19 @@ def universe_from_members(kind: str, members) -> Universe:
 # The Hoehnke radical of a class
 # ---------------------------------------------------------------------------
 
-def _qualifying(ops: _KindOps, structure, cls: ClassPredicate) -> list:
-    """The congruences on the structure whose quotient lies in the class."""
-    return [
-        theta for theta in ops.enum_congruences(structure)
-        if cls(ops.quotient(structure, theta)[0])
-    ]
+def _meets_to_identity(ops: _KindOps, structure, cls: ClassPredicate) -> bool:
+    """Whether the congruences whose quotient lies in the class meet to the
+    identity (False when none does).  The congruences are built lazily and
+    met as they qualify; the scan stops once the running meet is the
+    identity, the least congruence, which no further meet can lower."""
+    identity = ops.identity(structure)
+    met = None
+    for theta in ops.iter_congruences(structure):
+        if cls(ops.quotient(structure, theta)[0]):
+            met = theta if met is None else ops.meet(structure, [met, theta])
+            if met == identity:
+                return True
+    return False
 
 
 def hoehnke_radical(structure, cls: ClassPredicate):
@@ -379,7 +403,10 @@ def hoehnke_radical(structure, cls: ClassPredicate):
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, got a {kind} structure")
     ops = KIND_OPS[kind]
-    qualifying = _qualifying(ops, structure, cls)
+    qualifying = [
+        theta for theta in ops.enum_congruences(structure)
+        if cls(ops.quotient(structure, theta)[0])
+    ]
     if not qualifying:
         raise NoQualifyingCongruence(
             f"no congruence quotient of the structure lies in {cls.name!r}"
@@ -483,10 +510,16 @@ def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
     image_le = KIND_OPS[sigma.kind].image_le
     failures = []
     for x in uni.members:
+        # every x maps onto itself, so sigma first reads the members in the
+        # same order as when it was read once per map
+        sx = sigma(x)
         for y in uni.members:
-            for f in uni.surjections(x, y):
-                if not image_le(x, y, f, sigma(x), sigma(y), checked=False):
-                    failures.append((x, y, f))
+            maps = uni.surjections(x, y)
+            if maps:
+                sy = sigma(y)
+                failures.extend(
+                    (x, y, f) for f in maps if not image_le(x, y, f, sx, sy, checked=False)
+                )
     return failures
 
 
@@ -571,9 +604,10 @@ def ideal_hereditary(sigma: RadicalAssignment, uni: Universe):
 def _class_hereditary(kind: str, members_in_class) -> tuple[bool, tuple | None]:
     # no trivial shortcut: a semisimple class can lack a one-point structure
     substructure = KIND_OPS[kind].substructure
+    in_class = _iso_index(kind, members_in_class)
     for x in members_in_class:
         for sub in _nonempty_subsets(x.n):
-            if not _iso_to_some(kind, substructure(x, sub), members_in_class):
+            if not in_class(substructure(x, sub)):
                 return False, (x, sub)
     return True, None
 
@@ -606,7 +640,7 @@ def hereditary_torsion_theory(sigma: RadicalAssignment, uni: Universe):
 
 def _nontrivial_images(kind: str, x):
     ops = KIND_OPS[kind]
-    for theta in ops.enum_congruences(x):
+    for theta in ops.iter_congruences(x):
         if theta.part.num_blocks >= 2:
             yield ops.quotient(x, theta)[0]
 
@@ -752,12 +786,7 @@ def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:
     if cls.kind != uni.kind:
         raise KindMismatch(f"{cls.name!r} does not match the universe kind")
     ops = KIND_OPS[uni.kind]
-    out = []
-    for x in uni.members:
-        qualifying = _qualifying(ops, x, cls)
-        if qualifying and ops.meet(x, qualifying) == ops.identity(x):
-            out.append(x)
-    return out
+    return [x for x in uni.members if _meets_to_identity(ops, x, cls)]
 
 
 def complementary_pair_check(c_cls: ClassPredicate, d_cls: ClassPredicate, uni: Universe) -> bool:
@@ -783,9 +812,10 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
             raise LemmaConditionFailed(
                 f"complete graph on {m} vertices is outside {cls.name!r}"
             )
-    return all(
-        hoehnke_radical(x, cls) == gc.identity_gc(x) for x in uni.members
-    )
+    # with every complete graph in the class, each member's identity partition
+    # with all pairs qualifies, so no member lacks a qualifying congruence
+    ops = KIND_OPS[KIND_LOOPLESS]
+    return all(_meets_to_identity(ops, x, cls) for x in uni.members)
 
 
 # ---------------------------------------------------------------------------

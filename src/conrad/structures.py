@@ -183,8 +183,10 @@ def _refines(labels, coarser) -> bool:
     return True
 
 
-def all_partitions(n: int):
-    """All partitions of 0..n-1 in lexicographic growth-string order."""
+@functools.cache
+def all_partitions(n: int) -> tuple[Partition, ...]:
+    """All partitions of 0..n-1 in lexicographic growth-string order, built
+    once per n: partitions are immutable, so every sweep shares them."""
 
     def rec(prefix: list[int], used: int):
         if len(prefix) == n:
@@ -195,7 +197,7 @@ def all_partitions(n: int):
             yield from rec(prefix, max(used, b + 1))
             prefix.pop()
 
-    yield from rec([], 0)
+    return tuple(rec([], 0))
 
 
 def bell_number(n: int) -> int:
@@ -276,6 +278,15 @@ class FiniteGraph:
     @property
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(a for a, b in self.edges if a == b)
+
+    def point_key(self, v: int) -> tuple[int, int]:
+        """The degree of v and whether it carries a loop: kept by isomorphisms."""
+        deg = sum(1 for a, b in self.edges if (a == v) != (b == v))
+        return (deg, 1 if (v, v) in self.edges else 0)
+
+    def iso_key(self) -> tuple:
+        """An isomorphism invariant: size, edge count and the sorted point keys."""
+        return (self.n, len(self.edges), tuple(sorted(map(self.point_key, range(self.n)))))
 
     def is_complete(self) -> bool:
         # every edge is an admissible pair, so holding as many means holding all
@@ -400,6 +411,14 @@ class FiniteSpace:
         # finite T1 = discrete
         return self.is_discrete()
 
+    def point_key(self, p: int) -> tuple[int, int]:
+        """How many points lie below and above p: kept by homeomorphisms."""
+        return (self.min_opens[p].bit_count(), sum(u >> p & 1 for u in self.min_opens))
+
+    def iso_key(self) -> tuple:
+        """A homeomorphism invariant: size, open count and the sorted point keys."""
+        return (self.n, len(self._open_masks), tuple(sorted(map(self.point_key, range(self.n)))))
+
     def min_open(self, x: int) -> frozenset[int]:
         """Smallest open set containing x."""
         return _members(self.min_opens[x])
@@ -512,11 +531,6 @@ D2 = discrete_space(2)
 # Isomorphism and homeomorphism
 # ---------------------------------------------------------------------------
 
-def _graph_degree_key(g: FiniteGraph, v: int) -> tuple[int, int]:
-    deg = sum(1 for a, b in g.edges if (a == v) != (b == v))
-    return (deg, 1 if (v, v) in g.edges else 0)
-
-
 def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
     """Whether the bijection perm sends the edges of g exactly onto those of h."""
     return frozenset(_norm_pair(perm[a], perm[b]) for a, b in g.edges) == h.edges
@@ -528,10 +542,10 @@ def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
     return _relabelled(x.min_opens, perm) == y.min_opens
 
 
-def _least_carrying(x, y, key, carries):
-    """The least permutation keeping key(structure, point) that carries x onto y, or None."""
-    xkeys = [key(x, p) for p in range(x.n)]
-    ykeys = [key(y, p) for p in range(y.n)]
+def _least_carrying(x, y, carries):
+    """The least permutation keeping each point's point_key that carries x onto y, or None."""
+    xkeys = [x.point_key(p) for p in range(x.n)]
+    ykeys = [y.point_key(p) for p in range(y.n)]
     if sorted(xkeys) != sorted(ykeys):
         return None
     for perm in itertools.permutations(range(x.n)):
@@ -553,7 +567,7 @@ def iso_graphs(g: FiniteGraph, h: FiniteGraph):
         return None
     if g.n > ISO_BOUND:
         raise BoundExceeded(f"isomorphism testing capped at n <= {ISO_BOUND}")
-    return _least_carrying(g, h, _graph_degree_key, carries_edges)
+    return _least_carrying(g, h, carries_edges)
 
 
 def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
@@ -562,9 +576,7 @@ def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
         return None
     if x.n > ISO_BOUND:
         raise BoundExceeded(f"homeomorphism testing capped at n <= {ISO_BOUND}")
-    # each point is keyed by how many points lie below and above it
-    return _least_carrying(x, y, lambda s, p: (
-        s.min_opens[p].bit_count(), sum(u >> p & 1 for u in s.min_opens)), carries_opens)
+    return _least_carrying(x, y, carries_opens)
 
 
 # ---------------------------------------------------------------------------
@@ -578,34 +590,32 @@ def _pair_slots(n: int, policy: str) -> list[tuple[int, int]]:
 
 
 def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
-    """One canonical representative per isomorphism class, sorted."""
+    """One canonical representative per isomorphism class, sorted: of each
+    orbit of edge masks under the permutations of the vertices, the least.
+
+    Masks are scanned in ascending order and each unseen one is a
+    representative, because every smaller mask's orbit is marked already;
+    its orbit is marked through per-permutation tables of single-slot images.
+    """
     limit = _env_bound(GRAPH_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"graph enumeration capped at n <= {limit}")
     slots = _pair_slots(n, policy)
     index = {pair: i for i, pair in enumerate(slots)}
-    perms = list(itertools.permutations(range(n)))
-    # pair-slot permutation induced by each vertex permutation
-    actions = [
-        [index[_norm_pair(p[a], p[b])] for (a, b) in slots] for p in perms
+    # per vertex permutation, the image mask of each single pair slot
+    images = [
+        [1 << index[_norm_pair(p[a], p[b])] for a, b in slots]
+        for p in itertools.permutations(range(n))
     ]
+    seen = bytearray(2 ** len(slots))
     reps = []
-    for mask in range(2 ** len(slots)):
-        best = mask
-        for act in actions:
-            img = 0
-            m = mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                img |= 1 << act[i]
-                m &= m - 1
-            if img < best:
-                best = img
-                if best < mask:
-                    break
-        if best == mask:
-            edges = frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1)
-            reps.append(FiniteGraph(n, policy, edges))
+    mask = 0
+    while mask >= 0:
+        ones = [i for i in range(len(slots)) if mask >> i & 1]
+        for image in images:
+            seen[sum(map(image.__getitem__, ones))] = 1
+        reps.append(FiniteGraph(n, policy, frozenset(map(slots.__getitem__, ones))))
+        mask = seen.find(0, mask + 1)  # -1 once every orbit is marked
     reps.sort(key=lambda g: (len(g.edges), g.encoding()))
     return reps
 

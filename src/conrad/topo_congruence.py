@@ -218,15 +218,15 @@ def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
 # Enumeration, random congruences, decomposition
 # ---------------------------------------------------------------------------
 
-def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
-    """Every congruence on x: per partition in growth order, every congruence
-    topology, sorted by encoding.
+def iter_congruences_tc(x: FiniteSpace):
+    """Every congruence on x, lazily: per partition in growth order, every
+    congruence topology, sorted by encoding.
 
     The congruence topologies of a partition are the topologies on its blocks
     that are coarser than the strong quotient's: the preorders on the blocks
     that contain its specialization preorder, whose opens are then lifted to
     unions of blocks.  Every partition's candidate vectors are counted against
-    the scan bound before any is lifted.
+    the scan bound when this is called, before any is lifted.
     """
     plans = []
     scanned = 0
@@ -242,16 +242,26 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
             by_floor[floor] = list(itertools.islice(_preorders(len(points), floor), CONGRUENCE_SCAN_BOUND + 1))
         scanned = count_scanned(scanned, len(by_floor[floor]))
         plans.append((part, points, by_floor[floor]))
-    out = []
-    for part, points, vectors in plans:
-        unions = [_unions(vec) for vec in vectors]
-        # each union of blocks (a mask of blocks) lifted once to its points
-        lift = {m: sum(held for b, held in enumerate(points) if m >> b & 1) for m in set().union(*unions)}
-        opens = {mask: _members(mask) for mask in lift.values()}
-        # sorted point masks are the encoding within one partition
-        for masks in sorted(tuple(sorted(map(lift.__getitem__, u))) for u in unions):
-            out.append(TopoCongruence(part, frozenset(map(opens.__getitem__, masks))))
-    return out
+    return (rho for plan in plans for rho in _congruences_of(*plan))
+
+
+def _congruences_of(part: Partition, points: list[int], vectors) -> list[TopoCongruence]:
+    """The congruences on one partition, from the least-open vectors on its
+    blocks (points[b] is block b's points as a mask), sorted by encoding."""
+    unions = [_unions(vec) for vec in vectors]
+    # each union of blocks (a mask of blocks) lifted once to its points
+    lift = {m: sum(held for b, held in enumerate(points) if m >> b & 1) for m in set().union(*unions)}
+    opens = {mask: _members(mask) for mask in lift.values()}
+    # sorted point masks are the encoding within one partition
+    return [
+        TopoCongruence(part, frozenset(map(opens.__getitem__, masks)))
+        for masks in sorted(tuple(sorted(map(lift.__getitem__, u))) for u in unions)
+    ]
+
+
+def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
+    """Every congruence on x, in the order of `iter_congruences_tc`."""
+    return list(iter_congruences_tc(x))
 
 
 def random_space(rng: random.Random, n: int) -> FiniteSpace:

@@ -9,16 +9,29 @@ import itertools
 from conrad.errors import BoundExceeded
 from conrad.graph_congruence import (
     GraphCongruence,
+    _orbits,
     _require_homomorphism,
     block_orbit,
     saturation_gc,
     strongify_gc,
 )
+from conrad.loopless_congruence import _blocks_independent
+from conrad.radical_engine import KIND_OPS, hoehnke_radical
 from conrad.structures import (
+    CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
     LOOPS,
     Partition,
+    _bitmask,
+    _members,
+    _nonempty_subsets,
     _norm_pair,
+    _pair_slots,
+    _preorders,
+    _unions,
+    bounded_partitions,
+    complete_graph,
+    count_scanned,
     join_partitions,
     require_surjective,
 )
@@ -109,3 +122,154 @@ def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
             ):
                 edges.add((pos[u], pos[v]))
     return FiniteGraph(len(verts), LOOPS, frozenset(edges))
+
+
+def enumerate_graphs_scan(n, policy):
+    """Every isomorphism class's least edge mask, found by testing each mask
+    against its images under every vertex permutation."""
+    slots = _pair_slots(n, policy)
+    index = {pair: i for i, pair in enumerate(slots)}
+    actions = [
+        [index[_norm_pair(p[a], p[b])] for (a, b) in slots]
+        for p in itertools.permutations(range(n))
+    ]
+    reps = []
+    for mask in range(2 ** len(slots)):
+        best = mask
+        for act in actions:
+            img = 0
+            m = mask
+            while m:
+                i = (m & -m).bit_length() - 1
+                img |= 1 << act[i]
+                m &= m - 1
+            if img < best:
+                best = img
+                if best < mask:
+                    break
+        if best == mask:
+            edges = frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1)
+            reps.append(FiniteGraph(n, policy, edges))
+    reps.sort(key=lambda g: (len(g.edges), g.encoding()))
+    return reps
+
+
+# ---------------------------------------------------------------------------
+# Eager congruence enumeration and the sweeps that consume it in full
+# ---------------------------------------------------------------------------
+
+def _eager_congruences_over(g, admits):
+    """Every congruence, all built before any is returned."""
+    plans = []
+    scanned = 0
+    for part in bounded_partitions(g.n):
+        if not admits(part):
+            scanned = count_scanned(scanned, 1)
+            continue
+        required = set()
+        free = []
+        for orbit in _orbits(g, part):
+            if orbit & g.edges:
+                required.update(orbit)
+            else:
+                free.append(sorted(orbit))
+        scanned = count_scanned(scanned, 2 ** len(free))
+        plans.append((part, required, free))
+    out = []
+    for part, required, free in plans:
+        found = []
+        for k in range(2 ** len(free)):
+            cedges = set(required)
+            for i in range(len(free)):
+                if k >> i & 1:
+                    cedges.update(free[i])
+            found.append(GraphCongruence(part, frozenset(cedges)))
+        out.extend(sorted(found, key=lambda c: c.encoding()))
+    return out
+
+
+def eager_congruences_gc(g):
+    return _eager_congruences_over(g, lambda part: True)
+
+
+def eager_congruences_lc(g):
+    return _eager_congruences_over(g, lambda part: _blocks_independent(g, part))
+
+
+def eager_congruences_tc(x):
+    """Every congruence on x, all built before any is returned."""
+    plans = []
+    scanned = 0
+    for part in bounded_partitions(x.n):
+        points, reach = [0] * part.num_blocks, [0] * part.num_blocks
+        for p, (b, u) in enumerate(zip(part.class_id, x.min_opens)):
+            points[b] |= 1 << p
+            reach[b] |= u
+        floor = tuple(_bitmask(b for b, held in enumerate(points) if held & r) for r in reach)
+        vectors = list(itertools.islice(_preorders(len(points), floor), CONGRUENCE_SCAN_BOUND + 1))
+        scanned = count_scanned(scanned, len(vectors))
+        plans.append((part, points, vectors))
+    out = []
+    for part, points, vectors in plans:
+        found = []
+        for vec in vectors:
+            masks = {sum(held for b, held in enumerate(points) if m >> b & 1) for m in _unions(vec)}
+            found.append(TopoCongruence(part, frozenset(map(_members, masks))))
+        out.extend(sorted(found, key=lambda c: c.encoding()))
+    return out
+
+
+EAGER_CONGRUENCES = {
+    "topo": eager_congruences_tc,
+    "graph": eager_congruences_gc,
+    "loopless": eager_congruences_lc,
+}
+
+
+def meets_to_identity_eager(kind, x, cls):
+    """Whether the qualifying congruences, all of them, meet to the identity."""
+    ops = KIND_OPS[kind]
+    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t)[0])]
+    return bool(qualifying) and ops.meet(x, qualifying) == ops.identity(x)
+
+
+def U_operator_eager(cls, uni):
+    """Members none of whose non-trivial quotients, all of them built, lies in the class."""
+    ops = KIND_OPS[uni.kind]
+    return [
+        x for x in uni.members
+        if not any([cls(ops.quotient(x, t)[0]) for t in EAGER_CONGRUENCES[uni.kind](x)
+                    if t.part.num_blocks >= 2])
+    ]
+
+
+def subdirect_closure_eager(cls, uni):
+    return [x for x in uni.members if meets_to_identity_eager(uni.kind, x, cls)]
+
+
+def degeneracy_eager(uni, cls):
+    """Whether every member's Hoehnke radical, computed in full, is the
+    identity; None when the class misses a complete graph, which the check refuses."""
+    if not all(cls(complete_graph(m)) for m in range(1, uni.max_n + 1)):
+        return None
+    ops = KIND_OPS[uni.kind]
+    return all(hoehnke_radical(x, cls) == ops.identity(x) for x in uni.members)
+
+
+# ---------------------------------------------------------------------------
+# Iso-closure membership by a linear scan of the pool
+# ---------------------------------------------------------------------------
+
+def iso_to_some(kind, structure, pool):
+    """Whether the structure is isomorphic to a member of the pool."""
+    iso = KIND_OPS[kind].iso
+    return any(m.n == structure.n and iso(structure, m) is not None for m in pool)
+
+
+def class_hereditary_scan(kind, members_in_class):
+    substructure = KIND_OPS[kind].substructure
+    for x in members_in_class:
+        for sub in _nonempty_subsets(x.n):
+            if not iso_to_some(kind, substructure(x, sub), members_in_class):
+                return False, (x, sub)
+    return True, None

@@ -59,7 +59,7 @@ from conrad.structures import (
 from conrad.structures import space as validate_space
 from conrad.topo_congruence import identity_tc, random_space, restrict_tc
 
-from oracles import closed_families
+from oracles import closed_families, enumerate_graphs_scan
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,12 @@ def test_enumerate_graphs_counts():
     assert len(enumerate_graphs(4, NOLOOPS)) == count_graph_classes_bruteforce(4, NOLOOPS) == 11
     assert len(enumerate_graphs(3, LOOPS)) == count_graph_classes_bruteforce(3, LOOPS) == 20
     assert len(enumerate_graphs(5, NOLOOPS)) == 34
+
+
+@pytest.mark.parametrize("n, policy", [(n, LOOPS) for n in range(1, 6)] + [(n, NOLOOPS) for n in range(1, 7)])
+def test_enumerate_graphs_marks_orbits_as_the_scan_finds_them(n, policy):
+    # same representatives in the same order as testing every mask's orbit
+    assert enumerate_graphs(n, policy) == enumerate_graphs_scan(n, policy)
 
 
 def test_enumeration_counts_match_oeis():
