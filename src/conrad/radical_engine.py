@@ -46,15 +46,18 @@ from .structures import (
     T_SPACE,
     _nonempty_subsets,
     _norm_pair,
+    automorphisms,
     bounded_partitions,
     carries_edges,
     carries_opens,
     complete_graph,
     enumerate_graphs,
     enumerate_spaces,
+    graph,
     homeo_spaces,
     induced,
     iso_graphs,
+    preorder_space,
     random_graph,
     relabel_graph,
     relabel_space,
@@ -160,6 +163,7 @@ class _KindOps:
     substructure: Callable
     iso: Callable
     carries: Callable
+    from_relation: Callable
     le: Callable
     is_morphism: Callable
     relation: Callable
@@ -205,6 +209,7 @@ KIND_OPS: dict[str, _KindOps] = {
         substructure=subspace,
         iso=homeo_spaces,
         carries=carries_opens,
+        from_relation=preorder_space,
         le=tc.le_tc,
         is_morphism=tc.is_continuous,
         relation=_specialization,
@@ -232,6 +237,7 @@ KIND_OPS: dict[str, _KindOps] = {
         substructure=induced,
         iso=iso_graphs,
         carries=carries_edges,
+        from_relation=lambda n, pairs: graph(n, LOOPS, pairs),
         le=gc.le_gc,
         is_morphism=gc.is_homomorphism,
         relation=_adjacency,
@@ -254,6 +260,10 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
     quotient=lc.quotient_lc,
     join=None,
     strongify=lc.strongify_lc,
+    # a loop comes from merging adjacent vertices or adding a pair (v, v)
+    from_relation=lambda n, pairs: (
+        None if any(a == b for a, b in pairs) else graph(n, NOLOOPS, pairs)
+    ),
     catalog=None,
     catalog_ids=(),
     trivial=complete_graph(1),
@@ -300,30 +310,37 @@ def class_predicate(name: str, kind: str, member: Callable) -> ClassPredicate:
 
 
 def _iso_index(kind: str, pool) -> Callable:
-    """Membership in the iso-closure of the pool.  The pool is bucketed by
-    `iso_key`, so a structure is tested with `iso` only against the members
-    sharing its key, and each structure's answer is memoised."""
+    """The pool member a structure is isomorphic to, with the least isomorphism
+    onto it, or None.  The pool is bucketed by `iso_key`, so a structure is
+    tested with `iso` only against the members sharing its key, and each
+    structure's answer is memoised."""
     iso = KIND_OPS[kind].iso
     buckets: dict[tuple, list] = {}
     for m in pool:
         buckets.setdefault(m.iso_key(), []).append(m)
     answers: dict = {}
 
-    def member(structure) -> bool:
-        answer = answers.get(structure)
-        if answer is None:
-            answer = answers[structure] = any(
-                iso(structure, m) is not None for m in buckets.get(structure.iso_key(), ())
-            )
+    def find(structure):
+        if structure in answers:
+            return answers[structure]
+        answer = None
+        for m in buckets.get(structure.iso_key(), ()):
+            perm = iso(structure, m)
+            if perm is not None:
+                answer = (m, perm)
+                break
+        answers[structure] = answer
         return answer
 
-    return member
+    return find
 
 
 def class_from_members(kind: str, name: str, members) -> ClassPredicate:
     """Iso-closure of an explicit finite list plus the trivial structures."""
-    member = _iso_index(kind, members)
-    return ClassPredicate(name, kind, lambda structure: structure.n == 1 or member(structure))
+    find = _iso_index(kind, members)
+    return ClassPredicate(
+        name, kind, lambda structure: structure.n == 1 or find(structure) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -348,7 +365,8 @@ class RadicalAssignment:
 
 @dataclass(frozen=True)
 class Universe:
-    """The members of a kind up to a size; surjections are searched once per pair."""
+    """The members of a kind up to a size; surjections are searched once per
+    pair, and the elementary maps are built once."""
 
     kind: str
     max_n: int
@@ -363,6 +381,54 @@ class Universe:
         if maps is None:
             maps = self._maps[x, y] = surjective_morphisms(self.kind, x, y)
         return maps
+
+    @functools.cached_property
+    def elementary_maps(self) -> tuple | None:
+        return _elementary_maps(self.kind, self.members)
+
+
+def _elementary_maps(kind: str, members) -> tuple | None:
+    """Surjective morphisms between the members whose composites are all of
+    them, as (x, y, f); None when the members are not closed under the steps.
+
+    Each member x takes every elementary step, a map onto the structure
+    `from_relation` builds: merge two points, carrying x's relation to the
+    merged carrier, or add one pair to it (the kind closes the relation, and
+    refuses one it cannot carry, such as a loopless loop).  Each step is
+    composed with the least isomorphism onto the member it lands on.  Every
+    automorphism of x but the identity is added, since a rule need not be
+    isomorphism-invariant.  A surjection that is not an isomorphism factors
+    through a step (merge two points it identifies, or add a pair it carries
+    into the target's relation), so by induction every surjection is a
+    composite of these maps; that needs the members pairwise non-isomorphic.
+    """
+    ops = KIND_OPS[kind]
+    find = _iso_index(kind, members)
+    maps: dict[tuple, None] = {}
+    for x in members:
+        identity = tuple(range(x.n))
+        if find(x) != (x, identity):  # an earlier member is isomorphic to x
+            return None
+        rel = ops.relation(x)
+        steps = []
+        for a, b in itertools.combinations(range(x.n), 2):
+            merge = tuple(a if v == b else v - (v > b) for v in range(x.n))
+            image = {(merge[p], merge[q]) for p, q in rel}
+            steps.append((merge, ops.from_relation(x.n - 1, image)))
+        for pair in itertools.product(range(x.n), repeat=2):
+            if pair not in rel:
+                steps.append((identity, ops.from_relation(x.n, rel | {pair})))
+        for step, z in steps:
+            if z is None:
+                continue
+            found = find(z)
+            if found is None:
+                return None
+            m, perm = found
+            maps[x, m, tuple(perm[v] for v in step)] = None
+        for perm in automorphisms(x, ops.carries)[1:]:
+            maps[x, x, perm] = None
+    return tuple(maps)
 
 
 def build_universe(kind: str, max_n: int) -> Universe:
@@ -523,6 +589,25 @@ def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
     return failures
 
 
+def h1_holds(sigma: RadicalAssignment, uni: Universe) -> bool:
+    """Whether H1 holds along every surjective morphism between members.
+
+    H1 along f says sigma(x) lies below the pullback of sigma(y) along f, and
+    pullback is functorial, so H1 along two maps gives it along their
+    composite: the universe's elementary maps decide it.  A universe not
+    closed under them takes the full scan.  Every member's value is read
+    first, in order, so a rule that raises on some member raises here as in
+    `h1_failures`.
+    """
+    for x in uni.members:
+        sigma(x)
+    maps = uni.elementary_maps
+    if maps is None:
+        return not h1_failures(sigma, uni)
+    image_le = KIND_OPS[sigma.kind].image_le
+    return all(image_le(x, y, f, sigma(x), sigma(y), checked=False) for x, y, f in maps)
+
+
 def h2_failures(sigma: RadicalAssignment, uni: Universe) -> list:
     return [x for x in uni.members if not verify_H2(sigma, x)]
 
@@ -604,10 +689,10 @@ def ideal_hereditary(sigma: RadicalAssignment, uni: Universe):
 def _class_hereditary(kind: str, members_in_class) -> tuple[bool, tuple | None]:
     # no trivial shortcut: a semisimple class can lack a one-point structure
     substructure = KIND_OPS[kind].substructure
-    in_class = _iso_index(kind, members_in_class)
+    find = _iso_index(kind, members_in_class)
     for x in members_in_class:
         for sub in _nonempty_subsets(x.n):
-            if not in_class(substructure(x, sub)):
+            if find(substructure(x, sub)) is None:
                 return False, (x, sub)
     return True, None
 

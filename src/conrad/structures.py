@@ -500,6 +500,19 @@ def space(n: int, opens) -> FiniteSpace:
     return FiniteSpace(n, _least_opens(n, masked))
 
 
+def preorder_space(n: int, pairs) -> FiniteSpace:
+    """The space whose specialization preorder is the reflexive-transitive
+    closure of the pairs (p, q), each putting q in p's least open set."""
+    least = [1 << p for p in range(n)]
+    for p, q in pairs:
+        least[p] |= 1 << q
+    for k in range(n):  # Warshall: whatever reaches k reaches what k reaches
+        for p in range(n):
+            if least[p] >> k & 1:
+                least[p] |= least[k]
+    return FiniteSpace(n, tuple(least))
+
+
 def indiscrete_space(n: int) -> FiniteSpace:
     return FiniteSpace(n, (2 ** n - 1,) * n)
 
@@ -542,18 +555,44 @@ def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
     return _relabelled(x.min_opens, perm) == y.min_opens
 
 
+def _key_respecting(xkeys, ykeys):
+    """Every bijection perm with ykeys[perm[p]] == xkeys[p], in lexicographic
+    order: point p tries, in ascending order, the unused targets sharing its key."""
+    n = len(xkeys)
+    targets = [[q for q in range(n) if ykeys[q] == key] for key in xkeys]
+    perm = [0] * n
+    used = [False] * n
+
+    def extend(p):
+        if p == n:
+            yield tuple(perm)
+            return
+        for q in targets[p]:
+            if not used[q]:
+                used[q] = True
+                perm[p] = q
+                yield from extend(p + 1)
+                used[q] = False
+
+    return extend(0)
+
+
+def _point_keys(x) -> list:
+    return [x.point_key(p) for p in range(x.n)]
+
+
 def _least_carrying(x, y, carries):
     """The least permutation keeping each point's point_key that carries x onto y, or None."""
-    xkeys = [x.point_key(p) for p in range(x.n)]
-    ykeys = [y.point_key(p) for p in range(y.n)]
+    xkeys, ykeys = _point_keys(x), _point_keys(y)
     if sorted(xkeys) != sorted(ykeys):
         return None
-    for perm in itertools.permutations(range(x.n)):
-        if any(xkeys[p] != ykeys[perm[p]] for p in range(x.n)):
-            continue
-        if carries(x, y, perm):
-            return perm
-    return None
+    return next((perm for perm in _key_respecting(xkeys, ykeys) if carries(x, y, perm)), None)
+
+
+def automorphisms(x, carries) -> list[tuple[int, ...]]:
+    """Every permutation carrying x onto itself, in lexicographic order."""
+    keys = _point_keys(x)
+    return [perm for perm in _key_respecting(keys, keys) if carries(x, x, perm)]
 
 
 def iso_graphs(g: FiniteGraph, h: FiniteGraph):

@@ -273,3 +273,23 @@ def class_hereditary_scan(kind, members_in_class):
             if not iso_to_some(kind, substructure(x, sub), members_in_class):
                 return False, (x, sub)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The permutation search by filtering every permutation
+# ---------------------------------------------------------------------------
+
+def least_carrying_scan(x, y, carries):
+    """The least permutation keeping each point's point_key that carries x
+    onto y, or None: every one of the n! permutations in lexicographic order,
+    filtered by the keys."""
+    xkeys = [x.point_key(p) for p in range(x.n)]
+    ykeys = [y.point_key(p) for p in range(y.n)]
+    if sorted(xkeys) != sorted(ykeys):
+        return None
+    for perm in itertools.permutations(range(x.n)):
+        if any(xkeys[p] != ykeys[perm[p]] for p in range(x.n)):
+            continue
+        if carries(x, y, perm):
+            return perm
+    return None

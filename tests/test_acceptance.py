@@ -4,6 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Every tolerance and time budget is pinned here.
 """
 
+import contextlib
+import hashlib
+import io
 import time
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
 from conrad import topo_congruence as tc
+from conrad.cli_io import run_command
 from conrad.errors import LemmaConditionFailed
 from conrad.radical_engine import (
     GRAPH_CATALOG_IDS,
@@ -221,3 +225,29 @@ def test_criterion_11_sierpinski_decomposition():
                         homeo_spaces(quotient, S2) is not None
                         or homeo_spaces(quotient, I2) is not None
                     )
+
+
+def _sweep(monkeypatch, kind: str) -> tuple[str, str]:
+    """The n <= 5 H1/H2 sweep of the kind's catalog: stdout and its sha256."""
+    monkeypatch.setenv("CONRAD_MAX_N", "5")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = run_command(["universe", "--kind", kind, "--max-n", "5", "--check", "h1h2"])
+    assert status == 0
+    return out.getvalue(), hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_criterion_12_graph_h1_sweep_at_five(monkeypatch):
+    # 662 graphs; the full scan over every surjection took 145-193 s
+    with Budget(12, "graph-h1h2-n5", 20.0):
+        stdout, digest = _sweep(monkeypatch, KIND_GRAPH)
+    assert "summary: 16/16 checks passed" in stdout
+    assert digest == "e3fde293d9a076d4a85b6fb70f215ca31b0ee410413dc12e015de01d20593a5e"
+
+
+def test_criterion_13_topo_h1_sweep_at_five(monkeypatch):
+    # 185 spaces; the full scan over every surjection took 22.6 s
+    with Budget(13, "topo-h1h2-n5", 5.0):
+        stdout, digest = _sweep(monkeypatch, KIND_TOPO)
+    assert "summary: 10/10 checks passed" in stdout
+    assert digest == "e6dc7fdfbe78e21ace1a248ee85d6a7e52ec58903222a66d2095240936020e29"

@@ -37,6 +37,8 @@ CASES = {
         "universe --kind loopless --max-n 4 --check h1h2 --class contains-k2",
     "universe-loopless-hereditary":
         "universe --kind loopless --max-n 4 --check hereditary --class k2-free",
+    "universe-loopless-h1h2-k2-free":
+        "universe --kind loopless --max-n 4 --check h1h2 --class k2-free",
     "verify-topo": "verify --kind topo --max-n 3 --samples 20 --seed 0",
     "verify-graph": "verify --kind graph --max-n 3 --samples 20 --seed 0",
     "verify-loopless": "verify --kind loopless --max-n 3 --samples 20 --seed 0",
@@ -80,6 +82,7 @@ EXPECTED = {
     'universe-loopless-complementary': ('9087cfde99cbe01ce6b5c885f3edd579a696ddb0429835ba1a5fc035cd0159f5', 0, ''),
     'universe-loopless-degeneracy': ('4555e82117269dbffc9922844adefe4fea7f3a7f282e5426c441f79251bfca88', 0, ''),
     'universe-loopless-h1h2': ('70f8acc4bc6de99c1552ecc33baea2b58c3522cf2b30ecba01585cf21f09cbc1', 0, ''),
+    'universe-loopless-h1h2-k2-free': ('5bc78bc7351dede75cdcfac382b8838f3d7f4da5db9d968491ba0c5bee1a1bf6', 1, "error: no congruence quotient of the structure lies in 'k2-free'\n"),
     'universe-loopless-hereditary': ('5bc78bc7351dede75cdcfac382b8838f3d7f4da5db9d968491ba0c5bee1a1bf6', 1, "error: no congruence quotient of the structure lies in 'k2-free'\n"),
     'universe-loopless-ka': ('0cc9716b8b808c73ef2e128f67d56d43420f561532a986cee68ff410eea97c38', 0, ''),
     'universe-topo-h1h2': ('018d631720bad67d00f256457092211639c9d65dc66325e90692979375b5df94', 0, ''),

@@ -17,7 +17,12 @@ from conrad.errors import (
     SemanticError,
 )
 from conrad.graph_congruence import identity_gc, restrict_gc
-from conrad.radical_engine import _specialization, indistinguishability_partition
+from conrad.radical_engine import (
+    KIND_OPS,
+    _specialization,
+    build_universe,
+    indistinguishability_partition,
+)
 from conrad.structures import (
     A3,
     B1,
@@ -37,8 +42,10 @@ from conrad.structures import (
     S2,
     T0,
     T_SPACE,
+    _least_carrying,
     _preorders,
     all_partitions,
+    automorphisms,
     bell_number,
     complete_graph,
     completion,
@@ -53,13 +60,14 @@ from conrad.structures import (
     join_partitions,
     meet_partitions,
     path_graph,
+    preorder_space,
     space,
     subspace,
 )
 from conrad.structures import space as validate_space
 from conrad.topo_congruence import identity_tc, random_space, restrict_tc
 
-from oracles import closed_families, enumerate_graphs_scan
+from oracles import closed_families, enumerate_graphs_scan, least_carrying_scan
 
 
 # ---------------------------------------------------------------------------
@@ -457,3 +465,42 @@ def test_completion():
     for n in range(1, 6):
         for g in enumerate_graphs(n, NOLOOPS):
             assert completion(completion(g)) == completion(g)
+
+
+@pytest.mark.parametrize("kind, max_n", [("graph", 4), ("loopless", 5), ("topo", 4)])
+def test_key_respecting_search_matches_the_permutation_scan(kind, max_n):
+    # the search over key-respecting permutations finds the witness that
+    # filtering all n! permutations finds, on every pair sharing an iso_key
+    ops = KIND_OPS[kind]
+    rng = random.Random(max_n)
+    structures = []
+    for x in build_universe(kind, max_n):
+        perm = list(range(x.n))
+        rng.shuffle(perm)
+        structures += [x, ops.relabel(x, perm)]
+    buckets = {}
+    for x in structures:
+        buckets.setdefault(x.iso_key(), []).append(x)
+    found = 0
+    for bucket in buckets.values():
+        for x in bucket:
+            for y in bucket:
+                witness = _least_carrying(x, y, ops.carries)
+                assert witness == least_carrying_scan(x, y, ops.carries), (x, y)
+                found += witness is not None
+        x = bucket[0]
+        assert automorphisms(x, ops.carries) == [
+            perm for perm in itertools.permutations(range(x.n)) if ops.carries(x, x, perm)
+        ]
+    # each structure is isomorphic at least to itself and its relabelling
+    assert found >= 2 * len(structures)
+
+
+def test_preorder_space_closes_the_pairs():
+    chain = space(3, [[], [0], [0, 1], [0, 1, 2]])
+    # 2 below 1 below 0 as pairs (p, q) putting q in p's least open set
+    assert preorder_space(3, [(1, 0), (2, 1)]) == chain
+    assert preorder_space(3, []) == space(3, [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
+    assert preorder_space(2, [(0, 1), (1, 0)]) == I2
+    for x in enumerate_spaces(4):
+        assert preorder_space(x.n, _specialization(x)) == x
