@@ -148,6 +148,10 @@ def _fmt_set(ids) -> str:
     return ",".join(str(i) for i in sorted(ids)) if ids else "-"
 
 
+def _sorted_opens(opens) -> list:
+    return sorted(opens, key=lambda u: (len(u), sorted(u)))
+
+
 def serialize_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         out = [f"graph {structure.n} {structure.policy}"]
@@ -155,8 +159,7 @@ def serialize_structure(structure) -> str:
         return "\n".join(out) + "\n"
     if isinstance(structure, FiniteSpace):
         out = [f"space {structure.n}"]
-        opens = sorted(structure.opens, key=lambda u: (len(u), sorted(u)))
-        out.extend(f"open {_fmt_set(u)}" for u in opens)
+        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(structure.opens))
         return "\n".join(out) + "\n"
     raise UsageError(f"cannot serialize {structure!r}")
 
@@ -165,8 +168,7 @@ def serialize_congruence(cong) -> str:
     if isinstance(cong, tcm.TopoCongruence):
         out = ["tcong"]
         out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
-        opens = sorted(cong.ctop, key=lambda u: (len(u), sorted(u)))
-        out.extend(f"open {_fmt_set(u)}" for u in opens)
+        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
         return "\n".join(out) + "\n"
     if isinstance(cong, gcm.GraphCongruence):
         out = ["gcong"]
@@ -180,14 +182,14 @@ def describe_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         edges = " ".join(f"{a}-{b}" for a, b in sorted(structure.edges)) or "-"
         return f"graph n={structure.n} {structure.policy} edges {edges}"
-    opens = ";".join(_fmt_set(u) for u in sorted(structure.opens, key=lambda u: (len(u), sorted(u))))
+    opens = ";".join(_fmt_set(u) for u in _sorted_opens(structure.opens))
     return f"space n={structure.n} opens {opens}"
 
 
 def describe_congruence(cong) -> str:
     blocks = "".join("[" + " ".join(str(v) for v in b) + "]" for b in cong.part.blocks)
     if isinstance(cong, tcm.TopoCongruence):
-        opens = ";".join(_fmt_set(u) for u in sorted(cong.ctop, key=lambda u: (len(u), sorted(u))))
+        opens = ";".join(_fmt_set(u) for u in _sorted_opens(cong.ctop))
         return f"blocks {blocks} opens {opens}"
     edges = " ".join(f"{a}-{b}" for a, b in sorted(cong.cedges)) or "-"
     return f"blocks {blocks} edges {edges}"

@@ -448,19 +448,26 @@ def universe_from_members(kind: str, members) -> Universe:
 # The Hoehnke radical of a class
 # ---------------------------------------------------------------------------
 
-def _meets_to_identity(ops: _KindOps, structure, cls: ClassPredicate) -> bool:
-    """Whether the congruences whose quotient lies in the class meet to the
-    identity (False when none does).  The congruences are built lazily and
-    met as they qualify; the scan stops once the running meet is the
-    identity, the least congruence, which no further meet can lower."""
+def _running_meet(ops: _KindOps, structure, keep: Callable):
+    """The meet of the congruences keep accepts (None when it accepts none),
+    met as they are built.  The scan stops once the meet is the identity, the
+    least congruence; the enumeration starts first, so that its bound refuses
+    a huge carrier before the identity is built."""
+    congruences = ops.iter_congruences(structure)
     identity = ops.identity(structure)
     met = None
-    for theta in ops.iter_congruences(structure):
-        if cls(ops.quotient(structure, theta)[0]):
+    for theta in congruences:
+        if keep(theta):
             met = theta if met is None else ops.meet(structure, [met, theta])
             if met == identity:
-                return True
-    return False
+                break
+    return met
+
+
+def _meets_to_identity(ops: _KindOps, structure, cls: ClassPredicate) -> bool:
+    """Whether the congruences whose quotient lies in the class meet to the identity."""
+    met = _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)[0]))
+    return met == ops.identity(structure)
 
 
 def hoehnke_radical(structure, cls: ClassPredicate):
@@ -469,15 +476,12 @@ def hoehnke_radical(structure, cls: ClassPredicate):
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, got a {kind} structure")
     ops = KIND_OPS[kind]
-    qualifying = [
-        theta for theta in ops.enum_congruences(structure)
-        if cls(ops.quotient(structure, theta)[0])
-    ]
-    if not qualifying:
+    met = _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)[0]))
+    if met is None:
         raise NoQualifyingCongruence(
             f"no congruence quotient of the structure lies in {cls.name!r}"
         )
-    return ops.meet(structure, qualifying)
+    return met
 
 
 def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
@@ -862,8 +866,7 @@ def is_subdirectly_irreducible(structure) -> bool:
     """No family of proper congruences can meet to the identity."""
     ops = KIND_OPS[kind_of(structure)]
     iota = ops.identity(structure)
-    others = [t for t in ops.enum_congruences(structure) if t != iota]
-    return not others or ops.meet(structure, others) != iota
+    return _running_meet(ops, structure, lambda theta: theta != iota) != iota
 
 
 def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:

@@ -6,7 +6,7 @@ definition, independently of the fast path the tests compare it with.
 
 import itertools
 
-from conrad.errors import BoundExceeded
+from conrad.errors import BoundExceeded, NoQualifyingCongruence
 from conrad.graph_congruence import (
     GraphCongruence,
     _orbits,
@@ -16,7 +16,7 @@ from conrad.graph_congruence import (
     strongify_gc,
 )
 from conrad.loopless_congruence import _blocks_independent
-from conrad.radical_engine import KIND_OPS, hoehnke_radical
+from conrad.radical_engine import KIND_OPS, kind_of
 from conrad.structures import (
     CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
@@ -233,6 +233,16 @@ def meets_to_identity_eager(kind, x, cls):
     return bool(qualifying) and ops.meet(x, qualifying) == ops.identity(x)
 
 
+def hoehnke_radical_eager(x, cls):
+    """The meet of every qualifying congruence, all of them listed first."""
+    kind = kind_of(x)
+    ops = KIND_OPS[kind]
+    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t)[0])]
+    if not qualifying:
+        raise NoQualifyingCongruence(f"no congruence quotient lies in {cls.name!r}")
+    return ops.meet(x, qualifying)
+
+
 def U_operator_eager(cls, uni):
     """Members none of whose non-trivial quotients, all of them built, lies in the class."""
     ops = KIND_OPS[uni.kind]
@@ -253,7 +263,7 @@ def degeneracy_eager(uni, cls):
     if not all(cls(complete_graph(m)) for m in range(1, uni.max_n + 1)):
         return None
     ops = KIND_OPS[uni.kind]
-    return all(hoehnke_radical(x, cls) == ops.identity(x) for x in uni.members)
+    return all(hoehnke_radical_eager(x, cls) == ops.identity(x) for x in uni.members)
 
 
 # ---------------------------------------------------------------------------

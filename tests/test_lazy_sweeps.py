@@ -16,7 +16,7 @@ import pytest
 from conrad import graph_congruence as gc
 from conrad import topo_congruence as tc
 from conrad.cli_io import run_command
-from conrad.errors import BoundExceeded, LemmaConditionFailed
+from conrad.errors import BoundExceeded, LemmaConditionFailed, NoQualifyingCongruence
 from conrad.radical_engine import (
     BUILTIN_CLASSES,
     KIND_OPS,
@@ -25,6 +25,8 @@ from conrad.radical_engine import (
     _meets_to_identity,
     build_universe,
     class_from_members,
+    hoehnke_radical,
+    is_subdirectly_irreducible,
     loopless_degeneracy_check,
     subdirect_closure,
 )
@@ -42,6 +44,7 @@ from oracles import (
     U_operator_eager,
     class_hereditary_scan,
     degeneracy_eager,
+    hoehnke_radical_eager,
     iso_to_some,
     meets_to_identity_eager,
     subdirect_closure_eager,
@@ -92,6 +95,25 @@ def test_early_exit_sweeps_equal_eager(kind, universes):
             assert _meets_to_identity(ops, x, cls) == meets_to_identity_eager(kind, x, cls), (cls.name, x)
         assert U_operator(cls, uni) == U_operator_eager(cls, uni), cls.name
         assert subdirect_closure(cls, uni) == subdirect_closure_eager(cls, uni), cls.name
+
+
+def _radical_or_none(radical, x, cls):
+    try:
+        return radical(x, cls)
+    except NoQualifyingCongruence:
+        return None
+
+
+@pytest.mark.parametrize("kind", sorted(UNIVERSES))
+def test_running_meet_equals_eager_meet(kind, universes):
+    ops = KIND_OPS[kind]
+    for x in universes[kind]:
+        for cls in _classes(kind):
+            expected = _radical_or_none(hoehnke_radical_eager, x, cls)
+            assert _radical_or_none(hoehnke_radical, x, cls) == expected, (cls.name, x)
+        iota = ops.identity(x)
+        others = [t for t in EAGER_CONGRUENCES[kind](x) if t != iota]
+        assert is_subdirectly_irreducible(x) == (not others or ops.meet(x, others) != iota), x
 
 
 def test_degeneracy_verdict_equals_eager(universes):

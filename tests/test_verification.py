@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conrad import graph_congruence as gc
-from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO
+from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO, build_universe
 from conrad.structures import (
     B3,
     B4,
@@ -21,11 +21,14 @@ from conrad.structures import (
     relabel_space,
 )
 from conrad.verification import (
+    RANDOM_MAX_N,
+    RANDOM_MIN_N,
     _is_isomorphism,
     check_first_iso,
     check_second_iso,
     check_third_iso,
     exhaustive_iso_theorems,
+    random_above,
     random_iso_theorems,
     random_surjection,
 )
@@ -139,3 +142,41 @@ def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expect
     )
     assert exhaustive_iso_theorems(kind, max_n) == NO_FAILURES
     assert tuple(counts[name] for name in names) == expected
+
+
+@pytest.mark.parametrize("kind, max_n, pairs", [
+    (KIND_TOPO, 3, 901),
+    (KIND_GRAPH, 3, 3818),
+    (KIND_LOOPLESS, 4, 2634),
+])
+def test_lift_reaches_each_congruence_above_once(monkeypatch, kind, max_n, pairs):
+    # the correspondence theorem: lifting the congruences of X/alpha gives
+    # every beta >= alpha exactly once.  The drawn congruence is replaced by
+    # the one passed in, so random_above lifts each gamma it is handed
+    ops = KIND_OPS[kind]
+    monkeypatch.setitem(
+        KIND_OPS, kind, dataclasses.replace(ops, random_congruence=lambda gamma, stage: gamma)
+    )
+    lifted_pairs = 0
+    for x in build_universe(kind, max_n):
+        congs = ops.enum_congruences(x)
+        for alpha in congs:
+            stage, _ = ops.quotient(x, alpha)
+            lifted = Counter(
+                random_above(gamma, kind, x, alpha) for gamma in ops.enum_congruences(stage)
+            )
+            assert lifted == Counter(beta for beta in congs if ops.le(alpha, beta)), (x, alpha)
+            lifted_pairs += len(lifted)
+    assert lifted_pairs == pairs
+
+
+@pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
+def test_random_above_draws_a_congruence_above(kind):
+    ops = KIND_OPS[kind]
+    rng = random.Random(17)
+    for _ in range(300):
+        x = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
+        alpha = ops.random_congruence(rng, x)
+        beta = random_above(rng, kind, x, alpha)
+        ops.validate(x, beta)
+        assert ops.le(alpha, beta), (x, alpha, beta)
