@@ -135,7 +135,9 @@ def parse_congruence(text: str, carrier):
             other = "open <ids>|-" if topo else "edge <a> <b>"
             raise InputSyntaxError(no2, f"expected: block <ids> or {other}")
     part = Partition.from_blocks(carrier.n, blocks)
-    cong = (tcm.TopoCongruence if topo else gcm.GraphCongruence)(part, frozenset(members))
+    if topo:  # checked as read, so that a refusal names one of the opens given
+        return tcm.validate_opens_tc(carrier, part, frozenset(members))
+    cong = gcm.GraphCongruence(part, frozenset(members))
     return eng.KIND_OPS[eng.kind_of(carrier)].validate(carrier, cong)
 
 
@@ -150,6 +152,11 @@ def _fmt_set(ids) -> str:
 
 def _sorted_opens(opens) -> list:
     return sorted(opens, key=lambda u: (len(u), sorted(u)))
+
+
+def _congruence_opens(cong) -> list:
+    """A topological congruence's opens as point lists, in `_sorted_opens` order."""
+    return _sorted_opens([p for p in range(m.bit_length()) if m >> p & 1] for m in cong.open_masks)
 
 
 def serialize_structure(structure) -> str:
@@ -168,7 +175,7 @@ def serialize_congruence(cong) -> str:
     if isinstance(cong, tcm.TopoCongruence):
         out = ["tcong"]
         out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
-        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
+        out.extend(f"open {_fmt_set(u)}" for u in _congruence_opens(cong))
         return "\n".join(out) + "\n"
     if isinstance(cong, gcm.GraphCongruence):
         out = ["gcong"]
@@ -189,7 +196,7 @@ def describe_structure(structure) -> str:
 def describe_congruence(cong) -> str:
     blocks = "".join("[" + " ".join(str(v) for v in b) + "]" for b in cong.part.blocks)
     if isinstance(cong, tcm.TopoCongruence):
-        opens = ";".join(_fmt_set(u) for u in _sorted_opens(cong.ctop))
+        opens = ";".join(_fmt_set(u) for u in _congruence_opens(cong))
         return f"blocks {blocks} opens {opens}"
     edges = " ".join(f"{a}-{b}" for a, b in sorted(cong.cedges)) or "-"
     return f"blocks {blocks} edges {edges}"
@@ -294,7 +301,7 @@ def _cmd_decompose(args, report: Report) -> None:
             raise UsageError("sierpinski decomposition needs a space")
         factors = tcm.sierpinski_decomposition(x)
         for i, cong in enumerate(factors):
-            label = "S2" if len(cong.ctop) == 3 else "I2"
+            label = "S2" if len(cong.open_masks) == 3 else "I2"
             report.info(f"factor {i}: {describe_congruence(cong)} -> {label}")
         report.check(
             "meet-is-identity", tcm.meet_tc(x, factors) == tcm.identity_tc(x)

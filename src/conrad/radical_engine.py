@@ -99,15 +99,14 @@ def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
     indiscrete congruence topology is the only non-strong assignment that
     stays hereditary; (e) is kept as its own id for reporting.
     """
-    indiscrete = frozenset({frozenset(), x.full})
     if cid == "a":
         return tc.universal_tc(x)
     if cid == "b":
-        return tc.TopoCongruence(indistinguishability_partition(x), x.opens)
+        return tc.TopoCongruence(indistinguishability_partition(x), x.min_opens)
     if cid == "c":
         return tc.identity_tc(x)
     if cid in ("d", "e"):
-        return tc.TopoCongruence(Partition.identity(x.n), indiscrete)
+        return tc.TopoCongruence(Partition.identity(x.n), (2 ** x.n - 1,) * x.n)
     raise BadCatalogId(f"topological catalog has entries a-e, not {cid!r}")
 
 

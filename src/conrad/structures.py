@@ -372,16 +372,9 @@ class FiniteSpace:
     def __post_init__(self):
         if self.n < 1:
             raise SemanticError("spaces have non-empty point sets")
-        least = self.min_opens
-        if len(least) != self.n:
-            raise SemanticError(f"{len(least)} least open sets for {self.n} points")
-        for p, u in enumerate(least):
-            if u >> self.n or not u >> p & 1:
-                raise SemanticError(f"the least open set of {p} must hold it and lie in range")
-            outside = ~u
-            for q, v in enumerate(least):
-                if u >> q & 1 and v & outside:
-                    raise SemanticError(f"the least open set of {p} holds {q} but not its least open set")
+        defect = _preorder_defect(self.n, self.min_opens)
+        if defect:
+            raise SemanticError(defect)
 
     @functools.cached_property
     def _open_masks(self) -> tuple[int, ...]:
@@ -459,6 +452,39 @@ def _least_opens(n: int, masks) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _preorder_defect(n: int, least) -> str | None:
+    """Why the masks are not a least-open vector on 0..n-1 (a preorder: p lies
+    in its own, and q in p's puts q's inside p's), or None when they are one."""
+    if len(least) != n:
+        return f"{len(least)} least open sets for {n} points"
+    for p, u in enumerate(least):
+        if u >> n or not u >> p & 1:
+            return f"the least open set of {p} must hold it and lie in range"
+        outside = ~u
+        for q, v in enumerate(least):
+            if u >> q & 1 and v & outside:
+                return f"the least open set of {p} holds {q} but not its least open set"
+    return None
+
+
+def _transitive(reach) -> tuple[int, ...]:
+    """The least preorder holding each p's reach mask (which holds p): whatever
+    reaches k reaches what k reaches (Warshall)."""
+    least = list(reach)
+    for k in range(len(least)):
+        bit, down = 1 << k, least[k]
+        for p, u in enumerate(least):
+            if u & bit:
+                least[p] = u | down
+    return tuple(least)
+
+
+def _restricted(least, sub) -> tuple[int, ...]:
+    """A least-open vector on the sorted points sub, relabelled to
+    0..len(sub)-1: each point's least open set cut down to sub."""
+    return tuple(_bitmask(i for i, q in enumerate(sub) if least[p] >> q & 1) for p in sub)
+
+
 def _relabelled(least: tuple[int, ...], perm) -> tuple[int, ...]:
     """A least-open vector carried along the bijection perm."""
     points = sorted(range(len(least)), key=perm.__getitem__)
@@ -503,14 +529,10 @@ def space(n: int, opens) -> FiniteSpace:
 def preorder_space(n: int, pairs) -> FiniteSpace:
     """The space whose specialization preorder is the reflexive-transitive
     closure of the pairs (p, q), each putting q in p's least open set."""
-    least = [1 << p for p in range(n)]
+    reach = [1 << p for p in range(n)]
     for p, q in pairs:
-        least[p] |= 1 << q
-    for k in range(n):  # Warshall: whatever reaches k reaches what k reaches
-        for p in range(n):
-            if least[p] >> k & 1:
-                least[p] |= least[k]
-    return FiniteSpace(n, tuple(least))
+        reach[p] |= 1 << q
+    return FiniteSpace(n, _transitive(reach))
 
 
 def indiscrete_space(n: int) -> FiniteSpace:
@@ -524,10 +546,8 @@ def discrete_space(n: int) -> FiniteSpace:
 def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     """Relative topology on sorted(set(subset)), relabelled to 0..|S|-1: each
     point's least open set is its old one cut down to the subset."""
-    sub, pos = _positions(subset, x.n)
-    return FiniteSpace(len(sub), tuple(
-        _bitmask(pos[q] for q in sub if x.min_opens[p] >> q & 1) for p in sub
-    ))
+    sub, _ = _positions(subset, x.n)
+    return FiniteSpace(len(sub), _restricted(x.min_opens, sub))
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:

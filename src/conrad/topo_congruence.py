@@ -12,8 +12,10 @@ built outside the library.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -38,8 +40,11 @@ from .structures import (
     _least_opens,
     _members,
     _positions,
+    _preorder_defect,
     _preorders,
     _refines,
+    _restricted,
+    _transitive,
     _unions,
     bounded_partitions,
     count_scanned,
@@ -52,54 +57,127 @@ from .structures import (
 
 @dataclass(frozen=True)
 class TopoCongruence:
+    """A partition with its congruence topology, stored as each point's least
+    open set in that topology as a bitmask: the opens are their unions, and
+    the points of one block share one least open set.  `from_opens` builds
+    one from a family of opens."""
+
     part: Partition
-    ctop: frozenset[frozenset[int]]
+    least: tuple[int, ...]
+
+    @staticmethod
+    def from_opens(part: Partition, opens) -> "TopoCongruence":
+        """The congruence whose topology the family of opens generates."""
+        return TopoCongruence(part, _least_opens(part.n, map(_bitmask, opens)))
+
+    @functools.cached_property
+    def open_masks(self) -> tuple[int, ...]:
+        """Every open set as a bitmask, in increasing order."""
+        return tuple(sorted(_unions(self.least)))
+
+    @functools.cached_property
+    def ctop(self) -> frozenset[frozenset[int]]:
+        """The congruence topology: every open set."""
+        return frozenset(map(_members, self.open_masks))
+
+    @functools.cached_property
+    def _packed(self) -> int:
+        """The least open sets side by side in one integer, n bits each, so
+        that containment at every point is one test."""
+        n = len(self.least)
+        return sum(m << n * p for p, m in enumerate(self.least))
 
     def encoding(self) -> tuple:
-        return (self.part.class_id, tuple(sorted(_bitmask(u) for u in self.ctop)))
+        return (self.part.class_id, self.open_masks)
 
 
 def identity_tc(x: FiniteSpace) -> TopoCongruence:
-    return TopoCongruence(Partition.identity(x.n), x.opens)
+    return TopoCongruence(Partition.identity(x.n), x.min_opens)
+
+
+def _indiscrete(n: int) -> tuple[int, ...]:
+    return (2 ** n - 1,) * n
 
 
 def universal_tc(x: FiniteSpace) -> TopoCongruence:
-    return TopoCongruence(Partition.universal(x.n), frozenset({frozenset(), x.full}))
+    return TopoCongruence(Partition.universal(x.n), _indiscrete(x.n))
+
+
+def _within(small, large) -> bool:
+    """Whether each mask of small lies inside the matching mask of large."""
+    return tuple(map(operator.and_, small, large)) == tuple(small)
 
 
 def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
-    """Congruence ordering: relation grows, topology shrinks."""
-    return b.ctop <= a.ctop and _refines(a.part.class_id, b.part.class_id)
+    """Congruence ordering: relation grows, topology shrinks, so each point's
+    least open set grows."""
+    return not a._packed & ~b._packed and _refines(a.part.class_id, b.part.class_id)
 
 
-def _saturated(part: Partition, u: frozenset[int]) -> bool:
-    return all(part.class_id[a] != part.class_id[b] or b in u
-               for a in u for b in range(part.n))
+def _union_of(masks, selector: int) -> int:
+    """The union of masks[i] over the positions i that the selector holds.
+    With masks[p] = 1 << f(p) it is the image of the selector along f."""
+    out = 0
+    while selector:
+        low = selector & -selector
+        out |= masks[low.bit_length() - 1]
+        selector ^= low
+    return out
 
 
-def saturated_opens(x: FiniteSpace, part: Partition) -> frozenset[frozenset[int]]:
-    """All opens of x that are unions of blocks of the partition."""
-    return frozenset(u for u in x.opens if _saturated(part, u))
+def _block_masks(part: Partition) -> list[int]:
+    return [_bitmask(block) for block in part.blocks]
+
+
+def _saturated(blocks: list[int], mask: int) -> bool:
+    """Whether the mask is a union of the blocks (given as masks)."""
+    return not any(b & mask and b & ~mask for b in blocks)
+
+
+def saturated_least(x: FiniteSpace, part: Partition) -> tuple[int, ...]:
+    """Each point's least open set of x that is a union of blocks of the
+    partition: the least preorder holding x's and the partition."""
+    blocks = _block_masks(part)
+    return _transitive(u | blocks[b] for u, b in zip(x.min_opens, part.class_id))
 
 
 def validate_tc(x: FiniteSpace, rho: TopoCongruence) -> TopoCongruence:
     """Check the three congruence conditions against the carrier space."""
     if rho.part.n != x.n:
         raise InvalidCongruence(f"partition on {rho.part.n} points, space has {x.n}")
-    if not _is_topology_on(x.n, rho.ctop):
+    if _preorder_defect(x.n, rho.least):
         raise NotATopology("congruence topology is not a topology")
-    if not rho.ctop <= x.opens:
-        extra = next(iter(rho.ctop - x.opens))
-        raise NotSubTopology(f"{sorted(extra)} is not open in the carrier")
-    for u in rho.ctop:
-        if not _saturated(rho.part, u):
-            raise NotSaturated(f"open {sorted(u)} is not a union of blocks")
+    for u, m in zip(x.min_opens, rho.least):
+        if u & ~m:
+            raise NotSubTopology(f"{sorted(_members(m))} is not open in the carrier")
+    blocks = _block_masks(rho.part)
+    for m in rho.least:
+        if not _saturated(blocks, m):
+            raise NotSaturated(f"open {sorted(_members(m))} is not a union of blocks")
     return rho
+
+
+def validate_opens_tc(x: FiniteSpace, part: Partition, opens: frozenset) -> TopoCongruence:
+    """The congruence with the given family of opens on x, as read from a file,
+    after checking the family as given: a topology, inside x's, then every
+    member a union of blocks.  A refusal names a member of the family."""
+    if part.n != x.n:
+        raise InvalidCongruence(f"partition on {part.n} points, space has {x.n}")
+    if not _is_topology_on(x.n, opens):
+        raise NotATopology("congruence topology is not a topology")
+    if not opens <= x.opens:
+        extra = next(iter(opens - x.opens))
+        raise NotSubTopology(f"{sorted(extra)} is not open in the carrier")
+    blocks = _block_masks(part)
+    for u in opens:
+        if not _saturated(blocks, _bitmask(u)):
+            raise NotSaturated(f"open {sorted(u)} is not a union of blocks")
+    return TopoCongruence.from_opens(part, opens)
 
 
 def strongify_tc(x: FiniteSpace, part: Partition) -> TopoCongruence:
     """The strong congruence for a partition: all saturated opens."""
-    return TopoCongruence(part, saturated_opens(x, part))
+    return TopoCongruence(part, saturated_least(x, part))
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +193,22 @@ def _require_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> None:
         raise NotContinuous("preimage of an open set is not open")
 
 
+def _pullback(least, f) -> tuple[int, ...]:
+    """A least-open vector on the codomain pulled back along f: each point's
+    least open set is the preimage of its image's."""
+    fibres = [0] * len(least)
+    for p, v in enumerate(f):
+        fibres[v] |= 1 << p
+    pre = [_union_of(fibres, m) for m in least]
+    return tuple(pre[v] for v in f)
+
+
 def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     """Fibre partition plus the pulled-back topology, which must lie in x's."""
-    ctop = frozenset(
-        frozenset(p for p in range(x.n) if f[p] in v) for v in y.opens
-    )
-    if not ctop <= x.opens:
+    least = _pullback(y.min_opens, f)
+    if not _within(x.min_opens, least):
         raise NotContinuous("preimage of an open set is not open")
-    return TopoCongruence(Partition(f), ctop)
+    return TopoCongruence(Partition(f), least)
 
 
 # ---------------------------------------------------------------------------
@@ -130,55 +216,53 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 # ---------------------------------------------------------------------------
 
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
-    """Weak quotient space (points = blocks) and the canonical projection."""
+    """Weak quotient space (points = blocks) and the canonical projection:
+    each block's least open set is its points' carried to the blocks."""
     proj = rho.part.class_id
-    k = rho.part.num_blocks
-    return FiniteSpace(k, _least_opens(k, [_bitmask(proj[p] for p in u) for u in rho.ctop])), proj
+    to = [1 << b for b in proj]
+    least = tuple(_union_of(to, rho.least[block[0]]) for block in rho.part.blocks)
+    return FiniteSpace(rho.part.num_blocks, least), proj
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     """Congruence induced on the subspace of sorted(subset)."""
-    sub, pos = _positions(subset, x.n)
-    part = rho.part.restrict(sub)
-    ctop = frozenset(frozenset(pos[p] for p in u if p in pos) for u in rho.ctop)
-    return TopoCongruence(part, ctop)
+    sub, _ = _positions(subset, x.n)
+    cid = rho.part.class_id
+    return TopoCongruence(Partition([cid[p] for p in sub]), _restricted(rho.least, sub))
 
 
 def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence) -> TopoCongruence:
     """The congruence beta/alpha on the weak quotient by alpha."""
     if not le_tc(alpha, beta):
         raise NotContained("beta must contain alpha")
-    proj = alpha.part.class_id
-    part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
-    ctop = frozenset(frozenset(proj[p] for p in u) for u in beta.ctop)
-    return TopoCongruence(part, ctop)
+    to = [1 << b for b in alpha.part.class_id]
+    reps = [block[0] for block in alpha.part.blocks]
+    part = Partition([beta.part.class_id[p] for p in reps])
+    return TopoCongruence(part, tuple(_union_of(to, beta.least[p]) for p in reps))
 
 
 # ---------------------------------------------------------------------------
 # Lattice operations
 # ---------------------------------------------------------------------------
 
-def _close_topology(n: int, family) -> frozenset[frozenset[int]]:
-    """Topology generated by the family: the unions of its least members."""
-    return frozenset(map(_members, _unions(_least_opens(n, map(_bitmask, family)))))
-
-
 def meet_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
-    """Greatest lower bound: refine the relations, generate from all opens."""
+    """Greatest lower bound: refine the relations, generate from all opens,
+    which meets the least open sets."""
     if not rhos:
         raise EmptyList("meet of no congruences")
     part = meet_partitions([r.part for r in rhos])
-    ctop = _close_topology(x.n, frozenset().union(*(r.ctop for r in rhos)))
-    return TopoCongruence(part, ctop)
+    least = functools.reduce(lambda u, v: tuple(map(operator.and_, u, v)), (r.least for r in rhos))
+    return TopoCongruence(part, least)
 
 
 def join_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
-    """Least upper bound: transitive closure of relations, intersect topologies."""
+    """Least upper bound: transitive closure of relations, intersect topologies,
+    whose least open sets close the joined ones."""
     if not rhos:
         raise EmptyList("join of no congruences")
     part = join_partitions([r.part for r in rhos])
-    ctop = frozenset.intersection(*(r.ctop for r in rhos))
-    return TopoCongruence(part, ctop)
+    reach = functools.reduce(lambda u, v: tuple(map(operator.or_, u, v)), (r.least for r in rhos))
+    return TopoCongruence(part, _transitive(reach))
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +270,16 @@ def join_tc(x: FiniteSpace, rhos: list[TopoCongruence]) -> TopoCongruence:
 # ---------------------------------------------------------------------------
 
 def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> TopoCongruence:
-    """Push rho forward: (rho + ker f)/ker f carried to y along the fibres."""
+    """Push rho forward: rho + ker f carried to y along the fibres, which it
+    does not split."""
     require_surjective(f, y.n)
-    alpha = kernel_tc(x, y, f)
-    total = join_tc(x, [rho, alpha])
-    qc = quotient_cong_tc(x, alpha, total)
-    # carry from x/ker f to y: block b of ker f corresponds to point f(rep(b))
-    to_y = [f[block[0]] for block in alpha.part.blocks]
-    raw = [0] * y.n
-    for b, cls in enumerate(qc.part.class_id):
-        raw[to_y[b]] = cls
-    part = Partition(raw)
-    ctop = frozenset(frozenset(to_y[b] for b in w) for w in qc.ctop)
-    return TopoCongruence(part, ctop)
+    total = join_tc(x, [rho, kernel_tc(x, y, f)])
+    to = [1 << v for v in f]
+    raw, least = [0] * y.n, [0] * y.n
+    for p, v in enumerate(f):
+        raw[v] = total.part.class_id[p]
+        least[v] = _union_of(to, total.least[p])
+    return TopoCongruence(Partition(raw), tuple(least))
 
 
 def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
@@ -209,8 +290,8 @@ def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
     if checked:
         require_surjective(f, y.n)
         _require_continuous(x, y, f)
-    return _refines(rho.part.class_id, [beta.part.class_id[v] for v in f]) and all(
-        frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop for v in beta.ctop
+    return _refines(rho.part.class_id, [beta.part.class_id[v] for v in f]) and _within(
+        rho.least, _pullback(beta.least, f)
     )
 
 
@@ -250,13 +331,19 @@ def _congruences_of(part: Partition, points: list[int], vectors) -> list[TopoCon
     blocks (points[b] is block b's points as a mask), sorted by encoding."""
     unions = [_unions(vec) for vec in vectors]
     # each union of blocks (a mask of blocks) lifted once to its points
-    lift = {m: sum(held for b, held in enumerate(points) if m >> b & 1) for m in set().union(*unions)}
-    opens = {mask: _members(mask) for mask in lift.values()}
-    # sorted point masks are the encoding within one partition
-    return [
-        TopoCongruence(part, frozenset(map(opens.__getitem__, masks)))
-        for masks in sorted(tuple(sorted(map(lift.__getitem__, u))) for u in unions)
+    lift = {m: _union_of(points, m) for m in set().union(*unions)}
+    found = [
+        # sorted point masks are the encoding within one partition
+        (tuple(sorted(map(lift.__getitem__, u))), tuple(lift[vec[b]] for b in part.class_id))
+        for vec, u in zip(vectors, unions)
     ]
+    found.sort()
+    out = []
+    for masks, least in found:
+        rho = TopoCongruence(part, least)
+        rho.__dict__["open_masks"] = masks  # the sort key is its cached encoding
+        out.append(rho)
+    return out
 
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
@@ -271,22 +358,26 @@ def random_space(rng: random.Random, n: int) -> FiniteSpace:
 
 
 def random_tcong(rng: random.Random, x: FiniteSpace) -> TopoCongruence:
+    """A random partition with the topology generated by a random choice of
+    its saturated opens, one draw per open in the order of their sorted points."""
     part = random_partition(rng, x.n)
-    sat = sorted(saturated_opens(x, part), key=lambda u: sorted(u))
-    return TopoCongruence(part, _close_topology(x.n, [u for u in sat if rng.random() < 0.5]))
+    sat = sorted(_unions(saturated_least(x, part)), key=lambda m: sorted(_members(m)))
+    return TopoCongruence(part, _least_opens(x.n, [m for m in sat if rng.random() < 0.5]))
 
 
 def sierpinski_candidates(x: FiniteSpace) -> list[TopoCongruence]:
     """The two-block congruences with quotient S2 or I2, partitions in growth
     order: per partition {A, B}, the topology {0, X} plus {0, A, X} when A is
     open and {0, B, X} when B is, sorted by encoding."""
-    full = x.full
+    full = 2 ** x.n - 1
     out = []
     for tail in itertools.islice(itertools.product((0, 1), repeat=x.n - 1), 1, None):
         part = Partition((0,) + tail)
-        found = [TopoCongruence(part, frozenset({frozenset(), full}))]
-        found += [TopoCongruence(part, frozenset({frozenset(), frozenset(b), full}))
-                  for b in part.blocks if frozenset(b) in x.opens]
+        found = [TopoCongruence(part, _indiscrete(x.n))]
+        for block in part.blocks:
+            m = _bitmask(block)
+            if all(not x.min_opens[p] & ~m for p in block):  # the block is open
+                found.append(TopoCongruence(part, tuple(m if m >> p & 1 else full for p in range(x.n))))
         out += sorted(found, key=lambda c: c.encoding())
     return out
 

@@ -8,10 +8,13 @@ and the acceptance suite drive these sweeps.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import random
 
+from .errors import BoundExceeded
 from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
-from .structures import Partition, _nonempty_subsets, _refines
+from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -62,7 +65,10 @@ def check_first_iso(kind: str, x, y, f) -> bool:
 
     The map X/ker f -> Y sends each block to the image of its points.
     """
-    ops = KIND_OPS[kind]
+    return _first_iso(KIND_OPS[kind], x, y, f)
+
+
+def _first_iso(ops, x, y, f) -> bool:
     kernel = ops.kernel(x, y, f)
     quotient, _ = ops.quotient(x, kernel)
     return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
@@ -85,7 +91,7 @@ def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
     restricted = ops.restrict(x, theta, sub)
     left, _ = ops.quotient(x_sub, restricted)
     points = sorted(set(sub))
-    image = sorted({proj[v] for v in points})
+    image = tuple(sorted({proj[v] for v in points}))
     right = ops.substructure(quotient, image)
     position = {b: i for i, b in enumerate(image)}
     perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
@@ -114,22 +120,40 @@ THEOREMS = ("first", "second", "third")
 
 
 def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
-    """Failure counts per theorem over the whole universe up to max_n."""
+    """Failure counts per theorem over the whole universe up to max_n.
+
+    Every member's congruences are listed before any instance is checked, and
+    the sweep is refused when a member's second-theorem instances (its
+    congruences times its nonempty subsets) pass the scan bound.  The first
+    two theorems build each quotient and substructure once per sweep; the
+    third's quotients by beta/alpha seldom repeat, so they are not kept.
+    """
     ops = KIND_OPS[kind]
     members = build_universe(kind, max_n).members
+    congruences = []
+    for x in members:
+        congs = ops.enum_congruences(x)
+        if len(congs) * (2 ** x.n - 1) > CONGRUENCE_SCAN_BOUND:
+            raise BoundExceeded(
+                f"theorem sweep capped at {CONGRUENCE_SCAN_BOUND} congruence-subset pairs per structure"
+            )
+        congruences.append(congs)
+    # each quotient and substructure kept for the rest of the sweep
+    kept = dataclasses.replace(
+        ops, quotient=functools.cache(ops.quotient), substructure=functools.cache(ops.substructure)
+    )
     failures = {name: 0 for name in THEOREMS}
     for x in members:
         for y in members:
             for f in surjective_morphisms(kind, x, y):
-                if not check_first_iso(kind, x, y, f):
+                if not _first_iso(kept, x, y, f):
                     failures["first"] += 1
-    for x in members:
-        congs = ops.enum_congruences(x)
-        quotients = [ops.quotient(x, theta) for theta in congs]
-        subsets = [(sub, ops.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
+    for x, congs in zip(members, congruences):
+        quotients = [kept.quotient(x, theta) for theta in congs]
+        subsets = [(sub, kept.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
         for theta, quotient_proj in zip(congs, quotients):
             for sub, x_sub in subsets:
-                if not _second_iso(ops, x, theta, quotient_proj, sub, x_sub):
+                if not _second_iso(kept, x, theta, quotient_proj, sub, x_sub):
                     failures["second"] += 1
         # alpha <= beta needs alpha's partition to refine beta's, so compare
         # congruences only within pairs of partitions that refine

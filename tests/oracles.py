@@ -6,7 +6,7 @@ definition, independently of the fast path the tests compare it with.
 
 import itertools
 
-from conrad.errors import BoundExceeded, NoQualifyingCongruence
+from conrad.errors import BoundExceeded, NoQualifyingCongruence, NotContained, NotContinuous
 from conrad.graph_congruence import (
     GraphCongruence,
     _orbits,
@@ -20,25 +20,30 @@ from conrad.radical_engine import KIND_OPS, kind_of
 from conrad.structures import (
     CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
+    FiniteSpace,
     LOOPS,
     Partition,
     _bitmask,
+    _least_opens,
     _members,
     _nonempty_subsets,
     _norm_pair,
     _pair_slots,
+    _positions,
     _preorders,
+    _refines,
     _unions,
     bounded_partitions,
     complete_graph,
     count_scanned,
     join_partitions,
+    meet_partitions,
+    random_partition,
     require_surjective,
 )
 from conrad.topo_congruence import (
     TopoCongruence,
     _require_continuous,
-    saturated_opens,
     strongify_tc,
 )
 
@@ -61,6 +66,102 @@ def image_partition(f: tuple, part: Partition, m: int) -> Partition:
     return join_partitions([Partition([-1 if q in hit else q for q in range(m)]) for hit in hits])
 
 
+# ---------------------------------------------------------------------------
+# The topological congruence calculus on families of opens
+# ---------------------------------------------------------------------------
+#
+# Each takes and returns congruences, but reads and builds their topologies
+# as families of open sets (`ctop`, `from_opens`), not as least-open vectors.
+
+def close_topology(n: int, family) -> frozenset[frozenset[int]]:
+    """Topology generated by the family: the unions of its least members."""
+    return frozenset(map(_members, _unions(_least_opens(n, map(_bitmask, family)))))
+
+
+def _saturated(part: Partition, u: frozenset[int]) -> bool:
+    return all(part.class_id[a] != part.class_id[b] or b in u
+               for a in u for b in range(part.n))
+
+
+def saturated_opens(x, part: Partition) -> frozenset[frozenset[int]]:
+    """All opens of x that are unions of blocks of the partition."""
+    return frozenset(u for u in x.opens if _saturated(part, u))
+
+
+def le_tc_opens(a, b) -> bool:
+    return b.ctop <= a.ctop and _refines(a.part.class_id, b.part.class_id)
+
+
+def kernel_tc_opens(x, y, f: tuple) -> TopoCongruence:
+    ctop = frozenset(
+        frozenset(p for p in range(x.n) if f[p] in v) for v in y.opens
+    )
+    if not ctop <= x.opens:
+        raise NotContinuous("preimage of an open set is not open")
+    return TopoCongruence.from_opens(Partition(f), ctop)
+
+
+def quotient_tc_opens(x, rho) -> tuple:
+    proj = rho.part.class_id
+    k = rho.part.num_blocks
+    return FiniteSpace(k, _least_opens(k, [_bitmask(proj[p] for p in u) for u in rho.ctop])), proj
+
+
+def restrict_tc_opens(x, rho, subset) -> TopoCongruence:
+    sub, pos = _positions(subset, x.n)
+    part = rho.part.restrict(sub)
+    ctop = frozenset(frozenset(pos[p] for p in u if p in pos) for u in rho.ctop)
+    return TopoCongruence.from_opens(part, ctop)
+
+
+def quotient_cong_tc_opens(x, alpha, beta) -> TopoCongruence:
+    if not le_tc_opens(alpha, beta):
+        raise NotContained("beta must contain alpha")
+    proj = alpha.part.class_id
+    part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
+    ctop = frozenset(frozenset(proj[p] for p in u) for u in beta.ctop)
+    return TopoCongruence.from_opens(part, ctop)
+
+
+def meet_tc_opens(x, rhos) -> TopoCongruence:
+    part = meet_partitions([r.part for r in rhos])
+    return TopoCongruence.from_opens(part, close_topology(x.n, frozenset().union(*(r.ctop for r in rhos))))
+
+
+def join_tc_opens(x, rhos) -> TopoCongruence:
+    part = join_partitions([r.part for r in rhos])
+    return TopoCongruence.from_opens(part, frozenset.intersection(*(r.ctop for r in rhos)))
+
+
+def image_tc_opens(x, y, f: tuple, rho) -> TopoCongruence:
+    """(rho + ker f)/ker f carried to y along the fibres."""
+    require_surjective(f, y.n)
+    alpha = kernel_tc_opens(x, y, f)
+    total = join_tc_opens(x, [rho, alpha])
+    qc = quotient_cong_tc_opens(x, alpha, total)
+    # carry from x/ker f to y: block b of ker f corresponds to point f(rep(b))
+    to_y = [f[block[0]] for block in alpha.part.blocks]
+    raw = [0] * y.n
+    for b, cls in enumerate(qc.part.class_id):
+        raw[to_y[b]] = cls
+    ctop = frozenset(frozenset(to_y[b] for b in w) for w in qc.ctop)
+    return TopoCongruence.from_opens(Partition(raw), ctop)
+
+
+def image_le_tc_opens(x, y, f: tuple, rho, beta) -> bool:
+    require_surjective(f, y.n)
+    _require_continuous(x, y, f)
+    return _refines(rho.part.class_id, [beta.part.class_id[v] for v in f]) and all(
+        frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop for v in beta.ctop
+    )
+
+
+def random_tcong_opens(rng, x) -> TopoCongruence:
+    part = random_partition(rng, x.n)
+    sat = sorted(saturated_opens(x, part), key=lambda u: sorted(u))
+    return TopoCongruence.from_opens(part, close_topology(x.n, [u for u in sat if rng.random() < 0.5]))
+
+
 def is_strong_tc(x, rho) -> bool:
     return rho.ctop == saturated_opens(x, rho.part)
 
@@ -79,7 +180,7 @@ def image_tc_direct(x, y, f: tuple, rho) -> TopoCongruence:
         v for v in y.opens
         if frozenset(p for p in range(x.n) if f[p] in v) in rho.ctop
     )
-    return TopoCongruence(part, ctop)
+    return TopoCongruence.from_opens(part, ctop)
 
 
 def is_strong_gc(g, theta) -> bool:
@@ -214,7 +315,7 @@ def eager_congruences_tc(x):
         found = []
         for vec in vectors:
             masks = {sum(held for b, held in enumerate(points) if m >> b & 1) for m in _unions(vec)}
-            found.append(TopoCongruence(part, frozenset(map(_members, masks))))
+            found.append(TopoCongruence.from_opens(part, frozenset(map(_members, masks))))
         out.extend(sorted(found, key=lambda c: c.encoding()))
     return out
 

@@ -25,6 +25,7 @@ from conrad.errors import (
 from conrad.structures import (
     B4,
     D2,
+    I2,
     LOOPS,
     NOLOOPS,
     Partition,
@@ -34,6 +35,7 @@ from conrad.structures import (
     enumerate_spaces,
     graph,
     path_graph,
+    space,
 )
 
 
@@ -66,7 +68,7 @@ def test_parse_structure_syntax_errors():
 
 def test_parse_congruence_examples():
     cong = parse_congruence("tcong\nblock 0 1\nopen -\nopen 0,1\n", D2)
-    assert cong == tc.TopoCongruence(
+    assert cong == tc.TopoCongruence.from_opens(
         Partition.universal(2), frozenset({frozenset(), frozenset({0, 1})})
     )
     cong = parse_congruence(
@@ -77,6 +79,32 @@ def test_parse_congruence_examples():
         parse_congruence("gcong\nblock 0 1\nedge 0 1\n", complete_graph(2))
     with pytest.raises(NotSaturated):
         parse_congruence("tcong\nblock 0 1\nopen -\nopen 0\nopen 0,1\n", S2)
+
+
+C3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
+D3 = space(3, [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
+
+
+@pytest.mark.parametrize("carrier, text, error, message", [
+    (S2, "block 0\nblock 1\nopen -\nopen 0\n", NotATopology, "congruence topology is not a topology"),
+    (I2, "block 0\nblock 1\nopen -\nopen 0\nopen 1\nopen 0,1\n",
+     NotSubTopology, "[1] is not open in the carrier"),
+    (C3, "block 0\nblock 1\nblock 2\nopen -\nopen 1\nopen 2\nopen 1,2\nopen 0,1,2\n",
+     NotSubTopology, "[2] is not open in the carrier"),
+    (D2, "block 0 1\nopen -\nopen 0\nopen 1\nopen 0,1\n",
+     NotSaturated, "open [1] is not a union of blocks"),
+    (D3, "block 0 1\nblock 2\nopen -\nopen 0\nopen 1\nopen 2\nopen 0,1\nopen 0,2\nopen 1,2\nopen 0,1,2\n",
+     NotSaturated, "open [1, 2] is not a union of blocks"),
+    (D3, "block 0\nblock 1 2\nopen -\nopen 0\nopen 1\nopen 0,1\nopen 0,1,2\n",
+     NotSaturated, "open [0, 1] is not a union of blocks"),
+])
+def test_parse_congruence_names_an_open_it_read(carrier, text, error, message):
+    # the family read is checked as given, before its least-open vector is
+    # built: the same error, naming the same member, as when congruences
+    # were stored as families
+    with pytest.raises(error) as err:
+        parse_congruence("tcong\n" + text, carrier)
+    assert err.type is error and str(err.value) == message
 
 
 @pytest.mark.parametrize("stray", ["-1", "99999999999"])

@@ -113,7 +113,7 @@ def test_kind_of():
 
 def test_hoehnke_radical_examples():
     assert hoehnke_radical(I2, builtin_class("topo", "t0")) == tc.universal_tc(I2)
-    assert hoehnke_radical(D2, builtin_class("topo", "indiscrete")) == tc.TopoCongruence(
+    assert hoehnke_radical(D2, builtin_class("topo", "indiscrete")) == tc.TopoCongruence.from_opens(
         Partition.identity(2), frozenset({frozenset(), D2.full})
     )
     complete_cls = builtin_class("loopless", "complete")
@@ -402,7 +402,7 @@ def test_catalog_topological_values():
     assert catalog_topological(S2, "b") == tc.identity_tc(S2)  # S2 is T0
     assert catalog_topological(I2, "b") == tc.universal_tc(I2)
     assert catalog_topological(S2, "c") == tc.identity_tc(S2)
-    assert catalog_topological(S2, "e") == tc.TopoCongruence(
+    assert catalog_topological(S2, "e") == tc.TopoCongruence.from_opens(
         Partition.identity(2), frozenset({frozenset(), S2.full})
     )
     with pytest.raises(BadCatalogId):
@@ -892,7 +892,7 @@ def test_strong_congruences_match_filtered_enumeration(kind, max_n, strong_p, co
 
 def test_check_subdirect_validates_its_members():
     with pytest.raises(NotSaturated):
-        check_subdirect(S2, [tc.identity_tc(S2), tc.TopoCongruence(Partition.universal(2), S2.opens)])
+        check_subdirect(S2, [tc.identity_tc(S2), tc.TopoCongruence.from_opens(Partition.universal(2), S2.opens)])
     with pytest.raises(SubstitutionViolated):
         check_subdirect(B1, [gc.GraphCongruence(Partition.universal(2), frozenset({(0, 0)}))])
 

@@ -27,7 +27,7 @@ def _transport(cong, perm, n):
         raw[perm[p]] = cong.part.class_id[p]
     part = Partition(tuple(raw))
     ctop = frozenset(frozenset(perm[q] for q in u) for u in cong.ctop)
-    return tc.TopoCongruence(part, ctop)
+    return tc.TopoCongruence.from_opens(part, ctop)
 
 
 def test_exactly_four_hereditary_h_radical_profiles():

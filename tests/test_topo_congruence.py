@@ -52,7 +52,7 @@ from conrad.topo_congruence import (
     validate_tc,
 )
 
-from oracles import closed_families, image_tc_direct, is_strong_tc, strong_kernel_tc
+from oracles import close_topology, closed_families, image_tc_direct, is_strong_tc, strong_kernel_tc
 
 SPACES_3 = [x for n in (1, 2, 3) for x in enumerate_spaces(n)]
 INDISCRETE2 = frozenset({frozenset(), frozenset({0, 1})})
@@ -67,7 +67,7 @@ def univ2():
 
 
 def universal_of(x):
-    return TopoCongruence(Partition.universal(x.n), frozenset({frozenset(), x.full}))
+    return TopoCongruence.from_opens(Partition.universal(x.n), frozenset({frozenset(), x.full}))
 
 
 # ---------------------------------------------------------------------------
@@ -81,24 +81,24 @@ def test_validate_identity_and_universal():
 
 def test_validate_not_saturated():
     with pytest.raises(NotSaturated):
-        validate_tc(S2, TopoCongruence(univ2(), S2.opens))
+        validate_tc(S2, TopoCongruence.from_opens(univ2(), S2.opens))
 
 
 def test_validate_not_subtopology():
     with pytest.raises(NotSubTopology):
-        validate_tc(I2, TopoCongruence(id2(), D2.opens))
+        validate_tc(I2, TopoCongruence.from_opens(id2(), D2.opens))
 
 
 def test_validate_refuses_a_partition_of_another_size():
     with pytest.raises(InvalidCongruence) as err:
-        validate_tc(S2, TopoCongruence(Partition.identity(3), S2.opens))
+        validate_tc(S2, TopoCongruence.from_opens(Partition.identity(3), S2.opens))
     assert err.type is InvalidCongruence and str(err.value) == "partition on 3 points, space has 2"
 
 
 def test_strongify_examples():
     assert strongify_tc(S2, id2()) == identity_tc(S2)
-    assert strongify_tc(D2, univ2()) == TopoCongruence(univ2(), INDISCRETE2)
-    assert not is_strong_tc(S2, TopoCongruence(id2(), INDISCRETE2))
+    assert strongify_tc(D2, univ2()) == TopoCongruence.from_opens(univ2(), INDISCRETE2)
+    assert not is_strong_tc(S2, TopoCongruence.from_opens(id2(), INDISCRETE2))
     assert is_strong_tc(S2, identity_tc(S2))
 
 
@@ -115,7 +115,7 @@ def test_strong_iff_trivial_strong_is_identity():
 def test_kernel_examples():
     assert kernel_tc(S2, T_SPACE, (0, 0)) == universal_of(S2)
     k = kernel_tc(D2, S2, (0, 1))
-    assert k == TopoCongruence(id2(), S2.opens)
+    assert k == TopoCongruence.from_opens(id2(), S2.opens)
     assert kernel_tc(S2, S2, (0, 1)) == identity_tc(S2)
     with pytest.raises(NotContinuous):
         kernel_tc(I2, S2, (0, 1))
@@ -144,10 +144,10 @@ def test_kernel_of_projection_is_rho():
 def test_quotient_examples():
     q, _ = quotient_tc(S2, universal_of(S2))
     assert homeo_spaces(q, T_SPACE) is not None
-    q, _ = quotient_tc(D2, TopoCongruence(id2(), INDISCRETE2))
+    q, _ = quotient_tc(D2, TopoCongruence.from_opens(id2(), INDISCRETE2))
     assert q == I2
     x3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
-    rho = TopoCongruence(
+    rho = TopoCongruence.from_opens(
         Partition.from_blocks(3, [[0], [1, 2]]),
         frozenset({frozenset(), frozenset({0}), frozenset({0, 1, 2})}),
     )
@@ -172,9 +172,9 @@ def test_congruence_counts():
 def test_d2_congruences_explicit():
     expected = {
         identity_tc(D2),
-        TopoCongruence(id2(), S2.opens),
-        TopoCongruence(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})})),
-        TopoCongruence(id2(), INDISCRETE2),
+        TopoCongruence.from_opens(id2(), S2.opens),
+        TopoCongruence.from_opens(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})})),
+        TopoCongruence.from_opens(id2(), INDISCRETE2),
         universal_of(D2),
     }
     assert set(enumerate_congruences_tc(D2)) == expected
@@ -185,9 +185,9 @@ def test_d2_congruences_explicit():
 # ---------------------------------------------------------------------------
 
 def test_meet_join_examples():
-    m = meet_tc(D2, [TopoCongruence(id2(), INDISCRETE2), universal_of(D2)])
-    assert m == TopoCongruence(id2(), INDISCRETE2)
-    rho = TopoCongruence(id2(), S2.opens)
+    m = meet_tc(D2, [TopoCongruence.from_opens(id2(), INDISCRETE2), universal_of(D2)])
+    assert m == TopoCongruence.from_opens(id2(), INDISCRETE2)
+    rho = TopoCongruence.from_opens(id2(), S2.opens)
     assert join_tc(D2, [rho, identity_tc(D2)]) == rho
     assert meet_tc(D2, [rho, rho]) == rho
     with pytest.raises(EmptyList):
@@ -229,13 +229,13 @@ def test_join_of_strong_is_strong():
 def test_restrict_examples():
     assert restrict_tc(D2, universal_of(D2), [0, 1]) == universal_of(D2)
     assert restrict_tc(D2, identity_tc(D2), [0, 1]) == identity_tc(D2)
-    assert restrict_tc(D2, TopoCongruence(id2(), INDISCRETE2), [0]) == identity_tc(T_SPACE)
+    assert restrict_tc(D2, TopoCongruence.from_opens(id2(), INDISCRETE2), [0]) == identity_tc(T_SPACE)
     with pytest.raises(EmptySubset):
         restrict_tc(D2, identity_tc(D2), [])
 
 
 def test_quotient_cong_examples():
-    alpha = TopoCongruence(id2(), S2.opens)
+    alpha = TopoCongruence.from_opens(id2(), S2.opens)
     assert quotient_cong_tc(D2, alpha, alpha).part == id2()
     qc = quotient_cong_tc(D2, alpha, universal_of(D2))
     stage, _ = quotient_tc(D2, alpha)
@@ -271,9 +271,9 @@ def test_correspondence_bijection():
 
 
 def test_image_examples():
-    rho = TopoCongruence(id2(), S2.opens)
+    rho = TopoCongruence.from_opens(id2(), S2.opens)
     assert image_tc(D2, D2, (0, 1), rho) == rho
-    assert image_tc(D2, I2, (0, 1), rho) == TopoCongruence(id2(), INDISCRETE2)
+    assert image_tc(D2, I2, (0, 1), rho) == TopoCongruence.from_opens(id2(), INDISCRETE2)
     for x in SPACES_3:
         q, proj = quotient_tc(x, universal_of(x))
         assert image_tc(x, q, proj, universal_of(x)) == universal_of(q)
@@ -307,8 +307,8 @@ def test_image_preserves_bounds():
 # ---------------------------------------------------------------------------
 
 def test_check_subdirect_examples():
-    t1 = TopoCongruence(id2(), S2.opens)
-    t2 = TopoCongruence(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})}))
+    t1 = TopoCongruence.from_opens(id2(), S2.opens)
+    t2 = TopoCongruence.from_opens(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})}))
     res = check_subdirect_tc(D2, [t1, t2])
     assert res.ok
     assert all(homeo_spaces(f, S2) is not None for f in res.factors)
@@ -319,17 +319,15 @@ def test_check_subdirect_examples():
 
 def test_subdirect_embedding_is_homeo_onto_image():
     # pullback of the product topology equals the carrier topology
-    t1 = TopoCongruence(id2(), S2.opens)
-    t2 = TopoCongruence(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})}))
+    t1 = TopoCongruence.from_opens(id2(), S2.opens)
+    t2 = TopoCongruence.from_opens(id2(), frozenset({frozenset(), frozenset({1}), frozenset({0, 1})}))
     res = check_subdirect_tc(D2, [t1, t2])
     pulled = set()
     for i, factor in enumerate(res.factors):
         for u in factor.opens:
             pulled.add(frozenset(p for p in range(D2.n) if res.embedding[p][i] in u))
     generated = set()
-    from conrad.topo_congruence import _close_topology
-
-    assert _close_topology(D2.n, frozenset(pulled)) == D2.opens
+    assert close_topology(D2.n, frozenset(pulled)) == D2.opens
 
 
 def test_sierpinski_decomposition():
@@ -422,7 +420,7 @@ def _congruences_by_definition(x):
         sat = [u for u in x.opens if u and u != x.full
                and all(set(b) <= u or not set(b) & u for b in part.blocks)]
         found = [
-            TopoCongruence(part, frozenset([frozenset(), x.full] + [sat[i] for i in keep]))
+            TopoCongruence.from_opens(part, frozenset([frozenset(), x.full] + [sat[i] for i in keep]))
             for keep in closed_families(x.n, [sum(1 << p for p in u) for u in sat])
         ]
         out += sorted(found, key=lambda c: c.encoding())

@@ -1,13 +1,18 @@
 """Theorem sweeps beyond the acceptance bound, and generator sanity."""
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from conrad import graph_congruence as gc
+from conrad.cli_io import run_command
 from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO, build_universe
 from conrad.structures import (
     B3,
@@ -180,3 +185,61 @@ def test_random_above_draws_a_congruence_above(kind):
         beta = random_above(rng, kind, x, alpha)
         ops.validate(x, beta)
         assert ops.le(alpha, beta), (x, alpha, beta)
+
+
+def test_topo_sweep_builds_each_quotient_and_subspace_once(monkeypatch):
+    # 2,256 quotients and 1,021 subspaces were built for 406 and 216 distinct
+    # arguments; now each quotient for the first two theorems and each
+    # subspace is built once, and only the third theorem's quotients by
+    # beta/alpha (637) are built per instance
+    ops = KIND_OPS[KIND_TOPO]
+    counts = Counter()
+
+    def counted(name):
+        fn = getattr(ops, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    names = ("quotient", "substructure")
+    monkeypatch.setitem(
+        KIND_OPS, KIND_TOPO, dataclasses.replace(ops, **{name: counted(name) for name in names})
+    )
+    assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
+    assert (counts["quotient"], counts["substructure"]) == (1043, 216)
+
+
+def _verify(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run_command(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_topo_verify_at_four_is_pinned(monkeypatch):
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    status, stdout, _ = _verify("verify --kind topo --max-n 4 --samples 50".split())
+    assert status == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "250bc588dcb4bbabd7caaf9e530db00927f8ac01c55b6a3eeada4d6dbfeadf97"
+    )
+
+
+@pytest.mark.parametrize("kind, max_n", [(KIND_TOPO, 5), (KIND_LOOPLESS, 6)])
+def test_a_sweep_past_the_scan_bound_is_refused_at_once(monkeypatch, kind, max_n):
+    # the discrete 5-point space has 11,278 congruences times 31 subsets;
+    # a 6-vertex loopless graph has over 1,587 congruences times 63 subsets
+    if kind == KIND_TOPO:
+        monkeypatch.setenv("CONRAD_MAX_N", "5")
+    else:
+        monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    argv = ["verify", "--kind", kind, "--max-n", str(max_n), "--samples", "0"]
+    start = time.perf_counter()
+    status, stdout, stderr = _verify(argv)
+    assert time.perf_counter() - start < 30
+    assert status == 2
+    assert "CHECK" not in stdout
+    assert stderr == "error: theorem sweep capped at 100000 congruence-subset pairs per structure\n"
