@@ -154,11 +154,6 @@ def _sorted_opens(opens) -> list:
     return sorted(opens, key=lambda u: (len(u), sorted(u)))
 
 
-def _congruence_opens(cong) -> list:
-    """A topological congruence's opens as point lists, in `_sorted_opens` order."""
-    return _sorted_opens([p for p in range(m.bit_length()) if m >> p & 1] for m in cong.open_masks)
-
-
 def serialize_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         out = [f"graph {structure.n} {structure.policy}"]
@@ -175,7 +170,7 @@ def serialize_congruence(cong) -> str:
     if isinstance(cong, tcm.TopoCongruence):
         out = ["tcong"]
         out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
-        out.extend(f"open {_fmt_set(u)}" for u in _congruence_opens(cong))
+        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
         return "\n".join(out) + "\n"
     if isinstance(cong, gcm.GraphCongruence):
         out = ["gcong"]
@@ -196,7 +191,7 @@ def describe_structure(structure) -> str:
 def describe_congruence(cong) -> str:
     blocks = "".join("[" + " ".join(str(v) for v in b) + "]" for b in cong.part.blocks)
     if isinstance(cong, tcm.TopoCongruence):
-        opens = ";".join(_fmt_set(u) for u in _congruence_opens(cong))
+        opens = ";".join(_fmt_set(u) for u in _sorted_opens(cong.ctop))
         return f"blocks {blocks} opens {opens}"
     edges = " ".join(f"{a}-{b}" for a, b in sorted(cong.cedges)) or "-"
     return f"blocks {blocks} edges {edges}"

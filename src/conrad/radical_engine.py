@@ -106,7 +106,7 @@ def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
     if cid == "c":
         return tc.identity_tc(x)
     if cid in ("d", "e"):
-        return tc.TopoCongruence(Partition.identity(x.n), (2 ** x.n - 1,) * x.n)
+        return tc.TopoCongruence(Partition.identity(x.n), tc._indiscrete(x.n))
     raise BadCatalogId(f"topological catalog has entries a-e, not {cid!r}")
 
 

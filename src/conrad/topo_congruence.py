@@ -338,12 +338,7 @@ def _congruences_of(part: Partition, points: list[int], vectors) -> list[TopoCon
         for vec, u in zip(vectors, unions)
     ]
     found.sort()
-    out = []
-    for masks, least in found:
-        rho = TopoCongruence(part, least)
-        rho.__dict__["open_masks"] = masks  # the sort key is its cached encoding
-        out.append(rho)
-    return out
+    return [TopoCongruence(part, least) for _, least in found]
 
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
@@ -369,15 +364,16 @@ def sierpinski_candidates(x: FiniteSpace) -> list[TopoCongruence]:
     """The two-block congruences with quotient S2 or I2, partitions in growth
     order: per partition {A, B}, the topology {0, X} plus {0, A, X} when A is
     open and {0, B, X} when B is, sorted by encoding."""
-    full = 2 ** x.n - 1
+    indiscrete = _indiscrete(x.n)
     out = []
     for tail in itertools.islice(itertools.product((0, 1), repeat=x.n - 1), 1, None):
         part = Partition((0,) + tail)
-        found = [TopoCongruence(part, _indiscrete(x.n))]
+        found = [TopoCongruence(part, indiscrete)]
         for block in part.blocks:
             m = _bitmask(block)
             if all(not x.min_opens[p] & ~m for p in block):  # the block is open
-                found.append(TopoCongruence(part, tuple(m if m >> p & 1 else full for p in range(x.n))))
+                least = tuple(m if m >> p & 1 else full for p, full in enumerate(indiscrete))
+                found.append(TopoCongruence(part, least))
         out += sorted(found, key=lambda c: c.encoding())
     return out
 

@@ -8,8 +8,6 @@ and the acceptance suite drive these sweeps.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import random
 
 from .errors import BoundExceeded
@@ -60,17 +58,16 @@ def _is_isomorphism(ops, left, right, perm: tuple) -> bool:
     return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
 
 
-def check_first_iso(kind: str, x, y, f) -> bool:
+def check_first_iso(kind: str, x, y, f, quotients=None) -> bool:
     """Quotient by the kernel of a surjection matches the codomain.
 
-    The map X/ker f -> Y sends each block to the image of its points.
+    The map X/ker f -> Y sends each block to the image of its points.  When
+    given, quotients maps every congruence of X to X/theta with its
+    projection, and the quotient by the kernel is looked up there.
     """
-    return _first_iso(KIND_OPS[kind], x, y, f)
-
-
-def _first_iso(ops, x, y, f) -> bool:
+    ops = KIND_OPS[kind]
     kernel = ops.kernel(x, y, f)
-    quotient, _ = ops.quotient(x, kernel)
+    quotient, _ = ops.quotient(x, kernel) if quotients is None else quotients[kernel]
     return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
 
 
@@ -91,7 +88,7 @@ def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
     restricted = ops.restrict(x, theta, sub)
     left, _ = ops.quotient(x_sub, restricted)
     points = sorted(set(sub))
-    image = tuple(sorted({proj[v] for v in points}))
+    image = sorted({proj[v] for v in points})
     right = ops.substructure(quotient, image)
     position = {b: i for i, b in enumerate(image)}
     perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
@@ -124,9 +121,9 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
 
     Every member's congruences are listed before any instance is checked, and
     the sweep is refused when a member's second-theorem instances (its
-    congruences times its nonempty subsets) pass the scan bound.  The first
-    two theorems build each quotient and substructure once per sweep; the
-    third's quotients by beta/alpha seldom repeat, so they are not kept.
+    congruences times its nonempty subsets) pass the scan bound.  A member's
+    quotients by its congruences are built once, serve all three theorems,
+    and are dropped with the member.
     """
     ops = KIND_OPS[kind]
     members = build_universe(kind, max_n).members
@@ -138,27 +135,23 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
                 f"theorem sweep capped at {CONGRUENCE_SCAN_BOUND} congruence-subset pairs per structure"
             )
         congruences.append(congs)
-    # each quotient and substructure kept for the rest of the sweep
-    kept = dataclasses.replace(
-        ops, quotient=functools.cache(ops.quotient), substructure=functools.cache(ops.substructure)
-    )
     failures = {name: 0 for name in THEOREMS}
-    for x in members:
+    for x, congs in zip(members, congruences):
+        # the kernel of a surjection from x is one of x's congruences
+        quotients = {theta: ops.quotient(x, theta) for theta in congs}
         for y in members:
             for f in surjective_morphisms(kind, x, y):
-                if not _first_iso(kept, x, y, f):
+                if not check_first_iso(kind, x, y, f, quotients):
                     failures["first"] += 1
-    for x, congs in zip(members, congruences):
-        quotients = [kept.quotient(x, theta) for theta in congs]
-        subsets = [(sub, kept.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
-        for theta, quotient_proj in zip(congs, quotients):
+        subsets = [(sub, ops.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
+        for theta, quotient_proj in quotients.items():
             for sub, x_sub in subsets:
-                if not _second_iso(kept, x, theta, quotient_proj, sub, x_sub):
+                if not _second_iso(ops, x, theta, quotient_proj, sub, x_sub):
                     failures["second"] += 1
         # alpha <= beta needs alpha's partition to refine beta's, so compare
         # congruences only within pairs of partitions that refine
         by_part: dict[Partition, list] = {}
-        for theta, (quotient, _) in zip(congs, quotients):
+        for theta, (quotient, _) in quotients.items():
             by_part.setdefault(theta.part, []).append((theta, quotient))
         for part_a, group_a in by_part.items():
             for part_b, group_b in by_part.items():

@@ -5,7 +5,7 @@ import itertools
 import random
 
 from conrad import topo_congruence as tc
-from conrad.errors import ConradError
+from conrad.errors import ConradError, NotATopology
 from conrad.radical_engine import surjective_morphisms
 from conrad.structures import (
     _bitmask,
@@ -116,6 +116,14 @@ def test_validation_on_vectors_matches_validation_on_families():
                 assert _refusal(tc.validate_opens_tc, x, part, family) == _refusal(
                     tc.validate_tc, x, rho
                 ), (x, part, family)
+    # vectors built by hand that are no preorder: 0 missing from its own
+    # mask, 0's mask holding 1 but not 1's, a mask past the last point, and
+    # one mask short
+    discrete = next(x for x in SPACES_3 if x.n == 3 and x.is_discrete())
+    identity = tc.identity_tc(discrete).part
+    for least in [(0b110, 0b010, 0b100), (0b011, 0b110, 0b100), (0b1001, 0b010, 0b100), (0b001, 0b010)]:
+        rho = tc.TopoCongruence(identity, least)
+        assert _refusal(tc.validate_tc, discrete, rho) is NotATopology, least
 
 
 def test_random_draws_match_the_family_calculus():

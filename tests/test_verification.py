@@ -187,11 +187,10 @@ def test_random_above_draws_a_congruence_above(kind):
         assert ops.le(alpha, beta), (x, alpha, beta)
 
 
-def test_topo_sweep_builds_each_quotient_and_subspace_once(monkeypatch):
-    # 2,256 quotients and 1,021 subspaces were built for 406 and 216 distinct
-    # arguments; now each quotient for the first two theorems and each
-    # subspace is built once, and only the third theorem's quotients by
-    # beta/alpha (637) are built per instance
+def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
+    # 2,256 quotients were built for 406 distinct arguments; a member's
+    # quotients by its congruences now serve all three theorems, so the 265
+    # first-theorem quotients by kernels are looked up, not built
     ops = KIND_OPS[KIND_TOPO]
     counts = Counter()
 
@@ -209,7 +208,7 @@ def test_topo_sweep_builds_each_quotient_and_subspace_once(monkeypatch):
         KIND_OPS, KIND_TOPO, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
     assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
-    assert (counts["quotient"], counts["substructure"]) == (1043, 216)
+    assert (counts["quotient"], counts["substructure"]) == (1991, 1021)
 
 
 def _verify(argv):
