@@ -61,6 +61,7 @@ from .structures import (
     random_graph,
     relabel_graph,
     relabel_space,
+    require_surjective,
     subspace,
 )
 
@@ -164,7 +165,6 @@ class _KindOps:
     carries: Callable
     from_relation: Callable
     le: Callable
-    is_morphism: Callable
     relation: Callable
     image_le: Callable
     catalog: Callable | None
@@ -210,7 +210,6 @@ KIND_OPS: dict[str, _KindOps] = {
         carries=carries_opens,
         from_relation=preorder_space,
         le=tc.le_tc,
-        is_morphism=tc.is_continuous,
         relation=_specialization,
         image_le=tc.image_le_tc,
         catalog=catalog_topological,
@@ -238,7 +237,6 @@ KIND_OPS: dict[str, _KindOps] = {
         carries=carries_edges,
         from_relation=lambda n, pairs: graph(n, LOOPS, pairs),
         le=gc.le_gc,
-        is_morphism=gc.is_homomorphism,
         relation=_adjacency,
         image_le=gc.image_le_gc,
         catalog=catalog_graph,
@@ -563,8 +561,11 @@ def surjective_morphisms(kind: str, x, y) -> list[tuple]:
 
 
 def verify_H1(sigma: RadicalAssignment, x, y, f) -> bool:
-    """H1 for one map, which is checked to be a surjective morphism first."""
+    """H1 for one map, which is checked to be a surjective morphism first: the
+    kind's kernel refuses a map that is not a morphism."""
     ops = KIND_OPS[sigma.kind]
+    require_surjective(f, y.n)
+    ops.kernel(x, y, f)
     return ops.image_le(x, y, f, sigma(x), sigma(y))
 
 
@@ -587,7 +588,7 @@ def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
             if maps:
                 sy = sigma(y)
                 failures.extend(
-                    (x, y, f) for f in maps if not image_le(x, y, f, sx, sy, checked=False)
+                    (x, y, f) for f in maps if not image_le(x, y, f, sx, sy)
                 )
     return failures
 
@@ -608,7 +609,7 @@ def h1_holds(sigma: RadicalAssignment, uni: Universe) -> bool:
     if maps is None:
         return not h1_failures(sigma, uni)
     image_le = KIND_OPS[sigma.kind].image_le
-    return all(image_le(x, y, f, sigma(x), sigma(y), checked=False) for x, y, f in maps)
+    return all(image_le(x, y, f, sigma(x), sigma(y)) for x, y, f in maps)
 
 
 def h2_failures(sigma: RadicalAssignment, uni: Universe) -> list:

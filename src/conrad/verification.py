@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import BoundExceeded
+from .errors import BoundExceeded, NotContained
 from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
 from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _refines
 
@@ -96,8 +96,10 @@ def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
 
 
 def check_third_iso(kind: str, x, alpha, beta) -> bool:
-    """(X/a)/(b/a) matches X/b when a is contained in b."""
+    """(X/a)/(b/a) matches X/b; a must be contained in b."""
     ops = KIND_OPS[kind]
+    if not ops.le(alpha, beta):
+        raise NotContained("beta must contain alpha")
     stage, _ = ops.quotient(x, alpha)
     right, _ = ops.quotient(x, beta)
     return _third_iso(ops, x, alpha, beta, stage, right)

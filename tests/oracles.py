@@ -6,17 +6,22 @@ definition, independently of the fast path the tests compare it with.
 
 import itertools
 
-from conrad.errors import BoundExceeded, NoQualifyingCongruence, NotContained, NotContinuous
+from conrad.errors import (
+    BoundExceeded,
+    NoQualifyingCongruence,
+    NotContained,
+    NotContinuous,
+    NotHomomorphism,
+)
 from conrad.graph_congruence import (
     GraphCongruence,
     _orbits,
-    _require_homomorphism,
     block_orbit,
     saturation_gc,
     strongify_gc,
 )
 from conrad.loopless_congruence import _blocks_independent
-from conrad.radical_engine import KIND_OPS, kind_of
+from conrad.radical_engine import KIND_OPS, KIND_TOPO, kind_of
 from conrad.structures import (
     CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
@@ -41,11 +46,7 @@ from conrad.structures import (
     random_partition,
     require_surjective,
 )
-from conrad.topo_congruence import (
-    TopoCongruence,
-    _require_continuous,
-    strongify_tc,
-)
+from conrad.topo_congruence import TopoCongruence, strongify_tc
 
 
 def closed_families(n, masks):
@@ -64,6 +65,34 @@ def image_partition(f: tuple, part: Partition, m: int) -> Partition:
     """The finest partition of 0..m-1 in which f sends each block of part into one block."""
     hits = [{f[v] for v in block} for block in part.blocks]
     return join_partitions([Partition([-1 if q in hit else q for q in range(m)]) for hit in hits])
+
+
+# ---------------------------------------------------------------------------
+# Morphisms by their definitions (in the library the kernels decide them)
+# ---------------------------------------------------------------------------
+
+def is_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> bool:
+    return all(frozenset(p for p in range(x.n) if f[p] in v) in x.opens for v in y.opens)
+
+
+def _require_continuous(x: FiniteSpace, y: FiniteSpace, f: tuple) -> None:
+    if not is_continuous(x, y, f):
+        raise NotContinuous("preimage of an open set is not open")
+
+
+def is_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> bool:
+    # a loopless h admits no loop image, so edges never land inside a fibre
+    return all(_norm_pair(f[a], f[b]) in h.edges for a, b in g.edges)
+
+
+def _require_homomorphism(g: FiniteGraph, h: FiniteGraph, f: tuple) -> None:
+    if not is_homomorphism(g, h, f):
+        raise NotHomomorphism("the map does not preserve edges")
+
+
+def is_morphism(x, y, f: tuple) -> bool:
+    """Continuity for spaces, edge preservation for graphs of either policy."""
+    return (is_continuous if kind_of(x) == KIND_TOPO else is_homomorphism)(x, y, f)
 
 
 # ---------------------------------------------------------------------------

@@ -567,11 +567,14 @@ _MALFORMED_FILES = [
     ("congruences --space {f}", "space two\n", "line 1: bad point count 'two'"),
     ("quotient --graph {b4} --cong {f}", "gcong\nblock 0 1\nedge 0 y\n",
      "line 3: edge endpoints must be integers"),
+    ("congruences --space {f}", "space 2\nopen -\nopen 0,1\nopen 5\n", "open set [5] out of range"),
+    ("congruences --space {f}", "space 2\nopen -\nopen 0,1\nopen -1\n", "open set [-1] out of range"),
 ]
 
 
 @pytest.mark.parametrize("argv, text, err", _MALFORMED_FILES,
-                         ids=["point-ids", "graph-edge", "space-header", "point-count", "cong-edge"])
+                         ids=["point-ids", "graph-edge", "space-header", "point-count", "cong-edge",
+                              "open-past-range", "open-negative"])
 def test_cli_malformed_files_exit_2(files, tmp_path, capsys, argv, text, err):
     path = tmp_path / "malformed.txt"
     path.write_text(text)

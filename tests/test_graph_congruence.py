@@ -34,6 +34,7 @@ from conrad.graph_congruence import (
 )
 from conrad.loopless_congruence import enumerate_congruences_lc
 from conrad.radical_engine import (
+    KIND_GRAPH,
     check_subdirect as check_subdirect_gc,
     is_subdirectly_irreducible as is_subdirectly_irreducible_gc,
 )
@@ -57,6 +58,7 @@ from conrad.structures import (
     iso_graphs,
     path_graph,
 )
+from conrad.verification import check_third_iso
 
 from oracles import image_gc_direct, is_strong_gc, product_graph, strong_kernel_gc
 
@@ -171,6 +173,8 @@ def test_meet_join_examples():
     assert join_gc(B1, [theta, identity_gc(B1)]) == theta
     with pytest.raises(EmptyList):
         meet_gc(B1, [])
+    with pytest.raises(EmptyList):
+        join_gc(B1, [])
 
 
 def test_bounded_lattice_laws():
@@ -237,7 +241,7 @@ def test_quotient_cong_examples():
             assert quotient_cong_gc(g, theta, theta) == identity_gc(stage)
             assert quotient_cong_gc(g, theta, universal_gc(g)) == universal_gc(stage)
     with pytest.raises(NotContained):
-        quotient_cong_gc(B4, universal_gc(B4), identity_gc(B4))
+        check_third_iso(KIND_GRAPH, B4, universal_gc(B4), identity_gc(B4))
 
 
 def test_correspondence_preserves_meet_join():

@@ -33,6 +33,7 @@ from conrad.structures import (
     B6,
     B_SET,
     D2,
+    FiniteGraph,
     FiniteSpace,
     I2,
     ISO_BOUND,
@@ -193,6 +194,8 @@ def test_graph_invariants():
         graph(2, NOLOOPS, [(0, 0)])
     with pytest.raises(SemanticError):
         graph(2, LOOPS, [(0, 5)])
+    with pytest.raises(SemanticError, match="unknown loop policy 'weird'"):
+        FiniteGraph(2, "weird", frozenset())
     assert B4.loop_vertices == frozenset({0, 1})
     assert B6.is_complete()
     assert not B5.is_complete()
@@ -260,6 +263,7 @@ def test_constructor_accepts_exactly_the_preorders():
                 assert FiniteSpace(n, vec).opens == topologies[vec]
                 assert space(n, topologies[vec]) == FiniteSpace(n, vec)
     assert len(topologies) == 1 + 4 + 29
+    assert _outcome(lambda: FiniteSpace(0, ())) == (SemanticError, "spaces have non-empty point sets")
 
 
 def test_preorders_are_the_labelled_topologies():

@@ -33,7 +33,7 @@ from conrad.structures import (
     meet_partitions,
     space,
 )
-from conrad.radical_engine import check_subdirect as check_subdirect_tc
+from conrad.radical_engine import KIND_TOPO, check_subdirect as check_subdirect_tc
 from conrad.topo_congruence import (
     TopoCongruence,
     enumerate_congruences_tc,
@@ -51,6 +51,7 @@ from conrad.topo_congruence import (
     strongify_tc,
     validate_tc,
 )
+from conrad.verification import check_third_iso
 
 from oracles import close_topology, closed_families, image_tc_direct, is_strong_tc, strong_kernel_tc
 
@@ -242,7 +243,7 @@ def test_quotient_cong_examples():
     q, _ = quotient_tc(stage, qc)
     assert homeo_spaces(q, T_SPACE) is not None
     with pytest.raises(NotContained):
-        quotient_cong_tc(D2, universal_of(D2), identity_tc(D2))
+        check_third_iso(KIND_TOPO, D2, universal_of(D2), identity_tc(D2))
 
 
 def test_quotient_cong_trivial_cases():

@@ -38,6 +38,8 @@ from conrad.verification import (
     random_surjection,
 )
 
+from oracles import is_morphism
+
 
 def test_exhaustive_small_all_kinds():
     for kind in (KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS):
@@ -85,7 +87,7 @@ def test_random_surjection_is_morphism():
             x = ops.random_structure(rng, rng.randint(2, 5))
             y, f = random_surjection(rng, kind, x)
             assert set(f) == set(range(y.n))
-            assert ops.is_morphism(x, y, f)
+            assert is_morphism(x, y, f)
             assert check_first_iso(kind, x, y, f)
 
 
@@ -216,6 +218,31 @@ def _verify(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = run_command(argv)
     return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
+def test_the_sweeps_count_the_instances_a_broken_op_fails(monkeypatch, kind):
+    # a sweep that could never count a failure would still print PASS, so
+    # break the map test, then the quotient congruence, and see each counted
+    ops = KIND_OPS[kind]
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, carries=lambda *a: False))
+    for failures in (exhaustive_iso_theorems(kind, 2), random_iso_theorems(kind, 30, seed=3)):
+        assert failures["first"] > 0 and failures["second"] > 0 and failures["third"] == 0
+    status, stdout, _ = _verify(["verify", "--kind", kind, "--max-n", "2", "--samples", "30"])
+    assert status == 1
+    assert f"CHECK {kind}-first-exhaustive FAIL" in stdout
+    assert f"CHECK {kind}-second-random FAIL" in stdout
+
+    def identity_of_stage(x, alpha, beta):
+        return ops.identity(ops.quotient(x, alpha)[0])
+
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_cong=identity_of_stage))
+    for failures in (exhaustive_iso_theorems(kind, 2), random_iso_theorems(kind, 30, seed=3)):
+        assert failures["first"] == failures["second"] == 0 and failures["third"] > 0
+    status, stdout, _ = _verify(["verify", "--kind", kind, "--max-n", "2", "--samples", "30"])
+    assert status == 1
+    assert f"CHECK {kind}-third-exhaustive FAIL" in stdout
+    assert f"CHECK {kind}-third-random FAIL" in stdout
 
 
 def test_topo_verify_at_four_is_pinned(monkeypatch):
