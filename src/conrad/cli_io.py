@@ -51,13 +51,19 @@ def _lines(text: str):
             yield no, line
 
 
+def _int(token: str, no: int, message: str) -> int:
+    """The integer a token spells, or a refusal of line no with the message."""
+    try:
+        return int(token)
+    except ValueError:
+        raise InputSyntaxError(no, message)
+
+
 def _ids(token: str, no: int) -> list[int]:
     if token == "-":
         return []
-    try:
-        return [int(t) for t in token.split(",") if t != ""]
-    except ValueError:
-        raise InputSyntaxError(no, f"expected comma-separated ids, got {token!r}")
+    message = f"expected comma-separated ids, got {token!r}"
+    return [_int(t, no, message) for t in token.split(",") if t != ""]
 
 
 def parse_structure(text: str):
@@ -70,19 +76,13 @@ def parse_structure(text: str):
     if parts[0] == "graph":
         if len(parts) != 3 or parts[2] not in (LOOPS, NOLOOPS):
             raise InputSyntaxError(no, "expected: graph <n> loops|noloops")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise InputSyntaxError(no, f"bad vertex count {parts[1]!r}")
+        n = _int(parts[1], no, f"bad vertex count {parts[1]!r}")
         edges = []
         for no2, line in rows[1:]:
             toks = line.split()
             if len(toks) != 3 or toks[0] != "e":
                 raise InputSyntaxError(no2, "expected: e <a> <b>")
-            try:
-                a, b = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise InputSyntaxError(no2, "edge endpoints must be integers")
+            a, b = (_int(t, no2, "edge endpoints must be integers") for t in toks[1:])
             if a > b:
                 raise InputSyntaxError(no2, "edges are written with a <= b")
             edges.append((a, b))
@@ -90,10 +90,7 @@ def parse_structure(text: str):
     if parts[0] == "space":
         if len(parts) != 2:
             raise InputSyntaxError(no, "expected: space <n>")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise InputSyntaxError(no, f"bad point count {parts[1]!r}")
+        n = _int(parts[1], no, f"bad point count {parts[1]!r}")
         opens = []
         for no2, line in rows[1:]:
             toks = line.split()
@@ -119,17 +116,11 @@ def parse_congruence(text: str, carrier):
     for no2, line in rows[1:]:
         toks = line.split()
         if toks[0] == "block":
-            try:
-                blocks.append([int(t) for t in toks[1:]])
-            except ValueError:
-                raise InputSyntaxError(no2, "block members must be integers")
+            blocks.append([_int(t, no2, "block members must be integers") for t in toks[1:]])
         elif topo and toks[0] == "open" and len(toks) == 2:
             members.append(frozenset(_ids(toks[1], no2)))
         elif not topo and toks[0] == "edge" and len(toks) == 3:
-            try:
-                a, b = int(toks[1]), int(toks[2])
-            except ValueError:
-                raise InputSyntaxError(no2, "edge endpoints must be integers")
+            a, b = (_int(t, no2, "edge endpoints must be integers") for t in toks[1:])
             members.append(_norm_pair(a, b))
         else:
             other = "open <ids>|-" if topo else "edge <a> <b>"
@@ -158,26 +149,21 @@ def serialize_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         out = [f"graph {structure.n} {structure.policy}"]
         out.extend(f"e {a} {b}" for a, b in sorted(structure.edges))
-        return "\n".join(out) + "\n"
-    if isinstance(structure, FiniteSpace):
+    else:
         out = [f"space {structure.n}"]
         out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(structure.opens))
-        return "\n".join(out) + "\n"
-    raise UsageError(f"cannot serialize {structure!r}")
+    return "\n".join(out) + "\n"
 
 
 def serialize_congruence(cong) -> str:
-    if isinstance(cong, tcm.TopoCongruence):
-        out = ["tcong"]
-        out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
+    topo = isinstance(cong, tcm.TopoCongruence)
+    out = ["tcong" if topo else "gcong"]
+    out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
+    if topo:
         out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
-        return "\n".join(out) + "\n"
-    if isinstance(cong, gcm.GraphCongruence):
-        out = ["gcong"]
-        out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
+    else:
         out.extend(f"edge {a} {b}" for a, b in sorted(cong.cedges))
-        return "\n".join(out) + "\n"
-    raise UsageError(f"cannot serialize {cong!r}")
+    return "\n".join(out) + "\n"
 
 
 def describe_structure(structure) -> str:
@@ -278,19 +264,16 @@ def _cmd_quotient(args, report: Report) -> None:
 
 def _cmd_decompose(args, report: Report) -> None:
     if args.birkhoff:
-        g = parse_structure(_read(args.birkhoff))
-        if not isinstance(g, FiniteGraph) or g.policy != NOLOOPS:
+        x = parse_structure(_read(args.birkhoff))
+        if not isinstance(x, FiniteGraph) or x.policy != NOLOOPS:
             raise UsageError("birkhoff decomposition needs a loopless graph")
-        factors = lcm.birkhoff_complete_decomposition(g)
+        factors = lcm.birkhoff_complete_decomposition(x)
         for i, cong in enumerate(factors):
-            quotient, _ = lcm.quotient_lc(g, cong)
-            report.info(f"factor {i}: {describe_congruence(cong)} -> K_{quotient.n}")
-        rows = [tuple(c.part.class_id[v] for c in factors) for v in range(g.n)]
-        for v, row in enumerate(rows):
-            report.info(f"embed {v} -> ({','.join(str(b) for b in row)})")
-        report.check("meet-is-identity", gcm.meet_gc(g, factors) == gcm.identity_gc(g))
-        return
-    if args.sierpinski:
+            # the quotient by a factor is the complete graph on its blocks
+            report.info(f"factor {i}: {describe_congruence(cong)} -> K_{cong.part.num_blocks}")
+        for v in range(x.n):
+            report.info(f"embed {v} -> ({','.join(str(c.part.class_id[v]) for c in factors)})")
+    elif args.sierpinski:
         x = parse_structure(_read(args.sierpinski))
         if not isinstance(x, FiniteSpace):
             raise UsageError("sierpinski decomposition needs a space")
@@ -298,11 +281,10 @@ def _cmd_decompose(args, report: Report) -> None:
         for i, cong in enumerate(factors):
             label = "S2" if len(cong.open_masks) == 3 else "I2"
             report.info(f"factor {i}: {describe_congruence(cong)} -> {label}")
-        report.check(
-            "meet-is-identity", tcm.meet_tc(x, factors) == tcm.identity_tc(x)
-        )
-        return
-    raise UsageError("one of --birkhoff or --sierpinski is required")
+    else:
+        raise UsageError("one of --birkhoff or --sierpinski is required")
+    ops = eng.KIND_OPS[eng.kind_of(x)]
+    report.check("meet-is-identity", ops.meet(x, factors) == ops.identity(x))
 
 
 def _cmd_radical(args, report: Report) -> None:
@@ -379,11 +361,8 @@ def _cmd_universe(args, report: Report) -> None:
             verdicts = eng.ka_triple(sigma, uni)
             for key in ("complete", "idempotent", "strong"):
                 ok, witness = verdicts[key]
-                text = ""
-                if witness is not None:
-                    first = witness[0] if isinstance(witness, tuple) else witness
-                    text = describe_structure(first)
-                report.info(f"{sigma.name}-{key}: {'yes' if ok else 'no ' + text}")
+                text = "yes" if ok else "no " + describe_structure(witness[0])
+                report.info(f"{sigma.name}-{key}: {text}")
             report.info(f"{sigma.name}-ka: {'yes' if verdicts['ka'] else 'no'}")
         return
     if args.check == "complementary":
@@ -427,8 +406,17 @@ def _cmd_verify(args, report: Report) -> None:
         report.check(f"{kind}-{name}-random", count == 0, f"{count} failures")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses a bad command line like any other
+    request, with one `error:` line and exit status 2; its subcommand
+    parsers are of the same class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conrad",
         description="Congruence calculus and radical checks for finite graphs and spaces.",
     )
@@ -498,13 +486,12 @@ _EXIT_2 = (UsageError, InputSyntaxError, SemanticError, InvalidCongruence, Bound
 
 def run_command(argv: list[str]) -> int:
     """Dispatch a command line; returns the exit status."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
     report = Report(command=" ".join(argv))
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help printed its text; argparse refuses through UsageError
+            return 0
         _HANDLERS[args.command](args, report)
     except ConradError as exc:
         sys.stdout.write(report.render())

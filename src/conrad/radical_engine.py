@@ -350,7 +350,6 @@ class RadicalAssignment:
     name: str
     kind: str
     rule: Callable
-    provenance: str
     _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __call__(self, structure):
@@ -486,7 +485,6 @@ def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
         name=f"radical-of-{cls.name}",
         kind=cls.kind,
         rule=lambda structure: hoehnke_radical(structure, cls),
-        provenance=f"class:{cls.name}",
     )
 
 
@@ -496,7 +494,6 @@ def catalog_radical(kind: str, cid: str) -> RadicalAssignment:
         name=f"{kind}-catalog-{cid}",
         kind=kind,
         rule=lambda structure: KIND_OPS[kind].catalog(structure, cid),
-        provenance=f"catalog:{cid}",
     )
 
 
@@ -639,9 +636,11 @@ def is_idempotent(sigma: RadicalAssignment, uni: Universe):
 
 
 def is_strong_everywhere(sigma: RadicalAssignment, uni: Universe):
+    """Every value of the radical is a strong congruence."""
     for x in uni.members:
-        if not is_strong(uni.kind, x, sigma(x)):
-            return False, x
+        value = sigma(x)
+        if not is_strong(uni.kind, x, value):
+            return False, (x, value)
     return True, None
 
 

@@ -491,22 +491,28 @@ def _relabelled(least: tuple[int, ...], perm) -> tuple[int, ...]:
     return tuple(_bitmask(perm[q] for q in points if least[p] >> q & 1) for p in points)
 
 
-def _is_topology_on(n: int, family) -> bool:
-    """True when the family of subsets of 0..n-1 is a topology: it holds the
-    empty and full sets and each member's union with each point's least
-    member, so every union of least members, hence of members, and every
-    intersection of members (a union of least members) lies in it."""
+def _topology_defect(n: int, family: frozenset) -> SemanticError | None:
+    """Why the family of point sets is not closed like a topology on 0..n-1,
+    as the error to raise, or None when it is: the empty or full set
+    missing, then the first ordered pair whose union or intersection is
+    missing.  Each id in the family gets one bit, so ids outside 0..n-1
+    (which a congruence file may hold until its carrier check) cost nothing."""
     if frozenset() not in family or frozenset(range(n)) not in family:
-        return False
-    points = frozenset().union(*family)
-    least = {frozenset.intersection(*(u for u in family if p in u)) for p in points}
-    return all(u | v in family for u in family for v in least)
+        return MissingEmptyOrFull("a topology contains the empty and full sets")
+    index = {p: i for i, p in enumerate(frozenset().union(*family))}
+    masked = {_bitmask(index[p] for p in u): u for u in family}
+    for a in masked:
+        for b in masked:
+            if a | b not in masked:
+                return NotClosedUnderUnion(f"{sorted(masked[a])} | {sorted(masked[b])} missing")
+            if a & b not in masked:
+                return NotClosedUnderIntersection(f"{sorted(masked[a])} & {sorted(masked[b])} missing")
+    return None
 
 
 def space(n: int, opens) -> FiniteSpace:
     """The space with the given open sets, after checking that they form a
-    topology on 0..n-1: every set in range, then the empty and full sets,
-    then the first ordered pair whose union or intersection is missing."""
+    topology on 0..n-1: every set in range, then `_topology_defect`."""
     if n < 1:
         raise SemanticError("spaces have non-empty point sets")
     family = frozenset(frozenset(u) for u in opens)
@@ -514,16 +520,10 @@ def space(n: int, opens) -> FiniteSpace:
     for u in family:
         if not u <= full:
             raise SemanticError(f"open set {sorted(u)} out of range")
-    if frozenset() not in family or full not in family:
-        raise MissingEmptyOrFull("a topology contains the empty and full sets")
-    masked = {_bitmask(u): u for u in family}
-    for a in masked:
-        for b in masked:
-            if a | b not in masked:
-                raise NotClosedUnderUnion(f"{sorted(masked[a])} | {sorted(masked[b])} missing")
-            if a & b not in masked:
-                raise NotClosedUnderIntersection(f"{sorted(masked[a])} & {sorted(masked[b])} missing")
-    return FiniteSpace(n, _least_opens(n, masked))
+    defect = _topology_defect(n, family)
+    if defect:
+        raise defect
+    return FiniteSpace(n, _least_opens(n, map(_bitmask, family)))
 
 
 def preorder_space(n: int, pairs) -> FiniteSpace:

@@ -35,7 +35,6 @@ from .structures import (
     FiniteSpace,
     Partition,
     _bitmask,
-    _is_topology_on,
     _least_opens,
     _members,
     _positions,
@@ -43,6 +42,7 @@ from .structures import (
     _preorders,
     _refines,
     _restricted,
+    _topology_defect,
     _transitive,
     _unions,
     bounded_partitions,
@@ -162,7 +162,7 @@ def validate_opens_tc(x: FiniteSpace, part: Partition, opens: frozenset) -> Topo
     member a union of blocks.  A refusal names a member of the family."""
     if part.n != x.n:
         raise InvalidCongruence(f"partition on {part.n} points, space has {x.n}")
-    if not _is_topology_on(x.n, opens):
+    if _topology_defect(x.n, opens):
         raise NotATopology("congruence topology is not a topology")
     if not opens <= x.opens:
         extra = next(iter(opens - x.opens))

@@ -127,7 +127,7 @@ def test_criterion_04_topological_catalog_behavior():
             else:
                 ok, witness = verdict["strong"]
                 assert not ok and witness is not None, cid
-                assert homeo_spaces(witness, S2) is not None
+                assert homeo_spaces(witness[0], S2) is not None
 
 
 def test_criterion_05_graph_catalog_behavior():

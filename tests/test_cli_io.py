@@ -547,6 +547,32 @@ _USAGE_ERRORS = [
 ]
 
 
+# argparse's own refusals take the same path: the command header on stdout,
+# one `error:` line on stderr, exit status 2
+_ARGPARSE_ERRORS = [
+    ("bogus", "argument command: invalid choice: 'bogus' (choose from 'congruences', 'quotient', "
+     "'decompose', 'radical', 'catalog', 'universe', 'verify')"),
+    ("universe --kind graph", "the following arguments are required: --check"),
+    ("verify --kind graph --max-n x", "argument --max-n: invalid int value: 'x'"),
+    ("verify --kind graph --bogus", "unrecognized arguments: --bogus"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _ARGPARSE_ERRORS, ids=[argv for argv, _ in _ARGPARSE_ERRORS])
+def test_cli_argparse_errors_exit_2_with_one_line(capsys, argv, err):
+    status = run_command(argv.split())
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == f"command: {argv}\n"
+    assert captured.err == f"error: {err}\n"
+
+
+def test_cli_help_exits_0(capsys):
+    assert run_command(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: conrad") and captured.err == ""
+
+
 @pytest.mark.parametrize("argv, err", _USAGE_ERRORS, ids=[argv for argv, _ in _USAGE_ERRORS])
 def test_cli_usage_errors_exit_2(files, monkeypatch, capsys, argv, err):
     monkeypatch.delenv("CONRAD_MAX_N", raising=False)

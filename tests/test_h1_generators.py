@@ -59,7 +59,7 @@ def _perturbed(base, uni, rng):
     chosen = rng.sample([x for x in uni if x.n >= 2], rng.choice((1, 2)))
     values = {x: ops.random_congruence(rng, x) for x in chosen}
     return RadicalAssignment(
-        "perturbed", uni.kind, lambda x: values[x] if x in values else base(x), "custom"
+        "perturbed", uni.kind, lambda x: values[x] if x in values else base(x)
     )
 
 
@@ -155,5 +155,5 @@ def test_h1_holds_reads_every_value_before_comparing():
         return KIND_OPS[KIND_LOOPLESS].identity(x)
 
     with pytest.raises(ConradError, match="last member"):
-        h1_holds(RadicalAssignment("raises-last", KIND_LOOPLESS, rule, "custom"), uni)
+        h1_holds(RadicalAssignment("raises-last", KIND_LOOPLESS, rule), uni)
     assert read == list(uni.members)

@@ -11,6 +11,7 @@ from conrad import radical_engine, structures
 from conrad.errors import (
     BadCatalogId,
     BoundExceeded,
+    InvalidCongruence,
     KindMismatch,
     KindUnsupported,
     LemmaConditionFailed,
@@ -39,6 +40,7 @@ from conrad.radical_engine import (
     catalog_radical,
     catalog_topological,
     class_from_members,
+    class_predicate,
     complementary_pair_check,
     h1_failures,
     h2_failures,
@@ -246,7 +248,7 @@ def test_verify_h2_detects_broken_rule():
             return tc.strongify_tc(x, Partition((0, 0) + tuple(range(1, x.n - 1))))
         return tc.identity_tc(x)
 
-    sigma = RadicalAssignment("merge-first-two", KIND_TOPO, broken, "custom")
+    sigma = RadicalAssignment("merge-first-two", KIND_TOPO, broken)
     chain3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
     assert not verify_H2(sigma, chain3)
 
@@ -262,7 +264,7 @@ def _universal_on_three(kind):
     }[kind]
     identity = KIND_OPS[kind].identity
     return RadicalAssignment(
-        "top-on-three", kind, lambda x: top(x) if x.n == 3 else identity(x), "custom"
+        "top-on-three", kind, lambda x: top(x) if x.n == 3 else identity(x)
     )
 
 
@@ -556,7 +558,7 @@ def test_ka_triple_topo():
         if cid in ("d", "e"):
             assert verdict["complete"][0] and verdict["idempotent"][0]
             ok, witness = verdict["strong"]
-            assert not ok and witness == S2
+            assert not ok and witness[0] == S2
 
 
 def test_ka_triple_graph():
@@ -569,14 +571,15 @@ def test_ka_triple_graph():
 
 
 def test_strong_everywhere_witness_example():
-    # on the two-point universe the first non-strong carrier for entry (d) is S2
+    # on the two-point universe the first non-strong carrier for entry (d) is
+    # S2, and the witness carries the value that is not strong
     uni2 = build_universe(KIND_TOPO, 2)
     ok, witness = is_strong_everywhere(catalog_radical(KIND_TOPO, "d"), uni2)
-    assert not ok and witness == S2
+    assert not ok and witness == (S2, catalog_topological(S2, "d"))
 
 
 def _topo_rule(name, rule):
-    return RadicalAssignment(name, KIND_TOPO, rule, "custom")
+    return RadicalAssignment(name, KIND_TOPO, rule)
 
 
 # universal on carriers of at most two points, identity on three
@@ -734,6 +737,34 @@ def test_rho_sum_examples():
     assert rho_sum(loops_cls, B4) == gc.strongify_gc(B4, Partition.universal(2))
     with pytest.raises(KindUnsupported):
         rho_sum(builtin_class("loopless", "complete"), path_graph(3))
+
+
+_GRAPH_ALL = builtin_class("graph", "all")
+
+_ENGINE_REFUSALS = [
+    (lambda: kind_of(3), KindMismatch, "unsupported structure 3"),
+    (lambda: class_predicate("any", "nope", bool), KindMismatch, "unknown kind 'nope'"),
+    (lambda: U_operator(_GRAPH_ALL, UNI_TOPO), KindMismatch, "'all' is a graph class, universe is topo"),
+    (lambda: S_operator(_GRAPH_ALL, UNI_TOPO), KindMismatch, "'all' is a graph class, universe is topo"),
+    (lambda: c_congruence_p(_GRAPH_ALL, I2, tc.identity_tc(I2)), KindMismatch,
+     "'all' does not match the structure kind"),
+    (lambda: rho_sum(builtin_class("topo", "indiscrete"), B4), KindMismatch,
+     "'indiscrete' does not match the structure kind"),
+    (lambda: rho_sum(builtin_class("graph", "trivial-looped"), B1), InvalidCongruence,
+     "no C-congruence on the structure for 'trivial-looped'"),
+    (lambda: subdirect_closure(_GRAPH_ALL, UNI_TOPO), KindMismatch,
+     "'all' does not match the universe kind"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", _ENGINE_REFUSALS, ids=[
+    "kind_of", "class_predicate", "U_operator", "S_operator", "c_congruence_p",
+    "rho_sum-kind", "rho_sum-no-c-congruence", "subdirect_closure",
+])
+def test_engine_refusals(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and str(err.value) == message
 
 
 def test_rho_sum_equals_radical_topo():
@@ -903,7 +934,7 @@ def test_radical_assignment_computes_each_value_once():
         calls.append(x)
         return tc.identity_tc(x)
 
-    sigma = RadicalAssignment("counted", KIND_TOPO, rule, "custom")
+    sigma = RadicalAssignment("counted", KIND_TOPO, rule)
     for x in UNI_TOPO.members + UNI_TOPO.members:
         assert sigma(x) == tc.identity_tc(x)
     assert calls == list(UNI_TOPO.members)
@@ -914,7 +945,7 @@ def test_semisimple_class_heredity_counts_one_point_parts():
     # semisimple, but B3's unlooped point T is not, so the class is not hereditary
     sigma = RadicalAssignment(
         "identity-if-looped", KIND_GRAPH,
-        lambda g: gc.identity_gc(g) if g.loop_vertices else gc.universal_gc(g), "custom",
+        lambda g: gc.identity_gc(g) if g.loop_vertices else gc.universal_gc(g),
     )
     uni = build_universe(KIND_GRAPH, 2)
     assert T0 in semisimple_members(sigma, uni) and T not in semisimple_members(sigma, uni)
