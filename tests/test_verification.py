@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from conrad import graph_congruence as gc
+from conrad import verification
 from conrad.cli_io import run_command
 from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO, build_universe
 from conrad.structures import (
@@ -122,15 +123,20 @@ def test_a_wrong_map_fails_even_between_isomorphic_structures():
     assert not _is_isomorphism(graphs, B3, B4, (0, 1))
 
 
+# the comparable pairs alpha <= beta over topo n <= 3, graph n <= 3 and loopless n <= 4
+COMPARABLE_PAIRS = {KIND_TOPO: 901, KIND_GRAPH: 3818, KIND_LOOPLESS: 2634}
+
+
 @pytest.mark.parametrize("kind, max_n, expected", [
-    (KIND_TOPO, 3, (265, 948, 901)),
-    (KIND_GRAPH, 3, (851, 3034, 3818)),
-    (KIND_LOOPLESS, 4, (1322, 4628, 2634)),
+    (KIND_TOPO, 3, (265, 948, 235)),
+    (KIND_GRAPH, 3, (851, 3034, 682)),
+    (KIND_LOOPLESS, 4, (1322, 4628, 548)),
 ])
 def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expected):
     # one kernel per surjective morphism (first theorem), one restriction per
-    # (congruence, subset) (second), one quotient congruence per comparable
-    # pair (third): zero failures cannot show an instance that was skipped
+    # (congruence, subset) (second), one quotient congruence per (alpha's
+    # partition, beta) with some alpha <= beta (third): zero failures cannot
+    # show an instance that was skipped
     ops = KIND_OPS[kind]
     counts = Counter()
 
@@ -149,6 +155,35 @@ def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expect
     )
     assert exhaustive_iso_theorems(kind, max_n) == NO_FAILURES
     assert tuple(counts[name] for name in names) == expected
+    # a failed third-theorem decision counts every comparable pair it stands for
+    monkeypatch.setattr(verification, "_third_iso", lambda *args: False)
+    assert exhaustive_iso_theorems(kind, max_n)["third"] == COMPARABLE_PAIRS[kind]
+
+
+@pytest.mark.parametrize("kind, max_n, groups", [
+    (KIND_TOPO, 3, 235),
+    (KIND_GRAPH, 3, 682),
+    (KIND_LOOPLESS, 4, 548),
+])
+def test_the_third_theorem_reads_only_alphas_partition(kind, max_n, groups):
+    # the sweep decides one alpha per (alpha's partition, beta) for all the
+    # others: check that every alpha' <= beta on that partition has the same
+    # beta/alpha' and the same (X/alpha')/(beta/alpha')
+    ops = KIND_OPS[kind]
+    seen_pairs = 0
+    left_sides = {}
+    for x in build_universe(kind, max_n):
+        congs = ops.enum_congruences(x)
+        for alpha in congs:
+            stage, _ = ops.quotient(x, alpha)
+            for beta in congs:
+                if not ops.le(alpha, beta):
+                    continue
+                seen_pairs += 1
+                cong = ops.quotient_cong(x, alpha, beta)
+                side = (cong, ops.quotient(stage, cong)[0])
+                assert left_sides.setdefault((x, alpha.part, beta), side) == side, (x, alpha, beta)
+    assert (seen_pairs, len(left_sides)) == (COMPARABLE_PAIRS[kind], groups)
 
 
 @pytest.mark.parametrize("kind, max_n, pairs", [
@@ -192,7 +227,9 @@ def test_random_above_draws_a_congruence_above(kind):
 def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
     # 2,256 quotients were built for 406 distinct arguments; a member's
     # quotients by its congruences now serve all three theorems, so the 265
-    # first-theorem quotients by kernels are looked up, not built
+    # first-theorem quotients by kernels are looked up, not built, and the
+    # third theorem builds one left side per (alpha's partition, beta), not
+    # one per comparable pair
     ops = KIND_OPS[KIND_TOPO]
     counts = Counter()
 
@@ -210,7 +247,7 @@ def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
         KIND_OPS, KIND_TOPO, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
     assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
-    assert (counts["quotient"], counts["substructure"]) == (1991, 1021)
+    assert (counts["quotient"], counts["substructure"]) == (1325, 1021)
 
 
 def _verify(argv):
