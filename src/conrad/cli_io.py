@@ -35,6 +35,7 @@ from .structures import (
     Partition,
     _env_bound,
     _norm_pair,
+    _pairs,
     graph,
     space,
 )
@@ -126,10 +127,10 @@ def parse_congruence(text: str, carrier):
             other = "open <ids>|-" if topo else "edge <a> <b>"
             raise InputSyntaxError(no2, f"expected: block <ids> or {other}")
     part = Partition.from_blocks(carrier.n, blocks)
-    if topo:  # checked as read, so that a refusal names one of the opens given
+    # checked as read, so that a refusal names one of the opens or pairs given
+    if topo:
         return tcm.validate_opens_tc(carrier, part, frozenset(members))
-    cong = gcm.GraphCongruence(part, frozenset(members))
-    return eng.KIND_OPS[eng.kind_of(carrier)].validate(carrier, cong)
+    return gcm.validate_pairs_gc(carrier, part, frozenset(members))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def _sorted_opens(opens) -> list:
 def serialize_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         out = [f"graph {structure.n} {structure.policy}"]
-        out.extend(f"e {a} {b}" for a, b in sorted(structure.edges))
+        out.extend(f"e {a} {b}" for a, b in _pairs(structure.n, structure.mask))
     else:
         out = [f"space {structure.n}"]
         out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(structure.opens))
@@ -162,13 +163,13 @@ def serialize_congruence(cong) -> str:
     if topo:
         out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
     else:
-        out.extend(f"edge {a} {b}" for a, b in sorted(cong.cedges))
+        out.extend(f"edge {a} {b}" for a, b in _pairs(cong.part.n, cong.cmask))
     return "\n".join(out) + "\n"
 
 
 def describe_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
-        edges = " ".join(f"{a}-{b}" for a, b in sorted(structure.edges)) or "-"
+        edges = " ".join(f"{a}-{b}" for a, b in _pairs(structure.n, structure.mask)) or "-"
         return f"graph n={structure.n} {structure.policy} edges {edges}"
     opens = ";".join(_fmt_set(u) for u in _sorted_opens(structure.opens))
     return f"space n={structure.n} opens {opens}"
@@ -179,7 +180,7 @@ def describe_congruence(cong) -> str:
     if isinstance(cong, tcm.TopoCongruence):
         opens = ";".join(_fmt_set(u) for u in _sorted_opens(cong.ctop))
         return f"blocks {blocks} opens {opens}"
-    edges = " ".join(f"{a}-{b}" for a, b in sorted(cong.cedges)) or "-"
+    edges = " ".join(f"{a}-{b}" for a, b in _pairs(cong.part.n, cong.cmask)) or "-"
     return f"blocks {blocks} edges {edges}"
 
 

@@ -4,7 +4,9 @@ A congruence pairs an equivalence relation on the vertices with a congruence
 edge-set sandwiched between the edges and all admissible pairs, closed under
 substitution: once a pair of blocks touches the edge-set, every pair between
 those blocks belongs to it.  The substitution property makes block-pair
-orbits atomic, which is what the enumeration exploits.
+orbits atomic, which is what the enumeration exploits.  Edge-sets are masks
+over the pair slots of `structures`, and the orbits are masks each
+partition keeps (`Partition.orbits`), so the calculus is ANDs and ORs.
 
 A loopless congruence is such a congruence whose blocks are also
 independent, so the calculus here serves both policies; validation,
@@ -12,29 +14,40 @@ enumeration, `strongify_gc` and `random_gcong` take loop graphs only, and
 `loopless_congruence` holds only what independence changes.
 
 Functions here take valid congruences; `validate_gc` is the check for one
-built outside the library.
+built outside the library, and `validate_pairs_gc` the check of a pair
+family read from a file.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
 from .errors import (
     EdgeSetOutOfRange,
     EmptyList,
+    IndependenceViolated,
     InvalidCongruence,
     NotHomomorphism,
     PolicyMismatch,
+    SemanticError,
     SubstitutionViolated,
 )
 from .structures import (
     FiniteGraph,
     LOOPS,
+    NOLOOPS,
     Partition,
-    _norm_pair,
+    _carried,
+    _mask_of,
+    _pairs,
     _positions,
     _refines,
+    _slot_count,
+    _slot_images,
+    _subset_slots,
+    _union_of,
     bounded_partitions,
     count_scanned,
     join_partitions,
@@ -44,17 +57,36 @@ from .structures import (
 )
 
 
+def _slot_order(mask: int) -> str:
+    """A key that orders masks as the sorted lists of their set slots, so as
+    their sorted pairs: bit 0 first, a held slot '1' before a skipped one '2',
+    and a list that ends before another sorts first."""
+    return bin(mask << 1)[:1:-1].replace("0", "2")
+
+
 @dataclass(frozen=True)
 class GraphCongruence:
+    """A partition with its congruence edge-set, stored as a mask over the
+    pair slots of the carrier's vertices; `cedges` is the set of pairs and
+    `from_pairs` builds one from pairs."""
+
     part: Partition
-    cedges: frozenset[tuple[int, int]]
+    cmask: int
+
+    @staticmethod
+    def from_pairs(part: Partition, pairs) -> "GraphCongruence":
+        return GraphCongruence(part, _mask_of(part.n, pairs))
+
+    @functools.cached_property
+    def cedges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.part.n, self.cmask))
 
     def encoding(self) -> tuple:
-        return (self.part.class_id, tuple(sorted(self.cedges)))
+        return (self.part.class_id, tuple(_pairs(self.part.n, self.cmask)))
 
 
 def identity_gc(g: FiniteGraph) -> GraphCongruence:
-    return GraphCongruence(Partition.identity(g.n), g.edges)
+    return GraphCongruence(Partition.identity(g.n), g.mask)
 
 
 def universal_gc(g: FiniteGraph) -> GraphCongruence:
@@ -62,34 +94,24 @@ def universal_gc(g: FiniteGraph) -> GraphCongruence:
 
 
 def le_gc(a: GraphCongruence, b: GraphCongruence) -> bool:
-    return a.cedges <= b.cedges and _refines(a.part.class_id, b.part.class_id)
+    return not a.cmask & ~b.cmask and _refines(a.part.class_id, b.part.class_id)
 
 
-def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:
-    """All pairs between the blocks of a and b (the substitution orbit)."""
-    return frozenset(
-        _norm_pair(u, v)
-        for u in part.blocks[part.class_id[a]]
-        for v in part.blocks[part.class_id[b]]
-    )
+def block_orbit(part: Partition, a: int, b: int) -> int:
+    """The mask of all pairs between the blocks of a and b (the substitution orbit)."""
+    blocks, cid = part.blocks, part.class_id
+    return _mask_of(part.n, ((u, v) for u in blocks[cid[a]] for v in blocks[cid[b]]))
 
 
-def _orbits(g: FiniteGraph, part: Partition):
-    """Block-pair orbits; a loopless carrier has no diagonal ones."""
-    blocks = part.blocks
-    diagonal = g.policy == LOOPS
-    for i in range(len(blocks)):
-        for j in range(i if diagonal else i + 1, len(blocks)):
-            yield block_orbit(part, blocks[i][0], blocks[j][0])
+def _orbits(g: FiniteGraph, part: Partition) -> tuple[int, ...]:
+    """Block-pair orbits in lexicographic order of the blocks; a loopless
+    carrier has no diagonal ones."""
+    return part.orbits[g.policy == LOOPS]
 
 
-def saturation_gc(g: FiniteGraph, part: Partition) -> frozenset[tuple[int, int]]:
-    """Pairs whose block orbit touches an edge of g."""
-    out: set[tuple[int, int]] = set()
-    for orbit in _orbits(g, part):
-        if orbit & g.edges:
-            out.update(orbit)
-    return frozenset(out)
+def saturation_gc(g: FiniteGraph, part: Partition) -> int:
+    """The pairs whose block orbit touches an edge of g."""
+    return sum(o for o in _orbits(g, part) if o & g.mask)
 
 
 def strongify_gc(g: FiniteGraph, part: Partition) -> GraphCongruence:
@@ -98,16 +120,70 @@ def strongify_gc(g: FiniteGraph, part: Partition) -> GraphCongruence:
     return GraphCongruence(part, saturation_gc(g, part))
 
 
+def _out_of_range(g: FiniteGraph) -> EdgeSetOutOfRange:
+    top = "C" if g.policy == LOOPS else "K"
+    return EdgeSetOutOfRange(f"congruence edge-set must sit between E and {top}")
+
+
+def _closure_defect(g: FiniteGraph, part: Partition, cmask: int, pairs):
+    """The first of the pairs of cmask, in the order given, that joins
+    related vertices when g is loopless, else the first whose orbit escapes
+    cmask, as the error to raise; None when there is none.  Each pair of
+    blocks is tested once, however many of the pairs join them."""
+    if g.policy == NOLOOPS:
+        for a, b in pairs:
+            if part.same(a, b):
+                return IndependenceViolated(f"{a}-{b} joins related vertices")
+    cid, escapes = part.class_id, {}
+    for a, b in pairs:
+        key = (cid[a], cid[b])
+        if key not in escapes:
+            escapes[key] = bool(block_orbit(part, a, b) & ~cmask)
+        if escapes[key]:
+            return SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
+    return None
+
+
+def _validate(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
+    """The checks of `validate_gc` and `validate_lc` after the carrier's policy;
+    a refusal names the least pair it finds."""
+    if theta.part.n != g.n:
+        raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
+    try:  # the edge-set must be one of a graph on the carrier, and hold its edges
+        FiniteGraph(g.n, g.policy, theta.cmask)
+    except SemanticError:
+        raise _out_of_range(g) from None
+    if g.mask & ~theta.cmask:
+        raise _out_of_range(g)
+    defect = _closure_defect(g, theta.part, theta.cmask, _pairs(g.n, theta.cmask))
+    if defect:
+        raise defect
+    return theta
+
+
 def validate_gc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     if g.policy != LOOPS:
         raise InvalidCongruence("loop-graph congruences need a loops-allowed carrier")
-    if theta.part.n != g.n:
-        raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
-    if not (g.edges <= theta.cedges <= g.all_pairs):
-        raise EdgeSetOutOfRange("congruence edge-set must sit between E and C")
-    for a, b in theta.cedges:
-        if not block_orbit(theta.part, a, b) <= theta.cedges:
-            raise SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
+    return _validate(g, theta)
+
+
+def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs: frozenset) -> GraphCongruence:
+    """The congruence with the given pairs on g, as read from a file, under
+    either policy, after checking the pairs as given: each between E and the
+    admissible pairs (before any is put in a slot, so no negative id is
+    shifted), then, for a loopless g, none joining related vertices, then
+    every orbit inside.  A refusal names a pair in the family's own order."""
+    if part.n != g.n:
+        raise InvalidCongruence(f"partition on {part.n} vertices, graph has {g.n}")
+    loops = g.policy == LOOPS
+    if not all(0 <= a <= b < g.n and (loops or a < b) for a, b in pairs):
+        raise _out_of_range(g)
+    theta = GraphCongruence.from_pairs(part, pairs)
+    if g.mask & ~theta.cmask:
+        raise _out_of_range(g)
+    defect = _closure_defect(g, part, theta.cmask, pairs)
+    if defect:
+        raise defect
     return theta
 
 
@@ -116,12 +192,12 @@ def validate_gc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
 # ---------------------------------------------------------------------------
 
 def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
-    cedges = frozenset(
-        p for p in g.all_pairs if _norm_pair(f[p[0]], f[p[1]]) in h.edges
-    )
-    if not g.edges <= cedges:
+    """The fibres of f with the pairs f sends onto edges of h, which must hold g's."""
+    images = _slot_images(g.n, tuple(f), h.n)
+    cmask = sum(1 << s for s in range(_slot_count(g.n)) if images[s] & h.mask)
+    if g.mask & ~cmask:
         raise NotHomomorphism("the map does not preserve edges")
-    return GraphCongruence(Partition(f), cedges)
+    return GraphCongruence(Partition(f), cmask)
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +205,24 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 # ---------------------------------------------------------------------------
 
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    """Quotient graph under the carrier's loop policy, and the projection."""
-    cid = theta.part.class_id
-    edges = frozenset(_norm_pair(cid[a], cid[b]) for a, b in theta.cedges)
-    return FiniteGraph(theta.part.num_blocks, g.policy, edges), cid
+    """Quotient graph under the carrier's loop policy, and the projection:
+    each pair of the edge-set carried, bit by bit, to its blocks' slot."""
+    part = theta.part
+    edges = _carried(g.n, theta.cmask, part.class_id, part.num_blocks)
+    return FiniteGraph(part.num_blocks, g.policy, edges), part.class_id
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
-    sub, pos = _positions(subset, g.n)
+    sub, _ = _positions(subset, g.n)
     cid = theta.part.class_id
-    part = Partition([cid[p] for p in sub])
-    cedges = frozenset(
-        (pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos
-    )
-    return GraphCongruence(part, cedges)
+    cmask = _union_of(_subset_slots(g.n, tuple(sub)), theta.cmask)
+    return GraphCongruence(Partition([cid[p] for p in sub]), cmask)
 
 
 def quotient_cong_gc(g: FiniteGraph, t1: GraphCongruence, t2: GraphCongruence) -> GraphCongruence:
     """The congruence t2/t1 on the quotient by t1, for t1 <= t2."""
-    cid = t1.part.class_id
     part = Partition([t2.part.class_id[b[0]] for b in t1.part.blocks])
-    cedges = frozenset(_norm_pair(cid[a], cid[b]) for a, b in t2.cedges)
-    return GraphCongruence(part, cedges)
+    return GraphCongruence(part, _carried(g.n, t2.cmask, t1.part.class_id, t1.part.num_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +233,21 @@ def meet_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> GraphCongruence:
     if not thetas:
         raise EmptyList("meet of no congruences")
     part = meet_partitions([t.part for t in thetas])
-    cedges = frozenset.intersection(*(t.cedges for t in thetas))
-    return GraphCongruence(part, cedges)
+    cmask = thetas[0].cmask
+    for t in thetas[1:]:
+        cmask &= t.cmask
+    return GraphCongruence(part, cmask)
 
 
 def join_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> GraphCongruence:
+    """The joined partition with every orbit that meets an edge-set."""
     if not thetas:
         raise EmptyList("join of no congruences")
     part = join_partitions([t.part for t in thetas])
-    cedges: set[tuple[int, int]] = set()
-    for pair in frozenset.union(*(t.cedges for t in thetas)):
-        cedges.update(block_orbit(part, *pair))
-    return GraphCongruence(part, frozenset(cedges))
+    union = 0
+    for t in thetas:
+        union |= t.cmask
+    return GraphCongruence(part, sum(o for o in part.orbits[True] if o & union))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +264,7 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -
     raw = [0] * h.n
     for b, cls in enumerate(qc.part.class_id):
         raw[to_h[b]] = cls
-    part = Partition(raw)
-    cedges = frozenset(_norm_pair(to_h[a], to_h[b]) for a, b in qc.cedges)
-    return GraphCongruence(part, cedges)
+    return GraphCongruence(Partition(raw), _carried(len(to_h), qc.cmask, to_h, h.n))
 
 
 def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,
@@ -202,8 +275,8 @@ def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence
     holds E_h and is closed under substitution.  On a loopless carrier the
     image need not be a congruence, and this comparison is the definition.
     f is trusted to be a surjective homomorphism."""
-    return _refines(theta.part.class_id, [beta.part.class_id[v] for v in f]) and all(
-        _norm_pair(f[a], f[b]) in beta.cedges for a, b in theta.cedges
+    return _refines(theta.part.class_id, [beta.part.class_id[v] for v in f]) and not (
+        _carried(g.n, theta.cmask, f, h.n) & ~beta.cmask
     )
 
 
@@ -222,17 +295,13 @@ def _congruences_over(g: FiniteGraph, admits):
     is called: one for a refused partition, 2^(free orbits) for an admitted
     one, where an orbit is free when no edge of g joins its two blocks.
     """
-    diagonal = g.policy == LOOPS
     admitted = []
     scanned = 0
     for part in bounded_partitions(g.n):
         if not admits(part):
             scanned = count_scanned(scanned, 1)
             continue
-        k = part.num_blocks
-        cid = part.class_id
-        touched = {_norm_pair(cid[a], cid[b]) for a, b in g.edges}
-        free = (k * (k + 1) if diagonal else k * (k - 1)) // 2 - len(touched)
+        free = sum(1 for o in _orbits(g, part) if not o & g.mask)
         scanned = count_scanned(scanned, 2 ** free)
         admitted.append(part)
     return (theta for part in admitted for theta in _congruences_of(g, part))
@@ -240,22 +309,14 @@ def _congruences_over(g: FiniteGraph, admits):
 
 def _congruences_of(g: FiniteGraph, part: Partition) -> list[GraphCongruence]:
     """The congruences on one partition, sorted by encoding."""
-    required: set[tuple[int, int]] = set()
-    free = []
-    for orbit in _orbits(g, part):
-        if orbit & g.edges:
-            required.update(orbit)
+    masks = [0]
+    for o in _orbits(g, part):
+        if o & g.mask:
+            masks = [m | o for m in masks]
         else:
-            free.append(orbit)
-    found = []
-    for k in range(2 ** len(free)):
-        cedges = set(required)
-        for i in range(len(free)):
-            if k >> i & 1:
-                cedges.update(free[i])
-        found.append(GraphCongruence(part, frozenset(cedges)))
-    found.sort(key=lambda c: c.encoding())
-    return found
+            masks += [m | o for m in masks]
+    masks.sort(key=_slot_order)
+    return [GraphCongruence(part, m) for m in masks]
 
 
 def iter_congruences_gc(g: FiniteGraph):
@@ -273,11 +334,11 @@ def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
 
 def _random_over(rng: random.Random, g: FiniteGraph, part: Partition) -> GraphCongruence:
     """The strong edge-set of the partition plus each free orbit with odds 1/2."""
-    cedges = set(saturation_gc(g, part))
-    for orbit in _orbits(g, part):
-        if not orbit & cedges and rng.random() < 0.5:
-            cedges.update(orbit)
-    return GraphCongruence(part, frozenset(cedges))
+    cmask = saturation_gc(g, part)
+    for o in _orbits(g, part):
+        if not o & cmask and rng.random() < 0.5:
+            cmask |= o
+    return GraphCongruence(part, cmask)
 
 
 def random_gcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:

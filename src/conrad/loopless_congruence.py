@@ -4,7 +4,8 @@ A loopless congruence is a `GraphCongruence` on a loopless carrier whose
 blocks are independent: related vertices never carry a congruence edge.
 On independent partitions the substitution orbits and the saturation are
 those of `graph_congruence`, so this module keeps only validation, strong
-congruences, enumeration and Birkhoff decomposition.  The
+congruences, enumeration and Birkhoff decomposition; independence is one AND
+of an edge-set with the partition's mask of same-block pairs.  The
 congruences form a complete meet-semilattice only; no join is provided
 because closing a union can break independence.
 
@@ -14,22 +15,15 @@ built outside the library.
 
 from __future__ import annotations
 
-import itertools
 import random
 
-from .errors import (
-    EdgeSetOutOfRange,
-    IndependenceViolated,
-    InvalidCongruence,
-    SearchExhausted,
-    SubstitutionViolated,
-)
+from .errors import InvalidCongruence, SearchExhausted
 from .graph_congruence import (
     GraphCongruence,
     _congruences_over,
     _orbits,
     _random_over,
-    block_orbit,
+    _validate,
     identity_gc,
     meet_gc,
     quotient_gc,
@@ -39,13 +33,12 @@ from .structures import (
     FiniteGraph,
     NOLOOPS,
     Partition,
-    _norm_pair,
     bounded_partitions,
 )
 
 
 def _blocks_independent(g: FiniteGraph, part: Partition) -> bool:
-    return all(not part.same(a, b) for a, b in g.edges)
+    return not g.mask & part.inside
 
 
 def strongify_lc(g: FiniteGraph, part: Partition):
@@ -58,17 +51,7 @@ def strongify_lc(g: FiniteGraph, part: Partition):
 def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     if g.policy != NOLOOPS:
         raise InvalidCongruence("loopless congruences need a loopless carrier")
-    if theta.part.n != g.n:
-        raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
-    if not (g.edges <= theta.cedges <= g.all_pairs):
-        raise EdgeSetOutOfRange("congruence edge-set must sit between E and K")
-    for a, b in theta.cedges:
-        if theta.part.same(a, b):
-            raise IndependenceViolated(f"{a}-{b} joins related vertices")
-    for a, b in theta.cedges:
-        if not block_orbit(theta.part, a, b) <= theta.cedges:
-            raise SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
-    return theta
+    return _validate(g, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +80,7 @@ def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
     rng.shuffle(order)
     blocks: list[list[int]] = []
     for v in order:
-        options = [
-            i for i, b in enumerate(blocks)
-            if all(_norm_pair(v, u) not in g.edges for u in b)
-        ]
+        options = [i for i, b in enumerate(blocks) if not any(g.has_edge(v, u) for u in b)]
         options.append(-1)
         pick = rng.choice(options)
         if pick == -1:
@@ -113,7 +93,7 @@ def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:
 
 def _coloring_congruence(g: FiniteGraph, part: Partition) -> GraphCongruence:
     """Proper-coloring partition with every cross-block pair present."""
-    return GraphCongruence(part, frozenset().union(*_orbits(g, part)))
+    return GraphCongruence(part, sum(_orbits(g, part)))
 
 
 def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
@@ -126,19 +106,17 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
     """
     partitions = bounded_partitions(g.n)  # refuses a large carrier before any per-pair work
     base = _coloring_congruence(g, Partition.identity(g.n))
-    uncovered = set(g.all_pairs - g.edges)
+    uncovered = g.all_pairs & ~g.mask
     chosen: list[GraphCongruence] = []
-    colorings = [
-        part for part in partitions if part.num_blocks < g.n and _blocks_independent(g, part)
-    ]
+    # the pairs a coloring merges: only its off-diagonal ones are ever uncovered
     covers = [
-        (part, {pair for block in part.blocks for pair in itertools.combinations(block, 2)})
-        for part in colorings
+        (part, part.inside)
+        for part in partitions if part.num_blocks < g.n and _blocks_independent(g, part)
     ]
     while uncovered:
         best = None
         for part, inside in covers:
-            gain = len(inside & uncovered)
+            gain = (inside & uncovered).bit_count()
             if gain == 0:
                 continue
             key = (-gain, part.class_id)
@@ -148,7 +126,7 @@ def birkhoff_complete_decomposition(g: FiniteGraph) -> list[GraphCongruence]:
             raise SearchExhausted("no proper coloring separates a non-edge")
         _, part, inside = best
         chosen.append(_coloring_congruence(g, part))
-        uncovered -= inside
+        uncovered &= ~inside
     factors = [base] + chosen
     factors.sort(key=lambda c: c.encoding())
     met = meet_gc(g, factors)

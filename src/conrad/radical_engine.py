@@ -44,8 +44,9 @@ from .structures import (
     S2,
     T0,
     T_SPACE,
+    _mask_of,
     _nonempty_subsets,
-    _norm_pair,
+    _pairs,
     automorphisms,
     bounded_partitions,
     carries_edges,
@@ -53,7 +54,6 @@ from .structures import (
     complete_graph,
     enumerate_graphs,
     enumerate_spaces,
-    graph,
     homeo_spaces,
     induced,
     iso_graphs,
@@ -131,19 +131,18 @@ def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
     if cid == "c":
         return gc.strongify_gc(g, _loop_block_partition(g))
     if cid == "d":
-        extra = {(v, v) for v in range(g.n) if v not in loops}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    if cid == "e":
+        extra = ((v, v) for v in range(g.n))
+    elif cid == "e":
         return gc.GraphCongruence(ident, g.all_pairs)
-    if cid == "f":
+    elif cid == "f":
         return gc.identity_gc(g)
-    if cid == "g":
-        extra = {_norm_pair(a, b) for a in loops for b in loops}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    if cid == "h":
-        extra = {_norm_pair(a, b) for a in loops for b in range(g.n)}
-        return gc.GraphCongruence(ident, g.edges | extra)
-    raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
+    elif cid == "g":
+        extra = itertools.product(loops, loops)
+    elif cid == "h":
+        extra = itertools.product(loops, range(g.n))
+    else:
+        raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
+    return gc.GraphCongruence(ident, g.mask | _mask_of(g.n, extra))
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,16 @@ def _specialization(x: FiniteSpace) -> frozenset[tuple[int, int]]:
 
 def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
     """The edges read in both directions; a loopless graph has no pair (v, v)."""
-    return g.edges | {(b, a) for a, b in g.edges}
+    pairs = _pairs(g.n, g.mask)
+    return frozenset(pairs + [(b, a) for a, b in pairs])
+
+
+def _relation_graph(policy: str, n: int, pairs) -> FiniteGraph | None:
+    """The graph whose edges are the pairs (either order), or None for a
+    loopless one that would hold a loop."""
+    if policy == NOLOOPS and any(a == b for a, b in pairs):
+        return None
+    return FiniteGraph(n, policy, _mask_of(n, pairs))
 
 
 KIND_OPS: dict[str, _KindOps] = {
@@ -235,7 +243,7 @@ KIND_OPS: dict[str, _KindOps] = {
         substructure=induced,
         iso=iso_graphs,
         carries=carries_edges,
-        from_relation=lambda n, pairs: graph(n, LOOPS, pairs),
+        from_relation=functools.partial(_relation_graph, LOOPS),
         le=gc.le_gc,
         relation=_adjacency,
         image_le=gc.image_le_gc,
@@ -258,9 +266,7 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
     join=None,
     strongify=lc.strongify_lc,
     # a loop comes from merging adjacent vertices or adding a pair (v, v)
-    from_relation=lambda n, pairs: (
-        None if any(a == b for a, b in pairs) else graph(n, NOLOOPS, pairs)
-    ),
+    from_relation=functools.partial(_relation_graph, NOLOOPS),
     catalog=None,
     catalog_ids=(),
     trivial=complete_graph(1),
@@ -909,11 +915,15 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
 # Built-in classes
 # ---------------------------------------------------------------------------
 
+def _holds_all(g: FiniteGraph, pairs) -> bool:
+    return not _mask_of(g.n, pairs) & ~g.mask
+
+
 def _has_clique(g: FiniteGraph, k: int) -> bool:
     if k > g.n:
         return False
     return any(
-        all(_norm_pair(a, b) in g.edges for a, b in itertools.combinations(sub, 2))
+        _holds_all(g, itertools.combinations(sub, 2))
         for sub in itertools.combinations(range(g.n), k)
     )
 
@@ -934,17 +944,17 @@ def _builtin_specs():
     yield KIND_GRAPH, "all-looped", lambda g: len(g.loop_vertices) == g.n
     yield KIND_GRAPH, "trivial-or-all-looped", lambda g: g.n == 1 or len(g.loop_vertices) == g.n
     yield KIND_GRAPH, "complete-looped", lambda g: g.is_complete()
-    yield KIND_GRAPH, "loop-clique", lambda g: all(
-        _norm_pair(a, b) in g.edges for a in g.loop_vertices for b in g.loop_vertices
+    yield KIND_GRAPH, "loop-clique", lambda g: _holds_all(
+        g, itertools.product(g.loop_vertices, g.loop_vertices)
     )
-    yield KIND_GRAPH, "loop-dominated", lambda g: all(
-        _norm_pair(a, b) in g.edges for a in g.loop_vertices for b in range(g.n)
+    yield KIND_GRAPH, "loop-dominated", lambda g: _holds_all(
+        g, itertools.product(g.loop_vertices, range(g.n))
     )
 
     yield KIND_LOOPLESS, "all", lambda g: True
     yield KIND_LOOPLESS, "trivial", lambda g: g.n == 1
     yield KIND_LOOPLESS, "complete", lambda g: g.is_complete()
-    yield KIND_LOOPLESS, "edgeless", lambda g: not g.edges
+    yield KIND_LOOPLESS, "edgeless", lambda g: not g.mask
     for k in (1, 2, 3):
         yield KIND_LOOPLESS, f"contains-k{k}", (
             lambda g, k=k: g.n == 1 or _has_clique(g, k)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -100,11 +101,14 @@ class Partition:
             raise SemanticError(f"blocks do not partition 0..{n - 1}")
         return Partition(cid)
 
+    # one shared object per size: partitions are immutable, and these are built often
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def identity(n: int) -> "Partition":
         return Partition(tuple(range(n)))
 
     @staticmethod
+    @functools.lru_cache(maxsize=64)
     def universal(n: int) -> "Partition":
         return Partition((0,) * n)
 
@@ -127,6 +131,25 @@ class Partition:
         """Partition induced on sorted(set(subset)), relabelled to 0..|S|-1."""
         sub, _ = _positions(subset, self.n)
         return Partition([self.class_id[x] for x in sub])
+
+    # Tables of the graph congruence calculus, built once per partition
+    # object: `all_partitions` shares its partitions across every sweep.
+
+    @functools.cached_property
+    def orbits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The substitution orbits, each the slot mask of every vertex pair
+        between two blocks i and j, in lexicographic order of (i, j): those
+        with i < j (a loopless carrier's), then those with i <= j."""
+        n, blocks = self.n, self.blocks
+        ends = [(i, j) for i in range(len(blocks)) for j in range(i, len(blocks))]
+        masks = [_mask_of(n, ((u, v) for u in blocks[i] for v in blocks[j])) for i, j in ends]
+        return tuple(o for (i, j), o in zip(ends, masks) if i < j), tuple(masks)
+
+    @functools.cached_property
+    def inside(self) -> int:
+        """The slot mask of the pairs inside blocks, the diagonal included."""
+        return _mask_of(self.n, (p for block in self.blocks
+                                 for p in itertools.combinations_with_replacement(block, 2)))
 
 
 def join_partitions(parts: list[Partition]) -> Partition:
@@ -241,6 +264,12 @@ def count_scanned(scanned: int, more: int) -> int:
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------
+#
+# An edge-set is an int over the pair slots of its n vertices: every pair
+# (a, b) with a <= b, in lexicographic order, so that the set bits read upward
+# give the sorted pairs.  Both loop policies use the one layout (a loopless
+# edge-set leaves the diagonal slots (v, v) empty), so a graph's edges and
+# its congruences' edge-sets combine with AND and OR under either policy.
 
 def _nonempty_subsets(n: int):
     for size in range(1, n + 1):
@@ -251,55 +280,193 @@ def _norm_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def _slot_count(n: int) -> int:
+    return n * (n + 1) // 2
+
+
+def _slot(n: int, a: int, b: int) -> int:
+    """The slot of the pair a <= b of n vertices: row a starts after the
+    n + (n - 1) + ... + (n - a + 1) pairs of the rows before it."""
+    return a * (2 * n - a + 1) // 2 + b - a
+
+
+def _mask_of(n: int, pairs) -> int:
+    """The slot mask of vertex pairs of n vertices, each in either order.
+
+    A slot past CONGRUENCE_SCAN_BOUND is refused before its bit is set: the
+    mask grows with the square of the vertex count, so a huge carrier's far
+    pair would need gigabytes."""
+    mask = 0
+    for a, b in pairs:
+        if a > b:
+            a, b = b, a
+        slot = a * (2 * n - a + 1) // 2 + b - a
+        if slot >= CONGRUENCE_SCAN_BOUND:
+            raise BoundExceeded(
+                f"edge-sets capped at {CONGRUENCE_SCAN_BOUND} pair slots: {a}-{b} is slot {slot}"
+            )
+        mask |= 1 << slot
+    return mask
+
+
+class _Lazy(dict):
+    """A table filled as it is read: entry k is fill(k), computed on first
+    read, so a huge carrier's table holds only the slots its masks use."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _pair_at(n: int, slot: int) -> tuple[int, int]:
+    """The pair in one slot of n vertices: its row is the root of the row-start quadratic."""
+    a = (2 * n + 1 - math.isqrt((2 * n + 1) ** 2 - 8 * slot)) // 2
+    while _slot(n, a, a) > slot:
+        a -= 1
+    while a + 1 < n and _slot(n, a + 1, a + 1) <= slot:
+        a += 1
+    return a, a + slot - _slot(n, a, a)
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_pairs(n: int) -> _Lazy:
+    """The pair in each slot of n vertices."""
+    return _Lazy(functools.partial(_pair_at, n))
+
+
+def _pairs(n: int, mask: int) -> list[tuple[int, int]]:
+    """The vertex pairs in the set slots of a mask over n vertices, in slot
+    order, which is sorted pair order."""
+    table = _slot_pairs(n)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(table[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+@functools.lru_cache(maxsize=1024)
+def _loop_slots(n: int, width: int) -> int:
+    """The mask of the diagonal slots (v, v) of n vertices below slot width;
+    a huge carrier's loop slots past its edges are never built."""
+    mask = a = start = 0
+    while a < n and start < width:
+        mask |= 1 << start
+        start += n - a
+        a += 1
+    return mask
+
+
+@functools.lru_cache(maxsize=64)
+def _stars(n: int) -> tuple[int, ...]:
+    """Per vertex of n, the mask of the pairs holding it."""
+    return tuple(_mask_of(n, ((u, v) for u in range(n))) for v in range(n))
+
+
+@functools.lru_cache(maxsize=4096)
+def _slot_images(n: int, image: tuple, m: int) -> _Lazy:
+    """Per pair slot of n vertices, the bit of the slot its pair lands in
+    under a map `image` of the vertices into m vertices, or 0 when an end's
+    image is None.  Kept per map: a sweep carries masks along few of them."""
+    pairs = _slot_pairs(n)
+
+    def fill(slot: int) -> int:
+        a, b = pairs[slot]
+        x, y = image[a], image[b]
+        return 0 if x is None or y is None else _mask_of(m, [(x, y)])
+
+    return _Lazy(fill)
+
+
+def _union_of(masks, selector: int) -> int:
+    """The union of masks[i] over the positions i that the selector holds.
+    With masks[p] = 1 << f(p) it is the image of the selector along f."""
+    out = 0
+    while selector:
+        low = selector & -selector
+        out |= masks[low.bit_length() - 1]
+        selector ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Undirected graph on 0..n-1; loops permitted only under the loops policy."""
+    """Undirected graph on 0..n-1, its edges a mask over the pair slots;
+    loops permitted only under the loops policy.  The constructor checks
+    that the mask holds admissible slots only; `graph` checks raw pairs."""
 
     n: int
     policy: str
-    edges: frozenset[tuple[int, int]]
+    mask: int
 
     def __post_init__(self):
         if self.n < 1:
             raise SemanticError("graphs have non-empty vertex sets")
         if self.policy not in (LOOPS, NOLOOPS):
             raise SemanticError(f"unknown loop policy {self.policy!r}")
-        for a, b in self.edges:
-            if not (0 <= a <= b < self.n):
-                raise SemanticError(f"edge {a}-{b} out of range or unnormalized")
-            if a == b and self.policy == NOLOOPS:
-                raise SemanticError(f"loop {a}-{a} under noloops policy")
+        n, mask = self.n, self.mask
+        if mask < 0 or mask >> n * (n + 1) // 2:
+            raise SemanticError("edge mask out of range")
+        if self.policy == NOLOOPS and mask & _loop_slots(n, mask.bit_length()):
+            raise SemanticError("loop under noloops policy")
+
+    @functools.cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.n, self.mask))
 
     @property
-    def all_pairs(self) -> frozenset[tuple[int, int]]:
-        """Every admissible pair: C_G under loops, K_G under noloops."""
-        return frozenset(_pair_slots(self.n, self.policy))
+    def all_pairs(self) -> int:
+        """The mask of every admissible pair: C_G under loops, K_G under noloops."""
+        width = _slot_count(self.n)
+        full = (1 << width) - 1
+        return full if self.policy == LOOPS else full & ~_loop_slots(self.n, width)
 
-    @property
+    def has_edge(self, a: int, b: int) -> bool:
+        a, b = _norm_pair(a, b)
+        return bool(self.mask >> _slot(self.n, a, b) & 1)
+
+    @functools.cached_property
     def loop_vertices(self) -> frozenset[int]:
-        return frozenset(a for a, b in self.edges if a == b)
+        return frozenset(v for v in range(self.n) if self.mask >> _slot(self.n, v, v) & 1)
 
     def point_key(self, v: int) -> tuple[int, int]:
         """The degree of v and whether it carries a loop: kept by isomorphisms."""
-        deg = sum(1 for a, b in self.edges if (a == v) != (b == v))
-        return (deg, 1 if (v, v) in self.edges else 0)
+        loop = self.mask >> _slot(self.n, v, v) & 1
+        return ((self.mask & _stars(self.n)[v]).bit_count() - loop, loop)
 
     def iso_key(self) -> tuple:
         """An isomorphism invariant: size, edge count and the sorted point keys."""
-        return (self.n, len(self.edges), tuple(sorted(map(self.point_key, range(self.n)))))
+        return (self.n, self.mask.bit_count(), tuple(sorted(map(self.point_key, range(self.n)))))
 
     def is_complete(self) -> bool:
         # every edge is an admissible pair, so holding as many means holding all
         n = self.n
-        return len(self.edges) == (n * (n + 1) if self.policy == LOOPS else n * (n - 1)) // 2
+        return self.mask.bit_count() == (n * (n + 1) if self.policy == LOOPS else n * (n - 1)) // 2
 
     def encoding(self) -> tuple:
-        return (self.n, self.policy, tuple(sorted(self.edges)))
+        return (self.n, self.policy, tuple(_pairs(self.n, self.mask)))
 
 
 def graph(n: int, policy: str, edges=()) -> FiniteGraph:
-    """The graph on raw vertex pairs, each put in (low, high) order."""
-    return FiniteGraph(n, policy, frozenset(_norm_pair(a, b) for a, b in edges))
+    """The graph on raw vertex pairs, each put in (low, high) order.  The
+    pairs are checked as given, before any slot is computed, so a negative
+    id is refused rather than shifted."""
+    if n < 1:
+        raise SemanticError("graphs have non-empty vertex sets")
+    if policy not in (LOOPS, NOLOOPS):
+        raise SemanticError(f"unknown loop policy {policy!r}")
+    pairs = frozenset(_norm_pair(a, b) for a, b in edges)
+    for a, b in pairs:
+        if not (0 <= a <= b < n):
+            raise SemanticError(f"edge {a}-{b} out of range or unnormalized")
+        if a == b and policy == NOLOOPS:
+            raise SemanticError(f"loop {a}-{a} under noloops policy")
+    return FiniteGraph(n, policy, _mask_of(n, pairs))
 
 
 def complete_graph(n: int) -> FiniteGraph:
@@ -325,20 +492,35 @@ def completion(g: FiniteGraph) -> FiniteGraph:
     return FiniteGraph(g.n, NOLOOPS, g.all_pairs)
 
 
+def _carried(n: int, mask: int, image, m: int) -> int:
+    """The pairs (image[a], image[b]) over m vertices for the pairs (a, b)
+    of a mask over n vertices, carried bit by bit; an end whose image is
+    None drops its pairs."""
+    return _union_of(_slot_images(n, tuple(image), m), mask)
+
+
+@functools.lru_cache(maxsize=4096)
+def _subset_slots(n: int, sub: tuple[int, ...]) -> _Lazy:
+    """`_slot_images` of the map sending the sorted vertices sub to
+    0..len(sub)-1 and dropping the others."""
+    image = [None] * n
+    for i, v in enumerate(sub):
+        image[v] = i
+    return _slot_images(n, tuple(image), len(sub))
+
+
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
-    sub, pos = _positions(subset, g.n)
-    # pos keeps the order of the vertices, so the kept pairs stay normalised
-    keep = frozenset((pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos)
-    return FiniteGraph(len(sub), g.policy, keep)
+    sub, _ = _positions(subset, g.n)
+    return FiniteGraph(len(sub), g.policy, _union_of(_subset_slots(g.n, tuple(sub)), g.mask))
 
 
 def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
-    return graph(g.n, g.policy, [(perm[a], perm[b]) for a, b in g.edges])
+    return FiniteGraph(g.n, g.policy, _carried(g.n, g.mask, perm, g.n))
 
 
 def random_graph(rng: random.Random, n: int, policy: str) -> FiniteGraph:
-    return graph(n, policy, [p for p in _pair_slots(n, policy) if rng.random() < 0.5])
+    return FiniteGraph(n, policy, _mask_of(n, [p for p in _pair_slots(n, policy) if rng.random() < 0.5]))
 
 
 # named two-vertex loop-admitting graphs and friends
@@ -566,7 +748,7 @@ D2 = discrete_space(2)
 
 def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
     """Whether the bijection perm sends the edges of g exactly onto those of h."""
-    return frozenset(_norm_pair(perm[a], perm[b]) for a, b in g.edges) == h.edges
+    return _carried(g.n, g.mask, perm, h.n) == h.mask
 
 
 def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
@@ -622,7 +804,7 @@ def iso_graphs(g: FiniteGraph, h: FiniteGraph):
     """
     if g.policy != h.policy:
         raise PolicyMismatch("cannot compare graphs under different loop policies")
-    if g.n != h.n or len(g.edges) != len(h.edges):
+    if g.n != h.n or g.mask.bit_count() != h.mask.bit_count():
         return None
     if g.n > ISO_BOUND:
         raise BoundExceeded(f"isomorphism testing capped at n <= {ISO_BOUND}")
@@ -642,10 +824,12 @@ def homeo_spaces(x: FiniteSpace, y: FiniteSpace):
 # Enumeration up to isomorphism / homeomorphism
 # ---------------------------------------------------------------------------
 
-def _pair_slots(n: int, policy: str) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def _pair_slots(n: int, policy: str) -> tuple[tuple[int, int], ...]:
+    """Every admissible pair of n vertices in lexicographic (slot) order."""
     if policy == LOOPS:
-        return [(a, b) for a in range(n) for b in range(a, n)]
-    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+        return tuple((a, b) for a in range(n) for b in range(a, n))
+    return tuple((a, b) for a in range(n) for b in range(a + 1, n))
 
 
 def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
@@ -666,6 +850,8 @@ def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
         [1 << index[_norm_pair(p[a], p[b])] for a, b in slots]
         for p in itertools.permutations(range(n))
     ]
+    # each scanned slot's bit in the edge mask (the diagonal slots are skipped under noloops)
+    bits = [1 << _slot(n, a, b) for a, b in slots]
     seen = bytearray(2 ** len(slots))
     reps = []
     mask = 0
@@ -673,9 +859,9 @@ def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
         ones = [i for i in range(len(slots)) if mask >> i & 1]
         for image in images:
             seen[sum(map(image.__getitem__, ones))] = 1
-        reps.append(FiniteGraph(n, policy, frozenset(map(slots.__getitem__, ones))))
+        reps.append(FiniteGraph(n, policy, sum(map(bits.__getitem__, ones))))
         mask = seen.find(0, mask + 1)  # -1 once every orbit is marked
-    reps.sort(key=lambda g: (len(g.edges), g.encoding()))
+    reps.sort(key=lambda g: (g.mask.bit_count(), g.encoding()))
     return reps
 
 

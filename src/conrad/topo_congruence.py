@@ -44,6 +44,7 @@ from .structures import (
     _restricted,
     _topology_defect,
     _transitive,
+    _union_of,
     _unions,
     bounded_partitions,
     count_scanned,
@@ -111,17 +112,6 @@ def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
     """Congruence ordering: relation grows, topology shrinks, so each point's
     least open set grows."""
     return not a._packed & ~b._packed and _refines(a.part.class_id, b.part.class_id)
-
-
-def _union_of(masks, selector: int) -> int:
-    """The union of masks[i] over the positions i that the selector holds.
-    With masks[p] = 1 << f(p) it is the image of the selector along f."""
-    out = 0
-    while selector:
-        low = selector & -selector
-        out |= masks[low.bit_length() - 1]
-        selector ^= low
-    return out
 
 
 def _block_masks(part: Partition) -> list[int]:

@@ -8,25 +8,25 @@ import itertools
 
 from conrad.errors import (
     BoundExceeded,
+    EdgeSetOutOfRange,
+    EmptyList,
+    IndependenceViolated,
+    InvalidCongruence,
     NoQualifyingCongruence,
     NotContained,
     NotContinuous,
     NotHomomorphism,
+    PolicyMismatch,
+    SubstitutionViolated,
 )
-from conrad.graph_congruence import (
-    GraphCongruence,
-    _orbits,
-    block_orbit,
-    saturation_gc,
-    strongify_gc,
-)
-from conrad.loopless_congruence import _blocks_independent
+from conrad.graph_congruence import GraphCongruence, strongify_gc
 from conrad.radical_engine import KIND_OPS, KIND_TOPO, kind_of
 from conrad.structures import (
     CONGRUENCE_SCAN_BOUND,
     FiniteGraph,
     FiniteSpace,
     LOOPS,
+    NOLOOPS,
     Partition,
     _bitmask,
     _least_opens,
@@ -40,6 +40,7 @@ from conrad.structures import (
     _unions,
     bounded_partitions,
     complete_graph,
+    graph,
     count_scanned,
     join_partitions,
     meet_partitions,
@@ -212,8 +213,242 @@ def image_tc_direct(x, y, f: tuple, rho) -> TopoCongruence:
     return TopoCongruence.from_opens(part, ctop)
 
 
+# ---------------------------------------------------------------------------
+# The graph congruence calculus on sets of pairs
+# ---------------------------------------------------------------------------
+#
+# Each reads graphs and congruences through their pair sets (`edges`,
+# `cedges`) and builds its results with `graph` and `from_pairs`, never
+# through the slot masks the library computes with.
+
+def all_pairs(g) -> frozenset[tuple[int, int]]:
+    """Every admissible pair: C_G under loops, K_G under noloops."""
+    first = 0 if g.policy == LOOPS else 1
+    return frozenset((a, b) for a in range(g.n) for b in range(a + first, g.n))
+
+
+def loop_vertices(g) -> frozenset[int]:
+    return frozenset(a for a, b in g.edges if a == b)
+
+
+def point_key(g, v: int) -> tuple[int, int]:
+    return (sum(1 for a, b in g.edges if (a == v) != (b == v)), 1 if (v, v) in g.edges else 0)
+
+
+def iso_key(g) -> tuple:
+    return (g.n, len(g.edges), tuple(sorted(point_key(g, v) for v in range(g.n))))
+
+
+def is_complete(g) -> bool:
+    return g.edges == all_pairs(g)
+
+
+def induced_pairs(g, subset):
+    sub, pos = _positions(subset, g.n)
+    return graph(len(sub), g.policy, [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos])
+
+
+def relabel_pairs(g, perm):
+    return graph(g.n, g.policy, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def carries_pairs(g, h, perm) -> bool:
+    return frozenset(_norm_pair(perm[a], perm[b]) for a, b in g.edges) == h.edges
+
+
+def block_orbit(part: Partition, a: int, b: int) -> frozenset[tuple[int, int]]:
+    """All pairs between the blocks of a and b (the substitution orbit)."""
+    return frozenset(
+        _norm_pair(u, v)
+        for u in part.blocks[part.class_id[a]]
+        for v in part.blocks[part.class_id[b]]
+    )
+
+
+def orbits(g, part: Partition) -> list[frozenset[tuple[int, int]]]:
+    """Block-pair orbits in lexicographic order of the blocks; none on the
+    diagonal for a loopless carrier."""
+    blocks = part.blocks
+    first = 0 if g.policy == LOOPS else 1
+    return [block_orbit(part, blocks[i][0], blocks[j][0])
+            for i in range(len(blocks)) for j in range(i + first, len(blocks))]
+
+
+def saturation(g, part: Partition) -> frozenset[tuple[int, int]]:
+    """Pairs whose block orbit touches an edge of g."""
+    return frozenset().union(*[o for o in orbits(g, part) if o & g.edges])
+
+
+def independent(g, part: Partition) -> bool:
+    return all(not part.same(a, b) for a, b in g.edges)
+
+
+def strongify_pairs(g, part: Partition):
+    """The strong congruence of the partition, or None when a loopless block holds an edge."""
+    if g.policy == NOLOOPS and not independent(g, part):
+        return None
+    return GraphCongruence.from_pairs(part, saturation(g, part))
+
+
+def validate_pairs(g, theta):
+    """The checks of `validate_gc`/`validate_lc` on the pair set, in the
+    order they run; the pairs are visited in sorted order."""
+    if theta.part.n != g.n:
+        raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
+    if not (g.edges <= theta.cedges <= all_pairs(g)):
+        top = "C" if g.policy == LOOPS else "K"
+        raise EdgeSetOutOfRange(f"congruence edge-set must sit between E and {top}")
+    if g.policy == NOLOOPS:
+        for a, b in sorted(theta.cedges):
+            if theta.part.same(a, b):
+                raise IndependenceViolated(f"{a}-{b} joins related vertices")
+    for a, b in sorted(theta.cedges):
+        if not block_orbit(theta.part, a, b) <= theta.cedges:
+            raise SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
+    return theta
+
+
+def le_gc_pairs(a, b) -> bool:
+    return a.cedges <= b.cedges and _refines(a.part.class_id, b.part.class_id)
+
+
+def kernel_gc_pairs(g, h, f: tuple):
+    cedges = frozenset(p for p in all_pairs(g) if _norm_pair(f[p[0]], f[p[1]]) in h.edges)
+    if not g.edges <= cedges:
+        raise NotHomomorphism("the map does not preserve edges")
+    return GraphCongruence.from_pairs(Partition(f), cedges)
+
+
+def quotient_gc_pairs(g, theta) -> tuple:
+    cid = theta.part.class_id
+    return graph(theta.part.num_blocks, g.policy, [(cid[a], cid[b]) for a, b in theta.cedges]), cid
+
+
+def restrict_gc_pairs(g, theta, subset):
+    sub, pos = _positions(subset, g.n)
+    cedges = [(pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos]
+    return GraphCongruence.from_pairs(theta.part.restrict(sub), cedges)
+
+
+def quotient_cong_gc_pairs(g, t1, t2):
+    if not le_gc_pairs(t1, t2):
+        raise NotContained("t2 must contain t1")
+    cid = t1.part.class_id
+    part = Partition([t2.part.class_id[b[0]] for b in t1.part.blocks])
+    return GraphCongruence.from_pairs(part, [(cid[a], cid[b]) for a, b in t2.cedges])
+
+
+def meet_gc_pairs(g, thetas):
+    if not thetas:
+        raise EmptyList("meet of no congruences")
+    part = meet_partitions([t.part for t in thetas])
+    return GraphCongruence.from_pairs(part, frozenset.intersection(*(t.cedges for t in thetas)))
+
+
+def join_gc_pairs(g, thetas):
+    part = join_partitions([t.part for t in thetas])
+    cedges: set[tuple[int, int]] = set()
+    for pair in frozenset.union(*(t.cedges for t in thetas)):
+        cedges.update(block_orbit(part, *pair))
+    return GraphCongruence.from_pairs(part, cedges)
+
+
+def image_gc_pairs(g, h, f: tuple, theta):
+    """(theta + ker f)/ker f carried to h along the fibres."""
+    require_surjective(f, h.n)
+    alpha = kernel_gc_pairs(g, h, f)
+    qc = quotient_cong_gc_pairs(g, alpha, join_gc_pairs(g, [theta, alpha]))
+    to_h = [f[b[0]] for b in alpha.part.blocks]
+    raw = [0] * h.n
+    for b, cls in enumerate(qc.part.class_id):
+        raw[to_h[b]] = cls
+    return GraphCongruence.from_pairs(Partition(raw), [(to_h[a], to_h[b]) for a, b in qc.cedges])
+
+
+def image_le_gc_pairs(g, h, f: tuple, theta, beta) -> bool:
+    return _refines(theta.part.class_id, [beta.part.class_id[v] for v in f]) and all(
+        _norm_pair(f[a], f[b]) in beta.cedges for a, b in theta.cedges
+    )
+
+
+def random_graph_pairs(rng, n: int, policy: str):
+    first = 0 if policy == LOOPS else 1
+    slots = [(a, b) for a in range(n) for b in range(a + first, n)]
+    return graph(n, policy, [p for p in slots if rng.random() < 0.5])
+
+
+def _random_over_pairs(rng, g, part):
+    cedges = set(saturation(g, part))
+    for orbit in orbits(g, part):
+        if not orbit & cedges and rng.random() < 0.5:
+            cedges.update(orbit)
+    return GraphCongruence.from_pairs(part, cedges)
+
+
+def random_gcong_pairs(rng, g):
+    if g.policy != LOOPS:
+        raise PolicyMismatch("random_gcong needs a loops-allowed carrier")
+    return _random_over_pairs(rng, g, random_partition(rng, g.n))
+
+
+def random_lcong_pairs(rng, g):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    blocks: list[list[int]] = []
+    for v in order:
+        options = [i for i, b in enumerate(blocks) if all(_norm_pair(v, u) not in g.edges for u in b)]
+        options.append(-1)
+        pick = rng.choice(options)
+        if pick == -1:
+            blocks.append([v])
+        else:
+            blocks[pick].append(v)
+    return _random_over_pairs(rng, g, Partition.from_blocks(g.n, blocks))
+
+
+def catalog_graph_pairs(g, cid: str):
+    """The eight graph catalog entries by their definitions."""
+    loops = loop_vertices(g)
+    ident = Partition.identity(g.n)
+    if cid == "a":
+        return strongify_pairs(g, Partition.universal(g.n))
+    if cid == "b":
+        return GraphCongruence.from_pairs(Partition.universal(g.n), all_pairs(g))
+    if cid == "c":
+        return strongify_pairs(g, Partition([-1 if v in loops else v for v in range(g.n)]))
+    extra = {
+        "d": {(v, v) for v in range(g.n)},
+        "e": all_pairs(g),
+        "f": set(),
+        "g": {_norm_pair(a, b) for a in loops for b in loops},
+        "h": {_norm_pair(a, b) for a in loops for b in range(g.n)},
+    }[cid]
+    return GraphCongruence.from_pairs(ident, g.edges | extra)
+
+
+def enumerate_graphs_pairs(n: int, policy: str):
+    """`enumerate_graphs` on edge sets: the least mask of each orbit over the
+    policy's pairs, scanned upward, each representative built from its pairs."""
+    first = 0 if policy == LOOPS else 1
+    slots = [(a, b) for a in range(n) for b in range(a + first, n)]
+    index = {pair: i for i, pair in enumerate(slots)}
+    images = [[1 << index[_norm_pair(p[a], p[b])] for a, b in slots]
+              for p in itertools.permutations(range(n))]
+    seen = bytearray(2 ** len(slots))
+    reps = []
+    mask = 0
+    while mask >= 0:
+        ones = [i for i in range(len(slots)) if mask >> i & 1]
+        for image in images:
+            seen[sum(image[i] for i in ones)] = 1
+        reps.append(graph(n, policy, [slots[i] for i in ones]))
+        mask = seen.find(0, mask + 1)
+    reps.sort(key=lambda g: (len(g.edges), tuple(sorted(g.edges))))
+    return reps
+
+
 def is_strong_gc(g, theta) -> bool:
-    return theta.cedges == saturation_gc(g, theta.part)
+    return theta.cedges == saturation(g, theta.part)
 
 
 def strong_kernel_gc(g, h, f: tuple) -> GraphCongruence:
@@ -230,7 +465,7 @@ def image_gc_direct(g, h, f: tuple, theta) -> GraphCongruence:
     cedges: set[tuple[int, int]] = set()
     for pair in seeds:
         cedges.update(block_orbit(part, *pair))
-    return GraphCongruence(part, frozenset(cedges))
+    return GraphCongruence.from_pairs(part, cedges)
 
 
 def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
@@ -251,7 +486,7 @@ def product_graph(factors: list[FiniteGraph]) -> FiniteGraph:
                 _norm_pair(a, b) in fct.edges for a, b, fct in zip(u, v, factors)
             ):
                 edges.add((pos[u], pos[v]))
-    return FiniteGraph(len(verts), LOOPS, frozenset(edges))
+    return graph(len(verts), LOOPS, edges)
 
 
 def enumerate_graphs_scan(n, policy):
@@ -278,9 +513,8 @@ def enumerate_graphs_scan(n, policy):
                 if best < mask:
                     break
         if best == mask:
-            edges = frozenset(slots[i] for i in range(len(slots)) if mask >> i & 1)
-            reps.append(FiniteGraph(n, policy, edges))
-    reps.sort(key=lambda g: (len(g.edges), g.encoding()))
+            reps.append(graph(n, policy, [slots[i] for i in range(len(slots)) if mask >> i & 1]))
+    reps.sort(key=lambda g: (len(g.edges), tuple(sorted(g.edges))))
     return reps
 
 
@@ -298,7 +532,7 @@ def _eager_congruences_over(g, admits):
             continue
         required = set()
         free = []
-        for orbit in _orbits(g, part):
+        for orbit in orbits(g, part):
             if orbit & g.edges:
                 required.update(orbit)
             else:
@@ -313,8 +547,8 @@ def _eager_congruences_over(g, admits):
             for i in range(len(free)):
                 if k >> i & 1:
                     cedges.update(free[i])
-            found.append(GraphCongruence(part, frozenset(cedges)))
-        out.extend(sorted(found, key=lambda c: c.encoding()))
+            found.append(GraphCongruence.from_pairs(part, cedges))
+        out.extend(sorted(found, key=lambda c: (c.part.class_id, tuple(sorted(c.cedges)))))
     return out
 
 
@@ -323,7 +557,7 @@ def eager_congruences_gc(g):
 
 
 def eager_congruences_lc(g):
-    return _eager_congruences_over(g, lambda part: _blocks_independent(g, part))
+    return _eager_congruences_over(g, lambda part: independent(g, part))
 
 
 def eager_congruences_tc(x):

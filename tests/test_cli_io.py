@@ -607,3 +607,100 @@ def test_cli_malformed_files_exit_2(files, tmp_path, capsys, argv, text, err):
     status = run_command(argv.format(f=path, **files).split())
     assert status == 2
     assert capsys.readouterr().err == f"error: {err}\n"
+
+
+_GRAPH_FILE_REFUSALS = [
+    ("graph 3 loops\n", "block 0\nblock 1\nblock 2\nedge 0 9\n",
+     "congruence edge-set must sit between E and C"),
+    ("graph 3 loops\n", "block 0\nblock 1\nblock 2\nedge -1 0\n",
+     "congruence edge-set must sit between E and C"),
+    ("graph 2 loops\ne 0 1\n", "block 0\nblock 1\n", "congruence edge-set must sit between E and C"),
+    ("graph 2 noloops\n", "block 0\nblock 1\nedge 0 0\n",
+     "congruence edge-set must sit between E and K"),
+    ("graph 3 loops\n", "block 0 2\nblock 1\nedge 0 1\n", "orbit of 0-1 escapes the edge-set"),
+    ("graph 2 noloops\n", "block 0 1\nedge 0 1\n", "0-1 joins related vertices"),
+    ("graph 2 noloops\ne 0 5\n", None, "edge 0-5 out of range or unnormalized"),
+    ("graph 2 noloops\ne -1 0\n", None, "edge -1-0 out of range or unnormalized"),
+    ("graph 2 noloops\ne 1 1\n", None, "loop 1-1 under noloops policy"),
+]
+
+
+@pytest.mark.parametrize("graph_text, cong_text, err", _GRAPH_FILE_REFUSALS,
+                         ids=["cong-past-range", "cong-negative", "cong-below-edges", "cong-loop",
+                              "cong-orbit", "cong-related", "edge-past-range", "edge-negative",
+                              "edge-loop"])
+def test_cli_graph_files_are_checked_as_read(tmp_path, capsys, graph_text, cong_text, err):
+    # the pairs of a graph or congruence file are checked as given, before any
+    # edge-set is built from them: a negative id is refused, never shifted
+    (tmp_path / "g.txt").write_text(graph_text)
+    (tmp_path / "c.txt").write_text(f"gcong\n{cong_text}")
+    argv = ["quotient", "--graph", str(tmp_path / "g.txt"), "--cong", str(tmp_path / "c.txt")]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_cli_quotient_reads_a_large_carrier_in_linear_time(tmp_path, capsys):
+    # the identity congruence with one edge on 4,000 looped vertices: no step
+    # lists the 8,002,000 vertex pairs
+    n = 4000
+    (tmp_path / "g.txt").write_text(f"graph {n} loops\ne 0 1\n")
+    (tmp_path / "c.txt").write_text("gcong\n" + "".join(f"block {v}\n" for v in range(n)) + "edge 0 1\n")
+    argv = ["quotient", "--graph", str(tmp_path / "g.txt"), "--cong", str(tmp_path / "c.txt")]
+    start = time.perf_counter()
+    status = run_command(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 0 and captured.err == ""
+    assert captured.out.splitlines()[1:3] == [f"graph {n} loops", "e 0 1"]
+    assert elapsed < 1.0
+
+
+_FAR_PAIR = "edge-sets capped at 100000 pair slots: 999998-999999 is slot 500000499998"
+
+
+@pytest.mark.parametrize("policy", [LOOPS, NOLOOPS])
+@pytest.mark.parametrize("command", [
+    ["congruences", "--graph"],
+    ["quotient", "--cong", "c.txt", "--graph"],
+    ["radical", "--class", "all"],
+    ["catalog", "--kind", "graph", "--id", "a"],
+    ["decompose", "--birkhoff"],
+], ids=["congruences", "quotient", "radical", "catalog", "birkhoff"])
+def test_cli_refuses_a_far_edge_at_once(tmp_path, capsys, monkeypatch, policy, command):
+    # a pair's slot grows with the square of the vertex count: this one would
+    # need an edge mask of about 62 GB, so every graph command refuses the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.txt").write_text(f"graph 1000000 {policy}\ne 999998 999999\n")
+    (tmp_path / "c.txt").write_text("gcong\nblock 0\n")
+    start = time.perf_counter()
+    status = run_command(command + ["huge.txt"])
+    elapsed = time.perf_counter() - start
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {_FAR_PAIR}\n"
+    assert elapsed < 1.0
+
+
+def test_cli_refuses_a_far_congruence_pair(tmp_path, capsys):
+    # a valid congruence pair past the slot bound is refused like a far edge
+    n = 1000
+    (tmp_path / "g.txt").write_text(f"graph {n} loops\n")
+    (tmp_path / "c.txt").write_text("gcong\n" + "".join(f"block {v}\n" for v in range(n)) + "edge 998 999\n")
+    argv = ["quotient", "--graph", str(tmp_path / "g.txt"), "--cong", str(tmp_path / "c.txt")]
+    assert run_command(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: edge-sets capped at 100000 pair slots: 998-999 is slot 500498\n"
+    )
+
+
+def test_parse_congruence_tests_each_orbit_once(capsys):
+    # two blocks of 60 looped vertices joined by all 3,600 of their pairs: one
+    # orbit, tested once, not once for each of the pairs it holds
+    n, half = 120, 60
+    g = graph(n, LOOPS)
+    text = "gcong\nblock " + " ".join(map(str, range(half))) + "\nblock " + " ".join(
+        map(str, range(half, n))) + "\n" + "".join(
+        f"edge {a} {b}\n" for a in range(half) for b in range(half, n))
+    start = time.perf_counter()
+    cong = parse_congruence(text, g)
+    assert time.perf_counter() - start < 1.0
+    assert cong.cmask.bit_count() == half * half

@@ -52,28 +52,28 @@ E2 = edgeless_graph(2)
 
 
 def test_validate_examples():
-    assert validate_lc(E2, LooplessCongruence(Partition.universal(2), frozenset()))
+    assert validate_lc(E2, LooplessCongruence.from_pairs(Partition.universal(2), frozenset()))
     with pytest.raises((IndependenceViolated, EdgeSetOutOfRange)):
-        validate_lc(K2, LooplessCongruence(Partition.universal(2), frozenset({(0, 1)})))
-    theta = LooplessCongruence(
+        validate_lc(K2, LooplessCongruence.from_pairs(Partition.universal(2), frozenset({(0, 1)})))
+    theta = LooplessCongruence.from_pairs(
         Partition.from_blocks(3, [[0, 2], [1]]), frozenset({(0, 1), (1, 2)})
     )
     assert validate_lc(P3, theta)
     with pytest.raises(SubstitutionViolated):
         validate_lc(
             edgeless_graph(3),
-            LooplessCongruence(Partition.from_blocks(3, [[0, 2], [1]]),
+            LooplessCongruence.from_pairs(Partition.from_blocks(3, [[0, 2], [1]]),
                                frozenset({(0, 1)})),
         )
 
 
 @pytest.mark.parametrize("carrier, theta, error, message", [
-    (edgeless_graph(2, LOOPS), LooplessCongruence(Partition.identity(2), frozenset()),
+    (edgeless_graph(2, LOOPS), LooplessCongruence.from_pairs(Partition.identity(2), frozenset()),
      InvalidCongruence, "loopless congruences need a loopless carrier"),
-    (K2, LooplessCongruence(Partition.identity(3), frozenset({(0, 1)})),
+    (K2, LooplessCongruence.from_pairs(Partition.identity(3), frozenset({(0, 1)})),
      InvalidCongruence, "partition on 3 vertices, graph has 2"),
     # K2's edge is missing from the edge-set
-    (K2, LooplessCongruence(Partition.identity(2), frozenset()),
+    (K2, LooplessCongruence.from_pairs(Partition.identity(2), frozenset()),
      EdgeSetOutOfRange, "congruence edge-set must sit between E and K"),
 ], ids=["policy", "size", "range"])
 def test_validate_refusals(carrier, theta, error, message):
@@ -84,7 +84,7 @@ def test_validate_refusals(carrier, theta, error, message):
 
 def test_strongify_examples():
     s = strongify_lc(P3, Partition.from_blocks(3, [[0, 2], [1]]))
-    assert s == LooplessCongruence(
+    assert s == LooplessCongruence.from_pairs(
         Partition.from_blocks(3, [[0, 2], [1]]), frozenset({(0, 1), (1, 2)})
     )
     q, _ = quotient_lc(P3, s)
@@ -117,7 +117,7 @@ def test_quotient_identity():
 
 
 def test_meet_examples():
-    theta = LooplessCongruence(
+    theta = LooplessCongruence.from_pairs(
         Partition.from_blocks(3, [[0, 2], [1]]), frozenset({(0, 1), (1, 2)})
     )
     assert meet_lc(P3, [theta, theta]) == theta
@@ -152,15 +152,15 @@ def test_si_iff_complete_with_oracle():
 def test_birkhoff_examples():
     factors = birkhoff_complete_decomposition(P3)
     assert factors == [
-        LooplessCongruence(Partition.from_blocks(3, [[0, 2], [1]]),
+        LooplessCongruence.from_pairs(Partition.from_blocks(3, [[0, 2], [1]]),
                            frozenset({(0, 1), (1, 2)})),
-        LooplessCongruence(Partition.identity(3), complete_graph(3).edges),
+        LooplessCongruence.from_pairs(Partition.identity(3), complete_graph(3).edges),
     ]
     assert meet_lc(P3, factors) == identity_lc(P3)
     factors = birkhoff_complete_decomposition(E2)
     assert factors == [
-        LooplessCongruence(Partition.universal(2), frozenset()),
-        LooplessCongruence(Partition.identity(2), frozenset({(0, 1)})),
+        LooplessCongruence.from_pairs(Partition.universal(2), frozenset()),
+        LooplessCongruence.from_pairs(Partition.identity(2), frozenset({(0, 1)})),
     ]
     for n in range(1, 6):
         k = complete_graph(n)

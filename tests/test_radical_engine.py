@@ -214,7 +214,7 @@ def test_in_radical_class_edgeless_subtlety():
     sigma = catalog_radical(KIND_GRAPH, "a")
     assert in_radical_class(sigma, B1)
     assert sigma(B1) != gc.universal_gc(B1)
-    assert sigma(B1) == gc.GraphCongruence(Partition.universal(2), frozenset())
+    assert sigma(B1) == gc.GraphCongruence.from_pairs(Partition.universal(2), [])
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +924,7 @@ def test_check_subdirect_validates_its_members():
     with pytest.raises(NotSaturated):
         check_subdirect(S2, [tc.identity_tc(S2), tc.TopoCongruence.from_opens(Partition.universal(2), S2.opens)])
     with pytest.raises(SubstitutionViolated):
-        check_subdirect(B1, [gc.GraphCongruence(Partition.universal(2), frozenset({(0, 0)}))])
+        check_subdirect(B1, [gc.GraphCongruence.from_pairs(Partition.universal(2), {(0, 0)})])
 
 
 def test_radical_assignment_computes_each_value_once():

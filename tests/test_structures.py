@@ -195,7 +195,7 @@ def test_graph_invariants():
     with pytest.raises(SemanticError):
         graph(2, LOOPS, [(0, 5)])
     with pytest.raises(SemanticError, match="unknown loop policy 'weird'"):
-        FiniteGraph(2, "weird", frozenset())
+        FiniteGraph(2, "weird", 0)
     assert B4.loop_vertices == frozenset({0, 1})
     assert B6.is_complete()
     assert not B5.is_complete()
