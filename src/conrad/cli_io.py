@@ -328,13 +328,22 @@ def _cmd_universe(args, report: Report) -> None:
         args.max_n = _env_bound(3)
         _at_least("CONRAD_MAX_N", args.max_n, 1)
     _at_least("--max-n", args.max_n, 1)
-    kind = args.kind
+    kind, check = args.kind, args.check
     if kind not in eng.KINDS:
         raise UsageError(f"unknown kind {kind!r}")
+    # the class arguments are checked before the universe is built
+    if check == "degeneracy" and kind != eng.KIND_LOOPLESS:
+        raise UsageError("--check degeneracy lives in the loopless kind")
+    if check in ("complementary", "degeneracy"):
+        if not args.cls:
+            raise UsageError(f"--check {check} needs --class")
+        cls = eng.builtin_class(kind, args.cls)
+    else:
+        sigmas = _sigmas_for(kind, args)
     uni = eng.build_universe(kind, args.max_n)
     report.info(f"universe: {kind} n<={args.max_n} ({len(uni.members)} members)")
-    if args.check == "h1h2":
-        for sigma in _sigmas_for(kind, args):
+    if check == "h1h2":
+        for sigma in sigmas:
             # the failures, and so the witness, are listed only on a FAIL
             bad1 = [] if eng.h1_holds(sigma, uni) else eng.h1_failures(sigma, uni)
             w1 = "" if not bad1 else describe_structure(bad1[0][0])
@@ -342,9 +351,8 @@ def _cmd_universe(args, report: Report) -> None:
             bad2 = eng.h2_failures(sigma, uni)
             w2 = "" if not bad2 else describe_structure(bad2[0])
             report.check(f"{sigma.name}-H2", not bad2, w2)
-        return
-    if args.check == "hereditary":
-        for sigma in _sigmas_for(kind, args):
+    elif check == "hereditary":
+        for sigma in sigmas:
             ok, witness = eng.hereditary_torsion_theory(sigma, uni)
             report.check(
                 f"{sigma.name}-classes-hereditary",
@@ -356,39 +364,19 @@ def _cmd_universe(args, report: Report) -> None:
                 f"note {sigma.name}: congruence-level restriction comparison "
                 f"{'holds' if ok2 else 'fails'}"
             )
-        return
-    if args.check == "ka":
-        for sigma in _sigmas_for(kind, args):
+    elif check == "ka":
+        for sigma in sigmas:
             verdicts = eng.ka_triple(sigma, uni)
             for key in ("complete", "idempotent", "strong"):
                 ok, witness = verdicts[key]
                 text = "yes" if ok else "no " + describe_structure(witness[0])
                 report.info(f"{sigma.name}-{key}: {text}")
             report.info(f"{sigma.name}-ka: {'yes' if verdicts['ka'] else 'no'}")
-        return
-    if args.check == "complementary":
-        if not args.cls:
-            raise UsageError("--check complementary needs --class")
-        c_cls = eng.builtin_class(kind, args.cls)
-        d_cls = eng.class_from_members(
-            kind, f"S-{c_cls.name}", eng.S_operator(c_cls, uni)
-        )
-        report.check(
-            f"complementary-{c_cls.name}",
-            eng.complementary_pair_check(c_cls, d_cls, uni),
-        )
-        return
-    if args.check == "degeneracy":
-        if kind != eng.KIND_LOOPLESS:
-            raise UsageError("--check degeneracy lives in the loopless kind")
-        if not args.cls:
-            raise UsageError("--check degeneracy needs --class")
-        cls = eng.builtin_class(kind, args.cls)
-        report.check(
-            f"degeneracy-{cls.name}", eng.loopless_degeneracy_check(uni, cls)
-        )
-        return
-    raise UsageError(f"unknown check {args.check!r}")
+    elif check == "complementary":
+        d_cls = eng.class_from_members(kind, f"S-{cls.name}", eng.S_operator(cls, uni))
+        report.check(f"complementary-{cls.name}", eng.complementary_pair_check(cls, d_cls, uni))
+    else:
+        report.check(f"degeneracy-{cls.name}", eng.loopless_degeneracy_check(uni, cls))
 
 
 def _cmd_verify(args, report: Report) -> None:

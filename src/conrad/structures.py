@@ -91,13 +91,14 @@ class Partition:
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
-        cid = [-1] * n
-        for i, block in enumerate(blocks):
+        cid, count = [-1] * n, 0
+        for count, block in enumerate(blocks, 1):
             for x in block:
                 if not 0 <= x < n or cid[x] != -1:
                     raise SemanticError(f"blocks do not partition 0..{n - 1}")
-                cid[x] = i
-        if -1 in cid:
+                cid[x] = count
+        # a point left out, or an empty block
+        if -1 in cid or len(set(cid)) != count:
             raise SemanticError(f"blocks do not partition 0..{n - 1}")
         return Partition(cid)
 

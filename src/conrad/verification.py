@@ -127,11 +127,13 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     quotients by its congruences are built once, serve all three theorems,
     and are dropped with the member.
 
-    The third theorem is decided once per (alpha's partition, beta) and each
-    comparable pair is counted: beta/alpha reads only alpha's partition (it is
-    beta carried to alpha's blocks), and the quotient of X/alpha by it reads
-    only that congruence (and, for graphs, the carrier's loop policy), so every
-    alpha <= beta on one partition has the same left side.
+    The third theorem is decided once per (alpha's partition P, beta) with P
+    refining beta's partition, on the least congruence on P (the kind's
+    strongify), which lies below every such beta.  beta/alpha is beta carried
+    to P's blocks, and the quotient of X/alpha by it reads only that
+    congruence (and, for graphs, the carrier's loop policy), so every
+    alpha <= beta on P has the same left side.  Only a failed decision lists
+    the alpha <= beta on P, to count every pair it stands for.
     """
     ops = KIND_OPS[kind]
     members = build_universe(kind, max_n).members
@@ -156,23 +158,20 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
             for sub, x_sub in subsets:
                 if not _second_iso(ops, x, theta, quotient_proj, sub, x_sub):
                     failures["second"] += 1
-        # alpha <= beta needs alpha's partition to refine beta's, so compare
-        # congruences only within pairs of partitions that refine
+        # alpha <= beta needs alpha's partition to refine beta's, so decide
+        # only pairs of partitions that refine
         by_part: dict[Partition, list] = {}
         for theta, (quotient, _) in quotients.items():
             by_part.setdefault(theta.part, []).append((theta, quotient))
         for part_a, group_a in by_part.items():
+            alpha = ops.strongify(x, part_a)
+            stage = quotients[alpha][0]
             for part_b, group_b in by_part.items():
                 if not _refines(part_a.class_id, part_b.class_id):
                     continue
                 for beta, right in group_b:
-                    below = [(alpha, stage) for alpha, stage in group_a if ops.le(alpha, beta)]
-                    if not below:
-                        continue
-                    # every alpha here shares one partition, so one decides them all
-                    alpha, stage = below[0]
                     if not _third_iso(ops, x, alpha, beta, stage, right):
-                        failures["third"] += len(below)
+                        failures["third"] += sum(ops.le(a, beta) for a, _ in group_a)
     return failures
 
 

@@ -585,6 +585,29 @@ def test_cli_usage_errors_exit_2(files, monkeypatch, capsys, argv, err):
         assert captured == f"error: {err.format(**files)}\n"
 
 
+_CLASS_REFUSALS = [
+    ("universe --kind graph --max-n 6 --check degeneracy --class all",
+     "--check degeneracy lives in the loopless kind"),
+    ("universe --kind graph --max-n 6 --check h1h2 --class bogus",
+     "no built-in graph class 'bogus'; known: all, all-looped, at-most-one-loop, complete-looped, "
+     "loop-clique, loop-dominated, trivial, trivial-looped, trivial-or-all-looped"),
+]
+
+
+@pytest.mark.parametrize("argv, err", _CLASS_REFUSALS, ids=["degeneracy-kind", "unknown-class"])
+def test_cli_universe_refuses_its_class_before_building(monkeypatch, capsys, argv, err):
+    # the class arguments are checked first: the 5,758 graphs of n <= 6 are
+    # never built, and no universe line is printed
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    start = time.perf_counter()
+    status = run_command(argv.split())
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert status == 2
+    assert (captured.out, captured.err) == (f"command: {argv}\n", f"error: {err}\n")
+    assert elapsed < 0.5
+
+
 _MALFORMED_FILES = [
     ("congruences --space {f}", "space 2\nopen -\nopen 0,x\n",
      "line 3: expected comma-separated ids, got '0,x'"),
@@ -595,12 +618,14 @@ _MALFORMED_FILES = [
      "line 3: edge endpoints must be integers"),
     ("congruences --space {f}", "space 2\nopen -\nopen 0,1\nopen 5\n", "open set [5] out of range"),
     ("congruences --space {f}", "space 2\nopen -\nopen 0,1\nopen -1\n", "open set [-1] out of range"),
+    ("quotient --graph {b4} --cong {f}", "gcong\nblock\nblock 0 1\nedge 0 0\nedge 0 1\nedge 1 1\n",
+     "blocks do not partition 0..1"),
 ]
 
 
 @pytest.mark.parametrize("argv, text, err", _MALFORMED_FILES,
                          ids=["point-ids", "graph-edge", "space-header", "point-count", "cong-edge",
-                              "open-past-range", "open-negative"])
+                              "open-past-range", "open-negative", "cong-empty-block"])
 def test_cli_malformed_files_exit_2(files, tmp_path, capsys, argv, text, err):
     path = tmp_path / "malformed.txt"
     path.write_text(text)
