@@ -233,32 +233,32 @@ def _read(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-def _load_structure_arg(args) -> tuple:
+def _load_structure_arg(args):
     for flag, structure_type in (("space", FiniteSpace), ("graph", FiniteGraph)):
         path = getattr(args, flag, None)
         if path:
             structure = parse_structure(_read(path))
             if not isinstance(structure, structure_type):
                 raise UsageError(f"{path} does not contain a {flag}")
-            return structure, eng.kind_of(structure)
+            return structure
     raise UsageError("one of --space or --graph is required")
 
 
 def _cmd_congruences(args, report: Report) -> None:
-    structure, kind = _load_structure_arg(args)
+    structure = _load_structure_arg(args)
     if args.strong_only:
-        congs = eng.strong_congruences(kind, structure)
+        congs = eng.strong_congruences(structure)
     else:
-        congs = eng.KIND_OPS[kind].enum_congruences(structure)
+        congs = eng.KIND_OPS[eng.kind_of(structure)].enum_congruences(structure)
     for i, cong in enumerate(congs):
         report.info(f"cong {i}: {describe_congruence(cong)}")
     report.info(f"total {len(congs)}")
 
 
 def _cmd_quotient(args, report: Report) -> None:
-    structure, kind = _load_structure_arg(args)
+    structure = _load_structure_arg(args)
     cong = parse_congruence(_read(args.cong), structure)
-    quotient, proj = eng.KIND_OPS[kind].quotient(structure, cong)
+    quotient, proj = eng.KIND_OPS[eng.kind_of(structure)].quotient(structure, cong)
     report.info(serialize_structure(quotient).rstrip("\n"))
     report.info("proj " + " ".join(f"{v}->{proj[v]}" for v in range(structure.n)))
 
@@ -359,7 +359,7 @@ def _cmd_universe(args, report: Report) -> None:
                 ok,
                 "" if ok else describe_structure(witness[0]),
             )
-            ok2, witness2 = eng.ideal_hereditary(sigma, uni)
+            ok2, _ = eng.ideal_hereditary(sigma, uni)
             report.info(
                 f"note {sigma.name}: congruence-level restriction comparison "
                 f"{'holds' if ok2 else 'fails'}"
@@ -415,19 +415,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # one structure file per command: argparse refuses a second one
     p = sub.add_parser("congruences", help="list all congruences on a structure")
-    p.add_argument("--space")
-    p.add_argument("--graph")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--space")
+    one.add_argument("--graph")
     p.add_argument("--strong-only", action="store_true")
 
     p = sub.add_parser("quotient", help="quotient of a structure by a congruence")
-    p.add_argument("--space")
-    p.add_argument("--graph")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--space")
+    one.add_argument("--graph")
     p.add_argument("--cong", required=True)
 
     p = sub.add_parser("decompose", help="subdirect decompositions")
-    p.add_argument("--birkhoff", metavar="GRAPH")
-    p.add_argument("--sierpinski", metavar="SPACE")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--birkhoff", metavar="GRAPH")
+    one.add_argument("--sierpinski", metavar="SPACE")
 
     p = sub.add_parser("radical", help="Hoehnke radical of a built-in class")
     p.add_argument("--class", dest="cls", required=True)

@@ -275,16 +275,16 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
 )
 
 
-def strong_congruences(kind: str, x) -> list:
+def strong_congruences(x) -> list:
     """All strong congruences of a structure, from partitions admitting one."""
-    strongify = KIND_OPS[kind].strongify
+    strongify = KIND_OPS[kind_of(x)].strongify
     strong = (strongify(x, p) for p in bounded_partitions(x.n))
     return [theta for theta in strong if theta is not None]
 
 
-def is_strong(kind: str, x, theta) -> bool:
+def is_strong(x, theta) -> bool:
     """Whether theta is the strong congruence of its own partition."""
-    return KIND_OPS[kind].strongify(x, theta.part) == theta
+    return KIND_OPS[kind_of(x)].strongify(x, theta.part) == theta
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +368,13 @@ class RadicalAssignment:
 @dataclass(frozen=True)
 class Universe:
     """The members of a kind up to a size; surjections are searched once per
-    pair, and the elementary maps are built once."""
+    pair, U and S lists once per class, and elementary maps are built once."""
 
     kind: str
     max_n: int
     members: tuple
     _maps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _avoiding: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __iter__(self):
         return iter(self.members)
@@ -381,7 +382,7 @@ class Universe:
     def surjections(self, x, y) -> list[tuple]:
         maps = self._maps.get((x, y))
         if maps is None:
-            maps = self._maps[x, y] = surjective_morphisms(self.kind, x, y)
+            maps = self._maps[x, y] = surjective_morphisms(x, y)
         return maps
 
     @functools.cached_property
@@ -526,15 +527,19 @@ def radical_members(sigma: RadicalAssignment, uni: Universe) -> list:
 # H1 / H2 and the Kurosh-Amitsur triple
 # ---------------------------------------------------------------------------
 
-def surjective_morphisms(kind: str, x, y) -> list[tuple]:
+def surjective_morphisms(x, y) -> list[tuple]:
     """All surjective continuous maps / homomorphisms x -> y, in lexicographic order.
 
-    A map is a morphism iff it carries the kind's relation on x into the one
-    on y.  The search assigns vertices 0, 1, ... in turn, tries targets in
-    ascending order, checks each new vertex against the relation pairs it
-    forms with the vertices already assigned, and cuts a branch once too few
-    vertices remain to hit every target not yet hit.
+    x and y must be of one kind.  A map is a morphism iff it carries the
+    kind's relation on x into the one on y.  The search assigns vertices 0,
+    1, ... in turn, tries targets in ascending order, checks each new vertex
+    against the relation pairs it forms with the vertices already assigned,
+    and cuts a branch once too few vertices remain to hit every target not
+    yet hit.
     """
+    kind = kind_of(x)
+    if kind_of(y) != kind:
+        raise KindMismatch(f"a {kind} structure has no morphism onto a {kind_of(y)} one")
     n, m = x.n, y.n
     relation = KIND_OPS[kind].relation
     target = relation(y)
@@ -625,7 +630,7 @@ def is_complete(sigma: RadicalAssignment, uni: Universe):
     in_class = functools.partial(in_radical_class, sigma)
     for x in uni.members:
         value = sigma(x)
-        for theta in strong_congruences(uni.kind, x):
+        for theta in strong_congruences(x):
             if _blocks_satisfy(ops, x, theta, in_class) and not ops.le(theta, value):
                 return False, (x, theta)
     return True, None
@@ -645,7 +650,7 @@ def is_strong_everywhere(sigma: RadicalAssignment, uni: Universe):
     """Every value of the radical is a strong congruence."""
     for x in uni.members:
         value = sigma(x)
-        if not is_strong(uni.kind, x, value):
+        if not is_strong(x, value):
             return False, (x, value)
     return True, None
 
@@ -666,33 +671,16 @@ def ka_triple(sigma: RadicalAssignment, uni: Universe) -> dict:
 # Hereditariness
 # ---------------------------------------------------------------------------
 
-def r_hereditary(sigma: RadicalAssignment, uni: Universe):
-    """restrict(radical of the whole) below the radical of the part."""
-    ops = KIND_OPS[uni.kind]
-    for x in uni.members:
-        value = sigma(x)
-        for sub in _nonempty_subsets(x.n):
-            if not ops.le(ops.restrict(x, value, sub), sigma(ops.substructure(x, sub))):
-                return False, (x, sub)
-    return True, None
-
-
-def s_hereditary(sigma: RadicalAssignment, uni: Universe):
-    """Radical of the part below restrict(radical of the whole)."""
-    ops = KIND_OPS[uni.kind]
-    for x in uni.members:
-        value = sigma(x)
-        for sub in _nonempty_subsets(x.n):
-            if not ops.le(sigma(ops.substructure(x, sub)), ops.restrict(x, value, sub)):
-                return False, (x, sub)
-    return True, None
-
-
 def ideal_hereditary(sigma: RadicalAssignment, uni: Universe):
-    ok_r, wr = r_hereditary(sigma, uni)
-    if not ok_r:
-        return False, wr
-    return s_hereditary(sigma, uni)
+    """The radical of every part is the restriction of the radical of the
+    whole: `le` both ways, which on canonical values is equality."""
+    ops = KIND_OPS[uni.kind]
+    for x in uni.members:
+        value = sigma(x)
+        for sub in _nonempty_subsets(x.n):
+            if ops.restrict(x, value, sub) != sigma(ops.substructure(x, sub)):
+                return False, (x, sub)
+    return True, None
 
 
 def _class_hereditary(kind: str, members_in_class) -> tuple[bool, tuple | None]:
@@ -732,28 +720,31 @@ def hereditary_torsion_theory(sigma: RadicalAssignment, uni: Universe):
 # Upper radical / semisimple operators and fixed points
 # ---------------------------------------------------------------------------
 
-def _nontrivial_images(kind: str, x):
-    ops = KIND_OPS[kind]
+def _nontrivial_images(x):
+    ops = KIND_OPS[kind_of(x)]
     for theta in ops.iter_congruences(x):
         if theta.part.num_blocks >= 2:
             yield ops.quotient(x, theta)[0]
 
 
-def _nontrivial_substructures(kind: str, x):
-    ops = KIND_OPS[kind]
+def _nontrivial_substructures(x):
+    ops = KIND_OPS[kind_of(x)]
     for sub in _nonempty_subsets(x.n):
         if len(sub) >= 2:
             yield ops.substructure(x, sub)
 
 
 def _members_avoiding(cls: ClassPredicate, uni: Universe, candidates: Callable) -> list:
-    """Members none of whose candidates(kind, x) lies in the class."""
+    """Members none of whose candidates(x) lies in the class, listed once
+    per (class, candidates) on each universe."""
     if cls.kind != uni.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, universe is {uni.kind}")
-    return [
-        x for x in uni.members
-        if not any(cls(y) for y in candidates(uni.kind, x))
-    ]
+    found = uni._avoiding.get((cls, candidates))
+    if found is None:
+        found = uni._avoiding[cls, candidates] = tuple(
+            x for x in uni.members if not any(cls(y) for y in candidates(x))
+        )
+    return list(found)
 
 
 def U_operator(cls: ClassPredicate, uni: Universe) -> list:
@@ -782,10 +773,10 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
 
     def every_image_has_c_congruence(x) -> bool:
         ops = KIND_OPS[uni.kind]
-        for y in _nontrivial_images(uni.kind, x):
+        for y in _nontrivial_images(x):
             if not any(
                 theta.part.num_blocks < y.n and _blocks_satisfy(ops, y, theta, cls)
-                for theta in strong_congruences(uni.kind, y)
+                for theta in strong_congruences(y)
             ):
                 return False
         return True
@@ -814,7 +805,7 @@ def c_congruence_p(cls: ClassPredicate, structure, theta) -> bool:
     kind = kind_of(structure)
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} does not match the structure kind")
-    return is_strong(kind, structure, theta) and _blocks_satisfy(
+    return is_strong(structure, theta) and _blocks_satisfy(
         KIND_OPS[kind], structure, theta, cls
     )
 
@@ -833,7 +824,7 @@ def rho_sum(cls: ClassPredicate, structure):
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} does not match the structure kind")
     parts = [
-        theta for theta in strong_congruences(kind, structure)
+        theta for theta in strong_congruences(structure)
         if _blocks_satisfy(ops, structure, theta, cls)
     ]
     if not parts:

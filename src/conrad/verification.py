@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import BoundExceeded, NotContained
-from .radical_engine import KIND_OPS, build_universe, surjective_morphisms
+from .errors import BoundExceeded, KindMismatch, NotContained
+from .radical_engine import KIND_OPS, build_universe, kind_of, surjective_morphisms
 from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
@@ -21,9 +21,9 @@ RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 # Seeded instances (the generators live with their kinds in KIND_OPS)
 # ---------------------------------------------------------------------------
 
-def random_surjection(rng: random.Random, kind: str, structure):
+def random_surjection(rng: random.Random, structure):
     """A surjective morphism built as projection-then-relabel."""
-    ops = KIND_OPS[kind]
+    ops = KIND_OPS[kind_of(structure)]
     theta = ops.random_congruence(rng, structure)
     quotient, proj = ops.quotient(structure, theta)
     perm = list(range(quotient.n))
@@ -33,14 +33,14 @@ def random_surjection(rng: random.Random, kind: str, structure):
     return target, f
 
 
-def random_above(rng: random.Random, kind: str, structure, alpha):
+def random_above(rng: random.Random, structure, alpha):
     """A random congruence above alpha: the kernel of the composite projection
     X -> X/alpha -> (X/alpha)/gamma for a random congruence gamma of X/alpha.
 
     By the correspondence theorem this lift is a bijection from the
     congruences of X/alpha onto the congruences of X above alpha.
     """
-    ops = KIND_OPS[kind]
+    ops = KIND_OPS[kind_of(structure)]
     stage, proj = ops.quotient(structure, alpha)
     target, proj2 = ops.quotient(stage, ops.random_congruence(rng, stage))
     return ops.kernel(structure, target, tuple(proj2[b] for b in proj))
@@ -58,22 +58,25 @@ def _is_isomorphism(ops, left, right, perm: tuple) -> bool:
     return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
 
 
-def check_first_iso(kind: str, x, y, f, quotients=None) -> bool:
+def check_first_iso(x, y, f, quotients=None) -> bool:
     """Quotient by the kernel of a surjection matches the codomain.
 
     The map X/ker f -> Y sends each block to the image of its points.  When
     given, quotients maps every congruence of X to X/theta with its
     projection, and the quotient by the kernel is looked up there.
     """
+    kind = kind_of(x)
+    if kind_of(y) != kind:
+        raise KindMismatch(f"a {kind} structure has no morphism onto a {kind_of(y)} one")
     ops = KIND_OPS[kind]
     kernel = ops.kernel(x, y, f)
     quotient, _ = ops.quotient(x, kernel) if quotients is None else quotients[kernel]
     return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
 
 
-def check_second_iso(kind: str, x, theta, sub) -> bool:
+def check_second_iso(x, theta, sub) -> bool:
     """Quotient of the restriction matches the image-side substructure."""
-    ops = KIND_OPS[kind]
+    ops = KIND_OPS[kind_of(x)]
     return _second_iso(ops, x, theta, ops.quotient(x, theta), sub, ops.substructure(x, sub))
 
 
@@ -95,9 +98,9 @@ def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
     return _is_isomorphism(ops, left, right, perm)
 
 
-def check_third_iso(kind: str, x, alpha, beta) -> bool:
+def check_third_iso(x, alpha, beta) -> bool:
     """(X/a)/(b/a) matches X/b; a must be contained in b."""
-    ops = KIND_OPS[kind]
+    ops = KIND_OPS[kind_of(x)]
     if not ops.le(alpha, beta):
         raise NotContained("beta must contain alpha")
     stage, _ = ops.quotient(x, alpha)
@@ -150,8 +153,8 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
         # the kernel of a surjection from x is one of x's congruences
         quotients = {theta: ops.quotient(x, theta) for theta in congs}
         for y in members:
-            for f in surjective_morphisms(kind, x, y):
-                if not check_first_iso(kind, x, y, f, quotients):
+            for f in surjective_morphisms(x, y):
+                if not check_first_iso(x, y, f, quotients):
                     failures["first"] += 1
         subsets = [(sub, ops.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
         for theta, quotient_proj in quotients.items():
@@ -183,20 +186,20 @@ def random_iso_theorems(kind: str, samples: int, seed: int) -> dict[str, int]:
     for _ in range(samples):
         n = rng.randint(RANDOM_MIN_N, RANDOM_MAX_N)
         x = ops.random_structure(rng, n)
-        y, f = random_surjection(rng, kind, x)
-        if not check_first_iso(kind, x, y, f):
+        y, f = random_surjection(rng, x)
+        if not check_first_iso(x, y, f):
             failures["first"] += 1
 
         x2 = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
         theta = ops.random_congruence(rng, x2)
         size = rng.randint(1, x2.n)
         sub = tuple(sorted(rng.sample(range(x2.n), size)))
-        if not check_second_iso(kind, x2, theta, sub):
+        if not check_second_iso(x2, theta, sub):
             failures["second"] += 1
 
         x3 = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
         alpha = ops.random_congruence(rng, x3)
-        beta = random_above(rng, kind, x3, alpha)
-        if not check_third_iso(kind, x3, alpha, beta):
+        beta = random_above(rng, x3, alpha)
+        if not check_third_iso(x3, alpha, beta):
             failures["third"] += 1
     return failures

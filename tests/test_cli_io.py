@@ -555,6 +555,12 @@ _ARGPARSE_ERRORS = [
     ("universe --kind graph", "the following arguments are required: --check"),
     ("verify --kind graph --max-n x", "argument --max-n: invalid int value: 'x'"),
     ("verify --kind graph --bogus", "unrecognized arguments: --bogus"),
+    # one structure file per command: a second one is refused, not ignored
+    ("congruences --graph g.txt --space s.txt", "argument --space: not allowed with argument --graph"),
+    ("quotient --space s.txt --graph g.txt --cong c.txt",
+     "argument --graph: not allowed with argument --space"),
+    ("decompose --birkhoff g.txt --sierpinski s.txt",
+     "argument --sierpinski: not allowed with argument --birkhoff"),
 ]
 
 

@@ -34,7 +34,6 @@ from conrad.graph_congruence import (
 )
 from conrad.loopless_congruence import enumerate_congruences_lc
 from conrad.radical_engine import (
-    KIND_GRAPH,
     check_subdirect as check_subdirect_gc,
     is_subdirectly_irreducible as is_subdirectly_irreducible_gc,
 )
@@ -242,7 +241,7 @@ def test_quotient_cong_examples():
             assert quotient_cong_gc(g, theta, theta) == identity_gc(stage)
             assert quotient_cong_gc(g, theta, universal_gc(g)) == universal_gc(stage)
     with pytest.raises(NotContained):
-        check_third_iso(KIND_GRAPH, B4, universal_gc(B4), identity_gc(B4))
+        check_third_iso(B4, universal_gc(B4), identity_gc(B4))
 
 
 def test_correspondence_preserves_meet_join():
@@ -283,7 +282,7 @@ def test_image_compositional_equals_direct_exhaustive():
     for g in GRAPHS_3:
         cons = enumerate_congruences_gc(g)
         for h in GRAPHS_3:
-            for f in surjective_morphisms("graph", g, h):
+            for f in surjective_morphisms(g, h):
                 for theta in cons:
                     assert image_gc(g, h, f, theta) == image_gc_direct(g, h, f, theta)
 
@@ -295,7 +294,7 @@ def test_image_strong_stays_strong():
         strongs = {strongify_gc(g, p) for p in
                    (Partition.identity(g.n), Partition.universal(g.n))}
         for h in GRAPHS_3:
-            for f in surjective_morphisms("graph", g, h):
+            for f in surjective_morphisms(g, h):
                 for theta in strongs:
                     assert is_strong_gc(h, image_gc(g, h, f, theta))
 

@@ -57,11 +57,9 @@ from conrad.radical_engine import (
     ka_triple,
     kind_of,
     loopless_degeneracy_check,
-    r_hereditary,
     radical_from_class,
     radical_members,
     rho_sum,
-    s_hereditary,
     semisimple_class_hereditary,
     semisimple_members,
     strong_congruences,
@@ -86,8 +84,10 @@ from conrad.structures import (
     T0,
     T,
     T_SPACE,
+    _nonempty_subsets,
     complete_graph,
     edgeless_graph,
+    graph,
     homeo_spaces,
     indiscrete_space,
     is_surjective,
@@ -226,7 +226,7 @@ def test_verify_h1_h2_identity_rule():
     for x in UNI_TOPO.members:
         assert verify_H2(sigma, x)
         for y in UNI_TOPO.members:
-            for f in surjective_morphisms(KIND_TOPO, x, y):
+            for f in surjective_morphisms(x, y):
                 assert verify_H1(sigma, x, y, f)
 
 
@@ -292,7 +292,7 @@ def test_h1_comparison_matches_image_oracle():
         congruences = {x: ops.enum_congruences(x) for x in uni}
         for x in uni:
             for y in uni:
-                for f in surjective_morphisms(kind, x, y):
+                for f in surjective_morphisms(x, y):
                     for theta in congruences[x]:
                         composed = image(x, y, f, theta)
                         direct = image_direct(x, y, f, theta)
@@ -321,7 +321,7 @@ def test_surjective_morphisms_match_product_scan():
         totals[kind] = 0
         for x in uni:
             for y in uni:
-                found = surjective_morphisms(kind, x, y)
+                found = surjective_morphisms(x, y)
                 assert found == _product_scan(kind, x, y), (x, y)
                 totals[kind] += len(found)
     assert totals == {KIND_TOPO: 6_970, KIND_GRAPH: 851, KIND_LOOPLESS: 1_322}
@@ -333,9 +333,9 @@ def test_universe_searches_each_pair_once(monkeypatch):
     calls = []
     search = radical_engine.surjective_morphisms
 
-    def counted(kind, x, y):
+    def counted(x, y):
         calls.append((x, y))
-        return search(kind, x, y)
+        return search(x, y)
 
     monkeypatch.setattr(radical_engine, "surjective_morphisms", counted)
     uni = build_universe(KIND_GRAPH, 3)
@@ -593,7 +593,7 @@ def test_completeness_fails_with_a_strong_witness_above_the_radical():
     assert not ok and x == indiscrete_space(3) and theta.part == Partition((0, 0, 1))
     # the definition: a strong congruence whose blocks lie in the radical
     # class, yet not below the radical
-    assert is_strong(KIND_TOPO, x, theta)
+    assert is_strong(x, theta)
     assert all(
         in_radical_class(UNIVERSAL_BELOW_THREE, subspace(x, block)) for block in theta.part.blocks
     )
@@ -636,14 +636,30 @@ def test_graph_catalog_congruence_level_split():
         if ideal_hereditary(catalog_radical(KIND_GRAPH, cid), UNI_GRAPH)[0]
     ]
     assert strict_pass == ["b", "d", "e", "f", "g", "h"]
-    ok, (g, sub) = r_hereditary(catalog_radical(KIND_GRAPH, "a"), UNI_GRAPH)
+    sigma_a = catalog_radical(KIND_GRAPH, "a")
+    ok, (g, sub) = ideal_hereditary(sigma_a, UNI_GRAPH)
     assert not ok and g == B3 and sub == (1,)
-    assert s_hereditary(catalog_radical(KIND_GRAPH, "a"), UNI_GRAPH)[0]
-    assert s_hereditary(catalog_radical(KIND_GRAPH, "c"), UNI_GRAPH)[0]
+    # the restriction is the larger side there: for (a) and (c) the part's
+    # radical lies below the restriction on every member and subset
+    restricted = gc.restrict_gc(g, sigma_a(g), sub)
+    assert not gc.le_gc(restricted, sigma_a(KIND_OPS[KIND_GRAPH].substructure(g, sub)))
+    for cid in ("a", "c"):
+        sigma = catalog_radical(KIND_GRAPH, cid)
+        for x, part_sub, restricted, part in _restrictions(sigma, UNI_GRAPH):
+            assert gc.le_gc(part, restricted), (cid, x, part_sub)
+
+
+def _restrictions(sigma, uni):
+    """(x, sub, sigma(x) restricted to sub, sigma of the part on sub) for every
+    member x and nonempty subset sub, in the order ideal_hereditary reads them."""
+    ops = KIND_OPS[uni.kind]
+    for x in uni.members:
+        for sub in _nonempty_subsets(x.n):
+            yield x, sub, ops.restrict(x, sigma(x), sub), sigma(ops.substructure(x, sub))
 
 
 def test_s_heredity_fails_where_the_part_has_a_larger_radical():
-    ok, (x, sub) = s_hereditary(UNIVERSAL_BELOW_THREE, UNI_TOPO)
+    ok, (x, sub) = ideal_hereditary(UNIVERSAL_BELOW_THREE, UNI_TOPO)
     assert not ok and x == indiscrete_space(3) and sub == (0, 1)
     restricted = tc.restrict_tc(x, UNIVERSAL_BELOW_THREE(x), sub)
     assert not tc.le_tc(UNIVERSAL_BELOW_THREE(subspace(x, sub)), restricted)
@@ -791,13 +807,13 @@ def test_chain_join_of_c_congruences():
     # finite reading of the inductive property: joins along comparable chains
     ind = builtin_class("topo", "indiscrete")
     for x in UNI_TOPO.members:
-        ccongs = [t for t in strong_congruences(KIND_TOPO, x) if c_congruence_p(ind, x, t)]
+        ccongs = [t for t in strong_congruences(x) if c_congruence_p(ind, x, t)]
         for a, b in itertools.combinations(ccongs, 2):
             if tc.le_tc(a, b):
                 assert c_congruence_p(ind, x, tc.join_tc(x, [a, b]))
     loops_cls = builtin_class("graph", "trivial-or-all-looped")
     for g in UNI_GRAPH.members:
-        ccongs = [t for t in strong_congruences(KIND_GRAPH, g) if c_congruence_p(loops_cls, g, t)]
+        ccongs = [t for t in strong_congruences(g) if c_congruence_p(loops_cls, g, t)]
         for a, b in itertools.combinations(ccongs, 2):
             if gc.le_gc(a, b):
                 assert c_congruence_p(loops_cls, g, gc.join_gc(g, [a, b]))
@@ -869,9 +885,9 @@ def test_every_congruence_the_library_builds_is_valid():
         ops = KIND_OPS[uni.kind]
         for x in uni.members:
             congs = ops.enum_congruences(x)
-            built = congs + strong_congruences(uni.kind, x) + [catalog(x, cid) for cid in ids]
+            built = congs + strong_congruences(x) + [catalog(x, cid) for cid in ids]
             for y in uni.members:
-                built += [ops.kernel(x, y, f) for f in surjective_morphisms(uni.kind, x, y)]
+                built += [ops.kernel(x, y, f) for f in surjective_morphisms(x, y)]
             for theta in built:
                 ops.validate(x, theta)
             for sub in itertools.chain.from_iterable(
@@ -894,8 +910,19 @@ def test_every_congruence_the_library_builds_is_valid():
 ])
 def test_strong_all_is_bounded(kind, carrier):
     # Bell(10) = 115,975 partitions lie past the scan bound
+    assert kind_of(carrier) == kind
     with pytest.raises(BoundExceeded, match="congruence enumeration capped at 100000 candidates"):
-        strong_congruences(kind, carrier)
+        strong_congruences(carrier)
+
+
+def test_strong_congruences_answer_in_the_structures_own_kind():
+    # a loop-admitting graph lists the graph kind's strong congruences: the
+    # loopless kind would keep only the identity partition's
+    g = graph(2, LOOPS, [(0, 1)])
+    strong = strong_congruences(g)
+    assert len(strong) == 2
+    assert strong == [t for t in gc.enumerate_congruences_gc(g) if oracles.is_strong_gc(g, t)]
+    assert all(is_strong(g, theta) for theta in strong)
 
 
 @pytest.mark.parametrize("kind, max_n, strong_p, counts", [
@@ -913,8 +940,8 @@ def test_strong_congruences_match_filtered_enumeration(kind, max_n, strong_p, co
             congs = ops.enum_congruences(x)
             verdicts = [strong_p(x, theta) for theta in congs]
             filtered = [theta for theta, ok in zip(congs, verdicts) if ok]
-            assert strong_congruences(kind, x) == filtered
-            assert [is_strong(kind, x, theta) for theta in congs] == verdicts
+            assert strong_congruences(x) == filtered
+            assert [is_strong(x, theta) for theta in congs] == verdicts
             strong_total += len(filtered)
             total += len(congs)
     assert (strong_total, total) == counts

@@ -35,7 +35,7 @@ def test_exactly_four_hereditary_h_radical_profiles():
     members = list(uni.members)
     cons = {m: tc.enumerate_congruences_tc(m) for m in members}
     surj = {
-        (x, y): surjective_morphisms(KIND_TOPO, x, y)
+        (x, y): surjective_morphisms(x, y)
         for x in members
         for y in members
     }

@@ -33,7 +33,7 @@ from conrad.structures import (
     meet_partitions,
     space,
 )
-from conrad.radical_engine import KIND_TOPO, check_subdirect as check_subdirect_tc
+from conrad.radical_engine import check_subdirect as check_subdirect_tc
 from conrad.topo_congruence import (
     TopoCongruence,
     enumerate_congruences_tc,
@@ -243,7 +243,7 @@ def test_quotient_cong_examples():
     q, _ = quotient_tc(stage, qc)
     assert homeo_spaces(q, T_SPACE) is not None
     with pytest.raises(NotContained):
-        check_third_iso(KIND_TOPO, D2, universal_of(D2), identity_tc(D2))
+        check_third_iso(D2, universal_of(D2), identity_tc(D2))
 
 
 def test_quotient_cong_trivial_cases():
@@ -288,7 +288,7 @@ def test_image_compositional_equals_direct_exhaustive():
     for x in SPACES_3:
         cons = enumerate_congruences_tc(x)
         for y in SPACES_3:
-            for f in surjective_morphisms("topo", x, y):
+            for f in surjective_morphisms(x, y):
                 for rho in cons:
                     assert image_tc(x, y, f, rho) == image_tc_direct(x, y, f, rho)
 
@@ -298,7 +298,7 @@ def test_image_preserves_bounds():
 
     for x in SPACES_3:
         for y in SPACES_3:
-            for f in surjective_morphisms("topo", x, y):
+            for f in surjective_morphisms(x, y):
                 assert image_tc(x, y, f, identity_tc(x)) == identity_tc(y)
                 assert image_tc(x, y, f, universal_of(x)) == universal_of(y)
 

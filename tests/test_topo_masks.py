@@ -77,7 +77,7 @@ def test_two_congruence_operations_match_the_family_calculus():
                 assert tc.quotient_cong_tc(x, a, b) == oracles.quotient_cong_tc_opens(x, a, b)
             else:
                 # the containment is checked where a caller's pair enters
-                assert _outcome(check_third_iso, "topo", x, a, b) == _outcome(
+                assert _outcome(check_third_iso, x, a, b) == _outcome(
                     oracles.quotient_cong_tc_opens, x, a, b
                 )
             pairs += 1
@@ -96,7 +96,7 @@ def test_maps_match_the_family_calculus():
             for f in itertools.product(range(y.n), repeat=x.n):
                 assert _outcome(tc.kernel_tc, x, y, f) == _outcome(oracles.kernel_tc_opens, x, y, f)
             targets = tc.enumerate_congruences_tc(y)
-            for f in surjective_morphisms("topo", x, y):
+            for f in surjective_morphisms(x, y):
                 for rho in cons:
                     assert tc.image_tc(x, y, f, rho) == oracles.image_tc_opens(x, y, f, rho)
                     for beta in targets:

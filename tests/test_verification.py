@@ -14,7 +14,15 @@ import pytest
 from conrad import graph_congruence as gc
 from conrad import verification
 from conrad.cli_io import run_command
-from conrad.radical_engine import KIND_GRAPH, KIND_LOOPLESS, KIND_OPS, KIND_TOPO, build_universe
+from conrad.errors import KindMismatch
+from conrad.radical_engine import (
+    KIND_GRAPH,
+    KIND_LOOPLESS,
+    KIND_OPS,
+    KIND_TOPO,
+    build_universe,
+    surjective_morphisms,
+)
 from conrad.structures import (
     B3,
     B4,
@@ -65,11 +73,11 @@ def test_graph_iso_theorems_n4_thinned():
         ]
         for theta in sample:
             for sub in subsets[:: 3]:
-                assert check_second_iso(KIND_GRAPH, g, theta, sub)
+                assert check_second_iso(g, theta, sub)
         for alpha in sample:
             for beta in sample:
                 if gc.le_gc(alpha, beta):
-                    assert check_third_iso(KIND_GRAPH, g, alpha, beta)
+                    assert check_third_iso(g, alpha, beta)
 
 
 def test_random_sweeps_zero_failures():
@@ -86,10 +94,26 @@ def test_random_surjection_is_morphism():
         ops = KIND_OPS[kind]
         for _ in range(40):
             x = ops.random_structure(rng, rng.randint(2, 5))
-            y, f = random_surjection(rng, kind, x)
+            y, f = random_surjection(rng, x)
             assert set(f) == set(range(y.n))
             assert is_morphism(x, y, f)
-            assert check_first_iso(kind, x, y, f)
+            assert check_first_iso(x, y, f)
+
+
+@pytest.mark.parametrize("x, y, message", [
+    (S2, graph(2, LOOPS, [(0, 1)]), "a topo structure has no morphism onto a graph one"),
+    (graph(2, LOOPS, [(0, 1)]), S2, "a graph structure has no morphism onto a topo one"),
+    (graph(2, NOLOOPS, [(0, 1)]), graph(2, LOOPS, [(0, 1)]),
+     "a loopless structure has no morphism onto a graph one"),
+    (graph(2, LOOPS, [(0, 1)]), graph(2, NOLOOPS, [(0, 1)]),
+     "a graph structure has no morphism onto a loopless one"),
+])
+def test_two_structures_of_different_kinds_are_refused(x, y, message):
+    # the kinds are compared before any map is searched or read
+    with pytest.raises(KindMismatch, match=message):
+        surjective_morphisms(x, y)
+    with pytest.raises(KindMismatch, match=message):
+        check_first_iso(x, y, (0, 1))
 
 
 NO_FAILURES = {"first": 0, "second": 0, "third": 0}
@@ -213,7 +237,7 @@ def test_lift_reaches_each_congruence_above_once(monkeypatch, kind, max_n, pairs
         for alpha in congs:
             stage, _ = ops.quotient(x, alpha)
             lifted = Counter(
-                random_above(gamma, kind, x, alpha) for gamma in ops.enum_congruences(stage)
+                random_above(gamma, x, alpha) for gamma in ops.enum_congruences(stage)
             )
             assert lifted == Counter(beta for beta in congs if ops.le(alpha, beta)), (x, alpha)
             lifted_pairs += len(lifted)
@@ -227,7 +251,7 @@ def test_random_above_draws_a_congruence_above(kind):
     for _ in range(300):
         x = ops.random_structure(rng, rng.randint(RANDOM_MIN_N, RANDOM_MAX_N))
         alpha = ops.random_congruence(rng, x)
-        beta = random_above(rng, kind, x, alpha)
+        beta = random_above(rng, x, alpha)
         ops.validate(x, beta)
         assert ops.le(alpha, beta), (x, alpha, beta)
 
