@@ -213,7 +213,7 @@ def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
-    sub, _ = _positions(subset, g.n)
+    sub = _positions(subset, g.n)
     cid = theta.part.class_id
     cmask = _union_of(_subset_slots(g.n, tuple(sub)), theta.cmask)
     return GraphCongruence(Partition([cid[p] for p in sub]), cmask)

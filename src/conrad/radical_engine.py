@@ -348,13 +348,12 @@ def class_from_members(kind: str, name: str, members) -> ClassPredicate:
 
 @dataclass(frozen=True)
 class RadicalAssignment:
-    """Rule assigning a congruence to every structure of its kind.
+    """Rule assigning a congruence to every structure of the kind it is applied to.
 
     Each structure's value is computed once per assignment and memoised.
     """
 
     name: str
-    kind: str
     rule: Callable
     _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -442,9 +441,15 @@ def build_universe(kind: str, max_n: int) -> Universe:
     return Universe(kind, max_n, tuple(members))
 
 
-def universe_from_members(kind: str, members) -> Universe:
+def universe_from_members(members) -> Universe:
+    """The universe of a non-empty pool of one kind's structures."""
     members = tuple(members)
-    return Universe(kind, max(m.n for m in members), members)
+    if not members:
+        raise EmptyList("a universe needs at least one member")
+    kinds = sorted({kind_of(m) for m in members})
+    if len(kinds) > 1:
+        raise KindMismatch(f"a universe holds one kind, got {' and '.join(kinds)} structures")
+    return Universe(kinds[0], max(m.n for m in members), members)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +495,6 @@ def hoehnke_radical(structure, cls: ClassPredicate):
 def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
     return RadicalAssignment(
         name=f"radical-of-{cls.name}",
-        kind=cls.kind,
         rule=lambda structure: hoehnke_radical(structure, cls),
     )
 
@@ -499,7 +503,6 @@ def catalog_radical(kind: str, cid: str) -> RadicalAssignment:
     """Entry cid of the kind's catalog, looked up (and cid checked) when applied."""
     return RadicalAssignment(
         name=f"{kind}-catalog-{cid}",
-        kind=kind,
         rule=lambda structure: KIND_OPS[kind].catalog(structure, cid),
     )
 
@@ -527,6 +530,14 @@ def radical_members(sigma: RadicalAssignment, uni: Universe) -> list:
 # H1 / H2 and the Kurosh-Amitsur triple
 # ---------------------------------------------------------------------------
 
+def _morphism_kind(x, y) -> str:
+    """The kind of x, which y must share: no morphism joins two kinds."""
+    kind = kind_of(x)
+    if kind_of(y) != kind:
+        raise KindMismatch(f"a {kind} structure has no morphism onto a {kind_of(y)} one")
+    return kind
+
+
 def surjective_morphisms(x, y) -> list[tuple]:
     """All surjective continuous maps / homomorphisms x -> y, in lexicographic order.
 
@@ -537,11 +548,8 @@ def surjective_morphisms(x, y) -> list[tuple]:
     and cuts a branch once too few vertices remain to hit every target not
     yet hit.
     """
-    kind = kind_of(x)
-    if kind_of(y) != kind:
-        raise KindMismatch(f"a {kind} structure has no morphism onto a {kind_of(y)} one")
     n, m = x.n, y.n
-    relation = KIND_OPS[kind].relation
+    relation = KIND_OPS[_morphism_kind(x, y)].relation
     target = relation(y)
     # pairs to check once vertex i is assigned: those whose larger end is i
     checks = [[] for _ in range(n)]
@@ -569,23 +577,23 @@ def surjective_morphisms(x, y) -> list[tuple]:
 
 
 def verify_H1(sigma: RadicalAssignment, x, y, f) -> bool:
-    """H1 for one map, which is checked to be a surjective morphism first: the
-    kind's kernel refuses a map that is not a morphism."""
-    ops = KIND_OPS[sigma.kind]
+    """H1 for one map between structures of one kind, checked to be a surjective
+    morphism first: the kind's kernel refuses a map that is not a morphism."""
+    ops = KIND_OPS[_morphism_kind(x, y)]
     require_surjective(f, y.n)
     ops.kernel(x, y, f)
     return ops.image_le(x, y, f, sigma(x), sigma(y))
 
 
 def verify_H2(sigma: RadicalAssignment, x) -> bool:
-    ops = KIND_OPS[sigma.kind]
+    ops = KIND_OPS[kind_of(x)]
     quotient, _ = ops.quotient(x, sigma(x))
     return sigma(quotient) == ops.identity(quotient)
 
 
 def h1_failures(sigma: RadicalAssignment, uni: Universe) -> list:
     """The (x, y, f) failing H1; the universe's maps are not checked again."""
-    image_le = KIND_OPS[sigma.kind].image_le
+    image_le = KIND_OPS[uni.kind].image_le
     failures = []
     for x in uni.members:
         # every x maps onto itself, so sigma first reads the members in the
@@ -616,7 +624,7 @@ def h1_holds(sigma: RadicalAssignment, uni: Universe) -> bool:
     maps = uni.elementary_maps
     if maps is None:
         return not h1_failures(sigma, uni)
-    image_le = KIND_OPS[sigma.kind].image_le
+    image_le = KIND_OPS[uni.kind].image_le
     return all(image_le(x, y, f, sigma(x), sigma(y)) for x, y, f in maps)
 
 

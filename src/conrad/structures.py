@@ -47,16 +47,16 @@ def _env_bound(default: int) -> int:
         raise UsageError(f"CONRAD_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _positions(subset, n: int) -> tuple[list[int], dict[int, int]]:
-    """sorted(set(subset)) and each member's index in it, for relabelling a
-    substructure of an n-point carrier; refuses an empty subset and ids
+def _positions(subset, n: int) -> list[int]:
+    """sorted(set(subset)), the points of a substructure of an n-point
+    carrier in the order they are relabelled; refuses an empty subset and ids
     outside 0..n-1."""
     sub = sorted(set(subset))
     if not sub:
         raise EmptySubset("restriction to the empty set")
     if sub[0] < 0 or sub[-1] >= n:
         raise SemanticError(f"subset ids must lie in 0..{n - 1}")
-    return sub, {v: i for i, v in enumerate(sub)}
+    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -127,11 +127,6 @@ class Partition:
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
         return _refines(self.class_id, other.class_id)
-
-    def restrict(self, subset) -> "Partition":
-        """Partition induced on sorted(set(subset)), relabelled to 0..|S|-1."""
-        sub, _ = _positions(subset, self.n)
-        return Partition([self.class_id[x] for x in sub])
 
     # Tables of the graph congruence calculus, built once per partition
     # object: `all_partitions` shares its partitions across every sweep.
@@ -324,12 +319,11 @@ class _Lazy(dict):
 
 
 def _pair_at(n: int, slot: int) -> tuple[int, int]:
-    """The pair in one slot of n vertices: its row is the root of the row-start quadratic."""
+    """The pair in one slot of n vertices: its row is the root of the row-start
+    quadratic, which isqrt can only overestimate."""
     a = (2 * n + 1 - math.isqrt((2 * n + 1) ** 2 - 8 * slot)) // 2
     while _slot(n, a, a) > slot:
         a -= 1
-    while a + 1 < n and _slot(n, a + 1, a + 1) <= slot:
-        a += 1
     return a, a + slot - _slot(n, a, a)
 
 
@@ -512,7 +506,7 @@ def _subset_slots(n: int, sub: tuple[int, ...]) -> _Lazy:
 
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
-    sub, _ = _positions(subset, g.n)
+    sub = _positions(subset, g.n)
     return FiniteGraph(len(sub), g.policy, _union_of(_subset_slots(g.n, tuple(sub)), g.mask))
 
 
@@ -729,7 +723,7 @@ def discrete_space(n: int) -> FiniteSpace:
 def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     """Relative topology on sorted(set(subset)), relabelled to 0..|S|-1: each
     point's least open set is its old one cut down to the subset."""
-    sub, _ = _positions(subset, x.n)
+    sub = _positions(subset, x.n)
     return FiniteSpace(len(sub), _restricted(x.min_opens, sub))
 
 

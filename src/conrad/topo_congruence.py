@@ -80,13 +80,6 @@ class TopoCongruence:
         """The congruence topology: every open set."""
         return frozenset(map(_members, self.open_masks))
 
-    @functools.cached_property
-    def _packed(self) -> int:
-        """The least open sets side by side in one integer, n bits each, so
-        that containment at every point is one test."""
-        n = len(self.least)
-        return sum(m << n * p for p, m in enumerate(self.least))
-
     def encoding(self) -> tuple:
         return (self.part.class_id, self.open_masks)
 
@@ -111,7 +104,7 @@ def _within(small, large) -> bool:
 def le_tc(a: TopoCongruence, b: TopoCongruence) -> bool:
     """Congruence ordering: relation grows, topology shrinks, so each point's
     least open set grows."""
-    return not a._packed & ~b._packed and _refines(a.part.class_id, b.part.class_id)
+    return _within(a.least, b.least) and _refines(a.part.class_id, b.part.class_id)
 
 
 def _block_masks(part: Partition) -> list[int]:
@@ -206,7 +199,7 @@ def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     """Congruence induced on the subspace of sorted(subset)."""
-    sub, _ = _positions(subset, x.n)
+    sub = _positions(subset, x.n)
     cid = rho.part.class_id
     return TopoCongruence(Partition([cid[p] for p in sub]), _restricted(rho.least, sub))
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import BoundExceeded, KindMismatch, NotContained
-from .radical_engine import KIND_OPS, build_universe, kind_of, surjective_morphisms
+from .errors import BoundExceeded, NotContained
+from .radical_engine import KIND_OPS, _morphism_kind, build_universe, kind_of, surjective_morphisms
 from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
@@ -65,10 +65,7 @@ def check_first_iso(x, y, f, quotients=None) -> bool:
     given, quotients maps every congruence of X to X/theta with its
     projection, and the quotient by the kernel is looked up there.
     """
-    kind = kind_of(x)
-    if kind_of(y) != kind:
-        raise KindMismatch(f"a {kind} structure has no morphism onto a {kind_of(y)} one")
-    ops = KIND_OPS[kind]
+    ops = KIND_OPS[_morphism_kind(x, y)]
     kernel = ops.kernel(x, y, f)
     quotient, _ = ops.quotient(x, kernel) if quotients is None else quotients[kernel]
     return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))

@@ -68,6 +68,17 @@ def image_partition(f: tuple, part: Partition, m: int) -> Partition:
     return join_partitions([Partition([-1 if q in hit else q for q in range(m)]) for hit in hits])
 
 
+def restrict_partition(part: Partition, subset) -> Partition:
+    """The partition induced on sorted(set(subset)), relabelled to 0..|S|-1."""
+    return Partition([part.class_id[v] for v in _positions(subset, part.n)])
+
+
+def _indexed(subset, n: int) -> tuple[list[int], dict[int, int]]:
+    """sorted(set(subset)) and each member's index in it, its label in the substructure."""
+    sub = _positions(subset, n)
+    return sub, {v: i for i, v in enumerate(sub)}
+
+
 # ---------------------------------------------------------------------------
 # Morphisms by their definitions (in the library the kernels decide them)
 # ---------------------------------------------------------------------------
@@ -138,8 +149,8 @@ def quotient_tc_opens(x, rho) -> tuple:
 
 
 def restrict_tc_opens(x, rho, subset) -> TopoCongruence:
-    sub, pos = _positions(subset, x.n)
-    part = rho.part.restrict(sub)
+    sub, pos = _indexed(subset, x.n)
+    part = restrict_partition(rho.part, sub)
     ctop = frozenset(frozenset(pos[p] for p in u if p in pos) for u in rho.ctop)
     return TopoCongruence.from_opens(part, ctop)
 
@@ -244,7 +255,7 @@ def is_complete(g) -> bool:
 
 
 def induced_pairs(g, subset):
-    sub, pos = _positions(subset, g.n)
+    sub, pos = _indexed(subset, g.n)
     return graph(len(sub), g.policy, [(pos[a], pos[b]) for a, b in g.edges if a in pos and b in pos])
 
 
@@ -325,9 +336,9 @@ def quotient_gc_pairs(g, theta) -> tuple:
 
 
 def restrict_gc_pairs(g, theta, subset):
-    sub, pos = _positions(subset, g.n)
+    sub, pos = _indexed(subset, g.n)
     cedges = [(pos[a], pos[b]) for a, b in theta.cedges if a in pos and b in pos]
-    return GraphCongruence.from_pairs(theta.part.restrict(sub), cedges)
+    return GraphCongruence.from_pairs(restrict_partition(theta.part, sub), cedges)
 
 
 def quotient_cong_gc_pairs(g, t1, t2):

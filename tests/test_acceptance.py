@@ -106,7 +106,7 @@ def test_criterion_03_semisimple_traces():
         "h": {0, 1, 4, 5},          # B1 B2 B5 B6
     }
     with Budget(3, "semisimple-traces", 1.0):
-        uni_b = universe_from_members(KIND_GRAPH, B_SET)
+        uni_b = universe_from_members(B_SET)
         for cid in GRAPH_CATALOG_IDS:
             sigma = catalog_radical(KIND_GRAPH, cid)
             got = {B_SET.index(g) for g in semisimple_members(sigma, uni_b)}

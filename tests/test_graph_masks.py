@@ -12,7 +12,9 @@ from conrad.structures import (
     LOOPS,
     NOLOOPS,
     _nonempty_subsets,
+    _pair_at,
     _pair_slots,
+    _slot,
     all_partitions,
     carries_edges,
     enumerate_graphs,
@@ -70,6 +72,19 @@ def test_every_graph_is_its_edge_set():
                 assert carries_edges(h, g, perm) == oracles.carries_pairs(h, g, perm)
             checked += 1
     assert checked == 2 + 8 + 64 + 1 + 2 + 8 + 64
+
+
+def test_each_slot_decodes_to_its_pair():
+    # every pair of n <= 60 vertices, and seeded pairs of 4,000 with each
+    # sampled row's first and last pair, comes back from its slot
+    for n in range(1, 61):
+        for a, b in itertools.combinations_with_replacement(range(n), 2):
+            assert _pair_at(n, _slot(n, a, b)) == (a, b)
+    n, rng = 4000, random.Random(4000)
+    for _ in range(1000):
+        a, b = sorted(rng.randrange(n) for _ in range(2))
+        for pair in ((a, b), (a, a), (a, n - 1)):
+            assert _pair_at(n, _slot(n, *pair)) == pair
 
 
 def test_one_congruence_operations_match_the_pair_calculus():

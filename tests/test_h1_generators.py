@@ -58,9 +58,7 @@ def _perturbed(base, uni, rng):
     ops = KIND_OPS[uni.kind]
     chosen = rng.sample([x for x in uni if x.n >= 2], rng.choice((1, 2)))
     values = {x: ops.random_congruence(rng, x) for x in chosen}
-    return RadicalAssignment(
-        "perturbed", uni.kind, lambda x: values[x] if x in values else base(x)
-    )
+    return RadicalAssignment("perturbed", lambda x: values[x] if x in values else base(x))
 
 
 @pytest.mark.parametrize("kind, max_n", SIZES)
@@ -124,7 +122,7 @@ def test_a_universe_not_closed_under_the_steps_takes_the_full_scan(monkeypatch):
 
     monkeypatch.setattr(radical_engine, "h1_failures", counted)
     # the two-vertex graphs merge onto one-vertex graphs outside the list
-    uni_b = universe_from_members(KIND_GRAPH, B_SET)
+    uni_b = universe_from_members(B_SET)
     assert uni_b.elementary_maps is None
     sigma = catalog_radical(KIND_GRAPH, "c")
     assert h1_holds(sigma, uni_b) == (not scan(sigma, uni_b))
@@ -133,7 +131,7 @@ def test_a_universe_not_closed_under_the_steps_takes_the_full_scan(monkeypatch):
     full = build_universe(KIND_TOPO, 2)
     relabel = KIND_OPS[KIND_TOPO].relabel
     twin = next(t for t in (relabel(x, (1, 0)) for x in full if x.n == 2) if t not in full.members)
-    assert universe_from_members(KIND_TOPO, full.members + (twin,)).elementary_maps is None
+    assert universe_from_members(full.members + (twin,)).elementary_maps is None
     assert full.elementary_maps is not None
 
 
@@ -155,5 +153,5 @@ def test_h1_holds_reads_every_value_before_comparing():
         return KIND_OPS[KIND_LOOPLESS].identity(x)
 
     with pytest.raises(ConradError, match="last member"):
-        h1_holds(RadicalAssignment("raises-last", KIND_LOOPLESS, rule), uni)
+        h1_holds(RadicalAssignment("raises-last", rule), uni)
     assert read == list(uni.members)

@@ -11,6 +11,7 @@ from conrad import radical_engine, structures
 from conrad.errors import (
     BadCatalogId,
     BoundExceeded,
+    EmptyList,
     InvalidCongruence,
     KindMismatch,
     KindUnsupported,
@@ -248,7 +249,7 @@ def test_verify_h2_detects_broken_rule():
             return tc.strongify_tc(x, Partition((0, 0) + tuple(range(1, x.n - 1))))
         return tc.identity_tc(x)
 
-    sigma = RadicalAssignment("merge-first-two", KIND_TOPO, broken)
+    sigma = RadicalAssignment("merge-first-two", broken)
     chain3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
     assert not verify_H2(sigma, chain3)
 
@@ -263,9 +264,7 @@ def _universal_on_three(kind):
         KIND_LOOPLESS: lambda g: gc.GraphCongruence(Partition.identity(g.n), g.all_pairs),
     }[kind]
     identity = KIND_OPS[kind].identity
-    return RadicalAssignment(
-        "top-on-three", kind, lambda x: top(x) if x.n == 3 else identity(x)
-    )
+    return RadicalAssignment("top-on-three", lambda x: top(x) if x.n == 3 else identity(x))
 
 
 @pytest.mark.parametrize("kind, count, witness", [
@@ -446,7 +445,7 @@ def test_catalog_values_are_valid_congruences():
 
 
 def test_semisimple_traces_over_b_set():
-    uni_b = universe_from_members(KIND_GRAPH, B_SET)
+    uni_b = universe_from_members(B_SET)
     names = dict(zip(B_SET, ("B1", "B2", "B3", "B4", "B5", "B6")))
     expected = {
         "a": set(),
@@ -462,6 +461,28 @@ def test_semisimple_traces_over_b_set():
         sigma = catalog_radical(KIND_GRAPH, cid)
         got = {names[g] for g in semisimple_members(sigma, uni_b)}
         assert got == expected[cid], cid
+
+
+def test_universe_from_members_reads_the_kind_from_its_members():
+    # two loop-admitting graphs make a graph universe, so a loopless class is
+    # refused on it instead of answering on graphs with loops
+    pool = (graph(2, LOOPS, [(0, 1)]), graph(2, LOOPS, [(0, 0), (0, 1)]))
+    uni = universe_from_members(pool)
+    assert (uni.kind, uni.max_n, uni.members) == (KIND_GRAPH, 2, pool)
+    with pytest.raises(KindMismatch, match="'edgeless' is a loopless class, universe is graph"):
+        U_operator(builtin_class(KIND_LOOPLESS, "edgeless"), uni)
+
+
+@pytest.mark.parametrize("pool, error, message", [
+    ([S2, graph(2, LOOPS, [(0, 1)])], KindMismatch,
+     "a universe holds one kind, got graph and topo structures"),
+    ([graph(2, LOOPS, [(0, 1)]), path_graph(2)], KindMismatch,
+     "a universe holds one kind, got graph and loopless structures"),
+    ([], EmptyList, "a universe needs at least one member"),
+])
+def test_universe_from_members_refuses_a_pool_without_one_kind(pool, error, message):
+    with pytest.raises(error, match=message):
+        universe_from_members(pool)
 
 
 def test_catalog_classes_match_descriptions():
@@ -578,12 +599,8 @@ def test_strong_everywhere_witness_example():
     assert not ok and witness == (S2, catalog_topological(S2, "d"))
 
 
-def _topo_rule(name, rule):
-    return RadicalAssignment(name, KIND_TOPO, rule)
-
-
 # universal on carriers of at most two points, identity on three
-UNIVERSAL_BELOW_THREE = _topo_rule(
+UNIVERSAL_BELOW_THREE = RadicalAssignment(
     "universal-below-three", lambda x: tc.universal_tc(x) if x.n <= 2 else tc.identity_tc(x)
 )
 
@@ -602,7 +619,7 @@ def test_completeness_fails_with_a_strong_witness_above_the_radical():
 
 def test_idempotence_fails_on_a_block_outside_the_radical_class():
     # merging the first two points of every three-point carrier, identity elsewhere
-    sigma = _topo_rule("merge-on-three", lambda x: (
+    sigma = RadicalAssignment("merge-on-three", lambda x: (
         tc.strongify_tc(x, Partition((0, 0, 1))) if x.n == 3 else tc.identity_tc(x)
     ))
     ok, (x, block) = is_idempotent(sigma, UNI_TOPO)
@@ -961,7 +978,7 @@ def test_radical_assignment_computes_each_value_once():
         calls.append(x)
         return tc.identity_tc(x)
 
-    sigma = RadicalAssignment("counted", KIND_TOPO, rule)
+    sigma = RadicalAssignment("counted", rule)
     for x in UNI_TOPO.members + UNI_TOPO.members:
         assert sigma(x) == tc.identity_tc(x)
     assert calls == list(UNI_TOPO.members)
@@ -971,7 +988,7 @@ def test_semisimple_class_heredity_counts_one_point_parts():
     # identity on graphs with a loop, universal on the rest: T0 and B3 are
     # semisimple, but B3's unlooped point T is not, so the class is not hereditary
     sigma = RadicalAssignment(
-        "identity-if-looped", KIND_GRAPH,
+        "identity-if-looped",
         lambda g: gc.identity_gc(g) if g.loop_vertices else gc.universal_gc(g),
     )
     uni = build_universe(KIND_GRAPH, 2)

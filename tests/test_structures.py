@@ -68,7 +68,7 @@ from conrad.structures import (
 from conrad.structures import space as validate_space
 from conrad.topo_congruence import identity_tc, random_space, restrict_tc
 
-from oracles import closed_families, enumerate_graphs_scan, least_carrying_scan
+from oracles import closed_families, enumerate_graphs_scan, least_carrying_scan, restrict_partition
 
 
 # ---------------------------------------------------------------------------
@@ -151,21 +151,21 @@ def test_partition_ops():
     assert join_partitions([p, q]) == Partition.universal(4)
     assert Partition.identity(4).refines(p)
     assert not p.refines(q)
-    assert p.restrict([1, 2, 3]).blocks == ((0,), (1, 2))
+    assert restrict_partition(p, [1, 2, 3]).blocks == ((0,), (1, 2))
     with pytest.raises(EmptySubset):
-        p.restrict([])
+        restrict_partition(p, [])
 
 
 def test_one_subset_normaliser():
     # every restriction reads its subset as a set, and refuses an empty one and
     # ids outside the carrier with the same class and message
     ident = Partition.identity(3)
-    assert ident.restrict([0, 0]) == Partition.identity(1)
+    assert restrict_partition(ident, [0, 0]) == Partition.identity(1)
     assert induced(path_graph(3), [2, 0, 2]) == edgeless_graph(2)
     assert subspace(S2, [1, 1]) == T_SPACE
     g, x = graph(3, LOOPS, [(0, 1)]), space(3, [[], [0], [0, 1, 2]])
     restrictions = [
-        ident.restrict,
+        lambda sub: restrict_partition(ident, sub),
         lambda sub: induced(path_graph(3), sub),
         lambda sub: subspace(x, sub),
         lambda sub: restrict_tc(x, identity_tc(x), sub),

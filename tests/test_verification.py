@@ -21,7 +21,9 @@ from conrad.radical_engine import (
     KIND_OPS,
     KIND_TOPO,
     build_universe,
+    catalog_radical,
     surjective_morphisms,
+    verify_H1,
 )
 from conrad.structures import (
     B3,
@@ -114,6 +116,10 @@ def test_two_structures_of_different_kinds_are_refused(x, y, message):
         surjective_morphisms(x, y)
     with pytest.raises(KindMismatch, match=message):
         check_first_iso(x, y, (0, 1))
+    # a radical takes its kind from the structures, so the pair is refused
+    # before the radical is read
+    with pytest.raises(KindMismatch, match=message):
+        verify_H1(catalog_radical(KIND_TOPO, "a"), x, y, (0, 1))
 
 
 NO_FAILURES = {"first": 0, "second": 0, "third": 0}
