@@ -31,13 +31,11 @@ from .errors import (
     InvalidCongruence,
     NotHomomorphism,
     PolicyMismatch,
-    SemanticError,
     SubstitutionViolated,
 )
 from .structures import (
     FiniteGraph,
     LOOPS,
-    NOLOOPS,
     Partition,
     _carried,
     _mask_of,
@@ -125,39 +123,14 @@ def _out_of_range(g: FiniteGraph) -> EdgeSetOutOfRange:
     return EdgeSetOutOfRange(f"congruence edge-set must sit between E and {top}")
 
 
-def _closure_defect(g: FiniteGraph, part: Partition, cmask: int, pairs):
-    """The first of the pairs of cmask, in the order given, that joins
-    related vertices when g is loopless, else the first whose orbit escapes
-    cmask, as the error to raise; None when there is none.  Each pair of
-    blocks is tested once, however many of the pairs join them."""
-    if g.policy == NOLOOPS:
-        for a, b in pairs:
-            if part.same(a, b):
-                return IndependenceViolated(f"{a}-{b} joins related vertices")
-    cid, escapes = part.class_id, {}
-    for a, b in pairs:
-        key = (cid[a], cid[b])
-        if key not in escapes:
-            escapes[key] = bool(block_orbit(part, a, b) & ~cmask)
-        if escapes[key]:
-            return SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
-    return None
-
-
 def _validate(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
-    """The checks of `validate_gc` and `validate_lc` after the carrier's policy;
-    a refusal names the least pair it finds."""
+    """The checks of `validate_gc` and `validate_lc` after the carrier's policy:
+    the mask's pairs, sorted, pass a file's check, so a refusal names the least."""
     if theta.part.n != g.n:
         raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
-    try:  # the edge-set must be one of a graph on the carrier, and hold its edges
-        FiniteGraph(g.n, g.policy, theta.cmask)
-    except SemanticError:
-        raise _out_of_range(g) from None
-    if g.mask & ~theta.cmask:
+    if theta.cmask < 0 or theta.cmask >> _slot_count(g.n):
         raise _out_of_range(g)
-    defect = _closure_defect(g, theta.part, theta.cmask, _pairs(g.n, theta.cmask))
-    if defect:
-        raise defect
+    validate_pairs_gc(g, theta.part, _pairs(g.n, theta.cmask))
     return theta
 
 
@@ -167,12 +140,13 @@ def validate_gc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     return _validate(g, theta)
 
 
-def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs: frozenset) -> GraphCongruence:
+def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs) -> GraphCongruence:
     """The congruence with the given pairs on g, as read from a file, under
     either policy, after checking the pairs as given: each between E and the
     admissible pairs (before any is put in a slot, so no negative id is
     shifted), then, for a loopless g, none joining related vertices, then
-    every orbit inside.  A refusal names a pair in the family's own order."""
+    every orbit inside, each pair of blocks tested once.  A refusal names a
+    pair in the family's own order."""
     if part.n != g.n:
         raise InvalidCongruence(f"partition on {part.n} vertices, graph has {g.n}")
     loops = g.policy == LOOPS
@@ -181,9 +155,16 @@ def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs: frozenset) -> Grap
     theta = GraphCongruence.from_pairs(part, pairs)
     if g.mask & ~theta.cmask:
         raise _out_of_range(g)
-    defect = _closure_defect(g, part, theta.cmask, pairs)
-    if defect:
-        raise defect
+    if not loops:
+        for a, b in pairs:
+            if part.same(a, b):
+                raise IndependenceViolated(f"{a}-{b} joins related vertices")
+    cid, tested = part.class_id, set()
+    for a, b in pairs:
+        key = (cid[a], cid[b])
+        if key not in tested and block_orbit(part, a, b) & ~theta.cmask:
+            raise SubstitutionViolated(f"orbit of {a}-{b} escapes the edge-set")
+        tested.add(key)
     return theta
 
 

@@ -316,10 +316,12 @@ def _iso_index(kind: str, pool) -> Callable:
     """The pool member a structure is isomorphic to, with the least isomorphism
     onto it, or None.  The pool is bucketed by `iso_key`, so a structure is
     tested with `iso` only against the members sharing its key, and each
-    structure's answer is memoised."""
+    structure's answer is memoised.  A pool member of another kind is refused."""
     iso = KIND_OPS[kind].iso
     buckets: dict[tuple, list] = {}
     for m in pool:
+        if kind_of(m) != kind:
+            raise KindMismatch(f"a {kind} pool got a {kind_of(m)} structure")
         buckets.setdefault(m.iso_key(), []).append(m)
     answers: dict = {}
 
@@ -500,11 +502,20 @@ def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
 
 
 def catalog_radical(kind: str, cid: str) -> RadicalAssignment:
-    """Entry cid of the kind's catalog, looked up (and cid checked) when applied."""
-    return RadicalAssignment(
-        name=f"{kind}-catalog-{cid}",
-        rule=lambda structure: KIND_OPS[kind].catalog(structure, cid),
-    )
+    """Entry cid of the kind's catalog, for structures of that kind; cid is
+    checked when applied."""
+    if kind not in KIND_OPS:
+        raise KindMismatch(f"unknown kind {kind!r}")
+    catalog = KIND_OPS[kind].catalog
+    if catalog is None:
+        raise KindUnsupported(f"the {kind} kind has no catalog")
+
+    def rule(structure):
+        if kind_of(structure) != kind:
+            raise KindMismatch(f"the {kind} catalog got a {kind_of(structure)} structure")
+        return catalog(structure, cid)
+
+    return RadicalAssignment(f"{kind}-catalog-{cid}", rule)
 
 
 def in_radical_class(sigma: RadicalAssignment, structure) -> bool:
@@ -772,8 +783,8 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
     loopless blocks are independent sets, so that characterization has no
     loopless counterpart and the fixed point stands alone there.
     """
-    in_class = {x for x in uni.members if cls(x)}
     sc = class_from_members(uni.kind, f"S-{cls.name}", S_operator(cls, uni))
+    in_class = {x for x in uni.members if cls(x)}
     usc = U_operator(sc, uni)
     fixed_verdict = set(usc) == in_class
     if uni.kind == KIND_LOOPLESS:
@@ -799,8 +810,8 @@ def is_connectedness(cls: ClassPredicate, uni: Universe) -> bool:
 
 def is_disconnectedness(cls: ClassPredicate, uni: Universe) -> bool:
     """Fixed point SUD = D."""
-    in_class = {x for x in uni.members if cls(x)}
     ud = class_from_members(uni.kind, f"U-{cls.name}", U_operator(cls, uni))
+    in_class = {x for x in uni.members if cls(x)}
     return set(S_operator(ud, uni)) == in_class
 
 

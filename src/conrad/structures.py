@@ -453,8 +453,6 @@ def graph(n: int, policy: str, edges=()) -> FiniteGraph:
     id is refused rather than shifted."""
     if n < 1:
         raise SemanticError("graphs have non-empty vertex sets")
-    if policy not in (LOOPS, NOLOOPS):
-        raise SemanticError(f"unknown loop policy {policy!r}")
     pairs = frozenset(_norm_pair(a, b) for a, b in edges)
     for a, b in pairs:
         if not (0 <= a <= b < n):

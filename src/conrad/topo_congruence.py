@@ -124,18 +124,13 @@ def saturated_least(x: FiniteSpace, part: Partition) -> tuple[int, ...]:
 
 
 def validate_tc(x: FiniteSpace, rho: TopoCongruence) -> TopoCongruence:
-    """Check the three congruence conditions against the carrier space."""
+    """Check the congruence conditions against the carrier space: a preorder
+    whose family of opens passes a file's check, `validate_opens_tc`."""
     if rho.part.n != x.n:
         raise InvalidCongruence(f"partition on {rho.part.n} points, space has {x.n}")
     if _preorder_defect(x.n, rho.least):
         raise NotATopology("congruence topology is not a topology")
-    for u, m in zip(x.min_opens, rho.least):
-        if u & ~m:
-            raise NotSubTopology(f"{sorted(_members(m))} is not open in the carrier")
-    blocks = _block_masks(rho.part)
-    for m in rho.least:
-        if not _saturated(blocks, m):
-            raise NotSaturated(f"open {sorted(_members(m))} is not a union of blocks")
+    validate_opens_tc(x, rho.part, rho.ctop)
     return rho
 
 

@@ -44,6 +44,7 @@ from conrad.radical_engine import (
     class_predicate,
     complementary_pair_check,
     h1_failures,
+    h1_holds,
     h2_failures,
     hereditary_torsion_theory,
     hoehnke_radical,
@@ -787,12 +788,35 @@ _ENGINE_REFUSALS = [
      "no C-congruence on the structure for 'trivial-looped'"),
     (lambda: subdirect_closure(_GRAPH_ALL, UNI_TOPO), KindMismatch,
      "'all' does not match the universe kind"),
+    # a catalog value, a member pool and a class are each of one kind
+    (lambda: catalog_radical("nope", "a"), KindMismatch, "unknown kind 'nope'"),
+    (lambda: catalog_radical(KIND_LOOPLESS, "a"), KindUnsupported, "the loopless kind has no catalog"),
+    (lambda: catalog_radical(KIND_TOPO, "a")(B2), KindMismatch, "the topo catalog got a graph structure"),
+    (lambda: catalog_radical(KIND_TOPO, "a")(path_graph(2)), KindMismatch,
+     "the topo catalog got a loopless structure"),
+    (lambda: catalog_radical(KIND_GRAPH, "a")(S2), KindMismatch, "the graph catalog got a topo structure"),
+    (lambda: catalog_radical(KIND_GRAPH, "a")(path_graph(2)), KindMismatch,
+     "the graph catalog got a loopless structure"),
+    (lambda: h1_holds(catalog_radical(KIND_GRAPH, "a"), build_universe(KIND_TOPO, 2)), KindMismatch,
+     "the graph catalog got a topo structure"),
+    (lambda: ka_triple(catalog_radical(KIND_TOPO, "b"), build_universe(KIND_GRAPH, 2)), KindMismatch,
+     "the topo catalog got a graph structure"),
+    (lambda: class_from_members(KIND_LOOPLESS, "x", [graph(2, LOOPS, [(0, 1)])]), KindMismatch,
+     "a loopless pool got a graph structure"),
+    (lambda: is_connectedness(builtin_class(KIND_TOPO, "t0"), build_universe(KIND_GRAPH, 2)),
+     KindMismatch, "'t0' is a topo class, universe is graph"),
+    (lambda: is_disconnectedness(builtin_class(KIND_TOPO, "t0"), build_universe(KIND_GRAPH, 2)),
+     KindMismatch, "'t0' is a topo class, universe is graph"),
 ]
 
 
 @pytest.mark.parametrize("call, error, message", _ENGINE_REFUSALS, ids=[
     "kind_of", "class_predicate", "U_operator", "S_operator", "c_congruence_p",
     "rho_sum-kind", "rho_sum-no-c-congruence", "subdirect_closure",
+    "catalog_radical-unknown-kind", "catalog_radical-no-catalog", "catalog_radical-topo-on-graph",
+    "catalog_radical-topo-on-loopless", "catalog_radical-graph-on-topo",
+    "catalog_radical-graph-on-loopless", "h1_holds-kind", "ka_triple-kind",
+    "class_from_members-pool-kind", "is_connectedness-kind", "is_disconnectedness-kind",
 ])
 def test_engine_refusals(call, error, message):
     with pytest.raises(error) as err:

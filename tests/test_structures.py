@@ -196,6 +196,8 @@ def test_graph_invariants():
         graph(2, LOOPS, [(0, 5)])
     with pytest.raises(SemanticError, match="unknown loop policy 'weird'"):
         FiniteGraph(2, "weird", 0)
+    with pytest.raises(SemanticError, match="unknown loop policy 'weird'"):
+        graph(2, "weird")
     assert B4.loop_vertices == frozenset({0, 1})
     assert B6.is_complete()
     assert not B5.is_complete()
