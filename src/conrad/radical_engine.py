@@ -100,6 +100,8 @@ def catalog_topological(x: FiniteSpace, cid: str) -> tc.TopoCongruence:
     indiscrete congruence topology is the only non-strong assignment that
     stays hereditary; (e) is kept as its own id for reporting.
     """
+    if kind_of(x) != KIND_TOPO:
+        raise KindMismatch(f"the topo catalog got a {kind_of(x)} structure")
     if cid == "a":
         return tc.universal_tc(x)
     if cid == "b":
@@ -118,8 +120,8 @@ def _loop_block_partition(g: FiniteGraph) -> Partition:
 
 
 def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
-    if g.policy != LOOPS:
-        raise KindMismatch("the graph catalog lives in the loop-admitting kind")
+    if kind_of(g) != KIND_GRAPH:
+        raise KindMismatch(f"the graph catalog got a {kind_of(g)} structure")
     if g.n * (g.n + 1) // 2 > CONGRUENCE_SCAN_BOUND:  # the admissible pairs, before any is built
         raise BoundExceeded(f"graph catalog capped at {CONGRUENCE_SCAN_BOUND} vertex pairs")
     loops = g.loop_vertices
@@ -502,20 +504,14 @@ def radical_from_class(cls: ClassPredicate) -> RadicalAssignment:
 
 
 def catalog_radical(kind: str, cid: str) -> RadicalAssignment:
-    """Entry cid of the kind's catalog, for structures of that kind; cid is
-    checked when applied."""
+    """Entry cid of the kind's catalog; the catalog checks the structure's
+    kind and cid when applied."""
     if kind not in KIND_OPS:
         raise KindMismatch(f"unknown kind {kind!r}")
     catalog = KIND_OPS[kind].catalog
     if catalog is None:
         raise KindUnsupported(f"the {kind} kind has no catalog")
-
-    def rule(structure):
-        if kind_of(structure) != kind:
-            raise KindMismatch(f"the {kind} catalog got a {kind_of(structure)} structure")
-        return catalog(structure, cid)
-
-    return RadicalAssignment(f"{kind}-catalog-{cid}", rule)
+    return RadicalAssignment(f"{kind}-catalog-{cid}", lambda structure: catalog(structure, cid))
 
 
 def in_radical_class(sigma: RadicalAssignment, structure) -> bool:

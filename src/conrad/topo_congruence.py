@@ -123,14 +123,30 @@ def saturated_least(x: FiniteSpace, part: Partition) -> tuple[int, ...]:
     return _transitive(u | blocks[b] for u, b in zip(x.min_opens, part.class_id))
 
 
+def _check_members(x: FiniteSpace, part: Partition, members) -> None:
+    """Refuse the first of the point sets, in the order given, that is not
+    open in x (a stray id included), then the first that is not a union of
+    blocks: the sub-topology and saturation conditions, each set tested
+    against x's least open sets of its own points."""
+    full = x.full
+    for u in members:
+        if not (u <= full and _union_of(x.min_opens, m := _bitmask(u)) == m):
+            raise NotSubTopology(f"{sorted(u)} is not open in the carrier")
+    blocks = _block_masks(part)
+    for u in members:
+        if not _saturated(blocks, _bitmask(u)):
+            raise NotSaturated(f"open {sorted(u)} is not a union of blocks")
+
+
 def validate_tc(x: FiniteSpace, rho: TopoCongruence) -> TopoCongruence:
-    """Check the congruence conditions against the carrier space: a preorder
-    whose family of opens passes a file's check, `validate_opens_tc`."""
+    """Check the congruence conditions against the carrier space: a preorder,
+    whose least open sets pass the checks a file's family gets.  Every open
+    is a union of these, so they stand for the whole congruence topology."""
     if rho.part.n != x.n:
         raise InvalidCongruence(f"partition on {rho.part.n} points, space has {x.n}")
     if _preorder_defect(x.n, rho.least):
         raise NotATopology("congruence topology is not a topology")
-    validate_opens_tc(x, rho.part, rho.ctop)
+    _check_members(x, rho.part, list(map(_members, rho.least)))
     return rho
 
 
@@ -142,13 +158,7 @@ def validate_opens_tc(x: FiniteSpace, part: Partition, opens: frozenset) -> Topo
         raise InvalidCongruence(f"partition on {part.n} points, space has {x.n}")
     if _topology_defect(x.n, opens):
         raise NotATopology("congruence topology is not a topology")
-    if not opens <= x.opens:
-        extra = next(iter(opens - x.opens))
-        raise NotSubTopology(f"{sorted(extra)} is not open in the carrier")
-    blocks = _block_masks(part)
-    for u in opens:
-        if not _saturated(blocks, _bitmask(u)):
-            raise NotSaturated(f"open {sorted(u)} is not a union of blocks")
+    _check_members(x, part, opens)
     return TopoCongruence.from_opens(part, opens)
 
 

@@ -3,13 +3,15 @@ family-of-opens references in `oracles`."""
 
 import itertools
 import random
+import time
 
 from conrad import topo_congruence as tc
-from conrad.errors import ConradError, NotATopology
+from conrad.errors import ConradError, NotATopology, NotSaturated
 from conrad.radical_engine import surjective_morphisms
 from conrad.structures import (
     _bitmask,
     _nonempty_subsets,
+    FiniteSpace,
     _topology_defect,
     all_partitions,
     enumerate_spaces,
@@ -129,6 +131,18 @@ def test_validation_on_vectors_matches_validation_on_families():
     for least in [(0b110, 0b010, 0b100), (0b011, 0b110, 0b100), (0b1001, 0b010, 0b100), (0b001, 0b010)]:
         rho = tc.TopoCongruence(identity, least)
         assert _refusal(tc.validate_tc, discrete, rho) is NotATopology, least
+
+
+def test_validation_on_vectors_builds_no_family_of_opens():
+    # the discrete 20-point space has 2**20 opens; a vector is checked on its
+    # 20 least open sets, so neither space nor congruence lists its opens
+    x = FiniteSpace(20, tuple(1 << p for p in range(20)))
+    rho = tc.identity_tc(x)
+    start = time.perf_counter()
+    assert tc.validate_tc(x, rho) is rho
+    assert _refusal(tc.validate_tc, x, tc.TopoCongruence(tc.universal_tc(x).part, x.min_opens)) is NotSaturated
+    assert time.perf_counter() - start < 1.0
+    assert not {"opens", "_open_masks"} & set(vars(x)) and not {"ctop", "open_masks"} & set(vars(rho))
 
 
 def test_random_draws_match_the_family_calculus():
