@@ -44,8 +44,7 @@ from .structures import (
     _refines,
     _slot_count,
     _slot_images,
-    _subset_slots,
-    _union_of,
+    _subset_image,
     bounded_partitions,
     count_scanned,
     join_partitions,
@@ -174,6 +173,8 @@ def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs) -> GraphCongruence
 
 def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     """The fibres of f with the pairs f sends onto edges of h, which must hold g's."""
+    if len(f) != g.n:
+        raise NotHomomorphism(f"the map has {len(f)} images for {g.n} vertices")
     images = _slot_images(g.n, tuple(f), h.n)
     cmask = sum(1 << s for s in range(_slot_count(g.n)) if images[s] & h.mask)
     if g.mask & ~cmask:
@@ -196,7 +197,7 @@ def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tu
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
     sub = _positions(subset, g.n)
     cid = theta.part.class_id
-    cmask = _union_of(_subset_slots(g.n, tuple(sub)), theta.cmask)
+    cmask = _carried(g.n, theta.cmask, _subset_image(g.n, sub), len(sub))
     return GraphCongruence(Partition([cid[p] for p in sub]), cmask)
 
 
@@ -236,16 +237,12 @@ def join_gc(g: FiniteGraph, thetas: list[GraphCongruence]) -> GraphCongruence:
 # ---------------------------------------------------------------------------
 
 def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -> GraphCongruence:
-    """Push theta forward: (theta + ker f)/ker f carried to h along the fibres."""
+    """Push theta forward: theta + ker f carried to h along the fibres, which
+    it does not split."""
     require_surjective(f, h.n)
-    alpha = kernel_gc(g, h, f)
-    total = join_gc(g, [theta, alpha])
-    qc = quotient_cong_gc(g, alpha, total)
-    to_h = [f[b[0]] for b in alpha.part.blocks]
-    raw = [0] * h.n
-    for b, cls in enumerate(qc.part.class_id):
-        raw[to_h[b]] = cls
-    return GraphCongruence(Partition(raw), _carried(len(to_h), qc.cmask, to_h, h.n))
+    total = join_gc(g, [theta, kernel_gc(g, h, f)])
+    label = dict(zip(f, total.part.class_id))
+    return GraphCongruence(Partition([label[v] for v in range(h.n)]), _carried(g.n, total.cmask, f, h.n))
 
 
 def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,

@@ -47,11 +47,11 @@ def _env_bound(default: int) -> int:
         raise UsageError(f"CONRAD_MAX_N must be an integer, got {raw!r}") from None
 
 
-def _positions(subset, n: int) -> list[int]:
+def _positions(subset, n: int) -> tuple[int, ...]:
     """sorted(set(subset)), the points of a substructure of an n-point
     carrier in the order they are relabelled; refuses an empty subset and ids
     outside 0..n-1."""
-    sub = sorted(set(subset))
+    sub = tuple(sorted(set(subset)))
     if not sub:
         raise EmptySubset("restriction to the empty set")
     if sub[0] < 0 or sub[-1] >= n:
@@ -91,15 +91,18 @@ class Partition:
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
-        cid, count = [-1] * n, 0
-        for count, block in enumerate(blocks, 1):
+        """The partition with the given blocks.  They are counted before the n
+        labels are allocated: nonempty blocks holding n points between them
+        partition 0..n-1 when no point is out of range or listed twice."""
+        blocks = list(blocks)
+        if not all(blocks) or sum(map(len, blocks)) != n:
+            raise SemanticError(f"blocks do not partition 0..{n - 1}")
+        cid = [-1] * n
+        for count, block in enumerate(blocks):
             for x in block:
                 if not 0 <= x < n or cid[x] != -1:
                     raise SemanticError(f"blocks do not partition 0..{n - 1}")
                 cid[x] = count
-        # a point left out, or an empty block
-        if -1 in cid or len(set(cid)) != count:
-            raise SemanticError(f"blocks do not partition 0..{n - 1}")
         return Partition(cid)
 
     # one shared object per size: partitions are immutable, and these are built often
@@ -493,19 +496,19 @@ def _carried(n: int, mask: int, image, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def _subset_slots(n: int, sub: tuple[int, ...]) -> _Lazy:
-    """`_slot_images` of the map sending the sorted vertices sub to
-    0..len(sub)-1 and dropping the others."""
+def _subset_image(n: int, sub: tuple[int, ...]) -> tuple:
+    """The map of n points sending the sorted points sub to 0..len(sub)-1
+    and dropping the others (image None)."""
     image = [None] * n
     for i, v in enumerate(sub):
         image[v] = i
-    return _slot_images(n, tuple(image), len(sub))
+    return tuple(image)
 
 
 def induced(g: FiniteGraph, subset) -> FiniteGraph:
     """Induced subgraph on sorted(subset), relabelled to 0..|S|-1."""
     sub = _positions(subset, g.n)
-    return FiniteGraph(len(sub), g.policy, _union_of(_subset_slots(g.n, tuple(sub)), g.mask))
+    return FiniteGraph(len(sub), g.policy, _carried(g.n, g.mask, _subset_image(g.n, sub), len(sub)))
 
 
 def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
@@ -654,16 +657,16 @@ def _transitive(reach) -> tuple[int, ...]:
     return tuple(least)
 
 
-def _restricted(least, sub) -> tuple[int, ...]:
-    """A least-open vector on the sorted points sub, relabelled to
-    0..len(sub)-1: each point's least open set cut down to sub."""
-    return tuple(_bitmask(i for i, q in enumerate(sub) if least[p] >> q & 1) for p in sub)
-
-
-def _relabelled(least: tuple[int, ...], perm) -> tuple[int, ...]:
-    """A least-open vector carried along the bijection perm."""
-    points = sorted(range(len(least)), key=perm.__getitem__)
-    return tuple(_bitmask(perm[q] for q in points if least[p] >> q & 1) for p in points)
+def _carried_least(least, image, m: int) -> tuple[int, ...]:
+    """A least-open vector carried along a map `image` of its points into m
+    points: each new point's least open set is the image of the least open
+    set of the first point sent to it; a point whose image is None is dropped."""
+    to = [0 if v is None else 1 << v for v in image]
+    out = [None] * m
+    for u, v in zip(least, image):
+        if v is not None and out[v] is None:
+            out[v] = _union_of(to, u)
+    return tuple(out)
 
 
 def _topology_defect(n: int, family: frozenset) -> SemanticError | None:
@@ -671,10 +674,12 @@ def _topology_defect(n: int, family: frozenset) -> SemanticError | None:
     as the error to raise, or None when it is: the empty or full set
     missing, then the first ordered pair whose union or intersection is
     missing.  Each id in the family gets one bit, so ids outside 0..n-1
-    (which a congruence file may hold until its carrier check) cost nothing."""
-    if frozenset() not in family or frozenset(range(n)) not in family:
+    (which a congruence file may hold until its carrier check) cost nothing,
+    and the full set is missing, unbuilt, while fewer than n ids are listed."""
+    ids = frozenset().union(*family)
+    if frozenset() not in family or len(ids) < n or frozenset(range(n)) not in family:
         return MissingEmptyOrFull("a topology contains the empty and full sets")
-    index = {p: i for i, p in enumerate(frozenset().union(*family))}
+    index = {p: i for i, p in enumerate(ids)}
     masked = {_bitmask(index[p] for p in u): u for u in family}
     for a in masked:
         for b in masked:
@@ -691,9 +696,8 @@ def space(n: int, opens) -> FiniteSpace:
     if n < 1:
         raise SemanticError("spaces have non-empty point sets")
     family = frozenset(frozenset(u) for u in opens)
-    full = frozenset(range(n))
     for u in family:
-        if not u <= full:
+        if not all(0 <= p < n for p in u):
             raise SemanticError(f"open set {sorted(u)} out of range")
     defect = _topology_defect(n, family)
     if defect:
@@ -722,11 +726,11 @@ def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     """Relative topology on sorted(set(subset)), relabelled to 0..|S|-1: each
     point's least open set is its old one cut down to the subset."""
     sub = _positions(subset, x.n)
-    return FiniteSpace(len(sub), _restricted(x.min_opens, sub))
+    return FiniteSpace(len(sub), _carried_least(x.min_opens, _subset_image(x.n, sub), len(sub)))
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
-    return FiniteSpace(x.n, _relabelled(x.min_opens, perm))
+    return FiniteSpace(x.n, _carried_least(x.min_opens, perm, x.n))
 
 
 T_SPACE = space(1, [[], [0]])
@@ -747,7 +751,7 @@ def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
 def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
     """Whether the bijection perm sends the opens of x exactly onto those of y,
     that is, each point's least open set onto its image's."""
-    return _relabelled(x.min_opens, perm) == y.min_opens
+    return _carried_least(x.min_opens, perm, y.n) == y.min_opens
 
 
 def _key_respecting(xkeys, ykeys):

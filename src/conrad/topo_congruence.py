@@ -35,13 +35,14 @@ from .structures import (
     FiniteSpace,
     Partition,
     _bitmask,
+    _carried_least,
     _least_opens,
     _members,
     _positions,
     _preorder_defect,
     _preorders,
     _refines,
-    _restricted,
+    _subset_image,
     _topology_defect,
     _transitive,
     _union_of,
@@ -183,6 +184,8 @@ def _pullback(least, f) -> tuple[int, ...]:
 
 def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     """Fibre partition plus the pulled-back topology, which must lie in x's."""
+    if len(f) != x.n:
+        raise NotContinuous(f"the map has {len(f)} images for {x.n} points")
     least = _pullback(y.min_opens, f)
     if not _within(x.min_opens, least):
         raise NotContinuous("preimage of an open set is not open")
@@ -196,25 +199,22 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
     """Weak quotient space (points = blocks) and the canonical projection:
     each block's least open set is its points' carried to the blocks."""
-    proj = rho.part.class_id
-    to = [1 << b for b in proj]
-    least = tuple(_union_of(to, rho.least[block[0]]) for block in rho.part.blocks)
-    return FiniteSpace(rho.part.num_blocks, least), proj
+    proj, m = rho.part.class_id, rho.part.num_blocks
+    return FiniteSpace(m, _carried_least(rho.least, proj, m)), proj
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     """Congruence induced on the subspace of sorted(subset)."""
     sub = _positions(subset, x.n)
     cid = rho.part.class_id
-    return TopoCongruence(Partition([cid[p] for p in sub]), _restricted(rho.least, sub))
+    return TopoCongruence(Partition([cid[p] for p in sub]),
+                          _carried_least(rho.least, _subset_image(x.n, sub), len(sub)))
 
 
 def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence) -> TopoCongruence:
     """The congruence beta/alpha on the weak quotient by alpha, for alpha <= beta."""
-    to = [1 << b for b in alpha.part.class_id]
-    reps = [block[0] for block in alpha.part.blocks]
-    part = Partition([beta.part.class_id[p] for p in reps])
-    return TopoCongruence(part, tuple(_union_of(to, beta.least[p]) for p in reps))
+    part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
+    return TopoCongruence(part, _carried_least(beta.least, alpha.part.class_id, alpha.part.num_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +250,8 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> T
     does not split."""
     require_surjective(f, y.n)
     total = join_tc(x, [rho, kernel_tc(x, y, f)])
-    to = [1 << v for v in f]
-    raw, least = [0] * y.n, [0] * y.n
-    for p, v in enumerate(f):
-        raw[v] = total.part.class_id[p]
-        least[v] = _union_of(to, total.least[p])
-    return TopoCongruence(Partition(raw), tuple(least))
+    label = dict(zip(f, total.part.class_id))
+    return TopoCongruence(Partition([label[v] for v in range(y.n)]), _carried_least(total.least, f, y.n))
 
 
 def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,

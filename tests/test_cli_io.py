@@ -1,6 +1,7 @@
 """Parsing, serialization, round trips, and the command line surface."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -448,6 +449,31 @@ def test_cli_refuses_a_huge_carrier_at_once(tmp_path, capsys, command):
     assert status == 2
     assert captured.err == "error: congruence enumeration capped at 100000 candidates\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("command, files, message", [
+    (["radical", "--class", "t0", "{x}"], {"x": "space 2000000\nopen -\n"},
+     "a topology contains the empty and full sets"),
+    (["quotient", "--graph", "{x}", "--cong", "{c}"], {"x": "graph 20000000 loops\n", "c": "gcong\nblock 0\n"},
+     "blocks do not partition 0..19999999"),
+], ids=["space", "quotient"])
+def test_cli_refuses_a_huge_declared_size_at_once(tmp_path, capsys, command, files, message):
+    # the listed ids are counted against the header's size before anything of that size is built
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [arg.format(x=tmp_path / "x", c=tmp_path / "c") for arg in command]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        status = run_command(args)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert elapsed < 1.0
+    assert peak < 2 ** 20
 
 
 def test_cli_sierpinski_search_is_bounded(tmp_path, capsys):

@@ -31,6 +31,7 @@ from conrad.graph_congruence import (
     strongify_gc,
     universal_gc,
     validate_gc,
+    validate_pairs_gc,
 )
 from conrad.loopless_congruence import enumerate_congruences_lc
 from conrad.radical_engine import (
@@ -84,6 +85,13 @@ def test_validate_examples():
     assert validate_gc(B6, identity_gc(B6))
     with pytest.raises(EdgeSetOutOfRange):
         validate_gc(B4, GraphCongruence.from_pairs(id2(), {(0, 0)}))
+    # a mask past the three slots of two vertices, or a negative one
+    for cmask in (B4.mask | 1 << 3, -1):
+        with pytest.raises(EdgeSetOutOfRange):
+            validate_gc(B4, GraphCongruence(id2(), cmask))
+    with pytest.raises(InvalidCongruence) as err:
+        validate_pairs_gc(B2, Partition.identity(3), [])
+    assert err.type is InvalidCongruence and str(err.value) == "partition on 3 vertices, graph has 2"
 
 
 @pytest.mark.parametrize("carrier, theta, message", [

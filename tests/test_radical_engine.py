@@ -88,6 +88,7 @@ from conrad.structures import (
     T_SPACE,
     _nonempty_subsets,
     complete_graph,
+    discrete_space,
     edgeless_graph,
     graph,
     homeo_spaces,
@@ -97,6 +98,7 @@ from conrad.structures import (
     space,
     subspace,
 )
+from conrad.verification import check_first_iso
 
 import oracles
 
@@ -367,6 +369,24 @@ def test_verify_h1_rejects_maps_that_are_not_surjective_morphisms():
             verify_H1(sigma, x, y, (0, 0))
         with pytest.raises(error):
             verify_H1(sigma, x, y, bad_map)
+    # a surjective map listing more or fewer images than x has points is
+    # refused by the kernel, which names both counts
+    loops3, loops2 = graph(3, LOOPS, [(0, 0), (1, 1), (2, 2)]), graph(2, LOOPS, [(0, 0), (1, 1)])
+    lengths = (
+        (catalog_radical(KIND_GRAPH, "a"), loops3, loops2, NotHomomorphism, "vertices"),
+        (catalog_radical(KIND_TOPO, "a"), discrete_space(3), D2, NotContinuous, "points"),
+        (radical_from_class(builtin_class(KIND_LOOPLESS, "all")),
+         edgeless_graph(3), edgeless_graph(2), NotHomomorphism, "vertices"),
+    )
+    for sigma, x, y, error, unit in lengths:
+        for f in ((0, 1, 1, 0), (0, 1)):
+            with pytest.raises(error) as err:
+                verify_H1(sigma, x, y, f)
+            assert str(err.value) == f"the map has {len(f)} images for 3 {unit}"
+    with pytest.raises(NotContinuous, match="the map has 4 images for 3 points"):
+        check_first_iso(discrete_space(3), D2, (0, 1, 1, 0))
+    with pytest.raises(NotContinuous, match="the map has 4 images for 3 points"):
+        tc.kernel_tc(discrete_space(3), D2, (0, 1, 1, 0))
 
 
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])

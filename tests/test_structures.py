@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -180,6 +181,21 @@ def test_one_subset_normaliser():
     assert restrict_tc(x, identity_tc(x), [2, 0, 2]) == identity_tc(subspace(x, [0, 2]))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: space(10 ** 6, [[]]), MissingEmptyOrFull, "a topology contains the empty and full sets"),
+    (lambda: Partition.from_blocks(10 ** 7, [[0]]), SemanticError, "blocks do not partition 0..9999999"),
+], ids=["space", "from_blocks"])
+def test_a_huge_declared_size_is_refused_before_it_is_allocated(build, error, message):
+    # fewer listed ids than the declared size: refused with under 1 MiB allocated
+    tracemalloc.start()
+    try:
+        assert _outcome(build) == (error, message)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_partition_count():
     # Bell numbers
     bell = [1, 2, 5, 15, 52, 203, 877, 4140]
@@ -198,6 +214,14 @@ def test_graph_invariants():
         FiniteGraph(2, "weird", 0)
     with pytest.raises(SemanticError, match="unknown loop policy 'weird'"):
         graph(2, "weird")
+    # the constructor's own refusals of a mask: 2 vertices have slots 0..2
+    with pytest.raises(SemanticError, match="graphs have non-empty vertex sets"):
+        FiniteGraph(0, LOOPS, 0)
+    for mask in (1 << 3, -1):
+        with pytest.raises(SemanticError, match="edge mask out of range"):
+            FiniteGraph(2, LOOPS, mask)
+    with pytest.raises(SemanticError, match="loop under noloops policy"):
+        FiniteGraph(2, NOLOOPS, 1)
     assert B4.loop_vertices == frozenset({0, 1})
     assert B6.is_complete()
     assert not B5.is_complete()

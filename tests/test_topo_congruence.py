@@ -49,6 +49,7 @@ from conrad.topo_congruence import (
     sierpinski_candidates,
     sierpinski_decomposition,
     strongify_tc,
+    validate_opens_tc,
     validate_tc,
 )
 from conrad.verification import check_third_iso
@@ -93,6 +94,10 @@ def test_validate_not_subtopology():
 def test_validate_refuses_a_partition_of_another_size():
     with pytest.raises(InvalidCongruence) as err:
         validate_tc(S2, TopoCongruence.from_opens(Partition.identity(3), S2.opens))
+    assert err.type is InvalidCongruence and str(err.value) == "partition on 3 points, space has 2"
+    # the file check refuses it too, before it reads the family
+    with pytest.raises(InvalidCongruence) as err:
+        validate_opens_tc(S2, Partition.identity(3), S2.opens)
     assert err.type is InvalidCongruence and str(err.value) == "partition on 3 points, space has 2"
 
 
