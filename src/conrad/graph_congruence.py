@@ -175,6 +175,8 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     """The fibres of f with the pairs f sends onto edges of h, which must hold g's."""
     if len(f) != g.n:
         raise NotHomomorphism(f"the map has {len(f)} images for {g.n} vertices")
+    if min(f) < 0 or max(f) >= h.n:
+        raise NotHomomorphism(f"the map's images must lie in 0..{h.n - 1}")
     images = _slot_images(g.n, tuple(f), h.n)
     cmask = sum(1 << s for s in range(_slot_count(g.n)) if images[s] & h.mask)
     if g.mask & ~cmask:
@@ -186,12 +188,15 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
+def quotient_along_gc(g: FiniteGraph, theta: GraphCongruence, image, m: int) -> FiniteGraph:
+    """theta's edge-set carried onto m vertices along a map of g's (None drops a vertex)."""
+    return FiniteGraph(m, g.policy, _carried(g.n, theta.cmask, image, m))
+
+
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    """Quotient graph under the carrier's loop policy, and the projection:
-    each pair of the edge-set carried, bit by bit, to its blocks' slot."""
+    """Quotient graph under the carrier's loop policy, and the projection."""
     part = theta.part
-    edges = _carried(g.n, theta.cmask, part.class_id, part.num_blocks)
-    return FiniteGraph(part.num_blocks, g.policy, edges), part.class_id
+    return quotient_along_gc(g, theta, part.class_id, part.num_blocks), part.class_id
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:

@@ -154,6 +154,7 @@ class _KindOps:
     iter_congruences: Callable
     validate: Callable
     quotient: Callable
+    quotient_along: Callable
     kernel: Callable
     quotient_cong: Callable
     meet: Callable
@@ -208,6 +209,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=tc.iter_congruences_tc,
         validate=tc.validate_tc,
         quotient=tc.quotient_tc,
+        quotient_along=tc.quotient_along_tc,
         kernel=tc.kernel_tc,
         quotient_cong=tc.quotient_cong_tc,
         meet=tc.meet_tc,
@@ -235,6 +237,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=gc.iter_congruences_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
+        quotient_along=gc.quotient_along_gc,
         kernel=gc.kernel_gc,
         quotient_cong=gc.quotient_cong_gc,
         meet=gc.meet_gc,
@@ -583,12 +586,17 @@ def surjective_morphisms(x, y) -> list[tuple]:
     return out
 
 
+def _checked_kernel(x, y, f) -> tuple:
+    """The kind's ops and the kernel of a caller's map, checked to be a surjective morphism."""
+    ops = KIND_OPS[_morphism_kind(x, y)]
+    require_surjective(f, y.n)
+    return ops, ops.kernel(x, y, f)
+
+
 def verify_H1(sigma: RadicalAssignment, x, y, f) -> bool:
     """H1 for one map between structures of one kind, checked to be a surjective
     morphism first: the kind's kernel refuses a map that is not a morphism."""
-    ops = KIND_OPS[_morphism_kind(x, y)]
-    require_surjective(f, y.n)
-    ops.kernel(x, y, f)
+    ops, _ = _checked_kernel(x, y, f)
     return ops.image_le(x, y, f, sigma(x), sigma(y))
 
 

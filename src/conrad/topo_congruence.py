@@ -186,6 +186,8 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
     """Fibre partition plus the pulled-back topology, which must lie in x's."""
     if len(f) != x.n:
         raise NotContinuous(f"the map has {len(f)} images for {x.n} points")
+    if min(f) < 0 or max(f) >= y.n:
+        raise NotContinuous(f"the map's images must lie in 0..{y.n - 1}")
     least = _pullback(y.min_opens, f)
     if not _within(x.min_opens, least):
         raise NotContinuous("preimage of an open set is not open")
@@ -196,11 +198,14 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
+def quotient_along_tc(x: FiniteSpace, rho: TopoCongruence, image, m: int) -> FiniteSpace:
+    """rho's topology carried onto m points along a map of x's (None drops a point)."""
+    return FiniteSpace(m, _carried_least(rho.least, image, m))
+
+
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
-    """Weak quotient space (points = blocks) and the canonical projection:
-    each block's least open set is its points' carried to the blocks."""
-    proj, m = rho.part.class_id, rho.part.num_blocks
-    return FiniteSpace(m, _carried_least(rho.least, proj, m)), proj
+    """Weak quotient space (points = blocks) and the canonical projection."""
+    return quotient_along_tc(x, rho, rho.part.class_id, rho.part.num_blocks), rho.part.class_id
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:

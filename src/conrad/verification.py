@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 
 from .errors import BoundExceeded, NotContained
-from .radical_engine import KIND_OPS, _morphism_kind, build_universe, kind_of, surjective_morphisms
-from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _refines
+from .radical_engine import KIND_OPS, _checked_kernel, build_universe, kind_of, surjective_morphisms
+from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _positions, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -53,46 +53,30 @@ def random_above(rng: random.Random, structure, alpha):
 # Each theorem names its isomorphism, and an instance holds when that map is
 # one: no other map is searched for.
 
-def _is_isomorphism(ops, left, right, perm: tuple) -> bool:
-    """Whether perm is a bijection from left onto right carrying its structure."""
-    return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
-
-
-def check_first_iso(x, y, f, quotients=None) -> bool:
+def check_first_iso(x, y, f) -> bool:
     """Quotient by the kernel of a surjection matches the codomain.
 
-    The map X/ker f -> Y sends each block to the image of its points.  When
-    given, quotients maps every congruence of X to X/theta with its
-    projection, and the quotient by the kernel is looked up there.
+    The map X/ker f -> Y sends each block to the image of its points, so
+    after the projection it is f: the kernel carried along f must be y.
     """
-    ops = KIND_OPS[_morphism_kind(x, y)]
-    kernel = ops.kernel(x, y, f)
-    quotient, _ = ops.quotient(x, kernel) if quotients is None else quotients[kernel]
-    return _is_isomorphism(ops, quotient, y, tuple(f[block[0]] for block in kernel.part.blocks))
+    ops, kernel = _checked_kernel(x, y, f)
+    return ops.quotient_along(x, kernel, f, y.n) == y
 
 
 def check_second_iso(x, theta, sub) -> bool:
-    """Quotient of the restriction matches the image-side substructure."""
-    ops = KIND_OPS[kind_of(x)]
-    return _second_iso(ops, x, theta, ops.quotient(x, theta), sub, ops.substructure(x, sub))
+    """Quotient of the restriction matches the image-side substructure.
 
-
-def _second_iso(ops, x, theta, quotient_proj: tuple, sub, x_sub) -> bool:
-    """check_second_iso given the quotient of x by theta with its projection,
-    and the substructure x_sub of x on sub.
-
-    The map sends the block of sub-point i to the position, among the blocks
-    meeting sub, of the block of x holding sorted(sub)[i].
+    The map sends each block meeting sub to its position among them.  With g
+    sending each point to its block's position (None off those blocks), the
+    sides under it are theta carried along g cut to sub and along g.
     """
-    quotient, proj = quotient_proj
-    restricted = ops.restrict(x, theta, sub)
-    left, _ = ops.quotient(x_sub, restricted)
-    points = sorted(set(sub))
-    image = sorted({proj[v] for v in points})
-    right = ops.substructure(quotient, image)
-    position = {b: i for i, b in enumerate(image)}
-    perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
-    return _is_isomorphism(ops, left, right, perm)
+    ops = KIND_OPS[kind_of(x)]
+    cid = theta.part.class_id
+    points = _positions(sub, x.n)
+    image = sorted({cid[p] for p in points})
+    g = [image.index(b) if b in image else None for b in cid]
+    cut = [b if p in points else None for p, b in enumerate(g)]
+    return ops.quotient_along(x, theta, cut, len(image)) == ops.quotient_along(x, theta, g, len(image))
 
 
 def check_third_iso(x, alpha, beta) -> bool:
@@ -123,9 +107,8 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
 
     Every member's congruences are listed before any instance is checked, and
     the sweep is refused when a member's second-theorem instances (its
-    congruences times its nonempty subsets) pass the scan bound.  A member's
-    quotients by its congruences are built once, serve all three theorems,
-    and are dropped with the member.
+    congruences times its nonempty subsets) pass the scan bound.  The first
+    two theorems are decided by their public checks.
 
     The third theorem is decided once per (alpha's partition P, beta) with P
     refining beta's partition, on the least congruence on P (the kind's
@@ -147,25 +130,23 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
         congruences.append(congs)
     failures = {name: 0 for name in THEOREMS}
     for x, congs in zip(members, congruences):
-        # the kernel of a surjection from x is one of x's congruences
-        quotients = {theta: ops.quotient(x, theta) for theta in congs}
         for y in members:
             for f in surjective_morphisms(x, y):
-                if not check_first_iso(x, y, f, quotients):
+                if not check_first_iso(x, y, f):
                     failures["first"] += 1
-        subsets = [(sub, ops.substructure(x, sub)) for sub in _nonempty_subsets(x.n)]
-        for theta, quotient_proj in quotients.items():
-            for sub, x_sub in subsets:
-                if not _second_iso(ops, x, theta, quotient_proj, sub, x_sub):
+        for theta in congs:
+            for sub in _nonempty_subsets(x.n):
+                if not check_second_iso(x, theta, sub):
                     failures["second"] += 1
-        # alpha <= beta needs alpha's partition to refine beta's, so decide
-        # only pairs of partitions that refine
+        # quotients for the third theorem, built once per member; alpha <= beta
+        # needs alpha's partition to refine beta's, so decide only such pairs
+        quotients = {theta: ops.quotient(x, theta)[0] for theta in congs}
         by_part: dict[Partition, list] = {}
-        for theta, (quotient, _) in quotients.items():
+        for theta, quotient in quotients.items():
             by_part.setdefault(theta.part, []).append((theta, quotient))
         for part_a, group_a in by_part.items():
             alpha = ops.strongify(x, part_a)
-            stage = quotients[alpha][0]
+            stage = quotients[alpha]
             for part_b, group_b in by_part.items():
                 if not _refines(part_a.class_id, part_b.class_id):
                     continue

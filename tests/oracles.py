@@ -678,3 +678,25 @@ def least_carrying_scan(x, y, carries):
         if carries(x, y, perm):
             return perm
     return None
+
+
+# ---------------------------------------------------------------------------
+# The second isomorphism theorem on structures
+# ---------------------------------------------------------------------------
+
+def second_iso_objects(x, theta, sub) -> bool:
+    """The second theorem's instance decided on built structures: the
+    quotient of the substructure on sub by theta restricted to it, against
+    the substructure of X/theta on the blocks meeting sub, through the map
+    sending the block of sorted(sub)[i] to the position of its block of x
+    among those blocks, which must be a bijection carrying one onto the other."""
+    ops = KIND_OPS[kind_of(x)]
+    quotient, proj = ops.quotient(x, theta)
+    restricted = ops.restrict(x, theta, sub)
+    left, _ = ops.quotient(ops.substructure(x, sub), restricted)
+    points = _positions(sub, x.n)
+    image = sorted({proj[v] for v in points})
+    right = ops.substructure(quotient, image)
+    position = {b: i for i, b in enumerate(image)}
+    perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
+    return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)

@@ -387,6 +387,13 @@ def test_verify_h1_rejects_maps_that_are_not_surjective_morphisms():
         check_first_iso(discrete_space(3), D2, (0, 1, 1, 0))
     with pytest.raises(NotContinuous, match="the map has 4 images for 3 points"):
         tc.kernel_tc(discrete_space(3), D2, (0, 1, 1, 0))
+    # so is a map of the right length with an image outside the codomain,
+    # which each kernel used to accept or crash on, depending on the value
+    for f in ((0, 5), (0, -1)):
+        with pytest.raises(NotContinuous, match=r"^the map's images must lie in 0\.\.1$"):
+            tc.kernel_tc(D2, D2, f)
+        with pytest.raises(NotHomomorphism, match=r"^the map's images must lie in 0\.\.1$"):
+            gc.kernel_gc(B4, B4, f)
 
 
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])

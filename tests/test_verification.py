@@ -14,7 +14,7 @@ import pytest
 from conrad import graph_congruence as gc
 from conrad import verification
 from conrad.cli_io import run_command
-from conrad.errors import KindMismatch
+from conrad.errors import EmptySubset, KindMismatch, NotSurjective, SemanticError
 from conrad.radical_engine import (
     KIND_GRAPH,
     KIND_LOOPLESS,
@@ -26,20 +26,22 @@ from conrad.radical_engine import (
     verify_H1,
 )
 from conrad.structures import (
-    B3,
     B4,
-    I2,
+    D2,
     LOOPS,
     NOLOOPS,
     S2,
+    FiniteSpace,
+    Partition,
+    all_partitions,
     enumerate_graphs,
     graph,
     relabel_space,
 )
+from conrad.topo_congruence import TopoCongruence
 from conrad.verification import (
     RANDOM_MAX_N,
     RANDOM_MIN_N,
-    _is_isomorphism,
     check_first_iso,
     check_second_iso,
     check_third_iso,
@@ -49,7 +51,7 @@ from conrad.verification import (
     random_surjection,
 )
 
-from oracles import is_morphism
+from oracles import is_morphism, second_iso_objects
 
 
 def test_exhaustive_small_all_kinds():
@@ -138,19 +140,63 @@ def test_canonical_maps_decide_every_instance(monkeypatch, kind, max_n):
 
 
 def test_a_wrong_map_fails_even_between_isomorphic_structures():
-    topo, graphs = KIND_OPS[KIND_TOPO], KIND_OPS[KIND_GRAPH]
-    swapped = relabel_space(S2, (1, 0))
-    assert swapped != S2
-    # a wrong or non-bijective map on isomorphic structures: no search rescues it
-    assert not _is_isomorphism(topo, S2, swapped, (0, 1))
-    assert not _is_isomorphism(topo, S2, S2, (0, 0))
-    assert not _is_isomorphism(graphs, B3, graph(2, LOOPS, [(1, 1)]), (0, 1))
-    # the right maps
-    assert _is_isomorphism(topo, S2, swapped, (1, 0))
-    assert _is_isomorphism(graphs, B3, graph(2, LOOPS, [(1, 1)]), (1, 0))
-    # structures that are not isomorphic, whatever the map
-    assert not _is_isomorphism(topo, S2, I2, (0, 1))
-    assert not _is_isomorphism(graphs, B3, B4, (0, 1))
+    # x has least opens {0}, {0, 1}, {0, 1, 2}, and theta pairs the partition
+    # {0, 2} {1} with x's own vector (not a congruence).  On S = {1, 2} both
+    # sides are the Sierpinski space, but the theorem's map swaps their
+    # points and does not carry one onto the other: no search rescues it
+    x = FiniteSpace(3, (1, 3, 7))
+    theta = TopoCongruence(Partition((0, 1, 0)), x.min_opens)
+    ops = KIND_OPS[KIND_TOPO]
+    left = ops.quotient_along(x, theta, (None, 1, 0), 2)
+    right = ops.quotient_along(x, theta, (0, 1, 0), 2)
+    assert left != right and relabel_space(left, (1, 0)) == right == S2
+    assert not check_second_iso(x, theta, (1, 2))
+    assert not second_iso_objects(x, theta, (1, 2))
+
+
+def test_the_public_checks_refuse_what_is_not_an_instance():
+    # a map that is not onto the codomain, or leaves it, is refused before
+    # the kernel reads it (the first used to answer False or end in IndexError)
+    for f in ((0, 0), (0, 5), (0, -1)):
+        with pytest.raises(NotSurjective):
+            check_first_iso(D2, D2, f)
+        with pytest.raises(NotSurjective):
+            check_first_iso(B4, B4, f)
+    theta = KIND_OPS[KIND_TOPO].identity(S2)
+    with pytest.raises(EmptySubset):
+        check_second_iso(S2, theta, ())
+    with pytest.raises(SemanticError, match="subset ids must lie in 0..1"):
+        check_second_iso(S2, theta, (0, 2))
+
+
+@pytest.mark.parametrize("kind, max_n, counts", [
+    (KIND_TOPO, 4, (46702, 875, 90)),
+    (KIND_GRAPH, 3, (3772, 136, 0)),
+    (KIND_LOOPLESS, 4, (5660, 79, 1596)),
+])
+def test_the_second_theorem_agrees_with_the_structures_oracle(kind, max_n, counts):
+    # every nonempty subset with every congruence, and with every partition
+    # paired with the carrier's own vector or mask, which is no congruence
+    # unless the partition is the identity, so failing instances are compared
+    # too.  The oracle builds each side; where it cannot (a quotient that is
+    # not a space or a loopless graph) it is refused and not compared
+    ops = KIND_OPS[kind]
+    decided = failing = refused = 0
+    for x in build_universe(kind, max_n):
+        own = ops.identity(x)
+        thetas = ops.enum_congruences(x) + [dataclasses.replace(own, part=p) for p in all_partitions(x.n)]
+        for theta in thetas:
+            for size in range(1, x.n + 1):
+                for sub in itertools.combinations(range(x.n), size):
+                    try:
+                        expected = second_iso_objects(x, theta, sub)
+                    except SemanticError:
+                        refused += 1
+                        continue
+                    assert check_second_iso(x, theta, sub) == expected, (x, theta, sub)
+                    decided += 1
+                    failing += not expected
+    assert (decided, failing, refused) == counts
 
 
 # the comparable pairs alpha <= beta over topo n <= 3, graph n <= 3 and loopless n <= 4
@@ -158,15 +204,16 @@ COMPARABLE_PAIRS = {KIND_TOPO: 901, KIND_GRAPH: 3818, KIND_LOOPLESS: 2634}
 
 
 @pytest.mark.parametrize("kind, max_n, expected", [
-    (KIND_TOPO, 3, (265, 948, 235, 0)),
-    (KIND_GRAPH, 3, (851, 3034, 682, 0)),
-    (KIND_LOOPLESS, 4, (1322, 4628, 548, 0)),
+    (KIND_TOPO, 3, (265, 2161, 235, 0)),
+    (KIND_GRAPH, 3, (851, 6919, 682, 0)),
+    (KIND_LOOPLESS, 4, (1322, 10578, 548, 0)),
 ])
 def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expected):
-    # one kernel per surjective morphism (first theorem), one restriction per
-    # (congruence, subset) (second), one quotient congruence per (alpha's
-    # partition, beta) with some alpha <= beta (third): zero failures cannot
-    # show an instance that was skipped.  A passing sweep compares no pair
+    # one kernel and one carry per surjective morphism (first theorem), two
+    # carries per (congruence, subset) (second), one quotient congruence per
+    # (alpha's partition, beta) with some alpha <= beta (third): zero failures
+    # cannot show an instance that was skipped.  A passing sweep compares no
+    # pair
     ops = KIND_OPS[kind]
     counts = Counter()
 
@@ -179,7 +226,7 @@ def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expect
 
         return wrapper
 
-    names = ("kernel", "restrict", "quotient_cong", "le")
+    names = ("kernel", "quotient_along", "quotient_cong", "le")
     monkeypatch.setitem(
         KIND_OPS, kind, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
@@ -263,11 +310,11 @@ def test_random_above_draws_a_congruence_above(kind):
 
 
 def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
-    # 2,256 quotients were built for 406 distinct arguments; a member's
-    # quotients by its congruences now serve all three theorems, so the 265
-    # first-theorem quotients by kernels are looked up, not built, and the
-    # third theorem builds one left side per (alpha's partition, beta), not
-    # one per comparable pair
+    # 2,256 quotients were built for 406 distinct arguments.  The first two
+    # theorems build no quotient or substructure (they carry the congruence
+    # along a map instead), a member's quotients by its congruences are built
+    # once for the third, and it builds one left side per (alpha's partition,
+    # beta), not one per comparable pair
     ops = KIND_OPS[KIND_TOPO]
     counts = Counter()
 
@@ -285,7 +332,7 @@ def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
         KIND_OPS, KIND_TOPO, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
     assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
-    assert (counts["quotient"], counts["substructure"]) == (1325, 1021)
+    assert (counts["quotient"], counts["substructure"]) == (377, 0)
 
 
 def _verify(argv):
@@ -298,9 +345,10 @@ def _verify(argv):
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
 def test_the_sweeps_count_the_instances_a_broken_op_fails(monkeypatch, kind):
     # a sweep that could never count a failure would still print PASS, so
-    # break the map test, then the quotient congruence, and see each counted
+    # break the carry (each call builds a structure equal to nothing), then
+    # the quotient congruence, and see each counted
     ops = KIND_OPS[kind]
-    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, carries=lambda *a: False))
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_along=lambda *a: object()))
     for failures in (exhaustive_iso_theorems(kind, 2), random_iso_theorems(kind, 30, seed=3)):
         assert failures["first"] > 0 and failures["second"] > 0 and failures["third"] == 0
     status, stdout, _ = _verify(["verify", "--kind", kind, "--max-n", "2", "--samples", "30"])
@@ -329,10 +377,11 @@ def test_topo_verify_at_four_is_pinned(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("kind, max_n", [(KIND_TOPO, 5), (KIND_LOOPLESS, 6)])
+@pytest.mark.parametrize("kind, max_n", [(KIND_TOPO, 5), (KIND_GRAPH, 5), (KIND_LOOPLESS, 6)])
 def test_a_sweep_past_the_scan_bound_is_refused_at_once(monkeypatch, kind, max_n):
-    # the discrete 5-point space has 11,278 congruences times 31 subsets;
-    # a 6-vertex loopless graph has over 1,587 congruences times 63 subsets
+    # the discrete 5-point space has 11,278 congruences times 31 subsets, a
+    # 5-vertex loop graph over 3,225 times 31 and a 6-vertex loopless graph
+    # over 1,587 times 63
     if kind == KIND_TOPO:
         monkeypatch.setenv("CONRAD_MAX_N", "5")
     else:
