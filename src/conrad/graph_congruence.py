@@ -50,6 +50,7 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
+    require_onto,
     require_surjective,
 )
 
@@ -188,28 +189,36 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
+def carry_gc(theta: GraphCongruence, image, m: int) -> int:
+    """The edge mask theta's edge-set induces on m vertices along a map of its
+    vertices (None drops a vertex).  It reads theta alone, so it serves a
+    congruence of a quotient as well."""
+    return _carried(theta.part.n, theta.cmask, image, m)
+
+
 def quotient_along_gc(g: FiniteGraph, theta: GraphCongruence, image, m: int) -> FiniteGraph:
-    """theta's edge-set carried onto m vertices along a map of g's (None drops a vertex)."""
-    return FiniteGraph(m, g.policy, _carried(g.n, theta.cmask, image, m))
+    """The graph carry_gc gives, for a map of g's vertices that reaches each of the m."""
+    require_onto(image, g.n, m)
+    return FiniteGraph(m, g.policy, carry_gc(theta, image, m))
 
 
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
     """Quotient graph under the carrier's loop policy, and the projection."""
-    part = theta.part
-    return quotient_along_gc(g, theta, part.class_id, part.num_blocks), part.class_id
+    cid, m = theta.part.class_id, theta.part.num_blocks
+    return FiniteGraph(m, g.policy, carry_gc(theta, cid, m)), cid
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
     sub = _positions(subset, g.n)
     cid = theta.part.class_id
-    cmask = _carried(g.n, theta.cmask, _subset_image(g.n, sub), len(sub))
+    cmask = carry_gc(theta, _subset_image(g.n, sub), len(sub))
     return GraphCongruence(Partition([cid[p] for p in sub]), cmask)
 
 
 def quotient_cong_gc(g: FiniteGraph, t1: GraphCongruence, t2: GraphCongruence) -> GraphCongruence:
     """The congruence t2/t1 on the quotient by t1, for t1 <= t2."""
     part = Partition([t2.part.class_id[b[0]] for b in t1.part.blocks])
-    return GraphCongruence(part, _carried(g.n, t2.cmask, t1.part.class_id, t1.part.num_blocks))
+    return GraphCongruence(part, carry_gc(t2, t1.part.class_id, t1.part.num_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +256,7 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -
     require_surjective(f, h.n)
     total = join_gc(g, [theta, kernel_gc(g, h, f)])
     label = dict(zip(f, total.part.class_id))
-    return GraphCongruence(Partition([label[v] for v in range(h.n)]), _carried(g.n, total.cmask, f, h.n))
+    return GraphCongruence(Partition([label[v] for v in range(h.n)]), carry_gc(total, f, h.n))
 
 
 def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,

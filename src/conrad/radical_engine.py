@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,7 +155,10 @@ class _KindOps:
     iter_congruences: Callable
     validate: Callable
     quotient: Callable
-    quotient_along: Callable
+    # a congruence's least-open vector or edge mask carried along a map of its
+    # points, and a structure's own, which a carry is compared with
+    carry: Callable
+    representation: Callable
     kernel: Callable
     quotient_cong: Callable
     meet: Callable
@@ -209,7 +213,8 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=tc.iter_congruences_tc,
         validate=tc.validate_tc,
         quotient=tc.quotient_tc,
-        quotient_along=tc.quotient_along_tc,
+        carry=tc.carry_tc,
+        representation=operator.attrgetter("min_opens"),
         kernel=tc.kernel_tc,
         quotient_cong=tc.quotient_cong_tc,
         meet=tc.meet_tc,
@@ -237,7 +242,8 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=gc.iter_congruences_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
-        quotient_along=gc.quotient_along_gc,
+        carry=gc.carry_gc,
+        representation=operator.attrgetter("mask"),
         kernel=gc.kernel_gc,
         quotient_cong=gc.quotient_cong_gc,
         meet=gc.meet_gc,

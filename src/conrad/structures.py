@@ -192,6 +192,16 @@ def require_surjective(f: tuple, m: int) -> None:
         raise NotSurjective("image congruence needs a surjective map")
 
 
+def require_onto(image, n: int, m: int) -> None:
+    """Refuse a map of n points into m points (None drops a point) of another
+    length, or one that misses one of the m points or reaches past them."""
+    if len(image) != n:
+        raise SemanticError(f"the map has {len(image)} images for {n} points")
+    reached = set(image) - {None}
+    if len(reached) != m or reached != set(range(m)):
+        raise NotSurjective(f"the map must reach each of the points 0..{m - 1} and no other")
+
+
 def _refines(labels, coarser) -> bool:
     """Whether positions with equal labels always have equal coarser labels."""
     rep = {}
@@ -512,6 +522,7 @@ def induced(g: FiniteGraph, subset) -> FiniteGraph:
 
 
 def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
+    require_onto(perm, g.n, g.n)
     return FiniteGraph(g.n, g.policy, _carried(g.n, g.mask, perm, g.n))
 
 
@@ -675,12 +686,18 @@ def _topology_defect(n: int, family: frozenset) -> SemanticError | None:
     missing, then the first ordered pair whose union or intersection is
     missing.  Each id in the family gets one bit, so ids outside 0..n-1
     (which a congruence file may hold until its carrier check) cost nothing,
-    and the full set is missing, unbuilt, while fewer than n ids are listed."""
+    and the full set is missing, unbuilt, while fewer than n ids are listed.
+    Each member is the union of its points' least members, so the family is
+    closed exactly when each member joined with each least member is one: a
+    test linear in the family.  The pair scan runs only to name a defect."""
     ids = frozenset().union(*family)
     if frozenset() not in family or len(ids) < n or frozenset(range(n)) not in family:
         return MissingEmptyOrFull("a topology contains the empty and full sets")
     index = {p: i for i, p in enumerate(ids)}
     masked = {_bitmask(index[p] for p in u): u for u in family}
+    least = set(_least_opens(len(ids), masked))
+    if all(a | u in masked for a in masked for u in least):
+        return None
     for a in masked:
         for b in masked:
             if a | b not in masked:
@@ -730,6 +747,7 @@ def subspace(x: FiniteSpace, subset) -> FiniteSpace:
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
+    require_onto(perm, x.n, x.n)
     return FiniteSpace(x.n, _carried_least(x.min_opens, perm, x.n))
 
 

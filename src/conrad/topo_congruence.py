@@ -52,6 +52,7 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
+    require_onto,
     require_surjective,
 )
 
@@ -198,14 +199,22 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
+def carry_tc(rho: TopoCongruence, image, m: int) -> tuple[int, ...]:
+    """The least-open vector rho's topology induces on m points along a map of
+    its points (None drops a point)."""
+    return _carried_least(rho.least, image, m)
+
+
 def quotient_along_tc(x: FiniteSpace, rho: TopoCongruence, image, m: int) -> FiniteSpace:
-    """rho's topology carried onto m points along a map of x's (None drops a point)."""
-    return FiniteSpace(m, _carried_least(rho.least, image, m))
+    """The space carry_tc gives, for a map of x's points that reaches each of the m."""
+    require_onto(image, x.n, m)
+    return FiniteSpace(m, carry_tc(rho, image, m))
 
 
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
     """Weak quotient space (points = blocks) and the canonical projection."""
-    return quotient_along_tc(x, rho, rho.part.class_id, rho.part.num_blocks), rho.part.class_id
+    cid, m = rho.part.class_id, rho.part.num_blocks
+    return FiniteSpace(m, carry_tc(rho, cid, m)), cid
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
@@ -213,13 +222,13 @@ def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     sub = _positions(subset, x.n)
     cid = rho.part.class_id
     return TopoCongruence(Partition([cid[p] for p in sub]),
-                          _carried_least(rho.least, _subset_image(x.n, sub), len(sub)))
+                          carry_tc(rho, _subset_image(x.n, sub), len(sub)))
 
 
 def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence) -> TopoCongruence:
     """The congruence beta/alpha on the weak quotient by alpha, for alpha <= beta."""
     part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
-    return TopoCongruence(part, _carried_least(beta.least, alpha.part.class_id, alpha.part.num_blocks))
+    return TopoCongruence(part, carry_tc(beta, alpha.part.class_id, alpha.part.num_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> T
     require_surjective(f, y.n)
     total = join_tc(x, [rho, kernel_tc(x, y, f)])
     label = dict(zip(f, total.part.class_id))
-    return TopoCongruence(Partition([label[v] for v in range(y.n)]), _carried_least(total.least, f, y.n))
+    return TopoCongruence(Partition([label[v] for v in range(y.n)]), carry_tc(total, f, y.n))
 
 
 def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,

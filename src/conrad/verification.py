@@ -12,7 +12,7 @@ import random
 
 from .errors import BoundExceeded, NotContained
 from .radical_engine import KIND_OPS, _checked_kernel, build_universe, kind_of, surjective_morphisms
-from .structures import CONGRUENCE_SCAN_BOUND, Partition, _nonempty_subsets, _positions, _refines
+from .structures import Partition, _nonempty_subsets, _positions, _refines
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -51,16 +51,21 @@ def random_above(rng: random.Random, structure, alpha):
 # ---------------------------------------------------------------------------
 #
 # Each theorem names its isomorphism, and an instance holds when that map is
-# one: no other map is searched for.
+# one: no other map is searched for.  Each side is a congruence's vector or
+# mask carried along a map of its points (no structure is built); carries
+# compose exactly, since each map keeps the first point of every fibre first.
 
 def check_first_iso(x, y, f) -> bool:
-    """Quotient by the kernel of a surjection matches the codomain.
-
-    The map X/ker f -> Y sends each block to the image of its points, so
-    after the projection it is f: the kernel carried along f must be y.
-    """
+    """Quotient by the kernel of a surjection matches the codomain."""
     ops, kernel = _checked_kernel(x, y, f)
-    return ops.quotient_along(x, kernel, f, y.n) == y
+    return _first_iso(ops, kernel, f, y)
+
+
+def _first_iso(ops, theta, f, y) -> bool:
+    """check_first_iso given the congruence: the map X/theta -> Y sends each
+    block to the image of its points, so after the projection it is f, and
+    theta carried along f must be y's own vector or mask."""
+    return ops.carry(theta, f, y.n) == ops.representation(y)
 
 
 def check_second_iso(x, theta, sub) -> bool:
@@ -76,7 +81,7 @@ def check_second_iso(x, theta, sub) -> bool:
     image = sorted({cid[p] for p in points})
     g = [image.index(b) if b in image else None for b in cid]
     cut = [b if p in points else None for p, b in enumerate(g)]
-    return ops.quotient_along(x, theta, cut, len(image)) == ops.quotient_along(x, theta, g, len(image))
+    return ops.carry(theta, cut, len(image)) == ops.carry(theta, g, len(image))
 
 
 def check_third_iso(x, alpha, beta) -> bool:
@@ -84,49 +89,58 @@ def check_third_iso(x, alpha, beta) -> bool:
     ops = KIND_OPS[kind_of(x)]
     if not ops.le(alpha, beta):
         raise NotContained("beta must contain alpha")
-    stage, _ = ops.quotient(x, alpha)
-    right, _ = ops.quotient(x, beta)
-    return _third_iso(ops, x, alpha, beta, stage, right)
+    return _third_iso(ops, x, alpha, beta, _quotient_side(ops, beta))
 
 
-def _third_iso(ops, x, alpha, beta, stage, right) -> bool:
-    """check_third_iso given X/alpha and X/beta.
+def _quotient_side(ops, theta) -> tuple:
+    """The quotient by theta: its size, and theta carried along its class map
+    (a mask alone does not tell the number of vertices)."""
+    m = theta.part.num_blocks
+    return m, ops.carry(theta, theta.part.class_id, m)
+
+
+def _third_iso(ops, x, alpha, beta, right) -> bool:
+    """check_third_iso given X/beta's vector or mask.
 
     Both sides number their blocks by least element and alpha refines beta,
     so the map is the identity and the two sides must be equal.
     """
-    left, _ = ops.quotient(stage, ops.quotient_cong(x, alpha, beta))
-    return left == right
+    return _quotient_side(ops, ops.quotient_cong(x, alpha, beta)) == right
 
 
 THEOREMS = ("first", "second", "third")
+
+# second-theorem instances (congruence, nonempty subset) one exhaustive sweep
+# may check: topo n <= 5 has 2,146,692, while graph n <= 5 (18,703,858) and
+# loopless n <= 6 (14,450,288) are refused
+THEOREM_SWEEP_BOUND = 4_000_000
 
 
 def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     """Failure counts per theorem over the whole universe up to max_n.
 
     Every member's congruences are listed before any instance is checked, and
-    the sweep is refused when a member's second-theorem instances (its
-    congruences times its nonempty subsets) pass the scan bound.  The first
-    two theorems are decided by their public checks.
+    the sweep is refused once the universe's second-theorem instances (each
+    member's congruences times its nonempty subsets) pass THEOREM_SWEEP_BOUND.
+    The first two theorems are decided by their public checks.
 
     The third theorem is decided once per (alpha's partition P, beta) with P
     refining beta's partition, on the least congruence on P (the kind's
     strongify), which lies below every such beta.  beta/alpha is beta carried
     to P's blocks, and the quotient of X/alpha by it reads only that
-    congruence (and, for graphs, the carrier's loop policy), so every
-    alpha <= beta on P has the same left side.  Only a failed decision lists
-    the alpha <= beta on P, to count every pair it stands for.
+    congruence, so every alpha <= beta on P has the same left side.  Only a
+    failed decision lists the alpha <= beta on P, to count every pair it
+    stands for.
     """
     ops = KIND_OPS[kind]
     members = build_universe(kind, max_n).members
     congruences = []
+    instances = 0
     for x in members:
         congs = ops.enum_congruences(x)
-        if len(congs) * (2 ** x.n - 1) > CONGRUENCE_SCAN_BOUND:
-            raise BoundExceeded(
-                f"theorem sweep capped at {CONGRUENCE_SCAN_BOUND} congruence-subset pairs per structure"
-            )
+        instances += len(congs) * (2 ** x.n - 1)
+        if instances > THEOREM_SWEEP_BOUND:
+            raise BoundExceeded(f"theorem sweep capped at {THEOREM_SWEEP_BOUND} congruence-subset pairs")
         congruences.append(congs)
     failures = {name: 0 for name in THEOREMS}
     for x, congs in zip(members, congruences):
@@ -138,20 +152,18 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
             for sub in _nonempty_subsets(x.n):
                 if not check_second_iso(x, theta, sub):
                     failures["second"] += 1
-        # quotients for the third theorem, built once per member; alpha <= beta
+        # each congruence's quotient side, carried once per member; alpha <= beta
         # needs alpha's partition to refine beta's, so decide only such pairs
-        quotients = {theta: ops.quotient(x, theta)[0] for theta in congs}
         by_part: dict[Partition, list] = {}
-        for theta, quotient in quotients.items():
-            by_part.setdefault(theta.part, []).append((theta, quotient))
+        for theta in congs:
+            by_part.setdefault(theta.part, []).append((theta, _quotient_side(ops, theta)))
         for part_a, group_a in by_part.items():
             alpha = ops.strongify(x, part_a)
-            stage = quotients[alpha]
             for part_b, group_b in by_part.items():
                 if not _refines(part_a.class_id, part_b.class_id):
                     continue
                 for beta, right in group_b:
-                    if not _third_iso(ops, x, alpha, beta, stage, right):
+                    if not _third_iso(ops, x, alpha, beta, right):
                         failures["third"] += sum(ops.le(a, beta) for a, _ in group_a)
     return failures
 

@@ -12,7 +12,10 @@ from conrad.errors import (
     EmptyList,
     IndependenceViolated,
     InvalidCongruence,
+    MissingEmptyOrFull,
     NoQualifyingCongruence,
+    NotClosedUnderIntersection,
+    NotClosedUnderUnion,
     NotContained,
     NotContinuous,
     NotHomomorphism,
@@ -681,8 +684,33 @@ def least_carrying_scan(x, y, carries):
 
 
 # ---------------------------------------------------------------------------
-# The second isomorphism theorem on structures
+# The isomorphism theorems on structures
 # ---------------------------------------------------------------------------
+
+def first_iso_objects(x, y, f, theta) -> bool:
+    """The first theorem's instance decided on built structures, for a theta
+    whose blocks f keeps together: the quotient X/theta against y, through the
+    map sending each block to the image of its points, which must be a
+    bijection carrying one onto the other."""
+    ops = KIND_OPS[kind_of(x)]
+    quotient, _ = ops.quotient(x, theta)
+    perm = tuple(f[block[0]] for block in theta.part.blocks)
+    return quotient.n == y.n == len(set(perm)) and ops.carries(quotient, y, perm)
+
+
+def third_iso_objects(x, alpha, beta) -> bool:
+    """The third theorem's instance decided on built structures: (X/alpha)/(beta/alpha)
+    against X/beta, through the map sending each block of beta/alpha (a set of
+    alpha's blocks) to the block of beta holding their points, which must be a
+    bijection carrying one onto the other."""
+    ops = KIND_OPS[kind_of(x)]
+    stage, _ = ops.quotient(x, alpha)
+    cong = ops.quotient_cong(x, alpha, beta)
+    left, _ = ops.quotient(stage, cong)
+    right, _ = ops.quotient(x, beta)
+    perm = tuple(beta.part.class_id[alpha.part.blocks[block[0]][0]] for block in cong.part.blocks)
+    return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
+
 
 def second_iso_objects(x, theta, sub) -> bool:
     """The second theorem's instance decided on built structures: the
@@ -700,3 +728,25 @@ def second_iso_objects(x, theta, sub) -> bool:
     position = {b: i for i, b in enumerate(image)}
     perm = tuple(position[proj[points[block[0]]]] for block in restricted.part.blocks)
     return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
+
+
+# ---------------------------------------------------------------------------
+# The closure check of a family of point sets by its ordered pairs
+# ---------------------------------------------------------------------------
+
+def topology_defect_pairs(n: int, family: frozenset):
+    """structures._topology_defect by scanning every ordered pair of members:
+    the empty or full set missing, then the first pair whose union or
+    intersection is missing, as the error, or None."""
+    ids = frozenset().union(*family)
+    if frozenset() not in family or len(ids) < n or frozenset(range(n)) not in family:
+        return MissingEmptyOrFull("a topology contains the empty and full sets")
+    index = {p: i for i, p in enumerate(ids)}
+    masked = {_bitmask(index[p] for p in u): u for u in family}
+    for a in masked:
+        for b in masked:
+            if a | b not in masked:
+                return NotClosedUnderUnion(f"{sorted(masked[a])} | {sorted(masked[b])} missing")
+            if a & b not in masked:
+                return NotClosedUnderIntersection(f"{sorted(masked[a])} & {sorted(masked[b])} missing")
+    return None

@@ -46,6 +46,7 @@ from conrad.structures import (
     T_SPACE,
     _least_carrying,
     _preorders,
+    _topology_defect,
     all_partitions,
     automorphisms,
     bell_number,
@@ -69,7 +70,13 @@ from conrad.structures import (
 from conrad.structures import space as validate_space
 from conrad.topo_congruence import identity_tc, random_space, restrict_tc
 
-from oracles import closed_families, enumerate_graphs_scan, least_carrying_scan, restrict_partition
+from oracles import (
+    closed_families,
+    enumerate_graphs_scan,
+    least_carrying_scan,
+    restrict_partition,
+    topology_defect_pairs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +279,25 @@ def test_space_check_matches_frozenset_reference():
             accepted += expected is None
     # labelled topologies on 1, 2 and 3 points (OEIS A000798)
     assert accepted == 1 + 4 + 29
+
+
+def test_the_closure_check_names_the_defect_the_pair_scan_names():
+    # every family of subsets of 0..n-1, n <= 4, and every family of subsets
+    # of 0..n read on n points (id n stray, as a congruence file may hold it),
+    # n <= 3: the same verdict as the scan of every ordered pair, and on
+    # rejection the same class and message
+    closed = []
+    for n, ids in [(1, 1), (2, 2), (3, 3), (4, 4), (1, 2), (2, 3), (3, 4)]:
+        subsets = [frozenset(i for i in range(ids) if m >> i & 1) for m in range(2 ** ids)]
+        closed.append(0)
+        for k in range(2 ** len(subsets)):
+            family = frozenset(u for i, u in enumerate(subsets) if k >> i & 1)
+            found, expected = _topology_defect(n, family), topology_defect_pairs(n, family)
+            assert (type(found), str(found)) == (type(expected), str(expected)), (n, family)
+            closed[-1] += found is None
+    # labelled topologies on 1 to 4 points (OEIS A000798), then the closed
+    # families on n + 1 ids that hold the empty set and 0..n-1
+    assert closed == [1, 4, 29, 355, 3, 16, 159]
 
 
 def test_constructor_accepts_exactly_the_preorders():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -99,6 +100,18 @@ def test_validate_refuses_a_partition_of_another_size():
     with pytest.raises(InvalidCongruence) as err:
         validate_opens_tc(S2, Partition.identity(3), S2.opens)
     assert err.type is InvalidCongruence and str(err.value) == "partition on 3 points, space has 2"
+
+
+def test_a_large_family_of_opens_is_checked_in_linear_time():
+    # the 8,192 opens of the discrete 13-point space: closure is tested on
+    # each member joined with each of the 13 least members, not on the 67
+    # million ordered pairs (8.6 s when every pair was scanned)
+    x = discrete_space(13)
+    rho = identity_tc(x)
+    opens = rho.ctop
+    start = time.perf_counter()
+    assert validate_opens_tc(x, rho.part, opens) == rho
+    assert time.perf_counter() - start < 2
 
 
 def test_strongify_examples():

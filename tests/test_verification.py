@@ -31,14 +31,16 @@ from conrad.structures import (
     LOOPS,
     NOLOOPS,
     S2,
+    FiniteGraph,
     FiniteSpace,
     Partition,
     all_partitions,
     enumerate_graphs,
     graph,
+    relabel_graph,
     relabel_space,
 )
-from conrad.topo_congruence import TopoCongruence
+from conrad.topo_congruence import TopoCongruence, identity_tc, quotient_along_tc
 from conrad.verification import (
     RANDOM_MAX_N,
     RANDOM_MIN_N,
@@ -51,7 +53,7 @@ from conrad.verification import (
     random_surjection,
 )
 
-from oracles import is_morphism, second_iso_objects
+from oracles import first_iso_objects, is_morphism, second_iso_objects, third_iso_objects
 
 
 def test_exhaustive_small_all_kinds():
@@ -146,9 +148,8 @@ def test_a_wrong_map_fails_even_between_isomorphic_structures():
     # points and does not carry one onto the other: no search rescues it
     x = FiniteSpace(3, (1, 3, 7))
     theta = TopoCongruence(Partition((0, 1, 0)), x.min_opens)
-    ops = KIND_OPS[KIND_TOPO]
-    left = ops.quotient_along(x, theta, (None, 1, 0), 2)
-    right = ops.quotient_along(x, theta, (0, 1, 0), 2)
+    left = quotient_along_tc(x, theta, (None, 1, 0), 2)
+    right = quotient_along_tc(x, theta, (0, 1, 0), 2)
     assert left != right and relabel_space(left, (1, 0)) == right == S2
     assert not check_second_iso(x, theta, (1, 2))
     assert not second_iso_objects(x, theta, (1, 2))
@@ -167,6 +168,29 @@ def test_the_public_checks_refuse_what_is_not_an_instance():
         check_second_iso(S2, theta, ())
     with pytest.raises(SemanticError, match="subset ids must lie in 0..1"):
         check_second_iso(S2, theta, (0, 2))
+
+
+@pytest.mark.parametrize("build, x, theta", [
+    (quotient_along_tc, D2, identity_tc(D2)),
+    (gc.quotient_along_gc, B4, gc.identity_gc(B4)),
+])
+def test_a_structure_is_built_only_along_a_map_onto_its_points(build, x, theta):
+    # a map that misses one of the m points, or reaches past them, is refused
+    # (the topological one used to end in TypeError on the unreached point)
+    for image in ((0, 0), (1, 1), (0, 5), (0, -1), (0, None), (None, None)):
+        with pytest.raises(NotSurjective, match="the map must reach each of the points 0..1"):
+            build(x, theta, image, 2)
+    with pytest.raises(SemanticError, match="the map has 3 images for 2 points"):
+        build(x, theta, (0, 1, 1), 2)
+    # a dropped point is no miss, and m may be less than x's points
+    assert build(x, theta, (None, 0), 1).n == 1
+    assert build(x, theta, (0, 0), 1).n == 1
+    relabel = relabel_space if isinstance(x, FiniteSpace) else relabel_graph
+    assert relabel(x, (1, 0)) == x
+    with pytest.raises(NotSurjective):
+        relabel(x, (1, 1))
+    with pytest.raises(SemanticError, match="the map has 1 images for 2 points"):
+        relabel(x, (0,))
 
 
 @pytest.mark.parametrize("kind, max_n, counts", [
@@ -199,21 +223,94 @@ def test_the_second_theorem_agrees_with_the_structures_oracle(kind, max_n, count
     assert (decided, failing, refused) == counts
 
 
+@pytest.mark.parametrize("kind, max_n, counts", [
+    (KIND_TOPO, 4, (6930, 6271, 40)),
+    (KIND_GRAPH, 3, (851, 668, 0)),
+    (KIND_LOOPLESS, 4, (1322, 1042, 0)),
+])
+def test_the_first_theorem_agrees_with_the_structures_oracle(kind, max_n, counts):
+    # every surjective morphism f: x -> y, decided with its kernel and with
+    # ker f's partition paired with x's own vector or mask, which is no
+    # congruence unless f is open enough, so failing instances are compared
+    # too.  The oracle builds X/theta; where it cannot (a quotient that is not
+    # a space or a loopless graph) it is refused and not compared
+    ops = KIND_OPS[kind]
+    members = build_universe(kind, max_n).members
+    decided = failing = refused = 0
+    for x in members:
+        for y in members:
+            for f in surjective_morphisms(x, y):
+                kernel = ops.kernel(x, y, f)
+                assert check_first_iso(x, y, f) is first_iso_objects(x, y, f, kernel) is True
+                own = dataclasses.replace(ops.identity(x), part=kernel.part)
+                try:
+                    expected = first_iso_objects(x, y, f, own)
+                except SemanticError:
+                    refused += 1
+                    continue
+                assert verification._first_iso(ops, own, f, y) == expected, (x, y, f)
+                decided += 1
+                failing += not expected
+    assert (decided, failing, refused) == counts
+
+
+def _identity_of_stage(ops):
+    """A broken beta/alpha: the identity congruence of X/alpha."""
+    return lambda x, alpha, beta: ops.identity(ops.quotient(x, alpha)[0])
+
+
+@pytest.mark.parametrize("kind, max_n, counts", [
+    (KIND_TOPO, 4, ((70995, 0, 76), (70995, 67345, 76))),
+    (KIND_GRAPH, 3, ((4902, 0, 0), (4902, 4178, 0))),
+    (KIND_LOOPLESS, 4, ((3531, 0, 655), (3531, 3001, 655))),
+])
+def test_the_third_theorem_agrees_with_the_structures_oracle(monkeypatch, kind, max_n, counts):
+    # every pair alpha <= beta among each member's congruences and its
+    # partitions paired with the member's own vector or mask (no congruence
+    # unless the partition is the identity), wherever the oracle can build
+    # its sides.  Those pairs never fail: the left side reads only beta
+    # carried to alpha's blocks, whatever alpha's vector.  So the pairs are
+    # decided again with a broken beta/alpha, which both paths read, and
+    # the failing instances are compared there
+    ops = KIND_OPS[kind]
+    pairs = []
+    for x in build_universe(kind, max_n):
+        own = ops.identity(x)
+        thetas = ops.enum_congruences(x) + [dataclasses.replace(own, part=p) for p in all_partitions(x.n)]
+        pairs += [(x, alpha, beta) for alpha in thetas for beta in thetas if ops.le(alpha, beta)]
+    seen = []
+    for quotient_cong in (ops.quotient_cong, _identity_of_stage(ops)):
+        monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_cong=quotient_cong))
+        decided = failing = refused = 0
+        for x, alpha, beta in pairs:
+            try:
+                expected = third_iso_objects(x, alpha, beta)
+            except SemanticError:
+                refused += 1
+                continue
+            assert check_third_iso(x, alpha, beta) == expected, (x, alpha, beta)
+            decided += 1
+            failing += not expected
+        seen.append((decided, failing, refused))
+    assert tuple(seen) == counts
+
+
 # the comparable pairs alpha <= beta over topo n <= 3, graph n <= 3 and loopless n <= 4
 COMPARABLE_PAIRS = {KIND_TOPO: 901, KIND_GRAPH: 3818, KIND_LOOPLESS: 2634}
 
 
 @pytest.mark.parametrize("kind, max_n, expected", [
-    (KIND_TOPO, 3, (265, 2161, 235, 0)),
-    (KIND_GRAPH, 3, (851, 6919, 682, 0)),
-    (KIND_LOOPLESS, 4, (1322, 10578, 548, 0)),
+    (KIND_TOPO, 3, (265, 2538, 235, 0)),
+    (KIND_GRAPH, 3, (851, 8053, 682, 0)),
+    (KIND_LOOPLESS, 4, (1322, 11452, 548, 0)),
 ])
 def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expected):
     # one kernel and one carry per surjective morphism (first theorem), two
-    # carries per (congruence, subset) (second), one quotient congruence per
-    # (alpha's partition, beta) with some alpha <= beta (third): zero failures
-    # cannot show an instance that was skipped.  A passing sweep compares no
-    # pair
+    # carries per (congruence, subset) (second), one quotient congruence and
+    # one carry per (alpha's partition, beta) with some alpha <= beta, beside
+    # one carry per congruence for its quotient side (third; topo n <= 3:
+    # 265 + 2 x 948 + 235 + 142 carries): zero failures cannot show an
+    # instance that was skipped.  A passing sweep compares no pair
     ops = KIND_OPS[kind]
     counts = Counter()
 
@@ -226,7 +323,7 @@ def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expect
 
         return wrapper
 
-    names = ("kernel", "quotient_along", "quotient_cong", "le")
+    names = ("kernel", "carry", "quotient_cong", "le")
     monkeypatch.setitem(
         KIND_OPS, kind, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
@@ -309,18 +406,16 @@ def test_random_above_draws_a_congruence_above(kind):
         assert ops.le(alpha, beta), (x, alpha, beta)
 
 
-def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
-    # 2,256 quotients were built for 406 distinct arguments.  The first two
-    # theorems build no quotient or substructure (they carry the congruence
-    # along a map instead), a member's quotients by its congruences are built
-    # once for the third, and it builds one left side per (alpha's partition,
-    # beta), not one per comparable pair
-    ops = KIND_OPS[KIND_TOPO]
+@pytest.mark.parametrize("kind, max_n", SWEEPS)
+def test_the_sweep_builds_no_structure_past_its_universe(monkeypatch, kind, max_n):
+    # every side of every instance is a carried vector or mask: no quotient
+    # or substructure is built (topo n <= 3 built 2,256 quotients once, then
+    # 377), and no space or graph is constructed beyond the universe's members
+    ops = KIND_OPS[kind]
+    cls = FiniteSpace if kind == KIND_TOPO else FiniteGraph
     counts = Counter()
 
-    def counted(name):
-        fn = getattr(ops, name)
-
+    def counted(name, fn):
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
@@ -329,10 +424,13 @@ def test_topo_sweep_builds_each_members_quotients_once(monkeypatch):
 
     names = ("quotient", "substructure")
     monkeypatch.setitem(
-        KIND_OPS, KIND_TOPO, dataclasses.replace(ops, **{name: counted(name) for name in names})
+        KIND_OPS, kind, dataclasses.replace(ops, **{name: counted(name, getattr(ops, name)) for name in names})
     )
-    assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
-    assert (counts["quotient"], counts["substructure"]) == (377, 0)
+    monkeypatch.setattr(cls, "__post_init__", counted("built", cls.__post_init__))
+    build_universe(kind, max_n)
+    listed = counts.pop("built")
+    assert exhaustive_iso_theorems(kind, max_n) == NO_FAILURES
+    assert (counts["quotient"], counts["substructure"], counts["built"]) == (0, 0, listed)
 
 
 def _verify(argv):
@@ -345,21 +443,19 @@ def _verify(argv):
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
 def test_the_sweeps_count_the_instances_a_broken_op_fails(monkeypatch, kind):
     # a sweep that could never count a failure would still print PASS, so
-    # break the carry (each call builds a structure equal to nothing), then
-    # the quotient congruence, and see each counted
+    # break the carry (each call gives a side equal to nothing), which every
+    # theorem reads, then the quotient congruence, and see each counted
     ops = KIND_OPS[kind]
-    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_along=lambda *a: object()))
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, carry=lambda *a: object()))
     for failures in (exhaustive_iso_theorems(kind, 2), random_iso_theorems(kind, 30, seed=3)):
-        assert failures["first"] > 0 and failures["second"] > 0 and failures["third"] == 0
+        assert failures["first"] > 0 and failures["second"] > 0 and failures["third"] > 0
     status, stdout, _ = _verify(["verify", "--kind", kind, "--max-n", "2", "--samples", "30"])
     assert status == 1
     assert f"CHECK {kind}-first-exhaustive FAIL" in stdout
     assert f"CHECK {kind}-second-random FAIL" in stdout
+    assert f"CHECK {kind}-third-exhaustive FAIL" in stdout
 
-    def identity_of_stage(x, alpha, beta):
-        return ops.identity(ops.quotient(x, alpha)[0])
-
-    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_cong=identity_of_stage))
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, quotient_cong=_identity_of_stage(ops)))
     for failures in (exhaustive_iso_theorems(kind, 2), random_iso_theorems(kind, 30, seed=3)):
         assert failures["first"] == failures["second"] == 0 and failures["third"] > 0
     status, stdout, _ = _verify(["verify", "--kind", kind, "--max-n", "2", "--samples", "30"])
@@ -377,19 +473,31 @@ def test_topo_verify_at_four_is_pinned(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("kind, max_n", [(KIND_TOPO, 5), (KIND_GRAPH, 5), (KIND_LOOPLESS, 6)])
+def test_topo_verify_at_five_is_pinned(monkeypatch):
+    # the whole n <= 5 topo universe: 2,146,692 second-theorem instances,
+    # under the sweep bound since the theorems are decided on carried vectors
+    monkeypatch.setenv("CONRAD_MAX_N", "5")
+    status, stdout, _ = _verify("verify --kind topo --max-n 5 --samples 0".split())
+    assert status == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == (
+        "9e11ab7bed2c9a013ea017e612ee25a48247a4d0785622f3b6d5a3495045070d"
+    )
+
+
+@pytest.mark.parametrize("kind, max_n", [(KIND_GRAPH, 5), (KIND_LOOPLESS, 6)])
 def test_a_sweep_past_the_scan_bound_is_refused_at_once(monkeypatch, kind, max_n):
-    # the discrete 5-point space has 11,278 congruences times 31 subsets, a
-    # 5-vertex loop graph over 3,225 times 31 and a 6-vertex loopless graph
-    # over 1,587 times 63
-    if kind == KIND_TOPO:
-        monkeypatch.setenv("CONRAD_MAX_N", "5")
-    else:
-        monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    # graph n <= 5 has 18,703,858 second-theorem instances and loopless
+    # n <= 6 14,450,288; each is refused once the listed congruences pass the
+    # bound, before any instance is checked
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    carried = []
+    ops = KIND_OPS[kind]
+    monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, carry=lambda *args: carried.append(args)))
     argv = ["verify", "--kind", kind, "--max-n", str(max_n), "--samples", "0"]
     start = time.perf_counter()
     status, stdout, stderr = _verify(argv)
     assert time.perf_counter() - start < 30
     assert status == 2
     assert "CHECK" not in stdout
-    assert stderr == "error: theorem sweep capped at 100000 congruence-subset pairs per structure\n"
+    assert stderr == "error: theorem sweep capped at 4000000 congruence-subset pairs\n"
+    assert not carried
