@@ -50,7 +50,6 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
-    require_onto,
     require_surjective,
 )
 
@@ -194,12 +193,6 @@ def carry_gc(theta: GraphCongruence, image, m: int) -> int:
     vertices (None drops a vertex).  It reads theta alone, so it serves a
     congruence of a quotient as well."""
     return _carried(theta.part.n, theta.cmask, image, m)
-
-
-def quotient_along_gc(g: FiniteGraph, theta: GraphCongruence, image, m: int) -> FiniteGraph:
-    """The graph carry_gc gives, for a map of g's vertices that reaches each of the m."""
-    require_onto(image, g.n, m)
-    return FiniteGraph(m, g.policy, carry_gc(theta, image, m))
 
 
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:

@@ -189,17 +189,14 @@ def is_surjective(f: tuple, m: int) -> bool:
 
 def require_surjective(f: tuple, m: int) -> None:
     if not is_surjective(f, m):
-        raise NotSurjective("image congruence needs a surjective map")
-
-
-def require_onto(image, n: int, m: int) -> None:
-    """Refuse a map of n points into m points (None drops a point) of another
-    length, or one that misses one of the m points or reaches past them."""
-    if len(image) != n:
-        raise SemanticError(f"the map has {len(image)} images for {n} points")
-    reached = set(image) - {None}
-    if len(reached) != m or reached != set(range(m)):
         raise NotSurjective(f"the map must reach each of the points 0..{m - 1} and no other")
+
+
+def require_permutation(perm, n: int) -> None:
+    """Refuse a map of n points of another length, or one not onto the n points."""
+    if len(perm) != n:
+        raise SemanticError(f"the map has {len(perm)} images for {n} points")
+    require_surjective(perm, n)
 
 
 def _refines(labels, coarser) -> bool:
@@ -522,7 +519,7 @@ def induced(g: FiniteGraph, subset) -> FiniteGraph:
 
 
 def relabel_graph(g: FiniteGraph, perm) -> FiniteGraph:
-    require_onto(perm, g.n, g.n)
+    require_permutation(perm, g.n)
     return FiniteGraph(g.n, g.policy, _carried(g.n, g.mask, perm, g.n))
 
 
@@ -747,7 +744,7 @@ def subspace(x: FiniteSpace, subset) -> FiniteSpace:
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
-    require_onto(perm, x.n, x.n)
+    require_permutation(perm, x.n)
     return FiniteSpace(x.n, _carried_least(x.min_opens, perm, x.n))
 
 

@@ -52,7 +52,6 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
-    require_onto,
     require_surjective,
 )
 
@@ -203,12 +202,6 @@ def carry_tc(rho: TopoCongruence, image, m: int) -> tuple[int, ...]:
     """The least-open vector rho's topology induces on m points along a map of
     its points (None drops a point)."""
     return _carried_least(rho.least, image, m)
-
-
-def quotient_along_tc(x: FiniteSpace, rho: TopoCongruence, image, m: int) -> FiniteSpace:
-    """The space carry_tc gives, for a map of x's points that reaches each of the m."""
-    require_onto(image, x.n, m)
-    return FiniteSpace(m, carry_tc(rho, image, m))
 
 
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:

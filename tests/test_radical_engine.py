@@ -11,6 +11,7 @@ from conrad import radical_engine, structures
 from conrad.errors import (
     BadCatalogId,
     BoundExceeded,
+    CheckDefect,
     EmptyList,
     InvalidCongruence,
     KindMismatch,
@@ -757,6 +758,14 @@ def test_connectedness_fixed_points():
     assert is_connectedness(builtin_class("graph", "trivial-or-all-looped"), UNI_GRAPH)
     assert is_connectedness(builtin_class("topo", "all"), UNI_TOPO)
     assert not is_connectedness(builtin_class("topo", "t0"), UNI_TOPO)
+
+
+def test_connectedness_refuses_characterizations_that_disagree(monkeypatch):
+    # with no strong congruences the congruence route finds no C-congruence
+    # on any two-point image, while the fixed point still holds for "all"
+    monkeypatch.setattr(radical_engine, "strong_congruences", lambda x: [])
+    with pytest.raises(CheckDefect, match="characterizations disagree for 'all'"):
+        is_connectedness(builtin_class("topo", "all"), build_universe("topo", 2))
 
 
 def test_clique_pairs_are_fixed_points_n4():

@@ -40,7 +40,7 @@ from conrad.structures import (
     relabel_graph,
     relabel_space,
 )
-from conrad.topo_congruence import TopoCongruence, identity_tc, quotient_along_tc
+from conrad.topo_congruence import TopoCongruence, carry_tc
 from conrad.verification import (
     RANDOM_MAX_N,
     RANDOM_MIN_N,
@@ -148,8 +148,8 @@ def test_a_wrong_map_fails_even_between_isomorphic_structures():
     # points and does not carry one onto the other: no search rescues it
     x = FiniteSpace(3, (1, 3, 7))
     theta = TopoCongruence(Partition((0, 1, 0)), x.min_opens)
-    left = quotient_along_tc(x, theta, (None, 1, 0), 2)
-    right = quotient_along_tc(x, theta, (0, 1, 0), 2)
+    left = FiniteSpace(2, carry_tc(theta, (None, 1, 0), 2))
+    right = FiniteSpace(2, carry_tc(theta, (0, 1, 0), 2))
     assert left != right and relabel_space(left, (1, 0)) == right == S2
     assert not check_second_iso(x, theta, (1, 2))
     assert not second_iso_objects(x, theta, (1, 2))
@@ -170,25 +170,25 @@ def test_the_public_checks_refuse_what_is_not_an_instance():
         check_second_iso(S2, theta, (0, 2))
 
 
-@pytest.mark.parametrize("build, x, theta", [
-    (quotient_along_tc, D2, identity_tc(D2)),
-    (gc.quotient_along_gc, B4, gc.identity_gc(B4)),
-])
-def test_a_structure_is_built_only_along_a_map_onto_its_points(build, x, theta):
-    # a map that misses one of the m points, or reaches past them, is refused
-    # (the topological one used to end in TypeError on the unreached point)
-    for image in ((0, 0), (1, 1), (0, 5), (0, -1), (0, None), (None, None)):
-        with pytest.raises(NotSurjective, match="the map must reach each of the points 0..1"):
-            build(x, theta, image, 2)
-    with pytest.raises(SemanticError, match="the map has 3 images for 2 points"):
-        build(x, theta, (0, 1, 1), 2)
-    # a dropped point is no miss, and m may be less than x's points
-    assert build(x, theta, (None, 0), 1).n == 1
-    assert build(x, theta, (0, 0), 1).n == 1
-    relabel = relabel_space if isinstance(x, FiniteSpace) else relabel_graph
+def test_the_onto_checks_name_the_points_a_map_must_reach():
+    # none of these callers builds an image congruence: the refusal names
+    # the points the map must reach
+    message = "the map must reach each of the points 0..1 and no other"
+    with pytest.raises(NotSurjective, match=message):
+        check_first_iso(D2, D2, (0, 0))
+    with pytest.raises(NotSurjective, match=message):
+        verify_H1(catalog_radical("topo", "a"), D2, D2, (0, 0))
+    with pytest.raises(NotSurjective, match=message):
+        gc.image_gc(B4, B4, (0, 0), gc.identity_gc(B4))
+
+
+@pytest.mark.parametrize("relabel, x", [(relabel_space, D2), (relabel_graph, B4)], ids=["space", "graph"])
+def test_a_structure_is_relabelled_only_along_a_permutation(relabel, x):
+    # a map that misses one of the points, or reaches past them, is refused
     assert relabel(x, (1, 0)) == x
-    with pytest.raises(NotSurjective):
-        relabel(x, (1, 1))
+    for perm in ((1, 1), (0, 5), (0, -1), (0, None)):
+        with pytest.raises(NotSurjective, match="the map must reach each of the points 0..1"):
+            relabel(x, perm)
     with pytest.raises(SemanticError, match="the map has 1 images for 2 points"):
         relabel(x, (0,))
 
@@ -484,12 +484,21 @@ def test_topo_verify_at_five_is_pinned(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("kind, max_n", [(KIND_GRAPH, 5), (KIND_LOOPLESS, 6)])
-def test_a_sweep_past_the_scan_bound_is_refused_at_once(monkeypatch, kind, max_n):
+@pytest.mark.parametrize("kind, max_n, env", [
+    pytest.param(KIND_GRAPH, 5, None, id="graph-5"),
+    pytest.param(KIND_LOOPLESS, 6, None, id="loopless-6"),
+    # the enumerator admits topo n <= 6 under CONRAD_MAX_N=6, so the sweep
+    # bound is what refuses it
+    pytest.param(KIND_TOPO, 6, "6", id="topo-6"),
+])
+def test_a_sweep_past_the_scan_bound_is_refused_at_once(monkeypatch, kind, max_n, env):
     # graph n <= 5 has 18,703,858 second-theorem instances and loopless
     # n <= 6 14,450,288; each is refused once the listed congruences pass the
     # bound, before any instance is checked
-    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    if env is None:
+        monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    else:
+        monkeypatch.setenv("CONRAD_MAX_N", env)
     carried = []
     ops = KIND_OPS[kind]
     monkeypatch.setitem(KIND_OPS, kind, dataclasses.replace(ops, carry=lambda *args: carried.append(args)))
