@@ -258,9 +258,9 @@ def _cmd_congruences(args, report: Report) -> None:
 def _cmd_quotient(args, report: Report) -> None:
     structure = _load_structure_arg(args)
     cong = parse_congruence(_read(args.cong), structure)
-    quotient, proj = eng.KIND_OPS[eng.kind_of(structure)].quotient(structure, cong)
+    quotient = eng.KIND_OPS[eng.kind_of(structure)].quotient(structure, cong)
     report.info(serialize_structure(quotient).rstrip("\n"))
-    report.info("proj " + " ".join(f"{v}->{proj[v]}" for v in range(structure.n)))
+    report.info("proj " + " ".join(f"{v}->{b}" for v, b in enumerate(cong.part.class_id)))
 
 
 def _cmd_decompose(args, report: Report) -> None:
@@ -303,9 +303,8 @@ def _cmd_catalog(args, report: Report) -> None:
         raise UsageError(f"catalog --kind {args.kind} needs a {args.kind} file, not a {kind} one")
     ops = eng.KIND_OPS[kind]
     value = ops.catalog(structure, args.id)
-    quotient, _ = ops.quotient(structure, value)
     report.info(serialize_congruence(value).rstrip("\n"))
-    report.info("quotient: " + describe_structure(quotient))
+    report.info("quotient: " + describe_structure(ops.quotient(structure, value)))
 
 
 def _sigmas_for(kind: str, args) -> list:

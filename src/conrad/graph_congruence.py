@@ -195,10 +195,10 @@ def carry_gc(theta: GraphCongruence, image, m: int) -> int:
     return _carried(theta.part.n, theta.cmask, image, m)
 
 
-def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
-    """Quotient graph under the carrier's loop policy, and the projection."""
+def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> FiniteGraph:
+    """Quotient graph under g's loop policy; its projection is theta.part.class_id."""
     cid, m = theta.part.class_id, theta.part.num_blocks
-    return FiniteGraph(m, g.policy, carry_gc(theta, cid, m)), cid
+    return FiniteGraph(m, g.policy, carry_gc(theta, cid, m))
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:

@@ -58,7 +58,7 @@ def validate_lc(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
 # Quotients, enumeration, random congruences and Birkhoff decomposition
 # ---------------------------------------------------------------------------
 
-def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> tuple[FiniteGraph, tuple]:
+def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> FiniteGraph:
     # its own function, not an alias, so traced runs count loopless quotients apart
     return quotient_gc(g, theta)
 

@@ -154,6 +154,7 @@ class _KindOps:
     enum_congruences: Callable
     iter_congruences: Callable
     validate: Callable
+    # the quotient structure alone: its projection is the congruence's part.class_id
     quotient: Callable
     # a congruence's least-open vector or edge mask carried along a map of its
     # points, and a structure's own, which a carry is compared with
@@ -485,10 +486,9 @@ def _running_meet(ops: _KindOps, structure, keep: Callable):
     return met
 
 
-def _meets_to_identity(ops: _KindOps, structure, cls: ClassPredicate) -> bool:
-    """Whether the congruences whose quotient lies in the class meet to the identity."""
-    met = _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)[0]))
-    return met == ops.identity(structure)
+def _class_meet(ops: _KindOps, structure, cls: ClassPredicate):
+    """The meet of the congruences whose quotient lies in the class (None when none does)."""
+    return _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)))
 
 
 def hoehnke_radical(structure, cls: ClassPredicate):
@@ -497,7 +497,7 @@ def hoehnke_radical(structure, cls: ClassPredicate):
     if kind != cls.kind:
         raise KindMismatch(f"{cls.name!r} is a {cls.kind} class, got a {kind} structure")
     ops = KIND_OPS[kind]
-    met = _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)[0]))
+    met = _class_meet(ops, structure, cls)
     if met is None:
         raise NoQualifyingCongruence(
             f"no congruence quotient of the structure lies in {cls.name!r}"
@@ -608,7 +608,7 @@ def verify_H1(sigma: RadicalAssignment, x, y, f) -> bool:
 
 def verify_H2(sigma: RadicalAssignment, x) -> bool:
     ops = KIND_OPS[kind_of(x)]
-    quotient, _ = ops.quotient(x, sigma(x))
+    quotient = ops.quotient(x, sigma(x))
     return sigma(quotient) == ops.identity(quotient)
 
 
@@ -753,7 +753,7 @@ def _nontrivial_images(x):
     ops = KIND_OPS[kind_of(x)]
     for theta in ops.iter_congruences(x):
         if theta.part.num_blocks >= 2:
-            yield ops.quotient(x, theta)[0]
+            yield ops.quotient(x, theta)
 
 
 def _nontrivial_substructures(x):
@@ -879,7 +879,7 @@ def check_subdirect(structure, thetas: list) -> SubdirectResult:
     ops = KIND_OPS[kind_of(structure)]
     for theta in thetas:
         ops.validate(structure, theta)
-    factors = tuple(ops.quotient(structure, theta)[0] for theta in thetas)
+    factors = tuple(ops.quotient(structure, theta) for theta in thetas)
     ok = ops.meet(structure, thetas) == ops.identity(structure)
     embedding = tuple(
         tuple(theta.part.class_id[v] for theta in thetas) for v in range(structure.n)
@@ -899,7 +899,7 @@ def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:
     if cls.kind != uni.kind:
         raise KindMismatch(f"{cls.name!r} does not match the universe kind")
     ops = KIND_OPS[uni.kind]
-    return [x for x in uni.members if _meets_to_identity(ops, x, cls)]
+    return [x for x in uni.members if _class_meet(ops, x, cls) == ops.identity(x)]
 
 
 def complementary_pair_check(c_cls: ClassPredicate, d_cls: ClassPredicate, uni: Universe) -> bool:
@@ -928,7 +928,7 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
     # with every complete graph in the class, each member's identity partition
     # with all pairs qualifies, so no member lacks a qualifying congruence
     ops = KIND_OPS[KIND_LOOPLESS]
-    return all(_meets_to_identity(ops, x, cls) for x in uni.members)
+    return all(_class_meet(ops, x, cls) == ops.identity(x) for x in uni.members)
 
 
 # ---------------------------------------------------------------------------

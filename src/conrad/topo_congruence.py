@@ -204,10 +204,10 @@ def carry_tc(rho: TopoCongruence, image, m: int) -> tuple[int, ...]:
     return _carried_least(rho.least, image, m)
 
 
-def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> tuple[FiniteSpace, tuple]:
-    """Weak quotient space (points = blocks) and the canonical projection."""
+def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> FiniteSpace:
+    """Weak quotient space (points = blocks); its projection is rho.part.class_id."""
     cid, m = rho.part.class_id, rho.part.num_blocks
-    return FiniteSpace(m, carry_tc(rho, cid, m)), cid
+    return FiniteSpace(m, carry_tc(rho, cid, m))
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:

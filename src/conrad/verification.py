@@ -25,11 +25,11 @@ def random_surjection(rng: random.Random, structure):
     """A surjective morphism built as projection-then-relabel."""
     ops = KIND_OPS[kind_of(structure)]
     theta = ops.random_congruence(rng, structure)
-    quotient, proj = ops.quotient(structure, theta)
+    quotient = ops.quotient(structure, theta)
     perm = list(range(quotient.n))
     rng.shuffle(perm)
     target = ops.relabel(quotient, perm)
-    f = tuple(perm[proj[v]] for v in range(structure.n))
+    f = tuple(perm[b] for b in theta.part.class_id)
     return target, f
 
 
@@ -41,9 +41,10 @@ def random_above(rng: random.Random, structure, alpha):
     congruences of X/alpha onto the congruences of X above alpha.
     """
     ops = KIND_OPS[kind_of(structure)]
-    stage, proj = ops.quotient(structure, alpha)
-    target, proj2 = ops.quotient(stage, ops.random_congruence(rng, stage))
-    return ops.kernel(structure, target, tuple(proj2[b] for b in proj))
+    stage = ops.quotient(structure, alpha)
+    gamma = ops.random_congruence(rng, stage)
+    composite = tuple(gamma.part.class_id[b] for b in alpha.part.class_id)
+    return ops.kernel(structure, ops.quotient(stage, gamma), composite)
 
 
 # ---------------------------------------------------------------------------

@@ -145,10 +145,10 @@ def kernel_tc_opens(x, y, f: tuple) -> TopoCongruence:
     return TopoCongruence.from_opens(Partition(f), ctop)
 
 
-def quotient_tc_opens(x, rho) -> tuple:
+def quotient_tc_opens(x, rho) -> FiniteSpace:
     proj = rho.part.class_id
     k = rho.part.num_blocks
-    return FiniteSpace(k, _least_opens(k, [_bitmask(proj[p] for p in u) for u in rho.ctop])), proj
+    return FiniteSpace(k, _least_opens(k, [_bitmask(proj[p] for p in u) for u in rho.ctop]))
 
 
 def restrict_tc_opens(x, rho, subset) -> TopoCongruence:
@@ -333,9 +333,9 @@ def kernel_gc_pairs(g, h, f: tuple):
     return GraphCongruence.from_pairs(Partition(f), cedges)
 
 
-def quotient_gc_pairs(g, theta) -> tuple:
+def quotient_gc_pairs(g, theta) -> FiniteGraph:
     cid = theta.part.class_id
-    return graph(theta.part.num_blocks, g.policy, [(cid[a], cid[b]) for a, b in theta.cedges]), cid
+    return graph(theta.part.num_blocks, g.policy, [(cid[a], cid[b]) for a, b in theta.cedges])
 
 
 def restrict_gc_pairs(g, theta, subset):
@@ -607,7 +607,7 @@ EAGER_CONGRUENCES = {
 def meets_to_identity_eager(kind, x, cls):
     """Whether the qualifying congruences, all of them, meet to the identity."""
     ops = KIND_OPS[kind]
-    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t)[0])]
+    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t))]
     return bool(qualifying) and ops.meet(x, qualifying) == ops.identity(x)
 
 
@@ -615,7 +615,7 @@ def hoehnke_radical_eager(x, cls):
     """The meet of every qualifying congruence, all of them listed first."""
     kind = kind_of(x)
     ops = KIND_OPS[kind]
-    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t)[0])]
+    qualifying = [t for t in EAGER_CONGRUENCES[kind](x) if cls(ops.quotient(x, t))]
     if not qualifying:
         raise NoQualifyingCongruence(f"no congruence quotient lies in {cls.name!r}")
     return ops.meet(x, qualifying)
@@ -626,7 +626,7 @@ def U_operator_eager(cls, uni):
     ops = KIND_OPS[uni.kind]
     return [
         x for x in uni.members
-        if not any([cls(ops.quotient(x, t)[0]) for t in EAGER_CONGRUENCES[uni.kind](x)
+        if not any([cls(ops.quotient(x, t)) for t in EAGER_CONGRUENCES[uni.kind](x)
                     if t.part.num_blocks >= 2])
     ]
 
@@ -693,7 +693,7 @@ def first_iso_objects(x, y, f, theta) -> bool:
     map sending each block to the image of its points, which must be a
     bijection carrying one onto the other."""
     ops = KIND_OPS[kind_of(x)]
-    quotient, _ = ops.quotient(x, theta)
+    quotient = ops.quotient(x, theta)
     perm = tuple(f[block[0]] for block in theta.part.blocks)
     return quotient.n == y.n == len(set(perm)) and ops.carries(quotient, y, perm)
 
@@ -704,10 +704,10 @@ def third_iso_objects(x, alpha, beta) -> bool:
     alpha's blocks) to the block of beta holding their points, which must be a
     bijection carrying one onto the other."""
     ops = KIND_OPS[kind_of(x)]
-    stage, _ = ops.quotient(x, alpha)
+    stage = ops.quotient(x, alpha)
     cong = ops.quotient_cong(x, alpha, beta)
-    left, _ = ops.quotient(stage, cong)
-    right, _ = ops.quotient(x, beta)
+    left = ops.quotient(stage, cong)
+    right = ops.quotient(x, beta)
     perm = tuple(beta.part.class_id[alpha.part.blocks[block[0]][0]] for block in cong.part.blocks)
     return left.n == right.n == len(set(perm)) and ops.carries(left, right, perm)
 
@@ -719,9 +719,9 @@ def second_iso_objects(x, theta, sub) -> bool:
     sending the block of sorted(sub)[i] to the position of its block of x
     among those blocks, which must be a bijection carrying one onto the other."""
     ops = KIND_OPS[kind_of(x)]
-    quotient, proj = ops.quotient(x, theta)
+    quotient, proj = ops.quotient(x, theta), theta.part.class_id
     restricted = ops.restrict(x, theta, sub)
-    left, _ = ops.quotient(ops.substructure(x, sub), restricted)
+    left = ops.quotient(ops.substructure(x, sub), restricted)
     points = _positions(sub, x.n)
     image = sorted({proj[v] for v in points})
     right = ops.substructure(quotient, image)

@@ -220,7 +220,7 @@ def test_criterion_11_sierpinski_decomposition():
                 factors = tc.sierpinski_decomposition(x)
                 assert check_subdirect(x, factors).ok
                 for cong in factors:
-                    quotient, _ = tc.quotient_tc(x, cong)
+                    quotient = tc.quotient_tc(x, cong)
                     assert (
                         homeo_spaces(quotient, S2) is not None
                         or homeo_spaces(quotient, I2) is not None

@@ -99,7 +99,8 @@ def test_one_congruence_operations_match_the_pair_calculus():
                 assert oracles.validate_pairs(g, theta) is theta
                 quotient = ops.quotient(g, theta)
                 assert quotient == oracles.quotient_gc_pairs(g, theta)
-                assert ops.kernel(g, *quotient) == oracles.kernel_gc_pairs(g, *quotient) == theta
+                proj = theta.part.class_id
+                assert ops.kernel(g, quotient, proj) == oracles.kernel_gc_pairs(g, quotient, proj) == theta
                 for sub in _nonempty_subsets(g.n):
                     assert ops.restrict(g, theta, sub) == oracles.restrict_gc_pairs(g, theta, sub)
                 listed += 1

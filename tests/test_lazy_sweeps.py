@@ -22,7 +22,7 @@ from conrad.radical_engine import (
     KIND_OPS,
     U_operator,
     _class_hereditary,
-    _meets_to_identity,
+    _class_meet,
     build_universe,
     class_from_members,
     hoehnke_radical,
@@ -92,7 +92,8 @@ def test_early_exit_sweeps_equal_eager(kind, universes):
     ops = KIND_OPS[kind]
     for cls in _classes(kind):
         for x in uni:
-            assert _meets_to_identity(ops, x, cls) == meets_to_identity_eager(kind, x, cls), (cls.name, x)
+            met = _class_meet(ops, x, cls)
+            assert (met == ops.identity(x)) == meets_to_identity_eager(kind, x, cls), (cls.name, x)
         assert U_operator(cls, uni) == U_operator_eager(cls, uni), cls.name
         assert subdirect_closure(cls, uni) == subdirect_closure_eager(cls, uni), cls.name
 

@@ -58,7 +58,7 @@ def test_exactly_four_hereditary_h_radical_profiles():
                 expected = value_on(assign, subspace(x, sub))
                 if tc.restrict_tc(x, sx, sub) != expected:
                     return False
-        quotient, _ = tc.quotient_tc(x, sx)
+        quotient = tc.quotient_tc(x, sx)
         mq, _ = canonical_copy(quotient)
         if mq in assign and assign[mq] != tc.identity_tc(mq):
             return False
@@ -78,7 +78,7 @@ def test_exactly_four_hereditary_h_radical_profiles():
     def backtrack(i, assign):
         if i == len(members):
             for x in members:
-                quotient, _ = tc.quotient_tc(x, assign[x])
+                quotient = tc.quotient_tc(x, assign[x])
                 mq, _ = canonical_copy(quotient)
                 if assign[mq] != tc.identity_tc(mq):
                     return

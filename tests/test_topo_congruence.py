@@ -143,7 +143,7 @@ def test_kernel_examples():
 def test_strong_kernel_below_any_congruence_with_same_partition():
     for x in SPACES_3:
         for rho in enumerate_congruences_tc(x):
-            q, proj = quotient_tc(x, rho)
+            q, proj = quotient_tc(x, rho), rho.part.class_id
             sker = strong_kernel_tc(x, q, proj)
             assert sker.part == rho.part
             assert le_tc(sker, rho)
@@ -152,7 +152,7 @@ def test_strong_kernel_below_any_congruence_with_same_partition():
 def test_kernel_of_projection_is_rho():
     for x in SPACES_3:
         for rho in enumerate_congruences_tc(x):
-            q, proj = quotient_tc(x, rho)
+            q, proj = quotient_tc(x, rho), rho.part.class_id
             assert kernel_tc(x, q, proj) == rho
 
 
@@ -161,23 +161,23 @@ def test_kernel_of_projection_is_rho():
 # ---------------------------------------------------------------------------
 
 def test_quotient_examples():
-    q, _ = quotient_tc(S2, universal_of(S2))
+    q = quotient_tc(S2, universal_of(S2))
     assert homeo_spaces(q, T_SPACE) is not None
-    q, _ = quotient_tc(D2, TopoCongruence.from_opens(id2(), INDISCRETE2))
+    q = quotient_tc(D2, TopoCongruence.from_opens(id2(), INDISCRETE2))
     assert q == I2
     x3 = space(3, [[], [0], [0, 1], [0, 1, 2]])
     rho = TopoCongruence.from_opens(
         Partition.from_blocks(3, [[0], [1, 2]]),
         frozenset({frozenset(), frozenset({0}), frozenset({0, 1, 2})}),
     )
-    q, _ = quotient_tc(x3, rho)
+    q = quotient_tc(x3, rho)
     assert homeo_spaces(q, S2) is not None
 
 
 def test_quotient_characterizes_identity_and_universal():
     for x in SPACES_3:
         for rho in enumerate_congruences_tc(x):
-            q, _ = quotient_tc(x, rho)
+            q = quotient_tc(x, rho)
             assert (homeo_spaces(q, x) is not None) == (rho == identity_tc(x))
             assert (homeo_spaces(q, T_SPACE) is not None) == (rho == universal_of(x))
 
@@ -257,8 +257,8 @@ def test_quotient_cong_examples():
     alpha = TopoCongruence.from_opens(id2(), S2.opens)
     assert quotient_cong_tc(D2, alpha, alpha).part == id2()
     qc = quotient_cong_tc(D2, alpha, universal_of(D2))
-    stage, _ = quotient_tc(D2, alpha)
-    q, _ = quotient_tc(stage, qc)
+    stage = quotient_tc(D2, alpha)
+    q = quotient_tc(stage, qc)
     assert homeo_spaces(q, T_SPACE) is not None
     with pytest.raises(NotContained):
         check_third_iso(D2, universal_of(D2), identity_tc(D2))
@@ -268,7 +268,7 @@ def test_quotient_cong_trivial_cases():
     for x in SPACES_3:
         cons = enumerate_congruences_tc(x)
         for alpha in cons:
-            stage, _ = quotient_tc(x, alpha)
+            stage = quotient_tc(x, alpha)
             assert quotient_cong_tc(x, alpha, alpha) == identity_tc(stage)
             assert quotient_cong_tc(x, alpha, universal_of(x)) == universal_of(stage)
 
@@ -278,7 +278,7 @@ def test_correspondence_bijection():
     for x in SPACES_3:
         cons = enumerate_congruences_tc(x)
         for theta in cons:
-            stage, _ = quotient_tc(x, theta)
+            stage = quotient_tc(x, theta)
             above = [a for a in cons if le_tc(theta, a)]
             mapped = [quotient_cong_tc(x, theta, a) for a in above]
             assert len(set(mapped)) == len(above)
@@ -294,7 +294,7 @@ def test_image_examples():
     assert image_tc(D2, D2, (0, 1), rho) == rho
     assert image_tc(D2, I2, (0, 1), rho) == TopoCongruence.from_opens(id2(), INDISCRETE2)
     for x in SPACES_3:
-        q, proj = quotient_tc(x, universal_of(x))
+        q, proj = quotient_tc(x, universal_of(x)), universal_of(x).part.class_id
         assert image_tc(x, q, proj, universal_of(x)) == universal_of(q)
     with pytest.raises(NotSurjective):
         image_tc(S2, D2, (0, 0), identity_tc(S2))
@@ -352,7 +352,7 @@ def test_subdirect_embedding_is_homeo_onto_image():
 def test_sierpinski_decomposition():
     dec = sierpinski_decomposition(D2)
     assert len(dec) == 2
-    assert all(homeo_spaces(quotient_tc(D2, c)[0], S2) is not None for c in dec)
+    assert all(homeo_spaces(quotient_tc(D2, c), S2) is not None for c in dec)
     assert sierpinski_decomposition(I2) == [identity_tc(I2)]
     assert sierpinski_decomposition(S2) == [identity_tc(S2)]
     with pytest.raises(TrivialSpace):
@@ -366,7 +366,7 @@ def test_sierpinski_decomposition_all_small_spaces():
         dec = sierpinski_decomposition(x)
         assert check_subdirect_tc(x, dec).ok
         for c in dec:
-            q, _ = quotient_tc(x, c)
+            q = quotient_tc(x, c)
             assert homeo_spaces(q, S2) is not None or homeo_spaces(q, I2) is not None
 
 
@@ -402,7 +402,7 @@ def _sierpinski_candidates_by_quotient(x):
     return [
         c for c in enumerate_congruences_tc(x)
         if c.part.num_blocks == 2
-        and any(homeo_spaces(quotient_tc(x, c)[0], t) is not None for t in (S2, I2))
+        and any(homeo_spaces(quotient_tc(x, c), t) is not None for t in (S2, I2))
     ]
 
 

@@ -60,7 +60,8 @@ def test_one_congruence_operations_match_the_family_calculus():
         for rho in tc.enumerate_congruences_tc(x):
             quotient = tc.quotient_tc(x, rho)
             assert quotient == oracles.quotient_tc_opens(x, rho)
-            assert tc.kernel_tc(x, *quotient) == oracles.kernel_tc_opens(x, *quotient) == rho
+            proj = rho.part.class_id
+            assert tc.kernel_tc(x, quotient, proj) == oracles.kernel_tc_opens(x, quotient, proj) == rho
             for sub in _nonempty_subsets(x.n):
                 assert tc.restrict_tc(x, rho, sub) == oracles.restrict_tc_opens(x, rho, sub)
         for part in all_partitions(x.n):
