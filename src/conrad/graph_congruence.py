@@ -50,6 +50,7 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
+    require_carrier,
     require_surjective,
 )
 
@@ -125,8 +126,7 @@ def _out_of_range(g: FiniteGraph) -> EdgeSetOutOfRange:
 def _validate(g: FiniteGraph, theta: GraphCongruence) -> GraphCongruence:
     """The checks of `validate_gc` and `validate_lc` after the carrier's policy:
     the mask's pairs, sorted, pass a file's check, so a refusal names the least."""
-    if theta.part.n != g.n:
-        raise InvalidCongruence(f"partition on {theta.part.n} vertices, graph has {g.n}")
+    require_carrier(g, theta.part)
     if theta.cmask < 0 or theta.cmask >> _slot_count(g.n):
         raise _out_of_range(g)
     validate_pairs_gc(g, theta.part, _pairs(g.n, theta.cmask))
@@ -146,8 +146,7 @@ def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs) -> GraphCongruence
     shifted), then, for a loopless g, none joining related vertices, then
     every orbit inside, each pair of blocks tested once.  A refusal names a
     pair in the family's own order."""
-    if part.n != g.n:
-        raise InvalidCongruence(f"partition on {part.n} vertices, graph has {g.n}")
+    require_carrier(g, part)
     loops = g.policy == LOOPS
     if not all(0 <= a <= b < g.n and (loops or a < b) for a, b in pairs):
         raise _out_of_range(g)

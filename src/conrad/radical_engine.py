@@ -559,18 +559,30 @@ def surjective_morphisms(x, y) -> list[tuple]:
 
     x and y must be of one kind.  A map is a morphism iff it carries the
     kind's relation on x into the one on y.  The search assigns vertices 0,
-    1, ... in turn, tries targets in ascending order, checks each new vertex
-    against the relation pairs it forms with the vertices already assigned,
-    and cuts a branch once too few vertices remain to hit every target not
-    yet hit.
+    1, ... in turn.  A new vertex's targets are one bitmask: y's loop vertices
+    when it is related to itself, cut by the successors of the image of each
+    earlier vertex it follows and the predecessors of each it precedes.  It
+    tries them in ascending order, and cuts a branch once too few vertices
+    remain to hit every target not yet hit.
     """
     n, m = x.n, y.n
     relation = KIND_OPS[_morphism_kind(x, y)].relation
-    target = relation(y)
-    # pairs to check once vertex i is assigned: those whose larger end is i
+    succ, pred = [0] * m, [0] * m
+    for a, b in relation(y):
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+    loops = sum(1 << v for v in range(m) if succ[v] >> v & 1)
+    # per vertex i: its targets before its pairs with earlier vertices cut
+    # them, and the mask table and earlier vertex of each such pair
+    start = [(1 << m) - 1] * n
     checks = [[] for _ in range(n)]
     for a, b in relation(x):
-        checks[max(a, b)].append((a, b))
+        if a < b:
+            checks[b].append((succ, a))
+        elif b < a:
+            checks[a].append((pred, b))
+        else:
+            start[a] = loops
     f = [0] * n
     hits = [0] * m
     out = []
@@ -581,12 +593,16 @@ def surjective_morphisms(x, y) -> list[tuple]:
         if i == n:
             out.append(tuple(f))
             return
-        for v in range(m):
-            f[i] = v
-            if all((f[a], f[b]) in target for a, b in checks[i]):
-                hits[v] += 1
-                extend(i + 1, missing - (hits[v] == 1))
-                hits[v] -= 1
+        allowed = start[i]
+        for table, a in checks[i]:
+            allowed &= table[f[a]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            f[i] = v = low.bit_length() - 1
+            hits[v] += 1
+            extend(i + 1, missing - (hits[v] == 1))
+            hits[v] -= 1
 
     extend(0, m)
     return out

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BoundExceeded,
     EmptySubset,
+    InvalidCongruence,
     MissingEmptyOrFull,
     NotClosedUnderIntersection,
     NotClosedUnderUnion,
@@ -199,6 +200,14 @@ def require_permutation(perm, n: int) -> None:
     require_surjective(perm, n)
 
 
+def require_carrier(x, part) -> None:
+    """Refuse a congruence's partition of another carrier than x, in the
+    words of x's calculus."""
+    if part.n != x.n:
+        points, carrier = ("points", "space") if isinstance(x, FiniteSpace) else ("vertices", "graph")
+        raise InvalidCongruence(f"partition on {part.n} {points}, {carrier} has {x.n}")
+
+
 def _refines(labels, coarser) -> bool:
     """Whether positions with equal labels always have equal coarser labels."""
     rep = {}
@@ -318,6 +327,8 @@ def _mask_of(n: int, pairs) -> int:
 class _Lazy(dict):
     """A table filled as it is read: entry k is fill(k), computed on first
     read, so a huge carrier's table holds only the slots its masks use."""
+
+    __slots__ = ("fill",)
 
     def __init__(self, fill):
         super().__init__()
@@ -665,16 +676,24 @@ def _transitive(reach) -> tuple[int, ...]:
     return tuple(least)
 
 
+@functools.lru_cache(maxsize=4096)
+def _least_plan(image: tuple, m: int) -> tuple:
+    """What carrying a least-open vector along a map of its points onto m
+    points reads: the first point sent to each new point, and each mask's
+    image, filled as read.  Kept per map: a sweep carries along few of them."""
+    first = {}
+    for p, v in enumerate(image):
+        first.setdefault(v, p)
+    to = tuple(0 if v is None else 1 << v for v in image)
+    return tuple(first[v] for v in range(m)), _Lazy(functools.partial(_union_of, to))
+
+
 def _carried_least(least, image, m: int) -> tuple[int, ...]:
-    """A least-open vector carried along a map `image` of its points into m
+    """A least-open vector carried along a map `image` of its points onto m
     points: each new point's least open set is the image of the least open
     set of the first point sent to it; a point whose image is None is dropped."""
-    to = [0 if v is None else 1 << v for v in image]
-    out = [None] * m
-    for u, v in zip(least, image):
-        if v is not None and out[v] is None:
-            out[v] = _union_of(to, u)
-    return tuple(out)
+    firsts, images = _least_plan(tuple(image), m)
+    return tuple([images[least[p]] for p in firsts])
 
 
 def _topology_defect(n: int, family: frozenset) -> SemanticError | None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from .errors import (
     BoundExceeded,
     EmptyList,
-    InvalidCongruence,
     NotATopology,
     NotContinuous,
     NotSaturated,
@@ -52,6 +51,7 @@ from .structures import (
     join_partitions,
     meet_partitions,
     random_partition,
+    require_carrier,
     require_surjective,
 )
 
@@ -143,8 +143,7 @@ def validate_tc(x: FiniteSpace, rho: TopoCongruence) -> TopoCongruence:
     """Check the congruence conditions against the carrier space: a preorder,
     whose least open sets pass the checks a file's family gets.  Every open
     is a union of these, so they stand for the whole congruence topology."""
-    if rho.part.n != x.n:
-        raise InvalidCongruence(f"partition on {rho.part.n} points, space has {x.n}")
+    require_carrier(x, rho.part)
     if _preorder_defect(x.n, rho.least):
         raise NotATopology("congruence topology is not a topology")
     _check_members(x, rho.part, list(map(_members, rho.least)))
@@ -155,8 +154,7 @@ def validate_opens_tc(x: FiniteSpace, part: Partition, opens: frozenset) -> Topo
     """The congruence with the given family of opens on x, as read from a file,
     after checking the family as given: a topology, inside x's, then every
     member a union of blocks.  A refusal names a member of the family."""
-    if part.n != x.n:
-        raise InvalidCongruence(f"partition on {part.n} points, space has {x.n}")
+    require_carrier(x, part)
     if _topology_defect(x.n, opens):
         raise NotATopology("congruence topology is not a topology")
     _check_members(x, part, opens)
@@ -323,16 +321,17 @@ def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
 
 
 def random_space(rng: random.Random, n: int) -> FiniteSpace:
-    fam = {frozenset(p for p in range(n) if rng.random() < 0.5)
-           for _ in range(rng.randrange(n + 2))}
-    return FiniteSpace(n, _least_opens(n, map(_bitmask, fam)))
+    """The space generated by a random number of random subsets, each point
+    drawn in turn."""
+    masks = [sum(1 << p for p in range(n) if rng.random() < 0.5) for _ in range(rng.randrange(n + 2))]
+    return FiniteSpace(n, _least_opens(n, masks))
 
 
 def random_tcong(rng: random.Random, x: FiniteSpace) -> TopoCongruence:
     """A random partition with the topology generated by a random choice of
     its saturated opens, one draw per open in the order of their sorted points."""
     part = random_partition(rng, x.n)
-    sat = sorted(_unions(saturated_least(x, part)), key=lambda m: sorted(_members(m)))
+    sat = sorted(_unions(saturated_least(x, part)), key=lambda m: [p for p in range(x.n) if m >> p & 1])
     return TopoCongruence(part, _least_opens(x.n, [m for m in sat if rng.random() < 0.5]))
 
 

@@ -12,7 +12,7 @@ import random
 
 from .errors import BoundExceeded, NotContained
 from .radical_engine import KIND_OPS, _checked_kernel, build_universe, kind_of, surjective_morphisms
-from .structures import Partition, _nonempty_subsets, _positions, _refines
+from .structures import Partition, _nonempty_subsets, _positions, _refines, require_carrier
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -70,24 +70,32 @@ def _first_iso(ops, theta, f, y) -> bool:
 
 
 def check_second_iso(x, theta, sub) -> bool:
-    """Quotient of the restriction matches the image-side substructure.
+    """Quotient of the restriction matches the image-side substructure."""
+    require_carrier(x, theta.part)
+    return _second_iso(KIND_OPS[kind_of(x)], theta, *_second_maps(theta.part.class_id, _positions(sub, x.n)))
 
-    The map sends each block meeting sub to its position among them.  With g
-    sending each point to its block's position (None off those blocks), the
-    sides under it are theta carried along g cut to sub and along g.
-    """
-    ops = KIND_OPS[kind_of(x)]
-    cid = theta.part.class_id
-    points = _positions(sub, x.n)
+
+def _second_maps(cid, points) -> tuple:
+    """(cut, g, k) for theta's class ids and the subset's sorted points: the
+    map sends each of the k blocks meeting the subset to its position among
+    them, g sends each point to its block's (None off those blocks), and the
+    sides under it are theta carried along g cut to the subset and along g."""
     image = sorted({cid[p] for p in points})
-    g = [image.index(b) if b in image else None for b in cid]
-    cut = [b if p in points else None for p, b in enumerate(g)]
-    return ops.carry(theta, cut, len(image)) == ops.carry(theta, g, len(image))
+    g = tuple(image.index(b) if b in image else None for b in cid)
+    cut = tuple(b if p in points else None for p, b in enumerate(g))
+    return cut, g, len(image)
+
+
+def _second_iso(ops, theta, cut, g, k) -> bool:
+    """check_second_iso given the instance's maps."""
+    return ops.carry(theta, cut, k) == ops.carry(theta, g, k)
 
 
 def check_third_iso(x, alpha, beta) -> bool:
     """(X/a)/(b/a) matches X/b; a must be contained in b."""
     ops = KIND_OPS[kind_of(x)]
+    require_carrier(x, alpha.part)
+    require_carrier(x, beta.part)
     if not ops.le(alpha, beta):
         raise NotContained("beta must contain alpha")
     return _third_iso(ops, x, alpha, beta, _quotient_side(ops, beta))
@@ -123,7 +131,9 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     Every member's congruences are listed before any instance is checked, and
     the sweep is refused once the universe's second-theorem instances (each
     member's congruences times its nonempty subsets) pass THEOREM_SWEEP_BOUND.
-    The first two theorems are decided by their public checks.
+    The first theorem is decided by its public check.  The second builds its
+    maps once per (partition, subset) and decides every congruence on that
+    partition with them.
 
     The third theorem is decided once per (alpha's partition P, beta) with P
     refining beta's partition, on the least congruence on P (the kind's
@@ -149,15 +159,16 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
             for f in surjective_morphisms(x, y):
                 if not check_first_iso(x, y, f):
                     failures["first"] += 1
-        for theta in congs:
-            for sub in _nonempty_subsets(x.n):
-                if not check_second_iso(x, theta, sub):
-                    failures["second"] += 1
-        # each congruence's quotient side, carried once per member; alpha <= beta
-        # needs alpha's partition to refine beta's, so decide only such pairs
+        # each congruence's quotient side, carried once per member, grouped by
+        # partition: the second theorem's maps read only the partition and the
+        # subset, and alpha <= beta needs alpha's partition to refine beta's
         by_part: dict[Partition, list] = {}
         for theta in congs:
             by_part.setdefault(theta.part, []).append((theta, _quotient_side(ops, theta)))
+        for part, group in by_part.items():
+            for sub in _nonempty_subsets(x.n):
+                maps = _second_maps(part.class_id, sub)
+                failures["second"] += sum(not _second_iso(ops, theta, *maps) for theta, _ in group)
         for part_a, group_a in by_part.items():
             alpha = ops.strongify(x, part_a)
             for part_b, group_b in by_part.items():

@@ -200,6 +200,14 @@ def image_le_tc_opens(x, y, f: tuple, rho, beta) -> bool:
     )
 
 
+def random_space_opens(rng, n: int) -> FiniteSpace:
+    """topo_congruence.random_space drawn as a set of frozensets: a random
+    number of random subsets, each point drawn in turn."""
+    fam = {frozenset(p for p in range(n) if rng.random() < 0.5)
+           for _ in range(rng.randrange(n + 2))}
+    return FiniteSpace(n, _least_opens(n, map(_bitmask, fam)))
+
+
 def random_tcong_opens(rng, x) -> TopoCongruence:
     part = random_partition(rng, x.n)
     sat = sorted(saturated_opens(x, part), key=lambda u: sorted(u))

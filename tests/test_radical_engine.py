@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -328,6 +329,19 @@ def test_surjective_morphisms_match_product_scan():
                 assert found == _product_scan(kind, x, y), (x, y)
                 totals[kind] += len(found)
     assert totals == {KIND_TOPO: 6_970, KIND_GRAPH: 851, KIND_LOOPLESS: 1_322}
+    # and on seeded pairs past the universes: 5 points onto 2 to 4
+    rng = random.Random(17)
+    seeded = {}
+    for kind in (KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS):
+        ops = KIND_OPS[kind]
+        seeded[kind] = 0
+        for _ in range(40):
+            x = ops.random_structure(rng, 5)
+            y = ops.random_structure(rng, rng.randint(2, 4))
+            found = surjective_morphisms(x, y)
+            assert found == _product_scan(kind, x, y), (x, y)
+            seeded[kind] += len(found)
+    assert seeded == {KIND_TOPO: 1_678, KIND_GRAPH: 81, KIND_LOOPLESS: 356}
 
 
 def test_universe_searches_each_pair_once(monkeypatch):

@@ -154,3 +154,14 @@ def test_random_draws_match_the_family_calculus():
         x = tc.random_space(sizes, sizes.randint(1, 5))
         assert tc.random_tcong(mine, x) == oracles.random_tcong_opens(theirs, x)
     assert mine.getstate() == theirs.getstate()
+
+
+def test_random_spaces_match_the_family_draw():
+    # the masks are drawn as the frozensets were, using the generator alike:
+    # the seeded reports print only counts, so no golden would catch a change
+    sizes = random.Random(5)
+    mine, theirs = random.Random(13), random.Random(13)
+    for _ in range(1000):
+        n = sizes.randint(1, 5)
+        assert tc.random_space(mine, n) == oracles.random_space_opens(theirs, n)
+    assert mine.getstate() == theirs.getstate()

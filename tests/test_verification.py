@@ -14,7 +14,7 @@ import pytest
 from conrad import graph_congruence as gc
 from conrad import verification
 from conrad.cli_io import run_command
-from conrad.errors import EmptySubset, KindMismatch, NotSurjective, SemanticError
+from conrad.errors import EmptySubset, InvalidCongruence, KindMismatch, NotSurjective, SemanticError
 from conrad.radical_engine import (
     KIND_GRAPH,
     KIND_LOOPLESS,
@@ -22,6 +22,7 @@ from conrad.radical_engine import (
     KIND_TOPO,
     build_universe,
     catalog_radical,
+    kind_of,
     surjective_morphisms,
     verify_H1,
 )
@@ -35,6 +36,7 @@ from conrad.structures import (
     FiniteSpace,
     Partition,
     all_partitions,
+    discrete_space,
     enumerate_graphs,
     graph,
     relabel_graph,
@@ -170,6 +172,32 @@ def test_the_public_checks_refuse_what_is_not_an_instance():
         check_second_iso(S2, theta, (0, 2))
 
 
+def test_the_public_checks_refuse_a_congruence_on_another_carrier():
+    # check_second_iso ended in IndexError on a smaller partition and
+    # answered True on a larger one, as check_third_iso did: each now refuses
+    # with the validators' message
+    cases = (
+        (discrete_space(3), D2, "partition on 2 points, space has 3"),
+        (D2, discrete_space(3), "partition on 3 points, space has 2"),
+        (graph(3, LOOPS), B4, "partition on 2 vertices, graph has 3"),
+        (B4, graph(3, LOOPS), "partition on 3 vertices, graph has 2"),
+        (graph(2, NOLOOPS), graph(3, NOLOOPS), "partition on 3 vertices, graph has 2"),
+    )
+    for x, other, message in cases:
+        ops = KIND_OPS[kind_of(x)]
+        foreign, own = ops.identity(other), ops.identity(x)
+        for check, args in (
+            (check_second_iso, (foreign, tuple(range(x.n)))),
+            (check_third_iso, (foreign, foreign)),
+            (check_third_iso, (own, foreign)),
+            (check_third_iso, (foreign, own)),
+        ):
+            with pytest.raises(InvalidCongruence, match=f"^{message}$"):
+                check(x, *args)
+        with pytest.raises(InvalidCongruence, match=f"^{message}$"):
+            ops.validate(x, foreign)
+
+
 def test_the_onto_checks_name_the_points_a_map_must_reach():
     # none of these callers builds an image congruence: the refusal names
     # the points the map must reach
@@ -221,6 +249,34 @@ def test_the_second_theorem_agrees_with_the_structures_oracle(kind, max_n, count
                     decided += 1
                     failing += not expected
     assert (decided, failing, refused) == counts
+
+
+@pytest.mark.parametrize("kind, max_n, counts", [
+    (KIND_TOPO, 4, (46792, 905)),
+    (KIND_GRAPH, 3, (3772, 136)),
+    (KIND_LOOPLESS, 4, (7256, 988)),
+])
+def test_the_sweeps_second_theorem_maps_decide_as_the_public_check(kind, max_n, counts):
+    # the sweep builds each (partition, subset)'s maps once and decides every
+    # congruence on that partition with them: on every congruence, and every
+    # partition paired with the carrier's own vector or mask (failing
+    # instances too), that must answer as check_second_iso
+    ops = KIND_OPS[kind]
+    decided = failing = 0
+    for x in build_universe(kind, max_n):
+        own = ops.identity(x)
+        thetas = ops.enum_congruences(x) + [dataclasses.replace(own, part=p) for p in all_partitions(x.n)]
+        for size in range(1, x.n + 1):
+            for sub in itertools.combinations(range(x.n), size):
+                maps = {}
+                for theta in thetas:
+                    if theta.part not in maps:
+                        maps[theta.part] = verification._second_maps(theta.part.class_id, sub)
+                    expected = check_second_iso(x, theta, sub)
+                    assert verification._second_iso(ops, theta, *maps[theta.part]) == expected, (x, theta, sub)
+                    decided += 1
+                    failing += not expected
+    assert (decided, failing) == counts
 
 
 @pytest.mark.parametrize("kind, max_n, counts", [
