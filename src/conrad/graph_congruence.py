@@ -170,14 +170,20 @@ def validate_pairs_gc(g: FiniteGraph, part: Partition, pairs) -> GraphCongruence
 # Maps
 # ---------------------------------------------------------------------------
 
+def _pullback(h: FiniteGraph, f: tuple) -> int:
+    """h's edge mask pulled back along a map f of its vertices into h's: the
+    pairs f sends onto edges of h."""
+    images = _slot_images(len(f), tuple(f), h.n)
+    return sum(1 << s for s in range(_slot_count(len(f))) if images[s] & h.mask)
+
+
 def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
     """The fibres of f with the pairs f sends onto edges of h, which must hold g's."""
     if len(f) != g.n:
         raise NotHomomorphism(f"the map has {len(f)} images for {g.n} vertices")
     if min(f) < 0 or max(f) >= h.n:
         raise NotHomomorphism(f"the map's images must lie in 0..{h.n - 1}")
-    images = _slot_images(g.n, tuple(f), h.n)
-    cmask = sum(1 << s for s in range(_slot_count(g.n)) if images[s] & h.mask)
+    cmask = _pullback(h, f)
     if g.mask & ~cmask:
         raise NotHomomorphism("the map does not preserve edges")
     return GraphCongruence(Partition(f), cmask)
@@ -187,30 +193,23 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
-def carry_gc(theta: GraphCongruence, image, m: int) -> int:
-    """The edge mask theta's edge-set induces on m vertices along a map of its
-    vertices (None drops a vertex).  It reads theta alone, so it serves a
-    congruence of a quotient as well."""
-    return _carried(theta.part.n, theta.cmask, image, m)
-
-
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> FiniteGraph:
     """Quotient graph under g's loop policy; its projection is theta.part.class_id."""
     cid, m = theta.part.class_id, theta.part.num_blocks
-    return FiniteGraph(m, g.policy, carry_gc(theta, cid, m))
+    return FiniteGraph(m, g.policy, _carried(g.n, theta.cmask, cid, m))
 
 
 def restrict_gc(g: FiniteGraph, theta: GraphCongruence, subset) -> GraphCongruence:
     sub = _positions(subset, g.n)
     cid = theta.part.class_id
-    cmask = carry_gc(theta, _subset_image(g.n, sub), len(sub))
+    cmask = _carried(g.n, theta.cmask, _subset_image(g.n, sub), len(sub))
     return GraphCongruence(Partition([cid[p] for p in sub]), cmask)
 
 
 def quotient_cong_gc(g: FiniteGraph, t1: GraphCongruence, t2: GraphCongruence) -> GraphCongruence:
     """The congruence t2/t1 on the quotient by t1, for t1 <= t2."""
     part = Partition([t2.part.class_id[b[0]] for b in t1.part.blocks])
-    return GraphCongruence(part, carry_gc(t2, t1.part.class_id, t1.part.num_blocks))
+    return GraphCongruence(part, _carried(g.n, t2.cmask, t1.part.class_id, t1.part.num_blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def image_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence) -
     require_surjective(f, h.n)
     total = join_gc(g, [theta, kernel_gc(g, h, f)])
     label = dict(zip(f, total.part.class_id))
-    return GraphCongruence(Partition([label[v] for v in range(h.n)]), carry_gc(total, f, h.n))
+    return GraphCongruence(Partition([label[v] for v in range(h.n)]), _carried(g.n, total.cmask, f, h.n))
 
 
 def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence,

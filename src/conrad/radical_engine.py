@@ -45,9 +45,12 @@ from .structures import (
     S2,
     T0,
     T_SPACE,
+    _carried_least,
+    _least_plan,
     _mask_of,
     _nonempty_subsets,
-    _pairs,
+    _slot_images,
+    _union_of,
     automorphisms,
     bounded_partitions,
     carries_edges,
@@ -156,10 +159,15 @@ class _KindOps:
     validate: Callable
     # the quotient structure alone: its projection is the congruence's part.class_id
     quotient: Callable
-    # a congruence's least-open vector or edge mask carried along a map of its
-    # points, and a structure's own, which a carry is compared with
+    # a map's carry plan; a least-open vector or edge mask carried along a
+    # plan; a congruence's vector or mask and a structure's own, which a carry
+    # is compared with; a map's kernel's, the codomain's pulled back unchecked,
+    # and the kernel itself, checked
+    plan: Callable
     carry: Callable
+    vector: Callable
     representation: Callable
+    pullback: Callable
     kernel: Callable
     quotient_cong: Callable
     meet: Callable
@@ -172,7 +180,6 @@ class _KindOps:
     carries: Callable
     from_relation: Callable
     le: Callable
-    relation: Callable
     image_le: Callable
     catalog: Callable | None
     catalog_ids: tuple[str, ...]
@@ -182,21 +189,11 @@ class _KindOps:
     relabel: Callable
 
 
-def _specialization(x: FiniteSpace) -> frozenset[tuple[int, int]]:
-    """The specialization preorder: p below q when q lies in every open around p.
-
-    A map of finite spaces is continuous iff it is monotone for this preorder
-    (Alexandroff 1937; Stong, Trans. AMS 123, 1966).
-    """
-    return frozenset(
-        (p, q) for p, mask in enumerate(x.min_opens) for q in range(x.n) if mask >> q & 1
-    )
-
-
-def _adjacency(g: FiniteGraph) -> frozenset[tuple[int, int]]:
-    """The edges read in both directions; a loopless graph has no pair (v, v)."""
-    pairs = _pairs(g.n, g.mask)
-    return frozenset(pairs + [(b, a) for a, b in pairs])
+def _relation(x) -> frozenset[tuple[int, int]]:
+    """The relation a morphism must carry into its codomain's: (p, q) when q
+    lies in p's successor mask of x's `search_view`, so a space's
+    specialization preorder and a graph's edges read both ways."""
+    return frozenset((p, q) for p, u in enumerate(x.search_view[0]) for q in range(x.n) if u >> q & 1)
 
 
 def _relation_graph(policy: str, n: int, pairs) -> FiniteGraph | None:
@@ -214,8 +211,11 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=tc.iter_congruences_tc,
         validate=tc.validate_tc,
         quotient=tc.quotient_tc,
-        carry=tc.carry_tc,
+        plan=_least_plan,
+        carry=_carried_least,
+        vector=operator.attrgetter("least"),
         representation=operator.attrgetter("min_opens"),
+        pullback=lambda y, f: tc._pullback(y.min_opens, f),
         kernel=tc.kernel_tc,
         quotient_cong=tc.quotient_cong_tc,
         meet=tc.meet_tc,
@@ -228,7 +228,6 @@ KIND_OPS: dict[str, _KindOps] = {
         carries=carries_opens,
         from_relation=preorder_space,
         le=tc.le_tc,
-        relation=_specialization,
         image_le=tc.image_le_tc,
         catalog=catalog_topological,
         catalog_ids=TOPO_CATALOG_IDS,
@@ -243,8 +242,11 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=gc.iter_congruences_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
-        carry=gc.carry_gc,
+        plan=lambda image, m: _slot_images(len(image), tuple(image), m),
+        carry=_union_of,
+        vector=operator.attrgetter("cmask"),
         representation=operator.attrgetter("mask"),
+        pullback=gc._pullback,
         kernel=gc.kernel_gc,
         quotient_cong=gc.quotient_cong_gc,
         meet=gc.meet_gc,
@@ -257,7 +259,6 @@ KIND_OPS: dict[str, _KindOps] = {
         carries=carries_edges,
         from_relation=functools.partial(_relation_graph, LOOPS),
         le=gc.le_gc,
-        relation=_adjacency,
         image_le=gc.image_le_gc,
         catalog=catalog_graph,
         catalog_ids=GRAPH_CATALOG_IDS,
@@ -408,7 +409,7 @@ def _elementary_maps(kind: str, members) -> tuple | None:
     them, as (x, y, f); None when the members are not closed under the steps.
 
     Each member x takes every elementary step, a map onto the structure
-    `from_relation` builds: merge two points, carrying x's relation to the
+    `from_relation` builds: merge two points, carrying x's `_relation` to the
     merged carrier, or add one pair to it (the kind closes the relation, and
     refuses one it cannot carry, such as a loopless loop).  Each step is
     composed with the least isomorphism onto the member it lands on.  Every
@@ -425,7 +426,7 @@ def _elementary_maps(kind: str, members) -> tuple | None:
         identity = tuple(range(x.n))
         if find(x) != (x, identity):  # an earlier member is isomorphic to x
             return None
-        rel = ops.relation(x)
+        rel = _relation(x)
         steps = []
         for a, b in itertools.combinations(range(x.n), 2):
             merge = tuple(a if v == b else v - (v > b) for v in range(x.n))
@@ -563,26 +564,16 @@ def surjective_morphisms(x, y) -> list[tuple]:
     when it is related to itself, cut by the successors of the image of each
     earlier vertex it follows and the predecessors of each it precedes.  It
     tries them in ascending order, and cuts a branch once too few vertices
-    remain to hit every target not yet hit.
+    remain to hit every target not yet hit.  Each structure's masks and
+    earlier vertices are read from its `search_view`, built once.
     """
+    _morphism_kind(x, y)
     n, m = x.n, y.n
-    relation = KIND_OPS[_morphism_kind(x, y)].relation
-    succ, pred = [0] * m, [0] * m
-    for a, b in relation(y):
-        succ[a] |= 1 << b
-        pred[b] |= 1 << a
-    loops = sum(1 << v for v in range(m) if succ[v] >> v & 1)
-    # per vertex i: its targets before its pairs with earlier vertices cut
-    # them, and the mask table and earlier vertex of each such pair
-    start = [(1 << m) - 1] * n
-    checks = [[] for _ in range(n)]
-    for a, b in relation(x):
-        if a < b:
-            checks[b].append((succ, a))
-        elif b < a:
-            checks[a].append((pred, b))
-        else:
-            start[a] = loops
+    if m > n:
+        return []
+    succ, pred, loops, _ = y.search_view
+    rows = x.search_view[3]
+    full = (1 << m) - 1
     f = [0] * n
     hits = [0] * m
     out = []
@@ -593,9 +584,12 @@ def surjective_morphisms(x, y) -> list[tuple]:
         if i == n:
             out.append(tuple(f))
             return
-        allowed = start[i]
-        for table, a in checks[i]:
-            allowed &= table[f[a]]
+        loop, ups, downs = rows[i]
+        allowed = loops if loop else full
+        for a in ups:
+            allowed &= succ[f[a]]
+        for b in downs:
+            allowed &= pred[f[b]]
         while allowed:
             low = allowed & -allowed
             allowed ^= low

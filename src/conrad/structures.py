@@ -410,6 +410,18 @@ def _union_of(masks, selector: int) -> int:
     return out
 
 
+def _search_view(succ) -> tuple:
+    """What the morphism search reads of a structure whose relation holds
+    (p, q) when succ[p] holds q: succ, its transpose, the mask of the points
+    related to themselves, and per point whether it is one, with the earlier
+    points it follows and those it precedes."""
+    n = len(succ)
+    rows = tuple((succ[i] >> i & 1, [a for a in range(i) if succ[a] >> i & 1],
+                  [b for b in range(i) if succ[i] >> b & 1]) for i in range(n))
+    pred = tuple(_bitmask(p for p in range(n) if succ[p] >> q & 1) for q in range(n))
+    return tuple(succ), pred, _bitmask(p for p in range(n) if rows[p][0]), rows
+
+
 @dataclass(frozen=True)
 class FiniteGraph:
     """Undirected graph on 0..n-1, its edges a mask over the pair slots;
@@ -445,6 +457,11 @@ class FiniteGraph:
     def has_edge(self, a: int, b: int) -> bool:
         a, b = _norm_pair(a, b)
         return bool(self.mask >> _slot(self.n, a, b) & 1)
+
+    @functools.cached_property
+    def search_view(self) -> tuple:
+        """`_search_view` of the edges, each read both ways."""
+        return _search_view([_bitmask(u for u in range(self.n) if self.has_edge(u, v)) for v in range(self.n)])
 
     @functools.cached_property
     def loop_vertices(self) -> frozenset[int]:
@@ -583,6 +600,13 @@ class FiniteSpace:
         """Every open set: the unions of the least open sets."""
         return frozenset(_members(m) for m in self._open_masks)
 
+    @functools.cached_property
+    def search_view(self) -> tuple:
+        """`_search_view` of the specialization preorder, p below the points of
+        its least open set: a map of finite spaces is continuous iff it is
+        monotone for it (Alexandroff 1937; Stong, Trans. AMS 123, 1966)."""
+        return _search_view(self.min_opens)
+
     @property
     def full(self) -> frozenset[int]:
         return frozenset(range(self.n))
@@ -676,23 +700,25 @@ def _transitive(reach) -> tuple[int, ...]:
     return tuple(least)
 
 
-@functools.lru_cache(maxsize=4096)
-def _least_plan(image: tuple, m: int) -> tuple:
+def _least_plan(image, m: int) -> tuple:
     """What carrying a least-open vector along a map of its points onto m
     points reads: the first point sent to each new point, and each mask's
-    image, filled as read.  Kept per map: a sweep carries along few of them."""
-    first = {}
-    for p, v in enumerate(image):
-        first.setdefault(v, p)
-    to = tuple(0 if v is None else 1 << v for v in image)
-    return tuple(first[v] for v in range(m)), _Lazy(functools.partial(_union_of, to))
+    image, filled as read.  Whoever carries along one map many times holds
+    its plan; a single carry, such as a theorem instance's, builds its own."""
+    to = [0 if v is None else 1 << v for v in image]
+    return tuple(map(image.index, range(m))), _Lazy(functools.partial(_union_of, to))
 
 
-def _carried_least(least, image, m: int) -> tuple[int, ...]:
-    """A least-open vector carried along a map `image` of its points onto m
-    points: each new point's least open set is the image of the least open
-    set of the first point sent to it; a point whose image is None is dropped."""
-    firsts, images = _least_plan(tuple(image), m)
+# the plans the calculus reuses across structures: subset maps, class maps and
+# the bijections a homeomorphism search tries, at most 2^n + B(n) + n! per size
+_shared_plan = functools.lru_cache(maxsize=4096)(_least_plan)
+
+
+def _carried_least(plan, least) -> tuple[int, ...]:
+    """A least-open vector carried along a map, given the map's plan: each
+    new point's least open set is the image of the least open set of the
+    first point sent to it; a point whose image is None is dropped."""
+    firsts, images = plan
     return tuple([images[least[p]] for p in firsts])
 
 
@@ -759,12 +785,12 @@ def subspace(x: FiniteSpace, subset) -> FiniteSpace:
     """Relative topology on sorted(set(subset)), relabelled to 0..|S|-1: each
     point's least open set is its old one cut down to the subset."""
     sub = _positions(subset, x.n)
-    return FiniteSpace(len(sub), _carried_least(x.min_opens, _subset_image(x.n, sub), len(sub)))
+    return FiniteSpace(len(sub), _carried_least(_shared_plan(_subset_image(x.n, sub), len(sub)), x.min_opens))
 
 
 def relabel_space(x: FiniteSpace, perm) -> FiniteSpace:
     require_permutation(perm, x.n)
-    return FiniteSpace(x.n, _carried_least(x.min_opens, perm, x.n))
+    return FiniteSpace(x.n, _carried_least(_least_plan(perm, x.n), x.min_opens))
 
 
 T_SPACE = space(1, [[], [0]])
@@ -785,7 +811,7 @@ def carries_edges(g: FiniteGraph, h: FiniteGraph, perm) -> bool:
 def carries_opens(x: FiniteSpace, y: FiniteSpace, perm) -> bool:
     """Whether the bijection perm sends the opens of x exactly onto those of y,
     that is, each point's least open set onto its image's."""
-    return _carried_least(x.min_opens, perm, y.n) == y.min_opens
+    return _carried_least(_shared_plan(tuple(perm), y.n), x.min_opens) == y.min_opens
 
 
 def _key_respecting(xkeys, ykeys):

@@ -36,11 +36,13 @@ from .structures import (
     _bitmask,
     _carried_least,
     _least_opens,
+    _least_plan,
     _members,
     _positions,
     _preorder_defect,
     _preorders,
     _refines,
+    _shared_plan,
     _subset_image,
     _topology_defect,
     _transitive,
@@ -177,7 +179,7 @@ def _pullback(least, f) -> tuple[int, ...]:
     for p, v in enumerate(f):
         fibres[v] |= 1 << p
     pre = [_union_of(fibres, m) for m in least]
-    return tuple(pre[v] for v in f)
+    return tuple([pre[v] for v in f])
 
 
 def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
@@ -196,16 +198,10 @@ def kernel_tc(x: FiniteSpace, y: FiniteSpace, f: tuple) -> TopoCongruence:
 # Quotients
 # ---------------------------------------------------------------------------
 
-def carry_tc(rho: TopoCongruence, image, m: int) -> tuple[int, ...]:
-    """The least-open vector rho's topology induces on m points along a map of
-    its points (None drops a point)."""
-    return _carried_least(rho.least, image, m)
-
-
 def quotient_tc(x: FiniteSpace, rho: TopoCongruence) -> FiniteSpace:
     """Weak quotient space (points = blocks); its projection is rho.part.class_id."""
     cid, m = rho.part.class_id, rho.part.num_blocks
-    return FiniteSpace(m, carry_tc(rho, cid, m))
+    return FiniteSpace(m, _carried_least(_shared_plan(cid, m), rho.least))
 
 
 def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
@@ -213,13 +209,13 @@ def restrict_tc(x: FiniteSpace, rho: TopoCongruence, subset) -> TopoCongruence:
     sub = _positions(subset, x.n)
     cid = rho.part.class_id
     return TopoCongruence(Partition([cid[p] for p in sub]),
-                          carry_tc(rho, _subset_image(x.n, sub), len(sub)))
+                          _carried_least(_shared_plan(_subset_image(x.n, sub), len(sub)), rho.least))
 
 
 def quotient_cong_tc(x: FiniteSpace, alpha: TopoCongruence, beta: TopoCongruence) -> TopoCongruence:
     """The congruence beta/alpha on the weak quotient by alpha, for alpha <= beta."""
     part = Partition([beta.part.class_id[block[0]] for block in alpha.part.blocks])
-    return TopoCongruence(part, carry_tc(beta, alpha.part.class_id, alpha.part.num_blocks))
+    return TopoCongruence(part, _carried_least(_shared_plan(alpha.part.class_id, alpha.part.num_blocks), beta.least))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +252,8 @@ def image_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence) -> T
     require_surjective(f, y.n)
     total = join_tc(x, [rho, kernel_tc(x, y, f)])
     label = dict(zip(f, total.part.class_id))
-    return TopoCongruence(Partition([label[v] for v in range(y.n)]), carry_tc(total, f, y.n))
+    least = _carried_least(_least_plan(f, y.n), total.least)
+    return TopoCongruence(Partition([label[v] for v in range(y.n)]), least)
 
 
 def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,

@@ -8,11 +8,12 @@ and the acceptance suite drive these sweeps.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from .errors import BoundExceeded, NotContained
 from .radical_engine import KIND_OPS, _checked_kernel, build_universe, kind_of, surjective_morphisms
-from .structures import Partition, _nonempty_subsets, _positions, _refines, require_carrier
+from .structures import Partition, _Lazy, _nonempty_subsets, _positions, _refines, require_carrier
 
 RANDOM_MIN_N, RANDOM_MAX_N = 3, 5  # the sizes of the seeded random instances
 
@@ -59,36 +60,38 @@ def random_above(rng: random.Random, structure, alpha):
 def check_first_iso(x, y, f) -> bool:
     """Quotient by the kernel of a surjection matches the codomain."""
     ops, kernel = _checked_kernel(x, y, f)
-    return _first_iso(ops, kernel, f, y)
+    return _first_iso(ops, ops.vector(kernel), f, y)
 
 
-def _first_iso(ops, theta, f, y) -> bool:
-    """check_first_iso given the congruence: the map X/theta -> Y sends each
-    block to the image of its points, so after the projection it is f, and
-    theta carried along f must be y's own vector or mask."""
-    return ops.carry(theta, f, y.n) == ops.representation(y)
+def _first_iso(ops, kernel, f, y) -> bool:
+    """check_first_iso given the kernel's vector or mask: the map X/ker f -> Y
+    sends each block to the image of its points, so after the projection it
+    is f, and the kernel carried along f must be y's own vector or mask."""
+    return ops.carry(ops.plan(f, y.n), kernel) == ops.representation(y)
 
 
 def check_second_iso(x, theta, sub) -> bool:
     """Quotient of the restriction matches the image-side substructure."""
     require_carrier(x, theta.part)
-    return _second_iso(KIND_OPS[kind_of(x)], theta, *_second_maps(theta.part.class_id, _positions(sub, x.n)))
+    ops = KIND_OPS[kind_of(x)]
+    return _second_iso(ops, ops.vector(theta), *_second_maps(ops, theta.part.class_id, _positions(sub, x.n)))
 
 
-def _second_maps(cid, points) -> tuple:
-    """(cut, g, k) for theta's class ids and the subset's sorted points: the
-    map sends each of the k blocks meeting the subset to its position among
-    them, g sends each point to its block's (None off those blocks), and the
-    sides under it are theta carried along g cut to the subset and along g."""
+def _second_maps(ops, cid, points) -> tuple:
+    """The plans of (cut, g) for theta's class ids and the subset's sorted
+    points: the map sends each of the k blocks meeting the subset to its
+    position among them, g sends each point to its block's (None off those
+    blocks), and the sides under it are theta carried along g cut to the
+    subset and along g."""
     image = sorted({cid[p] for p in points})
     g = tuple(image.index(b) if b in image else None for b in cid)
     cut = tuple(b if p in points else None for p, b in enumerate(g))
-    return cut, g, len(image)
+    return ops.plan(cut, len(image)), ops.plan(g, len(image))
 
 
-def _second_iso(ops, theta, cut, g, k) -> bool:
-    """check_second_iso given the instance's maps."""
-    return ops.carry(theta, cut, k) == ops.carry(theta, g, k)
+def _second_iso(ops, vector, cut, g) -> bool:
+    """check_second_iso given theta's vector or mask and the instance's plans."""
+    return ops.carry(cut, vector) == ops.carry(g, vector)
 
 
 def check_third_iso(x, alpha, beta) -> bool:
@@ -105,7 +108,7 @@ def _quotient_side(ops, theta) -> tuple:
     """The quotient by theta: its size, and theta carried along its class map
     (a mask alone does not tell the number of vertices)."""
     m = theta.part.num_blocks
-    return m, ops.carry(theta, theta.part.class_id, m)
+    return m, ops.carry(ops.plan(theta.part.class_id, m), ops.vector(theta))
 
 
 def _third_iso(ops, x, alpha, beta, right) -> bool:
@@ -131,9 +134,12 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     Every member's congruences are listed before any instance is checked, and
     the sweep is refused once the universe's second-theorem instances (each
     member's congruences times its nonempty subsets) pass THEOREM_SWEEP_BOUND.
-    The first theorem is decided by its public check.  The second builds its
-    maps once per (partition, subset) and decides every congruence on that
-    partition with them.
+    The first theorem is decided on each map the search finds, a surjective
+    morphism by construction, so unchecked: its kernel is y's vector or mask
+    pulled back along it, and no partition is built.  The second builds its
+    maps once per (partition, subset) for the whole sweep and decides every
+    congruence on that partition with them.  The sweep holds the plan of
+    every map it carries along, and drops them when it returns.
 
     The third theorem is decided once per (alpha's partition P, beta) with P
     refining beta's partition, on the least congruence on P (the kind's
@@ -143,7 +149,9 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     failed decision lists the alpha <= beta on P, to count every pair it
     stands for.
     """
-    ops = KIND_OPS[kind]
+    # the maps recur across members, so each is planned once
+    plans = _Lazy(lambda key: KIND_OPS[kind].plan(*key))
+    ops = dataclasses.replace(KIND_OPS[kind], plan=lambda image, m: plans[image, m])
     members = build_universe(kind, max_n).members
     congruences = []
     instances = 0
@@ -154,11 +162,11 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
             raise BoundExceeded(f"theorem sweep capped at {THEOREM_SWEEP_BOUND} congruence-subset pairs")
         congruences.append(congs)
     failures = {name: 0 for name in THEOREMS}
+    second_maps = _Lazy(lambda key: _second_maps(ops, *key))
     for x, congs in zip(members, congruences):
         for y in members:
             for f in surjective_morphisms(x, y):
-                if not check_first_iso(x, y, f):
-                    failures["first"] += 1
+                failures["first"] += not _first_iso(ops, ops.pullback(y, f), f, y)
         # each congruence's quotient side, carried once per member, grouped by
         # partition: the second theorem's maps read only the partition and the
         # subset, and alpha <= beta needs alpha's partition to refine beta's
@@ -166,9 +174,10 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
         for theta in congs:
             by_part.setdefault(theta.part, []).append((theta, _quotient_side(ops, theta)))
         for part, group in by_part.items():
+            vectors = [ops.vector(theta) for theta, _ in group]
             for sub in _nonempty_subsets(x.n):
-                maps = _second_maps(part.class_id, sub)
-                failures["second"] += sum(not _second_iso(ops, theta, *maps) for theta, _ in group)
+                maps = second_maps[part.class_id, sub]
+                failures["second"] += sum(not _second_iso(ops, vector, *maps) for vector in vectors)
         for part_a, group_a in by_part.items():
             alpha = ops.strongify(x, part_a)
             for part_b, group_b in by_part.items():

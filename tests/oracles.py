@@ -110,6 +110,59 @@ def is_morphism(x, y, f: tuple) -> bool:
     return (is_continuous if kind_of(x) == KIND_TOPO else is_homomorphism)(x, y, f)
 
 
+def relation_pairs(x) -> frozenset[tuple[int, int]]:
+    """The relation a morphism carries: a space's specialization preorder
+    (q in p's least open set), a graph's edges read both ways."""
+    if kind_of(x) == KIND_TOPO:
+        return frozenset((p, q) for p in range(x.n) for q in x.min_open(p))
+    return x.edges | {(b, a) for a, b in x.edges}
+
+
+def surjective_morphisms_by_relation(x, y) -> list[tuple]:
+    """The backtracking morphism search with its tables rebuilt from the
+    relation on every call: y's successor and predecessor masks, and per
+    vertex of x its start mask and its pairs with earlier vertices."""
+    n, m = x.n, y.n
+    relation = relation_pairs
+    succ, pred = [0] * m, [0] * m
+    for a, b in relation(y):
+        succ[a] |= 1 << b
+        pred[b] |= 1 << a
+    loops = sum(1 << v for v in range(m) if succ[v] >> v & 1)
+    start = [(1 << m) - 1] * n
+    checks = [[] for _ in range(n)]
+    for a, b in relation(x):
+        if a < b:
+            checks[b].append((succ, a))
+        elif b < a:
+            checks[a].append((pred, b))
+        else:
+            start[a] = loops
+    f = [0] * n
+    hits = [0] * m
+    out = []
+
+    def extend(i: int, missing: int) -> None:
+        if n - i < missing:
+            return
+        if i == n:
+            out.append(tuple(f))
+            return
+        allowed = start[i]
+        for table, a in checks[i]:
+            allowed &= table[f[a]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            f[i] = v = low.bit_length() - 1
+            hits[v] += 1
+            extend(i + 1, missing - (hits[v] == 1))
+            hits[v] -= 1
+
+    extend(0, m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The topological congruence calculus on families of opens
 # ---------------------------------------------------------------------------

@@ -344,6 +344,33 @@ def test_surjective_morphisms_match_product_scan():
     assert seeded == {KIND_TOPO: 1_678, KIND_GRAPH: 81, KIND_LOOPLESS: 356}
 
 
+def test_the_search_views_find_the_maps_of_the_relation_search():
+    # each structure's search view is built once and read by every search
+    # from or onto it: on every ordered pair of each universe the maps must
+    # be those of the search that rebuilt its tables from the kind's
+    # relation on every call, [] where y is larger than x
+    totals = {}
+    for kind, max_n in ((KIND_TOPO, 4), (KIND_GRAPH, 4), (KIND_LOOPLESS, 5)):
+        members = build_universe(kind, max_n).members
+        larger = maps = 0
+        for x in members:
+            for y in members:
+                found = surjective_morphisms(x, y)
+                assert found == oracles.surjective_morphisms_by_relation(x, y), (x, y)
+                larger += y.n > x.n
+                maps += len(found)
+        totals[kind] = (len(members) ** 2, larger, maps)
+    assert totals == {
+        KIND_TOPO: (2_116, 468, 6_970),
+        KIND_GRAPH: (13_924, 2_692, 29_844),
+        KIND_LOOPLESS: (2_704, 703, 31_785),
+    }
+    # a codomain larger than the domain is refused before either view is built
+    x, y = discrete_space(2), discrete_space(3)
+    assert surjective_morphisms(x, y) == []
+    assert "search_view" not in vars(x) and "search_view" not in vars(y)
+
+
 def test_universe_searches_each_pair_once(monkeypatch):
     # h1_failures takes its maps from the universe's memo, which calls the
     # module-level search once per pair, however many radicals are checked

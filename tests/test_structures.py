@@ -20,7 +20,7 @@ from conrad.errors import (
 from conrad.graph_congruence import identity_gc, restrict_gc
 from conrad.radical_engine import (
     KIND_OPS,
-    _specialization,
+    _relation,
     build_universe,
     indistinguishability_partition,
 )
@@ -372,7 +372,7 @@ def test_neighbourhoods_match_pairwise_definitions():
         part = indistinguishability_partition(x)
         for p, q in itertools.product(points, repeat=2):
             assert part.same(p, q) == all((p in u) == (q in u) for u in x.opens)
-        assert _specialization(x) == {
+        assert _relation(x) == {
             (p, q) for p, q in itertools.product(points, repeat=2)
             if all(q in u for u in around[p])
         }
@@ -559,4 +559,4 @@ def test_preorder_space_closes_the_pairs():
     assert preorder_space(3, []) == space(3, [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]])
     assert preorder_space(2, [(0, 1), (1, 0)]) == I2
     for x in enumerate_spaces(4):
-        assert preorder_space(x.n, _specialization(x)) == x
+        assert preorder_space(x.n, _relation(x)) == x

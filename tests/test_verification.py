@@ -8,11 +8,12 @@ import itertools
 import random
 import time
 from collections import Counter
+from gc import collect, get_objects
 
 import pytest
 
 from conrad import graph_congruence as gc
-from conrad import verification
+from conrad import structures, verification
 from conrad.cli_io import run_command
 from conrad.errors import EmptySubset, InvalidCongruence, KindMismatch, NotSurjective, SemanticError
 from conrad.radical_engine import (
@@ -42,7 +43,7 @@ from conrad.structures import (
     relabel_graph,
     relabel_space,
 )
-from conrad.topo_congruence import TopoCongruence, carry_tc
+from conrad.topo_congruence import TopoCongruence
 from conrad.verification import (
     RANDOM_MAX_N,
     RANDOM_MIN_N,
@@ -150,8 +151,9 @@ def test_a_wrong_map_fails_even_between_isomorphic_structures():
     # points and does not carry one onto the other: no search rescues it
     x = FiniteSpace(3, (1, 3, 7))
     theta = TopoCongruence(Partition((0, 1, 0)), x.min_opens)
-    left = FiniteSpace(2, carry_tc(theta, (None, 1, 0), 2))
-    right = FiniteSpace(2, carry_tc(theta, (0, 1, 0), 2))
+    ops = KIND_OPS[KIND_TOPO]
+    left = FiniteSpace(2, ops.carry(ops.plan((None, 1, 0), 2), theta.least))
+    right = FiniteSpace(2, ops.carry(ops.plan((0, 1, 0), 2), theta.least))
     assert left != right and relabel_space(left, (1, 0)) == right == S2
     assert not check_second_iso(x, theta, (1, 2))
     assert not second_iso_objects(x, theta, (1, 2))
@@ -271,9 +273,10 @@ def test_the_sweeps_second_theorem_maps_decide_as_the_public_check(kind, max_n, 
                 maps = {}
                 for theta in thetas:
                     if theta.part not in maps:
-                        maps[theta.part] = verification._second_maps(theta.part.class_id, sub)
+                        maps[theta.part] = verification._second_maps(ops, theta.part.class_id, sub)
                     expected = check_second_iso(x, theta, sub)
-                    assert verification._second_iso(ops, theta, *maps[theta.part]) == expected, (x, theta, sub)
+                    assert verification._second_iso(ops, ops.vector(theta), *maps[theta.part]) == expected, (
+                        x, theta, sub)
                     decided += 1
                     failing += not expected
     assert (decided, failing) == counts
@@ -304,10 +307,48 @@ def test_the_first_theorem_agrees_with_the_structures_oracle(kind, max_n, counts
                 except SemanticError:
                     refused += 1
                     continue
-                assert verification._first_iso(ops, own, f, y) == expected, (x, y, f)
+                assert verification._first_iso(ops, ops.vector(own), f, y) == expected, (x, y, f)
                 decided += 1
                 failing += not expected
     assert (decided, failing, refused) == counts
+
+
+@pytest.mark.parametrize("kind, max_n, counts", [
+    (KIND_TOPO, 4, ((6970, 0), (6970, 4234))),
+    (KIND_GRAPH, 3, ((851, 0), (851, 448))),
+    (KIND_LOOPLESS, 4, ((1322, 0), (1322, 692))),
+])
+def test_the_sweeps_first_theorem_path_decides_as_the_public_check(monkeypatch, kind, max_n, counts):
+    # the sweep decides each map its search found on the pullback of y's
+    # vector or mask, with no surjectivity or morphism check and no
+    # partition: on every surjective morphism that pullback must be the
+    # checked kernel's, and the decision check_first_iso's.  Both read y's
+    # own vector or mask, so a broken one (y's under a rotation of its
+    # points: y's own only where the rotation is an automorphism) makes
+    # instances fail, which must fail on both paths and be counted by the sweep
+    ops = KIND_OPS[kind]
+    members = build_universe(kind, max_n).members
+
+    def rotated(y):
+        return ops.representation(ops.relabel(y, [(p + 1) % y.n for p in range(y.n)]))
+
+    seen = []
+    for representation in (ops.representation, rotated):
+        patched = dataclasses.replace(ops, representation=representation)
+        monkeypatch.setitem(KIND_OPS, kind, patched)
+        decided = failing = 0
+        for x in members:
+            for y in members:
+                for f in surjective_morphisms(x, y):
+                    kernel = patched.pullback(y, f)
+                    assert kernel == ops.vector(ops.kernel(x, y, f)), (x, y, f)
+                    expected = check_first_iso(x, y, f)
+                    assert verification._first_iso(patched, kernel, f, y) is expected, (x, y, f)
+                    decided += 1
+                    failing += not expected
+        assert exhaustive_iso_theorems(kind, max_n)["first"] == failing
+        seen.append((decided, failing))
+    assert tuple(seen) == counts
 
 
 def _identity_of_stage(ops):
@@ -361,7 +402,7 @@ COMPARABLE_PAIRS = {KIND_TOPO: 901, KIND_GRAPH: 3818, KIND_LOOPLESS: 2634}
     (KIND_LOOPLESS, 4, (1322, 11452, 548, 0)),
 ])
 def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expected):
-    # one kernel and one carry per surjective morphism (first theorem), two
+    # one pullback and one carry per surjective morphism (first theorem), two
     # carries per (congruence, subset) (second), one quotient congruence and
     # one carry per (alpha's partition, beta) with some alpha <= beta, beside
     # one carry per congruence for its quotient side (third; topo n <= 3:
@@ -379,7 +420,7 @@ def test_exhaustive_sweep_visits_every_instance(monkeypatch, kind, max_n, expect
 
         return wrapper
 
-    names = ("kernel", "carry", "quotient_cong", "le")
+    names = ("pullback", "carry", "quotient_cong", "le")
     monkeypatch.setitem(
         KIND_OPS, kind, dataclasses.replace(ops, **{name: counted(name) for name in names})
     )
@@ -494,6 +535,39 @@ def _verify(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = run_command(argv)
     return status, out.getvalue(), err.getvalue()
+
+
+def _live_least_plans() -> int:
+    """How many carry plans of least-open vectors are alive."""
+    collect()
+    return sum(isinstance(o, structures._Lazy) and getattr(o.fill, "func", None) is structures._union_of
+               for o in get_objects())
+
+
+def test_no_carry_plan_outlives_its_sweep(monkeypatch):
+    # the exhaustive sweep plans each map it carries along once and holds
+    # the plans while it runs; a single carry, such as a seeded instance's,
+    # builds its own, and only the maps the calculus reuses across
+    # structures (subset maps, class maps, bijections) are cached.  So after
+    # a verify run every live plan is a cached one (48 partitions' class
+    # maps), where a cache of every plan handed to the carry kept 127, 98 of
+    # them the seeded instances' one-off maps
+    built = []
+    plan = KIND_OPS[KIND_TOPO].plan
+
+    def counted(image, m):
+        built.append((image, m))
+        return plan(image, m)
+
+    monkeypatch.setitem(KIND_OPS, KIND_TOPO, dataclasses.replace(KIND_OPS[KIND_TOPO], plan=counted))
+    assert exhaustive_iso_theorems(KIND_TOPO, 3) == NO_FAILURES
+    assert len(built) == len(set(built)) == 29
+    monkeypatch.undo()
+    structures._shared_plan.cache_clear()
+    status, _, _ = _verify("verify --kind topo --max-n 3 --samples 50 --seed 7".split())
+    assert status == 0
+    cached = structures._shared_plan.cache_info().currsize
+    assert _live_least_plans() == cached == 48
 
 
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
