@@ -8,6 +8,7 @@ byte-identical for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -33,9 +34,12 @@ from .structures import (
     LOOPS,
     NOLOOPS,
     Partition,
+    _Lazy,
+    _at_slots,
     _env_bound,
     _norm_pair,
-    _pairs,
+    _pair_texts,
+    _unions,
     graph,
     space,
 )
@@ -138,21 +142,45 @@ def parse_congruence(text: str, carrier):
 # ---------------------------------------------------------------------------
 
 
-def _fmt_set(ids) -> str:
-    return ",".join(str(i) for i in sorted(ids)) if ids else "-"
+@functools.lru_cache(maxsize=64)
+def _set_texts(n: int) -> _Lazy:
+    """Per subset of n points as a bitmask, its place in a listing of open
+    sets (by size, then sorted points) and its points written "0,2" ("-"
+    for none), filled as read."""
+
+    def fill(mask: int) -> tuple:
+        points = tuple(p for p in range(n) if mask >> p & 1)
+        return len(points), points, ",".join(map(str, points)) or "-"
+
+    return _Lazy(fill)
 
 
-def _sorted_opens(opens) -> list:
-    return sorted(opens, key=lambda u: (len(u), sorted(u)))
+def _open_texts(n: int, least) -> list[str]:
+    """The open sets of a least-open vector on n points, listed by size and
+    then sorted points, each written from the per-size set-text table."""
+    table = _set_texts(n)
+    return [entry[2] for entry in sorted(map(table.__getitem__, _unions(least)))]
+
+
+def _edge_texts(n: int, mask: int, form: str) -> list[str]:
+    """The pairs of an edge mask over n vertices, in sorted order, each
+    written as form.format(a, b) from the per-size pair-text table."""
+    return _at_slots(_pair_texts(n, form), mask)
+
+
+@functools.lru_cache(maxsize=256)
+def _block_text(part: Partition) -> str:
+    """A partition's blocks written "[0 1][2]", once per partition."""
+    return "".join("[" + " ".join(map(str, b)) + "]" for b in part.blocks)
 
 
 def serialize_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
         out = [f"graph {structure.n} {structure.policy}"]
-        out.extend(f"e {a} {b}" for a, b in _pairs(structure.n, structure.mask))
+        out.extend(_edge_texts(structure.n, structure.mask, "e {} {}"))
     else:
         out = [f"space {structure.n}"]
-        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(structure.opens))
+        out.extend(f"open {u}" for u in _open_texts(structure.n, structure.min_opens))
     return "\n".join(out) + "\n"
 
 
@@ -161,26 +189,26 @@ def serialize_congruence(cong) -> str:
     out = ["tcong" if topo else "gcong"]
     out.extend("block " + " ".join(str(v) for v in b) for b in cong.part.blocks)
     if topo:
-        out.extend(f"open {_fmt_set(u)}" for u in _sorted_opens(cong.ctop))
+        out.extend(f"open {u}" for u in _open_texts(cong.part.n, cong.least))
     else:
-        out.extend(f"edge {a} {b}" for a, b in _pairs(cong.part.n, cong.cmask))
+        out.extend(_edge_texts(cong.part.n, cong.cmask, "edge {} {}"))
     return "\n".join(out) + "\n"
 
 
 def describe_structure(structure) -> str:
     if isinstance(structure, FiniteGraph):
-        edges = " ".join(f"{a}-{b}" for a, b in _pairs(structure.n, structure.mask)) or "-"
+        edges = " ".join(_edge_texts(structure.n, structure.mask, "{}-{}")) or "-"
         return f"graph n={structure.n} {structure.policy} edges {edges}"
-    opens = ";".join(_fmt_set(u) for u in _sorted_opens(structure.opens))
+    opens = ";".join(_open_texts(structure.n, structure.min_opens))
     return f"space n={structure.n} opens {opens}"
 
 
 def describe_congruence(cong) -> str:
-    blocks = "".join("[" + " ".join(str(v) for v in b) + "]" for b in cong.part.blocks)
+    blocks = _block_text(cong.part)
     if isinstance(cong, tcm.TopoCongruence):
-        opens = ";".join(_fmt_set(u) for u in _sorted_opens(cong.ctop))
+        opens = ";".join(_open_texts(cong.part.n, cong.least))
         return f"blocks {blocks} opens {opens}"
-    edges = " ".join(f"{a}-{b}" for a, b in _pairs(cong.part.n, cong.cmask)) or "-"
+    edges = " ".join(_edge_texts(cong.part.n, cong.cmask, "{}-{}")) or "-"
     return f"blocks {blocks} edges {edges}"
 
 

@@ -46,10 +46,15 @@ from .structures import (
     T0,
     T_SPACE,
     _carried_least,
+    _clique_masks,
     _least_plan,
+    _loop_slots,
     _mask_of,
     _nonempty_subsets,
-    _slot_images,
+    _slot,
+    _slot_count,
+    _slot_plan,
+    _stars,
     _union_of,
     automorphisms,
     bounded_partitions,
@@ -123,12 +128,25 @@ def _loop_block_partition(g: FiniteGraph) -> Partition:
     return Partition([-1 if v in loops else v for v in range(g.n)])
 
 
+def _loop_square(g: FiniteGraph) -> int:
+    """The mask of the pairs of looped vertices.  Looped vertex a's pairs
+    (a, b) with b >= a fill its row of slots from (a, a) on, in order of b,
+    so those with b looped are the looped vertices' mask shifted there."""
+    loops = g.loop_vertices
+    looped = sum(1 << a for a in loops)
+    return sum((looped >> a) << _slot(g.n, a, a) for a in loops)
+
+
+def _loop_star(g: FiniteGraph) -> int:
+    """The mask of the pairs holding a looped vertex: the union of the looped vertices' stars."""
+    return _union_of(_stars(g.n), g.loops)
+
+
 def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
     if kind_of(g) != KIND_GRAPH:
         raise KindMismatch(f"the graph catalog got a {kind_of(g)} structure")
     if g.n * (g.n + 1) // 2 > CONGRUENCE_SCAN_BOUND:  # the admissible pairs, before any is built
         raise BoundExceeded(f"graph catalog capped at {CONGRUENCE_SCAN_BOUND} vertex pairs")
-    loops = g.loop_vertices
     ident = Partition.identity(g.n)
     if cid == "a":
         return gc.strongify_gc(g, Partition.universal(g.n))
@@ -137,18 +155,18 @@ def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
     if cid == "c":
         return gc.strongify_gc(g, _loop_block_partition(g))
     if cid == "d":
-        extra = ((v, v) for v in range(g.n))
+        extra = _loop_slots(g.n, _slot_count(g.n))
     elif cid == "e":
         return gc.GraphCongruence(ident, g.all_pairs)
     elif cid == "f":
         return gc.identity_gc(g)
     elif cid == "g":
-        extra = itertools.product(loops, loops)
+        extra = _loop_square(g)
     elif cid == "h":
-        extra = itertools.product(loops, range(g.n))
+        extra = _loop_star(g)
     else:
         raise BadCatalogId(f"graph catalog has entries a-h, not {cid!r}")
-    return gc.GraphCongruence(ident, g.mask | _mask_of(g.n, extra))
+    return gc.GraphCongruence(ident, g.mask | extra)
 
 
 @dataclass(frozen=True)
@@ -242,7 +260,7 @@ KIND_OPS: dict[str, _KindOps] = {
         iter_congruences=gc.iter_congruences_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
-        plan=lambda image, m: _slot_images(len(image), tuple(image), m),
+        plan=lambda image, m: _slot_plan(len(image), tuple(image), m),
         carry=_union_of,
         vector=operator.attrgetter("cmask"),
         representation=operator.attrgetter("mask"),
@@ -945,17 +963,9 @@ def loopless_degeneracy_check(uni: Universe, cls: ClassPredicate) -> bool:
 # Built-in classes
 # ---------------------------------------------------------------------------
 
-def _holds_all(g: FiniteGraph, pairs) -> bool:
-    return not _mask_of(g.n, pairs) & ~g.mask
-
-
 def _has_clique(g: FiniteGraph, k: int) -> bool:
-    if k > g.n:
-        return False
-    return any(
-        _holds_all(g, itertools.combinations(sub, 2))
-        for sub in itertools.combinations(range(g.n), k)
-    )
+    mask = g.mask
+    return any(not clique & ~mask for clique in _clique_masks(g.n, k))
 
 
 def _builtin_specs():
@@ -967,19 +977,16 @@ def _builtin_specs():
     yield KIND_TOPO, "t1-or-indiscrete", lambda x: x.is_t1() or x.is_indiscrete()
     yield KIND_TOPO, "s2-i2", lambda x: x.n == 1 or homeo_spaces(x, S2) is not None or homeo_spaces(x, I2) is not None
 
+    # the graph and loopless classes read loop-slot, star, row and clique masks
     yield KIND_GRAPH, "all", lambda g: True
     yield KIND_GRAPH, "trivial", lambda g: g.n == 1
-    yield KIND_GRAPH, "trivial-looped", lambda g: g.n == 1 and bool(g.loop_vertices)
-    yield KIND_GRAPH, "at-most-one-loop", lambda g: len(g.loop_vertices) <= 1
-    yield KIND_GRAPH, "all-looped", lambda g: len(g.loop_vertices) == g.n
-    yield KIND_GRAPH, "trivial-or-all-looped", lambda g: g.n == 1 or len(g.loop_vertices) == g.n
+    yield KIND_GRAPH, "trivial-looped", lambda g: g.n == 1 and g.loops.bit_count() == 1
+    yield KIND_GRAPH, "at-most-one-loop", lambda g: g.loops.bit_count() <= 1
+    yield KIND_GRAPH, "all-looped", lambda g: g.loops.bit_count() == g.n
+    yield KIND_GRAPH, "trivial-or-all-looped", lambda g: g.n == 1 or g.loops.bit_count() == g.n
     yield KIND_GRAPH, "complete-looped", lambda g: g.is_complete()
-    yield KIND_GRAPH, "loop-clique", lambda g: _holds_all(
-        g, itertools.product(g.loop_vertices, g.loop_vertices)
-    )
-    yield KIND_GRAPH, "loop-dominated", lambda g: _holds_all(
-        g, itertools.product(g.loop_vertices, range(g.n))
-    )
+    yield KIND_GRAPH, "loop-clique", lambda g: not _loop_square(g) & ~g.mask
+    yield KIND_GRAPH, "loop-dominated", lambda g: not _loop_star(g) & ~g.mask
 
     yield KIND_LOOPLESS, "all", lambda g: True
     yield KIND_LOOPLESS, "trivial", lambda g: g.n == 1

@@ -354,16 +354,27 @@ def _slot_pairs(n: int) -> _Lazy:
     return _Lazy(functools.partial(_pair_at, n))
 
 
-def _pairs(n: int, mask: int) -> list[tuple[int, int]]:
-    """The vertex pairs in the set slots of a mask over n vertices, in slot
+@functools.lru_cache(maxsize=64)
+def _pair_texts(n: int, form: str) -> _Lazy:
+    """The pair in each slot of n vertices written as form.format(a, b), filled as read."""
+    pairs = _slot_pairs(n)
+    return _Lazy(lambda slot: form.format(*pairs[slot]))
+
+
+def _at_slots(table, mask: int) -> list:
+    """The entries of a per-slot table at the set slots of a mask, in slot
     order, which is sorted pair order."""
-    table = _slot_pairs(n)
     out = []
     while mask:
         low = mask & -mask
         out.append(table[low.bit_length() - 1])
         mask ^= low
     return out
+
+
+def _pairs(n: int, mask: int) -> list[tuple[int, int]]:
+    """The vertex pairs in the set slots of a mask over n vertices, in sorted order."""
+    return _at_slots(_slot_pairs(n), mask)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -379,16 +390,35 @@ def _loop_slots(n: int, width: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _stars(n: int) -> tuple[int, ...]:
-    """Per vertex of n, the mask of the pairs holding it."""
-    return tuple(_mask_of(n, ((u, v) for u in range(n))) for v in range(n))
+def _stars(n: int) -> _Lazy:
+    """Per diagonal slot (v, v) of n vertices, the star of v (the mask of
+    the pairs holding v), filled as read: read along a graph's loop slots,
+    the union of its looped vertices' stars."""
+    pairs = _slot_pairs(n)
+    return _Lazy(lambda slot: _mask_of(n, ((u, pairs[slot][0]) for u in range(n))))
 
 
-@functools.lru_cache(maxsize=4096)
-def _slot_images(n: int, image: tuple, m: int) -> _Lazy:
+def _cliques(n: int, k: int):
+    """Per k-subset of n vertices in lexicographic order, the mask of its pairs."""
+    return (_mask_of(n, itertools.combinations(sub, 2)) for sub in itertools.combinations(range(n), k))
+
+
+# the most k-subsets a kept clique table lists: C(23, 3) = 1,771 fits
+_CLIQUE_TABLE_BOUND = 2_000
+_clique_table = functools.lru_cache(maxsize=32)(lambda n, k: tuple(_cliques(n, k)))
+
+
+def _clique_masks(n: int, k: int):
+    """`_cliques(n, k)`, kept as a table while it lists at most
+    _CLIQUE_TABLE_BOUND subsets; a larger carrier's masks are built as read."""
+    return _clique_table(n, k) if math.comb(n, k) <= _CLIQUE_TABLE_BOUND else _cliques(n, k)
+
+
+def _slot_plan(n: int, image: tuple, m: int) -> _Lazy:
     """Per pair slot of n vertices, the bit of the slot its pair lands in
     under a map `image` of the vertices into m vertices, or 0 when an end's
-    image is None.  Kept per map: a sweep carries masks along few of them."""
+    image is None, filled as read.  Whoever carries along one map many
+    times holds its plan; a single carry builds its own."""
     pairs = _slot_pairs(n)
 
     def fill(slot: int) -> int:
@@ -397,6 +427,11 @@ def _slot_images(n: int, image: tuple, m: int) -> _Lazy:
         return 0 if x is None or y is None else _mask_of(m, [(x, y)])
 
     return _Lazy(fill)
+
+
+# the plans the calculus reuses across graphs: subset maps, class maps, the
+# bijections an isomorphism search tries, and the maps kernels and H1 read
+_slot_images = functools.lru_cache(maxsize=4096)(_slot_plan)
 
 
 def _union_of(masks, selector: int) -> int:
@@ -440,7 +475,7 @@ class FiniteGraph:
         n, mask = self.n, self.mask
         if mask < 0 or mask >> n * (n + 1) // 2:
             raise SemanticError("edge mask out of range")
-        if self.policy == NOLOOPS and mask & _loop_slots(n, mask.bit_length()):
+        if self.policy == NOLOOPS and self.loops:
             raise SemanticError("loop under noloops policy")
 
     @functools.cached_property
@@ -463,14 +498,20 @@ class FiniteGraph:
         """`_search_view` of the edges, each read both ways."""
         return _search_view([_bitmask(u for u in range(self.n) if self.has_edge(u, v)) for v in range(self.n)])
 
+    @property
+    def loops(self) -> int:
+        """The mask of the diagonal slots (v, v) holding a loop."""
+        return self.mask & _loop_slots(self.n, self.mask.bit_length())
+
     @functools.cached_property
     def loop_vertices(self) -> frozenset[int]:
-        return frozenset(v for v in range(self.n) if self.mask >> _slot(self.n, v, v) & 1)
+        return frozenset(a for a, _ in _pairs(self.n, self.loops))
 
     def point_key(self, v: int) -> tuple[int, int]:
         """The degree of v and whether it carries a loop: kept by isomorphisms."""
-        loop = self.mask >> _slot(self.n, v, v) & 1
-        return ((self.mask & _stars(self.n)[v]).bit_count() - loop, loop)
+        diagonal = _slot(self.n, v, v)
+        loop = self.mask >> diagonal & 1
+        return ((self.mask & _stars(self.n)[diagonal]).bit_count() - loop, loop)
 
     def iso_key(self) -> tuple:
         """An isomorphism invariant: size, edge count and the sorted point keys."""

@@ -481,6 +481,41 @@ def random_lcong_pairs(rng, g):
     return _random_over_pairs(rng, g, Partition.from_blocks(g.n, blocks))
 
 
+def holds_all(g, pairs) -> bool:
+    """Whether every pair, in either order, is an edge of g."""
+    return all(_norm_pair(a, b) in g.edges for a, b in pairs)
+
+
+def has_clique(g, k: int) -> bool:
+    """Whether some k vertices of g are pairwise adjacent."""
+    return any(holds_all(g, itertools.combinations(sub, 2)) for sub in itertools.combinations(range(g.n), k))
+
+
+def _clique_classes():
+    for k in (1, 2, 3):
+        yield f"contains-k{k}", lambda g, k=k: g.n == 1 or has_clique(g, k)
+        yield f"k{k}-free", lambda g, k=k: g.n == 1 if k == 1 else not has_clique(g, k)
+
+
+# every built-in graph and loopless class by its definition, on loop vertices and edge sets
+BUILTIN_GRAPH_CLASSES = {
+    ("graph", "all"): lambda g: True,
+    ("graph", "trivial"): lambda g: g.n == 1,
+    ("graph", "trivial-looped"): lambda g: g.n == 1 and bool(loop_vertices(g)),
+    ("graph", "at-most-one-loop"): lambda g: len(loop_vertices(g)) <= 1,
+    ("graph", "all-looped"): lambda g: len(loop_vertices(g)) == g.n,
+    ("graph", "trivial-or-all-looped"): lambda g: g.n == 1 or len(loop_vertices(g)) == g.n,
+    ("graph", "complete-looped"): is_complete,
+    ("graph", "loop-clique"): lambda g: holds_all(g, itertools.product(loop_vertices(g), repeat=2)),
+    ("graph", "loop-dominated"): lambda g: holds_all(g, itertools.product(loop_vertices(g), range(g.n))),
+    ("loopless", "all"): lambda g: True,
+    ("loopless", "trivial"): lambda g: g.n == 1,
+    ("loopless", "complete"): is_complete,
+    ("loopless", "edgeless"): lambda g: not g.edges,
+    **{("loopless", name): member for name, member in _clique_classes()},
+}
+
+
 def catalog_graph_pairs(g, cid: str):
     """The eight graph catalog entries by their definitions."""
     loops = loop_vertices(g)
@@ -811,3 +846,52 @@ def topology_defect_pairs(n: int, family: frozenset):
             if a & b not in masked:
                 return NotClosedUnderIntersection(f"{sorted(masked[a])} & {sorted(masked[b])} missing")
     return None
+
+
+# Listing text as the formatter wrote it pair by pair and set by set: edge
+# sets from the sorted pair sets, open sets from the families sorted by size
+# and then points, blocks rebuilt for each congruence.
+
+def _set_text(ids) -> str:
+    return ",".join(str(i) for i in sorted(ids)) if ids else "-"
+
+
+def _listed_opens(opens) -> list:
+    return sorted(opens, key=lambda u: (len(u), sorted(u)))
+
+
+def _blocks_text(part: Partition) -> str:
+    return "".join("[" + " ".join(str(v) for v in b) + "]" for b in part.blocks)
+
+
+def describe_structure_text(x) -> str:
+    if isinstance(x, FiniteGraph):
+        edges = " ".join(f"{a}-{b}" for a, b in sorted(x.edges)) or "-"
+        return f"graph n={x.n} {x.policy} edges {edges}"
+    return f"space n={x.n} opens {';'.join(_set_text(u) for u in _listed_opens(x.opens))}"
+
+
+def serialize_structure_text(x) -> str:
+    if isinstance(x, FiniteGraph):
+        out = [f"graph {x.n} {x.policy}"] + [f"e {a} {b}" for a, b in sorted(x.edges)]
+    else:
+        out = [f"space {x.n}"] + [f"open {_set_text(u)}" for u in _listed_opens(x.opens)]
+    return "\n".join(out) + "\n"
+
+
+def describe_congruence_text(cong) -> str:
+    if isinstance(cong, TopoCongruence):
+        return f"blocks {_blocks_text(cong.part)} opens {';'.join(_set_text(u) for u in _listed_opens(cong.ctop))}"
+    edges = " ".join(f"{a}-{b}" for a, b in sorted(cong.cedges)) or "-"
+    return f"blocks {_blocks_text(cong.part)} edges {edges}"
+
+
+def serialize_congruence_text(cong) -> str:
+    topo = isinstance(cong, TopoCongruence)
+    out = ["tcong" if topo else "gcong"]
+    out += ["block " + " ".join(str(v) for v in b) for b in cong.part.blocks]
+    if topo:
+        out += [f"open {_set_text(u)}" for u in _listed_opens(cong.ctop)]
+    else:
+        out += [f"edge {a} {b}" for a, b in sorted(cong.cedges)]
+    return "\n".join(out) + "\n"

@@ -19,6 +19,8 @@ FILES = {
     "tcong": "tcong\nblock 0 1\nblock 2\nopen -\nopen 0,1\nopen 0,1,2\n",
     "gcong": "gcong\nblock 0 1\nblock 2\nedge 0 0\nedge 0 1\nedge 1 1\nedge 0 2\nedge 1 2\n",
     "lcong": "gcong\nblock 0 2\nblock 1 3\nedge 0 1\nedge 0 3\nedge 1 2\nedge 2 3\n",
+    "graph5": "graph 5 loops\ne 0 0\ne 0 2\ne 0 3\ne 1 1\ne 1 4\ne 2 3\ne 3 3\ne 3 4\n",
+    "loopless6": "graph 6 noloops\ne 0 1\ne 0 2\ne 1 2\ne 1 5\ne 2 3\ne 3 4\ne 4 5\n",
 }
 
 CASES = {
@@ -57,6 +59,17 @@ CASES = {
     "decompose-birkhoff": "decompose --birkhoff @path4",
     "decompose-sierpinski": "decompose --sierpinski @space3",
     "decompose-sierpinski-d2": "decompose --sierpinski @d2",
+    # the built-in classes decided on loop-slot, star and clique masks, and
+    # edge sets written from the pair-text table
+    "radical-graph5-trivial-looped": "radical --class trivial-looped @graph5",
+    "radical-graph5-at-most-one-loop": "radical --class at-most-one-loop @graph5",
+    "radical-graph5-all-looped": "radical --class all-looped @graph5",
+    "radical-graph5-trivial-or-all-looped": "radical --class trivial-or-all-looped @graph5",
+    "radical-graph5-loop-clique": "radical --class loop-clique @graph5",
+    "radical-graph5-loop-dominated": "radical --class loop-dominated @graph5",
+    "radical-loopless6-contains-k3": "radical --class contains-k3 @loopless6",
+    "congruences-graph5": "congruences --graph @graph5",
+    "congruences-graph5-strong": "congruences --graph @graph5 --strong-only",
 }
 
 # (sha256 of stdout after the command line, exit status, stderr)
@@ -65,6 +78,8 @@ EXPECTED = {
     'catalog-topo': ('f4450cf0e712e32a6204fc87073f9bc9b21a3d02b37782682c2507b7ddade09f', 0, ''),
     'congruences-graph': ('b8f1f7c14adaa8c89d50bb841c6f2e6b8b6c0c5ff2461ec5275a30a3f5398910', 0, ''),
     'congruences-graph-strong': ('c436b557c497dd56be3e2c74407784391e3ed97196a10c638c7ca67c1c8786fd', 0, ''),
+    'congruences-graph5': ('e0aec67bce6fb63ac85d5a95d0439399b214699c78b4356983484378cc4cbfb0', 0, ''),
+    'congruences-graph5-strong': ('7af164d82df305308f704fe0c355d25fb82cbbe59c1996b7e596c25d0489d783', 0, ''),
     'congruences-loopless': ('39037c76d2ea8d42747e4cfd69c21c57c6feeb6f696073a3de8ddc18c71fbd56', 0, ''),
     'congruences-space': ('1d9cf50f5cd6995978ffb4658d808b1c59aa5cfa8c2208847465b038330a0341', 0, ''),
     'decompose-birkhoff': ('83f1ac5f44ec1f8b1803b75c63fd055e1969f7b2aabf780016b0343f3aa70910', 0, ''),
@@ -74,7 +89,14 @@ EXPECTED = {
     'quotient-loopless': ('5dbc9089404f50cfd3156d4a6a2a226a08e53d2ee74b0eecaee6f295d6894051', 0, ''),
     'quotient-space': ('77ea92368449c106b27f344afa4c3ddb45d4dc094f0d9cc15e83708a5139c413', 0, ''),
     'radical-graph': ('49df70b2a2a12108fa929defc311f964c0e55392bfb03608e276db8421564410', 0, ''),
+    'radical-graph5-all-looped': ('576333f5c33203cf88aa913775c65d0f8a1ec083f92f31eb7f448a7d18ee47c8', 0, ''),
+    'radical-graph5-at-most-one-loop': ('d3aac61bc8b6ad16317be6b0d6d136dfcd37d7df933ac628dae5f26cb195d32e', 0, ''),
+    'radical-graph5-loop-clique': ('a0354bedeb62b55fe3c0ca6c7c1939f0b46e1dacfb95b1f82a42bfa8147e1420', 0, ''),
+    'radical-graph5-loop-dominated': ('5388e87559f8669a42548d266c663ee4d76ad1aa788c486f13ec007828c1f755', 0, ''),
+    'radical-graph5-trivial-looped': ('2b12b833597df32e63511649a1c621952ae5125d9cb76122e5497f74f4fc65ba', 0, ''),
+    'radical-graph5-trivial-or-all-looped': ('576333f5c33203cf88aa913775c65d0f8a1ec083f92f31eb7f448a7d18ee47c8', 0, ''),
     'radical-loopless': ('d7886695379a36ab667d37e730c2b4c466310c73eb362af9513772f8557bbb40', 0, ''),
+    'radical-loopless6-contains-k3': ('963da4aec28982604c4c1f5f37282759319a0964e05716e1ac4a10ccbf6bd6a2', 0, ''),
     'radical-topo': ('705fb2c0999a1dc52772f4cfeb03ef1ff6fd4c1164888bc9954a55aa086db1c7', 0, ''),
     'universe-graph-h1h2': ('b72319363d611f8b36834c1e51a36652e5bab72fea2ed2560ec96a6f829e082d', 0, ''),
     'universe-graph-hereditary': ('abc54e5555d6c10d650f2bd428eca49c1eb1231a5918a0f90c619d46e0b628d5', 0, ''),

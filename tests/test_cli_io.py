@@ -6,9 +6,12 @@ import tracemalloc
 import pytest
 
 from conrad import graph_congruence as gc
+from conrad import structures
 from conrad import topo_congruence as tc
 from conrad.cli_io import (
     Report,
+    describe_congruence,
+    describe_structure,
     parse_congruence,
     parse_structure,
     run_command,
@@ -38,6 +41,9 @@ from conrad.structures import (
     path_graph,
     space,
 )
+from conrad.radical_engine import KIND_OPS, build_universe, catalog_graph
+
+import oracles
 
 
 def test_parse_structure_examples():
@@ -761,3 +767,41 @@ def test_parse_congruence_tests_each_orbit_once(capsys):
     cong = parse_congruence(text, g)
     assert time.perf_counter() - start < 1.0
     assert cong.cmask.bit_count() == half * half
+
+
+def test_listing_text_is_the_pair_and_family_text():
+    # edge sets written from the per-size pair-text table, open sets from the
+    # set-text table and blocks once per partition read as the pair-by-pair
+    # and family text: every member and congruence of graph n <= 4,
+    # loopless n <= 5 and topo n <= 4
+    listed = 0
+    for kind, max_n in (("graph", 4), ("loopless", 5), ("topo", 4)):
+        ops = KIND_OPS[kind]
+        for x in build_universe(kind, max_n):
+            assert describe_structure(x) == oracles.describe_structure_text(x)
+            assert serialize_structure(x) == oracles.serialize_structure_text(x)
+            for theta in ops.enum_congruences(x):
+                assert describe_congruence(theta) == oracles.describe_congruence_text(theta)
+                assert serialize_congruence(theta) == oracles.serialize_congruence_text(theta)
+                listed += 1
+    assert listed == 20956
+
+
+def test_a_large_catalog_value_fills_the_pair_table_as_read(tmp_path, capsys):
+    # 300 looped vertices: the identity value (f) prints the file's three
+    # pairs, and the pair-text table holds those three slots alone; the value
+    # with every pair (e) prints all 45,150, each as its pair reads
+    n = 300
+    path = tmp_path / "g.txt"
+    path.write_text(f"graph {n} loops\ne 0 1\ne 5 299\ne 7 7\n")
+    g = parse_structure(path.read_text())
+    structures._pair_texts.cache_clear()
+    for cid, printed in (("f", 3), ("e", n * (n + 1) // 2)):
+        assert run_command(["catalog", "--kind", "graph", "--id", cid, str(path)]) == 0
+        value = catalog_graph(g, cid)
+        quotient = KIND_OPS["graph"].quotient(g, value)
+        assert capsys.readouterr().out.splitlines()[1:] == (
+            oracles.serialize_congruence_text(value).splitlines()
+            + ["quotient: " + oracles.describe_structure_text(quotient)]
+        )
+        assert len(structures._pair_texts(n, "edge {} {}")) == len(structures._pair_texts(n, "{}-{}")) == printed

@@ -7,7 +7,13 @@ import random
 from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
 from conrad.errors import ConradError
-from conrad.radical_engine import KIND_OPS, builtin_class, catalog_graph, surjective_morphisms
+from conrad.radical_engine import (
+    BUILTIN_CLASSES,
+    KIND_OPS,
+    build_universe,
+    catalog_graph,
+    surjective_morphisms,
+)
 from conrad.structures import (
     LOOPS,
     NOLOOPS,
@@ -192,24 +198,28 @@ def test_graph_enumeration_matches_the_pair_calculus():
 
 
 def test_catalog_and_classes_match_the_pair_calculus():
-    names = ["loop-clique", "loop-dominated", "complete-looped", "all-looped"]
+    # the catalog on graph n <= 4, and each built-in graph and loopless class
+    # (decided on loop-slot, star, row and clique masks) as its definition
+    # on the edge set: on every member of the graph n <= 4 and loopless
+    # n <= 6 universes, and on seeded random graphs of up to 9 vertices
     for g in GRAPHS_3 + enumerate_graphs(4, LOOPS):
         for cid in "abcdefgh":
             assert catalog_graph(g, cid) == oracles.catalog_graph_pairs(g, cid), (g, cid)
-        loops = oracles.loop_vertices(g)
-        verdicts = [
-            all(p in g.edges for p in itertools.combinations_with_replacement(sorted(loops), 2)),
-            all(tuple(sorted((a, b))) in g.edges for a in loops for b in range(g.n)),
-            oracles.is_complete(g),
-            len(loops) == g.n,
-        ]
-        assert [builtin_class("graph", name)(g) for name in names] == verdicts
-    for g in LOOPLESS_4 + enumerate_graphs(5, NOLOOPS):
-        for k in (1, 2, 3):
-            clique = any(all(p in g.edges for p in itertools.combinations(sub, 2))
-                         for sub in itertools.combinations(range(g.n), k))
-            assert builtin_class("loopless", f"contains-k{k}")(g) == (g.n == 1 or clique)
-        assert builtin_class("loopless", "edgeless")(g) == (not g.edges)
+    kinds = {"graph": LOOPS, "loopless": NOLOOPS}
+    assert {key for key in BUILTIN_CLASSES if key[0] in kinds} == set(oracles.BUILTIN_GRAPH_CLASSES)
+    rng = random.Random(9)
+    pools = {
+        kind: list(build_universe(kind, max_n))
+        + [random_graph(rng, n, kinds[kind]) for n in range(1, 10) for _ in range(30)]
+        for kind, max_n in (("graph", 4), ("loopless", 6))
+    }
+    checked = 0
+    for (kind, name), member in oracles.BUILTIN_GRAPH_CLASSES.items():
+        for g in pools[kind]:
+            assert BUILTIN_CLASSES[kind, name](g) == member(g), (kind, name, g)
+            checked += 1
+    # 9 graph classes on 118 members, 10 loopless ones on 208, 270 draws each
+    assert checked == 9 * (118 + 270) + 10 * (208 + 270)
 
 
 def test_random_draws_match_the_pair_calculus():

@@ -570,6 +570,39 @@ def test_no_carry_plan_outlives_its_sweep(monkeypatch):
     assert _live_least_plans() == cached == 48
 
 
+def _live_slot_plans() -> int:
+    """How many carry plans of edge masks are alive."""
+    collect()
+    return sum(isinstance(o, structures._Lazy)
+               and getattr(o.fill, "__qualname__", None) == "_slot_plan.<locals>.fill"
+               for o in get_objects())
+
+
+def test_no_graph_carry_plan_outlives_its_sweep(monkeypatch):
+    # the graph twin of the test above: the sweep holds the plans it carries
+    # along, a theorem instance's carry builds its own, and only the maps the
+    # calculus reuses (subset maps, class maps, bijections and the maps a
+    # kernel pulls back along) are cached.  So after a verify run every live
+    # plan is a cached one, where a cache of every plan handed to the carry
+    # kept 113, the seeded instances' one-off second-theorem maps among them
+    built = []
+    plan = KIND_OPS[KIND_GRAPH].plan
+
+    def counted(image, m):
+        built.append((image, m))
+        return plan(image, m)
+
+    monkeypatch.setitem(KIND_OPS, KIND_GRAPH, dataclasses.replace(KIND_OPS[KIND_GRAPH], plan=counted))
+    assert exhaustive_iso_theorems(KIND_GRAPH, 3) == NO_FAILURES
+    assert len(built) == len(set(built)) == 29
+    monkeypatch.undo()
+    structures._slot_images.cache_clear()
+    status, _, _ = _verify("verify --kind graph --max-n 3 --samples 50 --seed 7".split())
+    assert status == 0
+    cached = structures._slot_images.cache_info().currsize
+    assert _live_slot_plans() == cached == 69
+
+
 @pytest.mark.parametrize("kind", [KIND_TOPO, KIND_GRAPH, KIND_LOOPLESS])
 def test_the_sweeps_count_the_instances_a_broken_op_fails(monkeypatch, kind):
     # a sweep that could never count a failure would still print PASS, so
