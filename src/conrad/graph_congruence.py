@@ -42,6 +42,7 @@ from .structures import (
     _pairs,
     _positions,
     _refines,
+    _slot,
     _slot_count,
     _slot_images,
     _subset_image,
@@ -269,8 +270,9 @@ def image_le_gc(g: FiniteGraph, h: FiniteGraph, f: tuple, theta: GraphCongruence
 
 def _congruences_over(g: FiniteGraph, admits):
     """Per admitted partition, every edge-set that is E's orbits plus a union
-    of free orbits, partitions in growth order and each one's sorted by
-    encoding; built lazily, one partition at a time.
+    of free orbits, each with its quotient's edge mask, partitions in growth
+    order and each one's sorted by encoding; built lazily, one partition at a
+    time.
 
     Loopless graphs admit independent partitions only; their orbits leave
     out the diagonal ones, whose pairs join related vertices.  Every
@@ -287,32 +289,51 @@ def _congruences_over(g: FiniteGraph, admits):
         free = sum(1 for o in _orbits(g, part) if not o & g.mask)
         scanned = count_scanned(scanned, 2 ** free)
         admitted.append(part)
-    return (theta for part in admitted for theta in _congruences_of(g, part))
+    return (pair for part in admitted for pair in _congruences_of(g, part))
 
 
-def _congruences_of(g: FiniteGraph, part: Partition) -> list[GraphCongruence]:
-    """The congruences on one partition, sorted by encoding."""
-    masks = [0]
-    for o in _orbits(g, part):
-        if o & g.mask:
-            masks = [m | o for m in masks]
+@functools.lru_cache(maxsize=64)
+def _orbit_slots(m: int, loops: bool) -> tuple[int, ...]:
+    """Per block-pair orbit of a partition into m blocks, in the order of
+    `Partition.orbits`, the bit of the quotient slot its pairs all land in."""
+    return tuple(1 << _slot(m, i, j) for i in range(m) for j in range(i + (not loops), m))
+
+
+def _congruences_of(g: FiniteGraph, part: Partition) -> list[tuple[GraphCongruence, int]]:
+    """The congruences on one partition, sorted by encoding, each with its
+    quotient's edge mask: the slots of the orbits its edge-set holds.  The
+    orbits an edge touches are in every edge-set, and each free one doubles
+    the list."""
+    edges = g.mask
+    held = quotient = 0
+    free = []
+    for o, s in zip(_orbits(g, part), _orbit_slots(part.num_blocks, g.policy == LOOPS)):
+        if o & edges:
+            held |= o
+            quotient |= s
         else:
-            masks += [m | o for m in masks]
-    masks.sort(key=_slot_order)
-    return [GraphCongruence(part, m) for m in masks]
+            free.append((o, s))
+    masks, quotients = [held], [quotient]
+    for o, s in free:
+        masks += [m | o for m in masks]
+        quotients += [q | s for q in quotients]
+    # the keys are distinct, so the sort never compares a mask
+    found = sorted(zip(map(_slot_order, masks), masks, quotients))
+    return [(GraphCongruence(part, m), q) for _, m, q in found]
 
 
-def iter_congruences_gc(g: FiniteGraph):
-    """Every congruence, lazily: per partition, the edge-set is a union of orbits.
-    Raises BoundExceeded at call time, before any congruence is built."""
+def iter_quotients_gc(g: FiniteGraph):
+    """Every congruence with its quotient's edge mask, lazily: per partition,
+    the edge-set is a union of orbits.  Raises BoundExceeded at call time,
+    before any congruence is built."""
     if g.policy != LOOPS:
         raise PolicyMismatch("enumerate_congruences_gc needs a loops-allowed carrier")
     return _congruences_over(g, lambda part: True)
 
 
 def enumerate_congruences_gc(g: FiniteGraph) -> list[GraphCongruence]:
-    """Every congruence, in the order of `iter_congruences_gc`."""
-    return list(iter_congruences_gc(g))
+    """Every congruence, in the order of `iter_quotients_gc`."""
+    return [theta for theta, _ in iter_quotients_gc(g)]
 
 
 def _random_over(rng: random.Random, g: FiniteGraph, part: Partition) -> GraphCongruence:

@@ -63,15 +63,16 @@ def quotient_lc(g: FiniteGraph, theta: GraphCongruence) -> FiniteGraph:
     return quotient_gc(g, theta)
 
 
-def iter_congruences_lc(g: FiniteGraph):
-    """Every congruence, lazily: independent-block partitions, off-diagonal
-    orbits.  Raises BoundExceeded at call time, before any congruence is built."""
+def iter_quotients_lc(g: FiniteGraph):
+    """Every congruence with its quotient's edge mask, lazily:
+    independent-block partitions, off-diagonal orbits.  Raises BoundExceeded
+    at call time, before any congruence is built."""
     return _congruences_over(g, lambda part: _blocks_independent(g, part))
 
 
 def enumerate_congruences_lc(g: FiniteGraph) -> list[GraphCongruence]:
-    """Every congruence, in the order of `iter_congruences_lc`."""
-    return list(iter_congruences_lc(g))
+    """Every congruence, in the order of `iter_quotients_lc`."""
+    return [theta for theta, _ in iter_quotients_lc(g)]
 
 
 def random_lcong(rng: random.Random, g: FiniteGraph) -> GraphCongruence:

@@ -173,7 +173,9 @@ def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
 class _KindOps:
     enum_structures: Callable
     enum_congruences: Callable
-    iter_congruences: Callable
+    # each congruence, lazily, with its quotient's least-open vector or edge
+    # mask, in the order of enum_congruences
+    iter_quotients: Callable
     validate: Callable
     # the quotient structure alone: its projection is the congruence's part.class_id
     quotient: Callable
@@ -226,7 +228,7 @@ KIND_OPS: dict[str, _KindOps] = {
     KIND_TOPO: _KindOps(
         enum_structures=lambda n: enumerate_spaces(n),
         enum_congruences=tc.enumerate_congruences_tc,
-        iter_congruences=tc.iter_congruences_tc,
+        iter_quotients=tc.iter_quotients_tc,
         validate=tc.validate_tc,
         quotient=tc.quotient_tc,
         plan=_least_plan,
@@ -257,7 +259,7 @@ KIND_OPS: dict[str, _KindOps] = {
     KIND_GRAPH: _KindOps(
         enum_structures=lambda n: enumerate_graphs(n, LOOPS),
         enum_congruences=gc.enumerate_congruences_gc,
-        iter_congruences=gc.iter_congruences_gc,
+        iter_quotients=gc.iter_quotients_gc,
         validate=gc.validate_gc,
         quotient=gc.quotient_gc,
         plan=lambda image, m: _slot_plan(len(image), tuple(image), m),
@@ -291,7 +293,7 @@ KIND_OPS[KIND_LOOPLESS] = dataclasses.replace(
     KIND_OPS[KIND_GRAPH],
     enum_structures=lambda n: enumerate_graphs(n, NOLOOPS),
     enum_congruences=lc.enumerate_congruences_lc,
-    iter_congruences=lc.iter_congruences_lc,
+    iter_quotients=lc.iter_quotients_lc,
     validate=lc.validate_lc,
     quotient=lc.quotient_lc,
     join=None,
@@ -489,16 +491,24 @@ def universe_from_members(members) -> Universe:
 # The Hoehnke radical of a class
 # ---------------------------------------------------------------------------
 
+def _quotient_of(x, theta, vector):
+    """X/theta from the least-open vector or edge mask its enumeration
+    streams beside it, through the checking constructor."""
+    m = theta.part.num_blocks
+    return FiniteSpace(m, vector) if isinstance(x, FiniteSpace) else FiniteGraph(m, x.policy, vector)
+
+
 def _running_meet(ops: _KindOps, structure, keep: Callable):
-    """The meet of the congruences keep accepts (None when it accepts none),
-    met as they are built.  The scan stops once the meet is the identity, the
-    least congruence; the enumeration starts first, so that its bound refuses
-    a huge carrier before the identity is built."""
-    congruences = ops.iter_congruences(structure)
+    """The meet of the congruences keep accepts, each given with its
+    quotient's vector or mask (None when it accepts none), met as they are
+    built.  The scan stops once the meet is the identity, the least
+    congruence; the enumeration starts first, so that its bound refuses a
+    huge carrier before the identity is built."""
+    congruences = ops.iter_quotients(structure)
     identity = ops.identity(structure)
     met = None
-    for theta in congruences:
-        if keep(theta):
+    for theta, vector in congruences:
+        if keep(theta, vector):
             met = theta if met is None else ops.meet(structure, [met, theta])
             if met == identity:
                 break
@@ -507,7 +517,7 @@ def _running_meet(ops: _KindOps, structure, keep: Callable):
 
 def _class_meet(ops: _KindOps, structure, cls: ClassPredicate):
     """The meet of the congruences whose quotient lies in the class (None when none does)."""
-    return _running_meet(ops, structure, lambda theta: cls(ops.quotient(structure, theta)))
+    return _running_meet(ops, structure, lambda theta, vector: cls(_quotient_of(structure, theta, vector)))
 
 
 def hoehnke_radical(structure, cls: ClassPredicate):
@@ -778,10 +788,9 @@ def hereditary_torsion_theory(sigma: RadicalAssignment, uni: Universe):
 # ---------------------------------------------------------------------------
 
 def _nontrivial_images(x):
-    ops = KIND_OPS[kind_of(x)]
-    for theta in ops.iter_congruences(x):
+    for theta, vector in KIND_OPS[kind_of(x)].iter_quotients(x):
         if theta.part.num_blocks >= 2:
-            yield ops.quotient(x, theta)
+            yield _quotient_of(x, theta, vector)
 
 
 def _nontrivial_substructures(x):
@@ -919,7 +928,7 @@ def is_subdirectly_irreducible(structure) -> bool:
     """No family of proper congruences can meet to the identity."""
     ops = KIND_OPS[kind_of(structure)]
     iota = ops.identity(structure)
-    return _running_meet(ops, structure, lambda theta: theta != iota) != iota
+    return _running_meet(ops, structure, lambda theta, _: theta != iota) != iota
 
 
 def subdirect_closure(cls: ClassPredicate, uni: Universe) -> list:

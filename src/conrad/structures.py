@@ -361,9 +361,27 @@ def _pair_texts(n: int, form: str) -> _Lazy:
     return _Lazy(lambda slot: form.format(*pairs[slot]))
 
 
+# a mask this wide or narrower is walked bit by bit, which is faster there;
+# a wider one through its binary text, since each step of the bit walk is an
+# operation on the whole mask, so that walk takes time quadratic in the width
+_NARROW_MASK_BITS = 64
+
+
+def _set_bits(mask: int):
+    """The positions of the set bits of a mask, ascending, found in its
+    binary text: time linear in its width."""
+    text = bin(mask)[:1:-1]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
 def _at_slots(table, mask: int) -> list:
     """The entries of a per-slot table at the set slots of a mask, in slot
     order, which is sorted pair order."""
+    if mask.bit_length() > _NARROW_MASK_BITS:
+        return [table[s] for s in _set_bits(mask)]
     out = []
     while mask:
         low = mask & -mask
@@ -438,6 +456,10 @@ def _union_of(masks, selector: int) -> int:
     """The union of masks[i] over the positions i that the selector holds.
     With masks[p] = 1 << f(p) it is the image of the selector along f."""
     out = 0
+    if selector.bit_length() > _NARROW_MASK_BITS:
+        for s in _set_bits(selector):
+            out |= masks[s]
+        return out
     while selector:
         low = selector & -selector
         out |= masks[low.bit_length() - 1]
@@ -507,15 +529,26 @@ class FiniteGraph:
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(a for a, _ in _pairs(self.n, self.loops))
 
+    def point_keys(self) -> list[tuple[int, int]]:
+        """Per vertex, its degree (its loop aside) and whether it carries a
+        loop, kept by isomorphisms: read off the edges in one walk of the
+        mask, so a large carrier's keys cost its edges and no star."""
+        degree, loop = [0] * self.n, [0] * self.n
+        for a, b in _pairs(self.n, self.mask):
+            if a == b:
+                loop[a] = 1
+            else:
+                degree[a] += 1
+                degree[b] += 1
+        return list(zip(degree, loop))
+
     def point_key(self, v: int) -> tuple[int, int]:
-        """The degree of v and whether it carries a loop: kept by isomorphisms."""
-        diagonal = _slot(self.n, v, v)
-        loop = self.mask >> diagonal & 1
-        return ((self.mask & _stars(self.n)[diagonal]).bit_count() - loop, loop)
+        """The degree of v and whether it carries a loop."""
+        return self.point_keys()[v]
 
     def iso_key(self) -> tuple:
         """An isomorphism invariant: size, edge count and the sorted point keys."""
-        return (self.n, self.mask.bit_count(), tuple(sorted(map(self.point_key, range(self.n)))))
+        return (self.n, self.mask.bit_count(), tuple(sorted(self.point_keys())))
 
     def is_complete(self) -> bool:
         # every edge is an admissible pair, so holding as many means holding all
@@ -670,9 +703,12 @@ class FiniteSpace:
         """How many points lie below and above p: kept by homeomorphisms."""
         return (self.min_opens[p].bit_count(), sum(u >> p & 1 for u in self.min_opens))
 
+    def point_keys(self) -> list[tuple[int, int]]:
+        return list(map(self.point_key, range(self.n)))
+
     def iso_key(self) -> tuple:
         """A homeomorphism invariant: size, open count and the sorted point keys."""
-        return (self.n, len(self._open_masks), tuple(sorted(map(self.point_key, range(self.n)))))
+        return (self.n, len(self._open_masks), tuple(sorted(self.point_keys())))
 
     def min_open(self, x: int) -> frozenset[int]:
         """Smallest open set containing x."""
@@ -877,13 +913,9 @@ def _key_respecting(xkeys, ykeys):
     return extend(0)
 
 
-def _point_keys(x) -> list:
-    return [x.point_key(p) for p in range(x.n)]
-
-
 def _least_carrying(x, y, carries):
     """The least permutation keeping each point's point_key that carries x onto y, or None."""
-    xkeys, ykeys = _point_keys(x), _point_keys(y)
+    xkeys, ykeys = x.point_keys(), y.point_keys()
     if sorted(xkeys) != sorted(ykeys):
         return None
     return next((perm for perm in _key_respecting(xkeys, ykeys) if carries(x, y, perm)), None)
@@ -891,7 +923,7 @@ def _least_carrying(x, y, carries):
 
 def automorphisms(x, carries) -> list[tuple[int, ...]]:
     """Every permutation carrying x onto itself, in lexicographic order."""
-    keys = _point_keys(x)
+    keys = x.point_keys()
     return [perm for perm in _key_respecting(keys, keys) if carries(x, x, perm)]
 
 

@@ -270,15 +270,17 @@ def image_le_tc(x: FiniteSpace, y: FiniteSpace, f: tuple, rho: TopoCongruence,
 # Enumeration, random congruences, decomposition
 # ---------------------------------------------------------------------------
 
-def iter_congruences_tc(x: FiniteSpace):
-    """Every congruence on x, lazily: per partition in growth order, every
-    congruence topology, sorted by encoding.
+def iter_quotients_tc(x: FiniteSpace):
+    """Every congruence on x with its quotient's least-open vector, lazily:
+    per partition in growth order, every congruence topology, sorted by
+    encoding.
 
     The congruence topologies of a partition are the topologies on its blocks
     that are coarser than the strong quotient's: the preorders on the blocks
     that contain its specialization preorder, whose opens are then lifted to
-    unions of blocks.  Every partition's candidate vectors are counted against
-    the scan bound when this is called, before any is lifted.
+    unions of blocks.  Such a preorder's least-open vector is the quotient's.
+    Every partition's candidate vectors are counted against the scan bound
+    when this is called, before any is lifted.
     """
     plans = []
     scanned = 0
@@ -294,27 +296,28 @@ def iter_congruences_tc(x: FiniteSpace):
             by_floor[floor] = list(itertools.islice(_preorders(len(points), floor), CONGRUENCE_SCAN_BOUND + 1))
         scanned = count_scanned(scanned, len(by_floor[floor]))
         plans.append((part, points, by_floor[floor]))
-    return (rho for plan in plans for rho in _congruences_of(*plan))
+    return (pair for plan in plans for pair in _congruences_of(*plan))
 
 
-def _congruences_of(part: Partition, points: list[int], vectors) -> list[TopoCongruence]:
+def _congruences_of(part: Partition, points: list[int], vectors) -> list[tuple[TopoCongruence, tuple[int, ...]]]:
     """The congruences on one partition, from the least-open vectors on its
-    blocks (points[b] is block b's points as a mask), sorted by encoding."""
+    blocks (points[b] is block b's points as a mask), sorted by encoding,
+    each with the vector it was lifted from."""
     unions = [_unions(vec) for vec in vectors]
     # each union of blocks (a mask of blocks) lifted once to its points
     lift = {m: _union_of(points, m) for m in set().union(*unions)}
     found = [
         # sorted point masks are the encoding within one partition
-        (tuple(sorted(map(lift.__getitem__, u))), tuple(lift[vec[b]] for b in part.class_id))
+        (tuple(sorted(map(lift.__getitem__, u))), tuple(lift[vec[b]] for b in part.class_id), vec)
         for vec, u in zip(vectors, unions)
     ]
     found.sort()
-    return [TopoCongruence(part, least) for _, least in found]
+    return [(TopoCongruence(part, least), vec) for _, least, vec in found]
 
 
 def enumerate_congruences_tc(x: FiniteSpace) -> list[TopoCongruence]:
-    """Every congruence on x, in the order of `iter_congruences_tc`."""
-    return list(iter_congruences_tc(x))
+    """Every congruence on x, in the order of `iter_quotients_tc`."""
+    return [rho for rho, _ in iter_quotients_tc(x)]
 
 
 def random_space(rng: random.Random, n: int) -> FiniteSpace:

@@ -131,9 +131,11 @@ THEOREM_SWEEP_BOUND = 4_000_000
 def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     """Failure counts per theorem over the whole universe up to max_n.
 
-    Every member's congruences are listed before any instance is checked, and
-    the sweep is refused once the universe's second-theorem instances (each
-    member's congruences times its nonempty subsets) pass THEOREM_SWEEP_BOUND.
+    Every member's congruences are listed, each with its quotient's vector
+    or mask as the enumeration streams it, before any instance is checked,
+    and the sweep is refused once the universe's second-theorem instances
+    (each member's congruences times its nonempty subsets) pass
+    THEOREM_SWEEP_BOUND.
     The first theorem is decided on each map the search finds, a surjective
     morphism by construction, so unchecked: its kernel is y's vector or mask
     pulled back along it, and no partition is built.  The second builds its
@@ -155,24 +157,27 @@ def exhaustive_iso_theorems(kind: str, max_n: int) -> dict[str, int]:
     members = build_universe(kind, max_n).members
     congruences = []
     instances = 0
+    # each congruence's quotient vector or mask, as its enumeration streams
+    # it; the same few recur across members, so each is held once
+    held: dict = {}
     for x in members:
-        congs = ops.enum_congruences(x)
-        instances += len(congs) * (2 ** x.n - 1)
+        thetas, quotients = zip(*ops.iter_quotients(x))
+        instances += len(thetas) * (2 ** x.n - 1)
         if instances > THEOREM_SWEEP_BOUND:
             raise BoundExceeded(f"theorem sweep capped at {THEOREM_SWEEP_BOUND} congruence-subset pairs")
-        congruences.append(congs)
+        congruences.append((thetas, [held.setdefault(q, q) for q in quotients]))
     failures = {name: 0 for name in THEOREMS}
     second_maps = _Lazy(lambda key: _second_maps(ops, *key))
-    for x, congs in zip(members, congruences):
+    for x, (thetas, quotients) in zip(members, congruences):
         for y in members:
             for f in surjective_morphisms(x, y):
                 failures["first"] += not _first_iso(ops, ops.pullback(y, f), f, y)
-        # each congruence's quotient side, carried once per member, grouped by
-        # partition: the second theorem's maps read only the partition and the
-        # subset, and alpha <= beta needs alpha's partition to refine beta's
+        # each congruence with its quotient side, grouped by partition: the
+        # second theorem's maps read only the partition and the subset, and
+        # alpha <= beta needs alpha's partition to refine beta's
         by_part: dict[Partition, list] = {}
-        for theta in congs:
-            by_part.setdefault(theta.part, []).append((theta, _quotient_side(ops, theta)))
+        for theta, q in zip(thetas, quotients):
+            by_part.setdefault(theta.part, []).append((theta, (theta.part.num_blocks, q)))
         for part, group in by_part.items():
             vectors = [ops.vector(theta) for theta, _ in group]
             for sub in _nonempty_subsets(x.n):

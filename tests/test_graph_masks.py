@@ -1,8 +1,11 @@
 """The slot-mask calculus of graphs and graph congruences against the
 sets-of-pairs references in `oracles`."""
 
+import functools
 import itertools
+import operator
 import random
+import time
 
 from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
@@ -12,6 +15,7 @@ from conrad.radical_engine import (
     KIND_OPS,
     build_universe,
     catalog_graph,
+    class_from_members,
     surjective_morphisms,
 )
 from conrad.structures import (
@@ -19,8 +23,10 @@ from conrad.structures import (
     NOLOOPS,
     _nonempty_subsets,
     _pair_at,
+    _at_slots,
     _pair_slots,
     _slot,
+    _union_of,
     all_partitions,
     carries_edges,
     enumerate_graphs,
@@ -235,3 +241,52 @@ def test_random_draws_match_the_pair_calculus():
         assert h == oracles.random_graph_pairs(theirs, n, NOLOOPS)
         assert lc.random_lcong(mine, h) == oracles.random_lcong_pairs(theirs, h)
     assert mine.getstate() == theirs.getstate()
+
+
+def test_point_keys_read_off_the_edges():
+    # every member of graph n <= 4 and loopless n <= 6 keeps the point keys
+    # and iso key of the pair definition
+    checked = 0
+    for kind, max_n in (("graph", 4), ("loopless", 6)):
+        for g in build_universe(kind, max_n):
+            assert g.point_keys() == [oracles.point_key(g, v) for v in range(g.n)], g
+            assert [g.point_key(v) for v in range(g.n)] == g.point_keys()
+            assert g.iso_key() == oracles.iso_key(g), g
+            checked += 1
+    assert checked == 2 + 6 + 20 + 90 + 1 + 2 + 4 + 11 + 34 + 156
+
+
+def test_a_large_sparse_graph_joins_a_class_pool():
+    # one edge on 500 vertices: its far pairs lie past the edge-set cap, and
+    # reading a degree through each vertex's star refused the graph
+    g = graph(500, LOOPS, [(0, 1)])
+    assert g.point_keys() == [(1, 0), (1, 0)] + [(0, 0)] * 498
+    assert g.iso_key() == (500, 1, tuple(sorted(g.point_keys())))
+    h = graph(500, LOOPS, [(3, 3), (200, 200), (200, 201)])
+    assert (h.point_key(200), h.point_key(201), h.point_key(3), h.point_key(0)) == ((1, 1), (1, 0), (0, 1), (0, 0))
+    pool = class_from_members("graph", "large", [g, h])
+    # no member shares these keys, so no isomorphism is searched
+    assert not pool(graph(500, LOOPS, [(0, 1), (2, 3)]))
+    assert not pool(graph(2, LOOPS, [(0, 1)]))
+    assert pool(graph(1, LOOPS))
+
+
+def test_a_wide_mask_is_walked_in_linear_time():
+    # a mask wider than 64 bits is walked through its binary text: the bit
+    # by bit walk costs a whole-mask operation per set bit, and took seconds
+    # on a dense mask this wide
+    width = 200_000
+    dense, sparse = (1 << width) - 1, 1 << width | 1 << 70 | 5
+    start = time.perf_counter()
+    assert _at_slots(range(width), dense) == list(range(width))
+    assert _union_of([1 << (i % 7) for i in range(width)], dense) == 127
+    assert time.perf_counter() - start < 1.0
+    assert _at_slots(range(width + 1), sparse) == [0, 2, 70, width]
+    rng = random.Random(5)
+    for bits in (1, 30, 64, 65, 100, 300):
+        for _ in range(20):
+            mask = rng.getrandbits(bits)
+            assert _at_slots(range(bits), mask) == [i for i in range(bits) if mask >> i & 1]
+            masks = [rng.getrandbits(8) for _ in range(bits)]
+            assert _union_of(masks, mask) == functools.reduce(
+                operator.or_, (masks[i] for i in range(bits) if mask >> i & 1), 0)

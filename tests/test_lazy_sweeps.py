@@ -14,6 +14,7 @@ import random
 import pytest
 
 from conrad import graph_congruence as gc
+from conrad import radical_engine
 from conrad import topo_congruence as tc
 from conrad.cli_io import run_command
 from conrad.errors import BoundExceeded, LemmaConditionFailed, NoQualifyingCongruence
@@ -67,7 +68,7 @@ def test_lazy_enumeration_equals_eager(kind, universes):
     ops = KIND_OPS[kind]
     for x in universes[kind]:
         eager = EAGER_CONGRUENCES[kind](x)
-        assert list(ops.iter_congruences(x)) == eager == ops.enum_congruences(x), x
+        assert [theta for theta, _ in ops.iter_quotients(x)] == eager == ops.enum_congruences(x), x
 
 
 def _looped_path(n):
@@ -75,8 +76,8 @@ def _looped_path(n):
 
 
 @pytest.mark.parametrize("module, lazy, structure", [
-    (gc, gc.iter_congruences_gc, _looped_path(8)),
-    (tc, tc.iter_congruences_tc, discrete_space(7)),
+    (gc, gc.iter_quotients_gc, _looped_path(8)),
+    (tc, tc.iter_quotients_tc, discrete_space(7)),
 ])
 def test_lazy_enumeration_refuses_at_call(module, lazy, structure, monkeypatch):
     built = []
@@ -136,15 +137,18 @@ def test_degeneracy_verdict_equals_eager(universes):
 
 def test_loopless_pair_builds_few_quotients(monkeypatch, capsys):
     # the n <= 5 degeneracy and complementary sweeps stop at their verdicts;
-    # consuming every congruence, as before, built 7,010 quotients
+    # consuming every congruence, as before, built 7,010 quotients.  Each
+    # quotient a class reads is built from the mask its enumeration streams,
+    # and none is carried down from its congruence
     built = []
-    ops = KIND_OPS["loopless"]
+    quotient_of = radical_engine._quotient_of
 
-    def quotient(*args):
+    def counted(*args):
         built.append(args)
-        return ops.quotient(*args)
+        return quotient_of(*args)
 
-    monkeypatch.setitem(KIND_OPS, "loopless", dataclasses.replace(ops, quotient=quotient))
+    monkeypatch.setattr(radical_engine, "_quotient_of", counted)
+    monkeypatch.setitem(KIND_OPS, "loopless", dataclasses.replace(KIND_OPS["loopless"], quotient=None))
     monkeypatch.delenv("CONRAD_MAX_N", raising=False)
     base = ["universe", "--kind", "loopless", "--max-n", "5", "--check"]
     assert run_command(base + ["degeneracy", "--class", "complete"]) == 0
