@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
 
 from . import graph_congruence as gcm
 from . import loopless_congruence as lcm
@@ -217,13 +216,19 @@ def describe_congruence(cong) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Report:
     """Deterministic line report; exit status 1 iff any record FAILs."""
 
-    command: str
-    records: list = field(default_factory=list)
-    entries: list = field(default_factory=list)
+    def __init__(self, command: str):
+        self.command, self.records, self.entries = command, [], []
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.command, self.records, self.entries) == (other.command, other.records, other.entries)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Report(command={self.command!r}, records={self.records!r}, entries={self.entries!r})"
 
     def check(self, name: str, ok: bool, witness: str = ""):
         self.records.append((name, ok, witness))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 
 from .errors import (
     EdgeSetOutOfRange,
@@ -63,14 +62,24 @@ def _slot_order(mask: int) -> str:
     return bin(mask << 1)[:1:-1].replace("0", "2")
 
 
-@dataclass(frozen=True)
 class GraphCongruence:
     """A partition with its congruence edge-set, stored as a mask over the
     pair slots of the carrier's vertices; `cedges` is the set of pairs and
     `from_pairs` builds one from pairs."""
 
-    part: Partition
-    cmask: int
+    def __init__(self, part: Partition, cmask: int):
+        self.part, self.cmask = part, cmask
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.part, self.cmask) == (other.part, other.cmask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.part, self.cmask))
+
+    def __repr__(self):
+        return f"GraphCongruence(part={self.part!r}, cmask={self.cmask!r})"
 
     @staticmethod
     def from_pairs(part: Partition, pairs) -> "GraphCongruence":

@@ -16,8 +16,7 @@ import dataclasses
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from . import graph_congruence as gc
 from . import loopless_congruence as lc
@@ -169,7 +168,8 @@ def catalog_graph(g: FiniteGraph, cid: str) -> gc.GraphCongruence:
     return gc.GraphCongruence(ident, g.mask | extra)
 
 
-@dataclass(frozen=True)
+# a dataclass for `dataclasses.replace`; no ops table is compared or printed
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class _KindOps:
     enum_structures: Callable
     enum_congruences: Callable
@@ -324,13 +324,22 @@ def is_strong(x, theta) -> bool:
 # Classes, radical assignments, universes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ClassPredicate:
     """Abstract class of structures; membership must be iso-invariant."""
 
-    name: str
-    kind: str
-    member: Callable
+    def __init__(self, name: str, kind: str, member: Callable):
+        self.name, self.kind, self.member = name, kind, member
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.kind, self.member) == (other.name, other.kind, other.member)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.kind, self.member))
+
+    def __repr__(self):
+        return f"ClassPredicate(name={self.name!r}, kind={self.kind!r}, member={self.member!r})"
 
     def __call__(self, structure) -> bool:
         return bool(self.member(structure))
@@ -381,16 +390,25 @@ def class_from_members(kind: str, name: str, members) -> ClassPredicate:
     )
 
 
-@dataclass(frozen=True)
 class RadicalAssignment:
     """Rule assigning a congruence to every structure of the kind it is applied to.
 
     Each structure's value is computed once per assignment and memoised.
     """
 
-    name: str
-    rule: Callable
-    _values: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, name: str, rule: Callable):
+        self.name, self.rule, self._values = name, rule, {}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.rule) == (other.name, other.rule)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.rule))
+
+    def __repr__(self):
+        return f"RadicalAssignment(name={self.name!r}, rule={self.rule!r})"
 
     def __call__(self, structure):
         value = self._values.get(structure)
@@ -399,16 +417,24 @@ class RadicalAssignment:
         return value
 
 
-@dataclass(frozen=True)
 class Universe:
     """The members of a kind up to a size; surjections are searched once per
     pair, U and S lists once per class, and elementary maps are built once."""
 
-    kind: str
-    max_n: int
-    members: tuple
-    _maps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _avoiding: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    def __init__(self, kind: str, max_n: int, members: tuple):
+        self.kind, self.max_n, self.members = kind, max_n, members
+        self._maps, self._avoiding = {}, {}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.kind, self.max_n, self.members) == (other.kind, other.max_n, other.members)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.max_n, self.members))
+
+    def __repr__(self):
+        return f"Universe(kind={self.kind!r}, max_n={self.max_n!r}, members={self.members!r})"
 
     def __iter__(self):
         return iter(self.members)
@@ -902,11 +928,20 @@ def rho_sum(cls: ClassPredicate, structure):
 # Subdirect products, complementary pairs, loopless degeneracy
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SubdirectResult:
-    ok: bool
-    factors: tuple
-    embedding: tuple[tuple[int, ...], ...]
+    def __init__(self, ok: bool, factors: tuple, embedding: tuple[tuple[int, ...], ...]):
+        self.ok, self.factors, self.embedding = ok, factors, embedding
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.factors, self.embedding) == (other.ok, other.factors, other.embedding)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ok, self.factors, self.embedding))
+
+    def __repr__(self):
+        return f"SubdirectResult(ok={self.ok!r}, factors={self.factors!r}, embedding={self.embedding!r})"
 
 
 def check_subdirect(structure, thetas: list) -> SubdirectResult:

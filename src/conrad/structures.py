@@ -11,7 +11,6 @@ import itertools
 import math
 import os
 import random
-from dataclasses import dataclass, field
 
 from .errors import (
     BoundExceeded,
@@ -64,7 +63,6 @@ def _positions(subset, n: int) -> tuple[int, ...]:
 # Partitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Partition:
     """Equivalence relation on 0..n-1, stored as a restricted growth string.
 
@@ -74,8 +72,9 @@ class Partition:
     representation canonical.  The same pass lists the blocks.
     """
 
-    class_id: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    def __init__(self, class_id):
+        self.class_id = class_id
+        self.__post_init__()
 
     def __post_init__(self):
         relabel: dict = {}
@@ -87,8 +86,19 @@ class Partition:
                 blocks.append([])
             blocks[b].append(x)
             cid.append(b)
-        object.__setattr__(self, "class_id", tuple(cid))
-        object.__setattr__(self, "blocks", tuple(map(tuple, blocks)))
+        self.class_id = tuple(cid)
+        self.blocks = tuple(map(tuple, blocks))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.class_id == other.class_id
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.class_id,))
+
+    def __repr__(self):
+        return f"Partition(class_id={self.class_id!r})"
 
     @staticmethod
     def from_blocks(n: int, blocks) -> "Partition":
@@ -442,7 +452,10 @@ def _slot_plan(n: int, image: tuple, m: int) -> _Lazy:
     def fill(slot: int) -> int:
         a, b = pairs[slot]
         x, y = image[a], image[b]
-        return 0 if x is None or y is None else _mask_of(m, [(x, y)])
+        if x is None or y is None:
+            return 0
+        target = _slot(m, *_norm_pair(x, y))
+        return 1 << target if target < CONGRUENCE_SCAN_BOUND else _mask_of(m, [(x, y)])  # which refuses it
 
     return _Lazy(fill)
 
@@ -479,15 +492,14 @@ def _search_view(succ) -> tuple:
     return tuple(succ), pred, _bitmask(p for p in range(n) if rows[p][0]), rows
 
 
-@dataclass(frozen=True)
 class FiniteGraph:
     """Undirected graph on 0..n-1, its edges a mask over the pair slots;
     loops permitted only under the loops policy.  The constructor checks
     that the mask holds admissible slots only; `graph` checks raw pairs."""
 
-    n: int
-    policy: str
-    mask: int
+    def __init__(self, n: int, policy: str, mask: int):
+        self.n, self.policy, self.mask = n, policy, mask
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -499,6 +511,17 @@ class FiniteGraph:
             raise SemanticError("edge mask out of range")
         if self.policy == NOLOOPS and self.loops:
             raise SemanticError("loop under noloops policy")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.policy, self.mask) == (other.n, other.policy, other.mask)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.policy, self.mask))
+
+    def __repr__(self):
+        return f"FiniteGraph(n={self.n!r}, policy={self.policy!r}, mask={self.mask!r})"
 
     @functools.cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -646,7 +669,6 @@ A3 = graph(3, LOOPS, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
 # Spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FiniteSpace:
     """Finite topological space on points 0..n-1, stored as each point's least
     open set as a bitmask; the opens are their unions (Stong, Trans. AMS 123,
@@ -654,8 +676,9 @@ class FiniteSpace:
     in its own, and q in p's puts q's inside p's.  `space` checks a family of opens.
     """
 
-    n: int
-    min_opens: tuple[int, ...]
+    def __init__(self, n: int, min_opens: tuple[int, ...]):
+        self.n, self.min_opens = n, min_opens
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 1:
@@ -663,6 +686,17 @@ class FiniteSpace:
         defect = _preorder_defect(self.n, self.min_opens)
         if defect:
             raise SemanticError(defect)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.min_opens) == (other.n, other.min_opens)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.min_opens))
+
+    def __repr__(self):
+        return f"FiniteSpace(n={self.n!r}, min_opens={self.min_opens!r})"
 
     @functools.cached_property
     def _open_masks(self) -> tuple[int, ...]:

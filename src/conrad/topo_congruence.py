@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -58,15 +57,25 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
 class TopoCongruence:
     """A partition with its congruence topology, stored as each point's least
     open set in that topology as a bitmask: the opens are their unions, and
     the points of one block share one least open set.  `from_opens` builds
     one from a family of opens."""
 
-    part: Partition
-    least: tuple[int, ...]
+    def __init__(self, part: Partition, least: tuple[int, ...]):
+        self.part, self.least = part, least
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.part, self.least) == (other.part, other.least)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.part, self.least))
+
+    def __repr__(self):
+        return f"TopoCongruence(part={self.part!r}, least={self.least!r})"
 
     @staticmethod
     def from_opens(part: Partition, opens) -> "TopoCongruence":

@@ -7,9 +7,11 @@ import operator
 import random
 import time
 
+import pytest
+
 from conrad import graph_congruence as gc
 from conrad import loopless_congruence as lc
-from conrad.errors import ConradError
+from conrad.errors import BoundExceeded, ConradError
 from conrad.radical_engine import (
     BUILTIN_CLASSES,
     KIND_OPS,
@@ -24,8 +26,10 @@ from conrad.structures import (
     _nonempty_subsets,
     _pair_at,
     _at_slots,
+    _mask_of,
     _pair_slots,
     _slot,
+    _slot_plan,
     _union_of,
     all_partitions,
     carries_edges,
@@ -97,6 +101,23 @@ def test_each_slot_decodes_to_its_pair():
         a, b = sorted(rng.randrange(n) for _ in range(2))
         for pair in ((a, b), (a, a), (a, n - 1)):
             assert _pair_at(n, _slot(n, *pair)) == pair
+
+
+def test_a_carry_plan_holds_the_bit_of_each_target_slot():
+    # each slot's entry is the one-pair mask `_mask_of` builds, in either
+    # order, 0 for a dropped end, and a target past the cap is refused alike
+    image = (2, 0, None, 1)
+    plan = _slot_plan(4, image, 3)
+    for a, b in itertools.combinations_with_replacement(range(4), 2):
+        x, y = image[a], image[b]
+        assert plan[_slot(4, a, b)] == (0 if None in (x, y) else _mask_of(3, [(x, y)]))
+    far = _slot_plan(2, (0, 999), 1000)
+    assert far[_slot(2, 0, 0)] == 1 and far[_slot(2, 0, 1)] == 1 << 999
+    with pytest.raises(BoundExceeded) as refused:
+        far[_slot(2, 1, 1)]
+    with pytest.raises(BoundExceeded) as expected:
+        _mask_of(1000, [(999, 999)])
+    assert str(refused.value) == str(expected.value) == "edge-sets capped at 100000 pair slots: 999-999 is slot 500499"
 
 
 def test_one_congruence_operations_match_the_pair_calculus():
