@@ -204,8 +204,12 @@ def kernel_gc(g: FiniteGraph, h: FiniteGraph, f: tuple) -> GraphCongruence:
 # ---------------------------------------------------------------------------
 
 def quotient_gc(g: FiniteGraph, theta: GraphCongruence) -> FiniteGraph:
-    """Quotient graph under g's loop policy; its projection is theta.part.class_id."""
+    """Quotient graph under g's loop policy; its projection is theta.part.class_id.
+    A discrete partition's class map is the identity, so its quotient's mask
+    is theta's own, and no carry plan is built for it."""
     cid, m = theta.part.class_id, theta.part.num_blocks
+    if m == g.n:
+        return FiniteGraph(m, g.policy, theta.cmask)
     return FiniteGraph(m, g.policy, _carried(g.n, theta.cmask, cid, m))
 
 

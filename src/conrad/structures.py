@@ -999,21 +999,30 @@ def _pair_slots(n: int, policy: str) -> tuple[tuple[int, int], ...]:
 def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
     """One canonical representative per isomorphism class, sorted: of each
     orbit of edge masks under the permutations of the vertices, the least.
-
-    Masks are scanned in ascending order and each unseen one is a
-    representative, because every smaller mask's orbit is marked already;
-    its orbit is marked through per-permutation tables of single-slot images.
-    """
+    The bound is read at each call; the classes of a size are found once per
+    process, and each call gets its own list of them."""
     limit = _env_bound(GRAPH_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"graph enumeration capped at n <= {limit}")
+    return list(_graph_classes(n, policy))
+
+
+@functools.lru_cache(maxsize=64)
+def _graph_classes(n: int, policy: str) -> tuple[FiniteGraph, ...]:
+    """`enumerate_graphs` without its bound.
+
+    Masks are scanned in ascending order and each unseen one is a
+    representative, because every smaller mask's orbit is marked already.
+    Its orbit is marked in one pass over per-slot tables of images: zip
+    gives, per permutation, the images of its slots, and their sum is that
+    permutation's image of the mask.  The empty mask, where the scan starts,
+    marks nothing: zip of no tables is empty, and the scan never returns there.
+    """
     slots = _pair_slots(n, policy)
     index = {pair: i for i, pair in enumerate(slots)}
-    # per vertex permutation, the image mask of each single pair slot
-    images = [
-        [1 << index[_norm_pair(p[a], p[b])] for a, b in slots]
-        for p in itertools.permutations(range(n))
-    ]
+    perms = list(itertools.permutations(range(n)))
+    # per scanned slot, the bit of its image under each vertex permutation
+    columns = [tuple(1 << index[_norm_pair(p[a], p[b])] for p in perms) for a, b in slots]
     # each scanned slot's bit in the edge mask (the diagonal slots are skipped under noloops)
     bits = [1 << _slot(n, a, b) for a, b in slots]
     seen = bytearray(2 ** len(slots))
@@ -1021,12 +1030,12 @@ def enumerate_graphs(n: int, policy: str) -> list[FiniteGraph]:
     mask = 0
     while mask >= 0:
         ones = [i for i in range(len(slots)) if mask >> i & 1]
-        for image in images:
-            seen[sum(map(image.__getitem__, ones))] = 1
+        for image in map(sum, zip(*map(columns.__getitem__, ones))):
+            seen[image] = 1
         reps.append(FiniteGraph(n, policy, sum(map(bits.__getitem__, ones))))
         mask = seen.find(0, mask + 1)  # -1 once every orbit is marked
     reps.sort(key=lambda g: (g.mask.bit_count(), g.encoding()))
-    return reps
+    return tuple(reps)
 
 
 def _preorders(k: int, floor):
@@ -1063,10 +1072,17 @@ def _preorders(k: int, floor):
 def enumerate_spaces(n: int) -> list[FiniteSpace]:
     """One canonical representative per homeomorphism class, sorted: of each
     orbit of topologies under the permutations of the points, the one whose
-    sorted open masks are least."""
+    sorted open masks are least.  The bound is read at each call; the classes
+    of a size are found once per process, and each call gets its own list."""
     limit = _env_bound(SPACE_ENUM_BOUND)
     if n > limit:
         raise BoundExceeded(f"space enumeration capped at n <= {limit}")
+    return list(_space_classes(n))
+
+
+@functools.lru_cache(maxsize=64)
+def _space_classes(n: int) -> tuple[FiniteSpace, ...]:
+    """`enumerate_spaces` without its bound."""
     # per permutation: its inverse, and the image of every subset as a bitmask
     actions = []
     for perm in itertools.permutations(range(n)):
@@ -1083,4 +1099,4 @@ def enumerate_spaces(n: int) -> list[FiniteSpace]:
         opens = _unions(least)
         reps.append(FiniteSpace(n, min(orbit, key=lambda v: sorted(orbit[v][u] for u in opens))))
     reps.sort(key=lambda x: (len(x.opens), x.encoding()))
-    return reps
+    return tuple(reps)

@@ -1,7 +1,9 @@
 """Parsing, serialization, round trips, and the command line surface."""
 
+import inspect
 import time
 import tracemalloc
+from gc import collect, get_objects
 
 import pytest
 
@@ -805,3 +807,26 @@ def test_a_large_catalog_value_fills_the_pair_table_as_read(tmp_path, capsys):
             + ["quotient: " + oracles.describe_structure_text(quotient)]
         )
         assert len(structures._pair_texts(n, "edge {} {}")) == len(structures._pair_texts(n, "{}-{}")) == printed
+
+
+def _live_slot_plan_sizes() -> set[int]:
+    """The vertex count of each live carry plan of edge masks."""
+    collect()
+    return {len(inspect.getclosurevars(o.fill).nonlocals["image"]) for o in get_objects()
+            if isinstance(o, structures._Lazy)
+            and getattr(o.fill, "__qualname__", None) == "_slot_plan.<locals>.fill"}
+
+
+def test_a_quotient_by_the_discrete_partition_builds_no_carry_plan(tmp_path, capsys):
+    # the every-pair value (e) of an edgeless 300-vertex graph lies on the
+    # discrete partition, whose class map is the identity: its quotient keeps
+    # the congruence's mask, where carrying it cached a plan of 45,150 one-bit
+    # ints up to 45,150 bits wide (130.7 MB by sys.getsizeof)
+    n = 300
+    path = tmp_path / "g.txt"
+    path.write_text(f"graph {n} loops\n")
+    structures._slot_images.cache_clear()
+    assert run_command(["catalog", "--kind", "graph", "--id", "e", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "quotient: " + oracles.describe_structure_text(
+        graph(n, LOOPS, [(a, b) for a in range(n) for b in range(a, n)]))
+    assert n not in _live_slot_plan_sizes()

@@ -474,6 +474,37 @@ def test_enumerate_graphs_bound(monkeypatch):
     assert len(enumerate_graphs(6, NOLOOPS)) == 156
 
 
+def test_enumerate_graphs_reaches_the_oeis_counts_past_the_default_cap(monkeypatch):
+    # unlabeled graphs with loops on 6 vertices (A000666) and simple graphs
+    # on 7 (A000088): 2^21 masks each
+    monkeypatch.setenv("CONRAD_MAX_N", "7")
+    assert len(enumerate_graphs(6, LOOPS)) == 5096
+    assert len(enumerate_graphs(7, NOLOOPS)) == 1044
+
+
+@pytest.mark.parametrize("enumerate_, args, message", [
+    (enumerate_graphs, (3, LOOPS), "graph enumeration capped at n <= 2"),
+    (enumerate_graphs, (3, NOLOOPS), "graph enumeration capped at n <= 2"),
+    (enumerate_spaces, (3,), "space enumeration capped at n <= 2"),
+])
+def test_each_size_is_enumerated_once_and_every_call_reads_the_bound(monkeypatch, enumerate_, args, message):
+    monkeypatch.delenv("CONRAD_MAX_N", raising=False)
+    first = enumerate_(*args)
+    kept = list(first)
+    assert enumerate_(*args) == first and enumerate_(*args) is not first
+    # each call gets its own list: changing one leaves the next as it was
+    first.reverse()
+    first.append(None)
+    assert enumerate_(*args) == kept
+    # a size already found is still refused once the bound falls below it
+    monkeypatch.setenv("CONRAD_MAX_N", "2")
+    with pytest.raises(BoundExceeded) as refused:
+        enumerate_(*args)
+    assert str(refused.value) == message
+    monkeypatch.delenv("CONRAD_MAX_N")
+    assert enumerate_(*args) == kept
+
+
 def test_enumerate_spaces_reaches_five_and_six_points(monkeypatch):
     # finite topologies up to homeomorphism (OEIS A001930), past the default cap
     monkeypatch.setenv("CONRAD_MAX_N", "6")
